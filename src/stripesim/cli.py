@@ -90,8 +90,8 @@ def _resolve_channel_arg(spec: str):
     raise ConfigError(f"unknown channel source {spec!r}")
 
 
-def _manifest_base(args, extra_flags: dict) -> dict:
-    env, wf, bank = _load_configs(args)
+def _manifest_base(args, configs, extra_flags: dict) -> dict:
+    env, wf, bank = configs
     return {
         "tool": "stripesim",
         "version": __version__,
@@ -135,7 +135,7 @@ def cmd_run(args) -> int:
         outputs += _export_taps(out_dir, result.stage_taps)
     if args.dump_channel:
         outputs.append(_export_channel(out_dir, result.channel))
-    manifest = _manifest_base(args, {
+    manifest = _manifest_base(args, (env, wf, bank), {
         "command": "run", "channel": args.channel, "ue": args.ue,
         "stripe": args.stripe, "ru": args.ru, "direction": args.direction,
         "seed": args.seed, "taps": args.taps, "calibrate": args.calibrate,
@@ -192,14 +192,21 @@ def _export_channel(out_dir: Path, realization) -> str:
 _HEATMAP_HEADER = ["ru_id", "stripe_id", "nmse_cu", "sndr_cu", "ber"]
 
 
+# (env, waveform, components, channel source) of the running sweep, loaded
+# once per command and set in each process before its first cell.
+_sweep_inputs: tuple | None = None
+
+
+def _set_sweep_inputs(*inputs):
+    """Pool initializer; with --jobs 1 the command calls it directly."""
+    global _sweep_inputs
+    _sweep_inputs = inputs
+
+
 def _sweep_cell(payload) -> tuple:
     """One (stripe, ru) cell; module-level so worker processes can import it."""
-    (env_path, wf_path, comp_path, channel_spec, ue, stripe_id, ru_id,
-     direction, master_seed) = payload
-    env = load_environment(env_path)
-    wf = load_waveform(wf_path)
-    bank = load_components(comp_path)
-    channel = _resolve_channel_arg(channel_spec)
+    ue, stripe_id, ru_id, direction, master_seed = payload
+    env, wf, bank, channel = _sweep_inputs
     cell_seed = streams.derive_seed(master_seed, stripe_id, ru_id)
     result = run_link(env, wf, bank, channel, ue_index=ue, stripe_id=stripe_id,
                       active_ru=ru_id, direction=direction, seed=cell_seed)
@@ -210,25 +217,25 @@ def _sweep_cell(payload) -> tuple:
 def cmd_sweep_ru(args) -> int:
     started = time.monotonic()
     env, wf, bank = _load_configs(args)
+    channel = _resolve_channel_arg(args.channel)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells = []
-    for stripe_id, stripe in enumerate(env.radio_stripes):
-        for ru_id in range(len(stripe) - 1):
-            cells.append((str(args.env), str(args.waveform), str(args.components),
-                          args.channel, args.ue, stripe_id, ru_id,
-                          args.direction, args.seed))
+    cells = [(args.ue, stripe_id, ru_id, args.direction, args.seed)
+             for stripe_id, stripe in enumerate(env.radio_stripes)
+             for ru_id in range(len(stripe) - 1)]
+    inputs = (env, wf, bank, channel)
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=args.jobs, initializer=_set_sweep_inputs,
+                                 initargs=inputs) as pool:
             rows = list(pool.map(_sweep_cell, cells))
     else:
+        _set_sweep_inputs(*inputs)
         rows = [_sweep_cell(c) for c in cells]
     rows.sort(key=lambda r: (r[1], r[0]))  # (stripe_id, ru_id)
     _write_csv(out_dir / "heatmap.csv", _HEATMAP_HEADER, [list(r) for r in rows])
-    manifest = _manifest_base(args, {
+    manifest = _manifest_base(args, (env, wf, bank), {
         "command": "sweep-ru", "channel": args.channel, "ue": args.ue,
-        "direction": args.direction, "seed": args.seed, "metric": args.metric,
-        "jobs": args.jobs,
+        "direction": args.direction, "seed": args.seed, "jobs": args.jobs,
     })
     manifest["outputs"] = ["heatmap.csv"]
     manifest["duration_s"] = time.monotonic() - started
@@ -242,9 +249,7 @@ def cmd_sweep_ru(args) -> int:
 
 def cmd_calibrate(args) -> int:
     started = time.monotonic()
-    env = load_environment(args.env)
-    bank = load_components(args.components)
-    wf = load_waveform(args.waveform)
+    env, wf, bank = _load_configs(args)
     grid = make_grid(env, wf)
     target = args.target_dbm if args.target_dbm is not None \
         else bank.calibration.target_power_dbm
@@ -260,7 +265,7 @@ def cmd_calibrate(args) -> int:
             rows.append([stripe_id, ru_id, gain, clipped])
     _write_csv(out_dir / "gains.csv",
                ["stripe_id", "ru_id", "gain_db", "clipped"], rows)
-    manifest = _manifest_base(args, {
+    manifest = _manifest_base(args, (env, wf, bank), {
         "command": "calibrate", "target_dbm": target, "max_gain": max_gain,
         "seed": args.seed,
     })
@@ -350,9 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--ue", type=int, default=0)
     p_sweep.add_argument("--direction", choices=("dl", "ul"), default="ul")
     p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--metric", choices=("nmse_cu", "sndr_cu", "ber"),
-                         default="nmse_cu",
-                         help="primary metric (all columns are always written)")
     p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.add_argument("--out", required=True)
     p_sweep.set_defaults(func=cmd_sweep_ru)

@@ -11,10 +11,10 @@ everything else is a pure function.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import (DomainError, GridMismatch, LengthError, UnsupportedMode,
                      ZeroSignal)
@@ -268,7 +268,12 @@ class Oscillator:
         if rho == 1.0:
             phi = self._phi_prev + np.cumsum(u)
         else:
-            phi, _ = lfilter([1.0], [1.0, -rho], u, zi=[rho * self._phi_prev])
+            # phi[k] = u[k] + rho * phi[k-1] in plain Python: scipy's lfilter
+            # would put a ~1 s scipy.signal import on every CLI start
+            phi = np.fromiter(
+                itertools.accumulate(u.tolist(), lambda prev, x: x + rho * prev,
+                                     initial=self._phi_prev),
+                np.float64, n + 1)[1:]
         self._phi_prev = float(phi[-1])
         return phi
 

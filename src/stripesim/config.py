@@ -91,6 +91,16 @@ def _as_float(value, path: str) -> float:
     return out
 
 
+def _as_complex(value, path: str) -> complex:
+    """A number, a complex literal such as "1+2j", or an [re, im] pair."""
+    try:
+        if isinstance(value, (list, tuple)) and len(value) == 2:
+            return complex(float(value[0]), float(value[1]))
+        return complex(value)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{path}: expected a number or [re, im], got {value!r}") from None
+
+
 def _as_int(value, path: str) -> int:
     out = _as_float(value, path)
     if out != int(out):
@@ -412,12 +422,10 @@ def _parse_amplifier(sec: _Section) -> AmplifierParams:
     if mode not in AMPLIFIER_MODES:
         raise UnsupportedModel(f"{sec.path}: amplifier model {mode!r}")
     coeffs = sec.get("poly_coeffs", [])
-    parsed_coeffs = []
-    for c in coeffs:
-        if isinstance(c, (list, tuple)) and len(c) == 2:
-            parsed_coeffs.append(complex(float(c[0]), float(c[1])))
-        else:
-            parsed_coeffs.append(complex(c))
+    if not isinstance(coeffs, (list, tuple)):
+        raise SchemaError(f"{sec.path}.poly_coeffs: expected a list, got {coeffs!r}")
+    parsed_coeffs = [_as_complex(c, f"{sec.path}.poly_coeffs[{i}]")
+                     for i, c in enumerate(coeffs)]
     params = AmplifierParams(
         gain_db=_as_float(sec.get("gain_db", 0.0), f"{sec.path}.gain_db"),
         mode=mode,
@@ -502,11 +510,7 @@ def load_components(path) -> ComponentBank:
         sec.warn_unknown()
     if top.has("iq_modem"):
         sec = _Section(top.get("iq_modem"), "iq_modem")
-        dc = sec.get("dc_offset", 0.0)
-        if isinstance(dc, (list, tuple)) and len(dc) == 2:
-            dc = complex(float(dc[0]), float(dc[1]))
-        else:
-            dc = complex(dc)
+        dc = _as_complex(sec.get("dc_offset", 0.0), "iq_modem.dc_offset")
         kwargs["iq_modem"] = IqParams(
             gain_mismatch=_as_float(sec.get("gain_mismatch", 1.0),
                                     "iq_modem.gain_mismatch"),

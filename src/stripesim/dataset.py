@@ -179,16 +179,28 @@ class CfrDatasetReader:
         manifest_path = self._dir / "manifest.json"
         if not manifest_path.is_file():
             raise IoError(f"no manifest.json in {self._dir}")
-        self._manifest = json.loads(manifest_path.read_text())
+        # malformed JSON, missing keys and wrong value types surface as
+        # these four; each means the dataset's files are damaged
+        malformed = (AttributeError, KeyError, TypeError, ValueError)
+        try:
+            manifest = json.loads(manifest_path.read_text())
+            self._crcs = {name: int(entry["crc32"])
+                          for name, entry in manifest.get("files", {}).items()}
+        except malformed as exc:
+            raise FormatError(f"{manifest_path}: malformed manifest ({exc!r})") from None
         meta_blob = self._read_checked("metadata.json")
-        meta = json.loads(meta_blob.decode())
-        raw_h = meta["header"]
-        self.header = DatasetHeader(
-            n_stripes=int(raw_h["n_stripes"]), n_rus=int(raw_h["n_rus"]),
-            n_rx=int(raw_h["n_rx"]), n_tx=int(raw_h["n_tx"]),
-            num_subcarriers=int(raw_h["num_subcarriers"]),
-            fc=float(raw_h["fc"]), bw=float(raw_h["bw"]))
-        self.ues = tuple(_ue_from_json(u) for u in meta["ues"])
+        try:
+            meta = json.loads(meta_blob.decode())
+            raw_h = meta["header"]
+            self.header = DatasetHeader(
+                n_stripes=int(raw_h["n_stripes"]), n_rus=int(raw_h["n_rus"]),
+                n_rx=int(raw_h["n_rx"]), n_tx=int(raw_h["n_tx"]),
+                num_subcarriers=int(raw_h["num_subcarriers"]),
+                fc=float(raw_h["fc"]), bw=float(raw_h["bw"]))
+            self.ues = tuple(_ue_from_json(u) for u in meta["ues"])
+        except malformed as exc:
+            raise FormatError(f"{self._dir / 'metadata.json'}: malformed metadata "
+                              f"({exc!r})") from None
         self._by_id = {ue.ue_id: ue for ue in self.ues}
         self._cache: dict[int, np.ndarray] = {}
 
@@ -197,8 +209,8 @@ class CfrDatasetReader:
         if not path.is_file():
             raise IoError(f"dataset file missing: {path}")
         blob = path.read_bytes()
-        entry = self._manifest.get("files", {}).get(name)
-        if entry is not None and zlib.crc32(blob) != entry["crc32"]:
+        crc = self._crcs.get(name)
+        if crc is not None and zlib.crc32(blob) != crc:
             raise ChecksumError(f"{path}: CRC32 mismatch")
         return blob
 

@@ -509,8 +509,11 @@ def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank
     n_rus = len(env.stripe_nodes(stripe_id)) - 1
     if not 0 <= active_ru < n_rus:
         raise ConfigError(f"active_ru {active_ru} out of range [0, {n_rus})")
-    if not 0 <= ue_index < len(env.ue_positions) and not isinstance(
-            channel_source, (CfrDatasetReader, ChannelRealization)):
+    if isinstance(channel_source, CfrDatasetReader):
+        if ue_index not in {ue.ue_id for ue in channel_source.ues}:
+            raise ConfigError(f"ue_index {ue_index} is not a UE of the dataset")
+    elif not 0 <= ue_index < len(env.ue_positions) and not isinstance(
+            channel_source, ChannelRealization):
         raise ConfigError(f"ue_index {ue_index} out of range")
 
     grid = make_grid(env, wf_cfg, dataset_header)

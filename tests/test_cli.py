@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -62,10 +66,74 @@ def test_run_missing_env_exits_config(config_tree, tmp_path):
     assert code == 2
 
 
-def test_run_bad_ru_exits_runtime(config_tree, tmp_path):
+def test_run_bad_ru_exits_config(config_tree, tmp_path):
     code = _run("run", *_base_flags(config_tree), "--ru", "99",
                 "--out", tmp_path / "o")
     assert code == 2  # configuration error: RU out of range
+
+
+def _gen_dataset(config_tree, out) -> str:
+    """A one-antenna LoS dataset of the test scenario's two UEs."""
+    assert _run("gen-channels", "--env", config_tree["env"], "--model", "los",
+                "--n-tx", "1", "--n-rx", "1", "--out", out) == 0
+    return f"dataset:{out}"
+
+
+_AMP = "boost_amplifier: {model: ideal, gain_db: 0.0}"
+_IQ = "dc_offset: [0.0, 0.0]"
+
+
+@pytest.mark.parametrize("command, flags, components, dataset_files, expected", [
+    pytest.param("run", ["--ru", "1"],
+                 (_AMP, _AMP[:-1] + ", poly_coeffs: [abc]}"), None, 2,
+                 id="poly-coeffs-not-numbers"),
+    pytest.param("run", ["--ru", "1"],
+                 (_AMP, _AMP[:-1] + ", poly_coeffs: 3}"), None, 2,
+                 id="poly-coeffs-not-a-list"),
+    pytest.param("run", ["--ru", "1"], (_IQ, "dc_offset: abc"), None, 2,
+                 id="dc-offset-not-a-number"),
+    pytest.param("run", ["--ru", "1", "--ue", "7", "--channel", "{ds}"],
+                 None, None, 2, id="run-unknown-dataset-ue"),
+    pytest.param("sweep-ru", ["--ue", "7", "--channel", "{ds}"],
+                 None, None, 2, id="sweep-unknown-dataset-ue"),
+    pytest.param("run", ["--ru", "1", "--channel", "{ds}"], None,
+                 {"manifest.json": "{not json"}, 3, id="corrupt-dataset-manifest"),
+    pytest.param("run", ["--ru", "1", "--channel", "{ds}"], None,
+                 {"manifest.json": "[]"}, 3, id="dataset-manifest-not-an-object"),
+    pytest.param("run", ["--ru", "1", "--channel", "{ds}"], None,
+                 {"manifest.json": '{"files": {"metadata.json": {}}}'}, 3,
+                 id="dataset-manifest-without-crc"),
+    pytest.param("run", ["--ru", "1", "--channel", "{ds}"], None,
+                 {"manifest.json": '{"files": {}}', "metadata.json": '{"ues": []}'},
+                 3, id="dataset-metadata-without-header"),
+])
+def test_bad_input_exits_typed(config_tree, tmp_path, capsys, command, flags,
+                               components, dataset_files, expected):
+    """Malformed inputs end as typed errors, never as 'internal error'."""
+    if components is not None:
+        old, new = components
+        config_tree["components"].write_text(COMP_YAML.replace(old, new))
+    if "{ds}" in flags:
+        channel = _gen_dataset(config_tree, tmp_path / "cfr")
+        flags = [channel if f == "{ds}" else f for f in flags]
+    for name, text in (dataset_files or {}).items():
+        (tmp_path / "cfr" / name).write_text(text)
+    capsys.readouterr()
+    code = _run(command, *_base_flags(config_tree), *flags, "--out", tmp_path / "o")
+    assert code == expected
+    assert "internal error" not in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is a test dependency only; the CLI must start without it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys, stripesim.cli; "
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_run_taps_export(config_tree, tmp_path):
@@ -119,6 +187,16 @@ def test_sweep_rows_and_columns(config_tree, tmp_path):
 def test_sweep_parallel_matches_serial(config_tree, tmp_path):
     args = ["sweep-ru", *_base_flags(config_tree), "--channel", "los",
             "--seed", "5"]
+    assert _run(*args, "--out", tmp_path / "serial") == 0
+    assert _run(*args, "--jobs", "2", "--out", tmp_path / "par") == 0
+    assert ((tmp_path / "serial" / "heatmap.csv").read_bytes()
+            == (tmp_path / "par" / "heatmap.csv").read_bytes())
+
+
+def test_sweep_dataset_parallel_matches_serial(config_tree, tmp_path):
+    channel = _gen_dataset(config_tree, tmp_path / "cfr")
+    args = ["sweep-ru", *_base_flags(config_tree), "--channel", channel,
+            "--ue", "1", "--seed", "2"]
     assert _run(*args, "--out", tmp_path / "serial") == 0
     assert _run(*args, "--jobs", "2", "--out", tmp_path / "par") == 0
     assert ((tmp_path / "serial" / "heatmap.csv").read_bytes()

@@ -250,6 +250,22 @@ def test_ar1_matches_loop_oracle():
     np.testing.assert_allclose(got, phi, rtol=1e-10, atol=1e-12)
 
 
+def test_ar1_bits_match_loop_across_calls():
+    """A 122,752-sample AR(1) path split over two calls equals, bit for bit,
+    the recursion phi[k] = u[k] + rho * phi[k-1] started at initial_phase."""
+    n, first = 122_752, 50_000
+    p = OscillatorParams(mode="ar1", ar_rho=0.999, innovation_std=0.01,
+                         initial_phase=0.25)
+    osc = Oscillator(p, 1e9, np.random.default_rng(11))
+    got = np.concatenate([osc.phases(first), osc.phases(n - first)])
+    u = 0.01 * np.random.default_rng(11).standard_normal(n)
+    expected, prev = np.empty(n), 0.25
+    for k in range(n):
+        prev = u[k] + 0.999 * prev
+        expected[k] = prev
+    np.testing.assert_array_equal(got, expected)
+
+
 def test_oscillator_state_continuity_ar1():
     p = OscillatorParams(mode="ar1", ar_rho=0.9, innovation_std=0.05)
     osc_a = Oscillator(p, 1e9, np.random.default_rng(10))
