@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .components import BOLTZMANN
+from .components import BOLTZMANN, add_complex_noise
 from .errors import DimensionError, DomainError
 from .waveform import SubcarrierGrid
 
@@ -334,9 +334,7 @@ def add_thermal_noise(y: np.ndarray, bandwidth: float, nf_db: float,
     """
     y = np.asarray(y, dtype=np.complex128)
     var = thermal_noise_power(bandwidth, nf_db, temperature)
-    sigma = np.sqrt(var / 2.0)
-    noise = sigma * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
-    return y + noise
+    return add_complex_noise(y, np.sqrt(var / 2.0), rng)
 
 
 def add_awgn(y: np.ndarray, snr_db: float, rng: np.random.Generator,
@@ -346,6 +344,4 @@ def add_awgn(y: np.ndarray, snr_db: float, rng: np.random.Generator,
     y = np.asarray(y, dtype=np.complex128)
     p = float(np.mean(np.abs(y) ** 2)) if signal_power is None else signal_power
     var = p * 10.0 ** (-snr_db / 10.0)
-    sigma = np.sqrt(var / 2.0)
-    noise = sigma * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
-    return y + noise
+    return add_complex_noise(y, np.sqrt(var / 2.0), rng)

@@ -198,19 +198,58 @@ def pa_nonlinearity(x, mode: str, params: AmplifierParams) -> np.ndarray:
     raise UnsupportedMode(f"amplifier mode {mode!r}")
 
 
+def add_complex_noise(samples: np.ndarray, sigma: float,
+                      rng: np.random.Generator) -> np.ndarray:
+    """``samples + sigma * (a + 1j*b)`` in a fresh buffer, with ``a`` and
+    ``b`` standard normal arrays shaped like ``samples``.
+
+    One ``(2,) + shape`` draw yields the same numbers, in the same order,
+    as drawing ``a`` and then ``b``.
+    """
+    z = rng.standard_normal((2,) + samples.shape)
+    z *= sigma
+    out = np.empty(samples.shape, dtype=np.complex128)
+    np.add(samples.real, z[0], out=out.real)
+    np.add(samples.imag, z[1], out=out.imag)
+    return out
+
+
+def _tanh_in_place(x: np.ndarray, sat_amplitude: float):
+    """``a * tanh(|x| / a) * x / |x|`` written over ``x``, rounding as
+    `pa_nonlinearity` does: numpy divides a complex by a real ``|x|`` by
+    multiplying with ``1 / |x|``. The two agree bit for bit on inputs free
+    of negative zeros, which every noisy input is."""
+    r = np.abs(x)
+    inv = np.zeros_like(r)
+    np.divide(1.0, r, out=inv, where=r > 0)
+    x *= inv
+    r /= sat_amplitude
+    np.tanh(r, out=r)
+    r *= sat_amplitude
+    x *= r
+
+
 def amplifier_process(x: TimeWaveform, params: AmplifierParams,
                       rng: np.random.Generator) -> TimeWaveform:
     """y = G * f_nl(x + w); w is circularly-symmetric Gaussian with total
-    power from `noise_power`, injected before the nonlinearity."""
-    samples = x.samples
+    power from `noise_power`, injected before the nonlinearity.
+
+    ``rng`` needs only a ``standard_normal(size)`` method, so the stripe
+    walk can hand in noise drawn ahead of time.
+    """
     pn = noise_power(params.nf_db, params.bandwidth, params.temperature)
-    if pn > 0.0:
-        sigma = np.sqrt(pn / 2.0)
-        w = sigma * (rng.standard_normal(samples.size)
-                     + 1j * rng.standard_normal(samples.size))
-        samples = samples + w
-    out = params.gain_linear * pa_nonlinearity(samples, params.mode, params)
-    return x.with_samples(out)
+    if pn == 0.0:
+        # a noiseless input may hold negative zeros: keep the division
+        out = params.gain_linear * pa_nonlinearity(x.samples, params.mode, params)
+        return x.with_samples(out)
+    noisy = add_complex_noise(x.samples, np.sqrt(pn / 2.0), rng)
+    if params.mode in ("ideal", "tanh"):
+        if params.mode == "tanh":
+            _tanh_in_place(noisy, params.sat_amplitude)
+        noisy *= params.gain_linear
+        return x.with_samples(noisy)
+    return x.with_samples(params.gain_linear
+                          * pa_nonlinearity(noisy, params.mode, params))
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,14 @@ def load_environment(path) -> EnvironmentConfig:
                 raise GeometryError(
                     f"radio_stripes[{si}][{ni}] at {node.position} lies outside the room {room}")
         stripes.append(nodes)
+    if top.has("stripe_config"):
+        if layout.n_stripes != len(stripes):
+            raise GeometryError(f"stripe_config.n_stripes is {layout.n_stripes} but "
+                                f"radio_stripes lists {len(stripes)} stripes")
+        for si, nodes in enumerate(stripes):
+            if len(nodes) - 1 != layout.n_rus:
+                raise GeometryError(f"stripe_config.n_rus is {layout.n_rus} but "
+                                    f"radio_stripes[{si}] has {len(nodes) - 1} RUs")
 
     ue_positions = []
     for ui, raw_ue in enumerate(top.require("ue_positions")):
@@ -282,8 +290,11 @@ def load_environment(path) -> EnvironmentConfig:
         sec.warn_unknown()
         if antenna.n_antennas < 1:
             raise SchemaError("antenna.n_antennas must be >= 1")
-        if antenna.pattern not in ("isotropic", "tr38901"):
-            raise UnsupportedModel(f"antenna pattern {antenna.pattern!r}")
+        if antenna.pattern != "isotropic":
+            # tr38901 is a known pattern (channel.AntennaPattern), but no
+            # channel path applies it yet, so accepting it would be a no-op
+            raise UnsupportedModel(f"antenna pattern {antenna.pattern!r}: "
+                                   f"only isotropic is supported")
 
     cu_fiber = _as_float(top.require("central_unit_fiber_length"),
                          "central_unit_fiber_length")

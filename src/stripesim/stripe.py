@@ -10,12 +10,15 @@ adds the receiver noise floor. Uplink mirrors the chain back to the CU.
 Exactly one RU is active per run. Every component draws from its own
 random stream keyed by (seed, stripe, node, tag), so results are
 independent of evaluation order; (configs, seed) fully determine every
-output bit.
+output bit. The same keying is why a walk may draw an amplifier's noise
+one stage ahead, on a helper thread: that noise depends on the stage's
+stream and the waveform length, never on the signal.
 """
 
 from __future__ import annotations
 
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -153,6 +156,7 @@ class _Chain:
     taps: list | None = None
     apply_delays: bool = True
     linear_only: bool = False  # calibration mode: amplifiers as pure gain, no noise
+    noise: _NoiseAhead | None = None
 
     def _record(self, label: str, x_in: np.ndarray, x_out: np.ndarray):
         if self.taps is not None:
@@ -168,11 +172,20 @@ class _Chain:
             y = x.with_samples(out, tag=label)
         else:
             y = comp.linear_element_process(x, params, apply_delay=self.apply_delays)
-            if params.domain == "time" and params.model == "s2p_filter" and self.apply_delays:
-                self.offset += params.delay_samples(x.sample_rate)
+            self.offset += self.delay(params)
             y = y.with_samples(y.samples, tag=label)
         self._record(label, x.samples, y.samples)
         self.wf = y
+
+    def delay(self, params: comp.LinearElementParams,
+              length_m: float | None = None) -> int:
+        """Samples an element prepends to the waveform on this walk."""
+        if not (self.apply_delays and params.model == "s2p_filter"
+                and params.domain == "time"):
+            return 0
+        if length_m is not None:
+            params = replace(params, length_m=length_m)
+        return params.delay_samples(self.wf.sample_rate)
 
     def _fd_filter(self, samples: np.ndarray, h_centered: np.ndarray) -> np.ndarray:
         """Per-symbol circular filtering; the CP is rebuilt from the
@@ -196,6 +209,8 @@ class _Chain:
         if self.linear_only:
             y = x.with_samples(x.samples * params.gain_linear, tag=label)
         else:
+            if self.noise is not None:
+                rng = self.noise.source(rng)
             y = comp.amplifier_process(x, params, rng)
             y = y.with_samples(y.samples, tag=label)
         self._record(label, x.samples, y.samples)
@@ -223,29 +238,117 @@ class _Chain:
         self.wf = y
 
 
-def _cu_transmit(chain: _Chain, top: StripeTopology, seed: int):
-    bank = top.bank
-    chain.dac("cu_dac", bank.dac)
-    osc = comp.Oscillator(bank.oscillator, top.grid.sample_rate,
-                          streams.stream(seed, top.stripe_id, CU_NODE, "oscillator"))
-    chain.iq_mix("cu_iq", bank.iq_modem, osc)
-    chain.amplifier("cu_pa", bank.boost_amplifier,
-                    streams.stream(seed, top.stripe_id, CU_NODE, "pa"))
+class _Drawn:
+    """The noise one amplifier stage draws, made ahead on the helper thread;
+    stands in for the stage's generator in `comp.amplifier_process`."""
+
+    def __init__(self, size: tuple, future):
+        self._size = size
+        self._future = future
+
+    def standard_normal(self, size):
+        if size != self._size:
+            raise LengthError(f"noise was drawn ahead for shape {self._size}, "
+                              f"the stage asks for {size}")
+        return self._future.result()
 
 
-def _cu_receive(chain: _Chain, top: StripeTopology, seed: int):
-    bank = top.bank
-    osc = comp.Oscillator(bank.oscillator, top.grid.sample_rate,
-                          streams.stream(seed, top.stripe_id, CU_NODE, "oscillator_rx"))
-    chain.iq_mix("cu_rx_iq", bank.iq_modem, osc, downmix=True)
-    chain.amplifier("cu_rx_amp", bank.boost_amplifier,
-                    streams.stream(seed, top.stripe_id, CU_NODE, "lna"))
+class _NoiseAhead:
+    """Draws the noise of a walk's noisy amplifiers one stage ahead.
+
+    ``draws`` lists (rng, size) in walk order. One helper thread draws the
+    next stage's normals while the walk runs the stages before it;
+    `Generator.standard_normal` releases the GIL. The helper calls nothing
+    else, and the thread lives only inside the ``with`` block, so no
+    thread outlives a walk (sweep workers are forked between walks). At
+    most one draw is made ahead, to bound peak memory.
+    """
+
+    def __init__(self, draws: list):
+        self._draws = draws
+        self._pool = None
+        self._next = None
+
+    def __enter__(self) -> "_NoiseAhead":
+        if self._draws:
+            self._pool = ThreadPoolExecutor(max_workers=1)
+            self._submit()
+        return self
+
+    def __exit__(self, *exc):
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+
+    def _submit(self):
+        rng, size = self._draws.pop(0)
+        # allocated on the walk's thread: on the example sweep, buffers the
+        # helper allocated itself raised peak RSS by a further ~2 MB
+        out = np.empty(size)
+        self._next = (rng, _Drawn(size, self._pool.submit(rng.standard_normal, out=out)))
+
+    def source(self, rng: np.random.Generator):
+        """The draw made ahead for the stage that owns ``rng``, or ``rng``
+        itself when no draw was planned for it (a noiseless amplifier)."""
+        if self._next is None or self._next[0] is not rng:
+            return rng
+        drawn = self._next[1]
+        self._next = None
+        if self._draws:
+            self._submit()
+        return drawn
+
+
+def _noise_draws(chain: _Chain, stages, length: int) -> list:
+    """(rng, size) of every noisy amplifier in ``stages``, in walk order,
+    sized by the waveform length each one sees."""
+    draws = []
+    for _label, params, arg in stages:
+        if isinstance(params, comp.LinearElementParams):
+            length += chain.delay(params, arg)
+        elif not chain.linear_only and comp.noise_power(
+                params.nf_db, params.bandwidth, params.temperature) > 0.0:
+            draws.append((arg, (2, length)))
+    return draws
+
+
+def _trunk(top: StripeTopology, active_ru: int, seed: int, direction: str) -> list:
+    """The trunk between the CU chain and the active RU's antenna side, in
+    walk order: elements as (label, params, fiber length or None) and
+    boosters as (label, params, rng)."""
+    stages = []
+    for i in range(active_ru):
+        stages += [(f"fiber{i}", top.fiber, top.fiber_lengths[i]),
+                   (f"ru{i}_coupler_in", top.coupler, None),
+                   (f"ru{i}_booster", top.booster_params(i),
+                    streams.stream(seed, top.stripe_id, i + 1, "booster")),
+                   (f"ru{i}_coupler_out", top.coupler, None)]
+    # the active RU's coupler joins the trunk to its antennas
+    role = "in" if direction == "dl" else "out"
+    stages += [(f"fiber{active_ru}", top.fiber, top.fiber_lengths[active_ru]),
+               (f"ru{active_ru}_coupler_{role}", top.coupler, None)]
+    return stages if direction == "dl" else stages[::-1]
+
+
+def _run_stages(chain: _Chain, stages):
+    for label, params, arg in stages:
+        if isinstance(params, comp.LinearElementParams):
+            chain.element(label, params, length_m=arg)
+        else:
+            chain.amplifier(label, params, arg)
+
+
+def _antenna_amps(top: StripeTopology, active_ru: int, seed: int,
+                  n_branches: int) -> list:
+    return [(f"ru{active_ru}_antenna_amp{b}", top.bank.antenna_amplifier,
+             streams.stream(seed, top.stripe_id, active_ru + 1, f"antenna_amp{b}"))
+            for b in range(n_branches)]
 
 
 def _branch_chain(branch: TimeWaveform, chain: _Chain) -> _Chain:
     return _Chain(wf=branch, cp_samples=chain.cp_samples, n_fft=chain.n_fft,
                   offset=chain.offset, taps=chain.taps,
-                  apply_delays=chain.apply_delays, linear_only=chain.linear_only)
+                  apply_delays=chain.apply_delays, linear_only=chain.linear_only,
+                  noise=chain.noise)
 
 
 def propagate_downlink(top: StripeTopology, wf_in: TimeWaveform, active_ru: int,
@@ -258,27 +361,28 @@ def propagate_downlink(top: StripeTopology, wf_in: TimeWaveform, active_ru: int,
     beam_phases = np.asarray(beam_phases, dtype=np.float64)
     if beam_phases.size != top.n_antennas:
         raise LengthError("one beam phase per antenna branch required")
+    bank = top.bank
     chain = _Chain(wf=wf_in, cp_samples=top.wf.cp_length * top.grid.oversampling,
                    n_fft=top.grid.n_fft, taps=[] if record_taps else None,
                    apply_delays=not linear_only, linear_only=linear_only)
-    _cu_transmit(chain, top, seed)
-    for i in range(active_ru + 1):
-        node = i + 1
-        chain.element(f"fiber{i}", top.fiber, length_m=top.fiber_lengths[i])
-        chain.element(f"ru{i}_coupler_in", top.coupler)
-        if i < active_ru:
-            chain.amplifier(f"ru{i}_booster", top.booster_params(i),
-                            streams.stream(seed, top.stripe_id, node, "booster"))
-            chain.element(f"ru{i}_coupler_out", top.coupler)
-    node = active_ru + 1
-    branches = comp.split(chain.wf, top.n_antennas)
-    branches = comp.phase_shift(branches, beam_phases)
-    out = []
-    for b, branch in enumerate(branches):
-        sub = _branch_chain(branch, chain)
-        sub.amplifier(f"ru{active_ru}_antenna_amp{b}", top.bank.antenna_amplifier,
-                      streams.stream(seed, top.stripe_id, node, f"antenna_amp{b}"))
-        out.append(sub.wf)
+    pa = ("cu_pa", bank.boost_amplifier,
+          streams.stream(seed, top.stripe_id, CU_NODE, "pa"))
+    trunk = _trunk(top, active_ru, seed, "dl")
+    antennas = _antenna_amps(top, active_ru, seed, top.n_antennas)
+    draws = _noise_draws(chain, [pa, *trunk, *antennas], wf_in.samples.size)
+    with _NoiseAhead(draws) as chain.noise:
+        chain.dac("cu_dac", bank.dac)
+        osc = comp.Oscillator(bank.oscillator, top.grid.sample_rate,
+                              streams.stream(seed, top.stripe_id, CU_NODE, "oscillator"))
+        chain.iq_mix("cu_iq", bank.iq_modem, osc)
+        chain.amplifier(*pa)
+        _run_stages(chain, trunk)
+        branches = comp.phase_shift(comp.split(chain.wf, top.n_antennas), beam_phases)
+        out = []
+        for stage, branch in zip(antennas, branches):
+            sub = _branch_chain(branch, chain)
+            sub.amplifier(*stage)
+            out.append(sub.wf)
     return out, (tuple(chain.taps) if chain.taps is not None else ()), chain.offset
 
 
@@ -295,33 +399,28 @@ def propagate_uplink(top: StripeTopology, branch_waveforms, active_ru: int,
     beam_phases = np.asarray(beam_phases, dtype=np.float64)
     if beam_phases.size != top.n_antennas:
         raise LengthError("one beam phase per antenna branch required")
-    taps: list | None = [] if record_taps else None
-    node = active_ru + 1
-    amped = []
-    proto = _Chain(wf=branch_waveforms[0],
+    bank = top.bank
+    chain = _Chain(wf=branch_waveforms[0],
                    cp_samples=top.wf.cp_length * top.grid.oversampling,
-                   n_fft=top.grid.n_fft, taps=taps,
+                   n_fft=top.grid.n_fft, taps=[] if record_taps else None,
                    apply_delays=not linear_only, linear_only=linear_only)
-    for b, branch in enumerate(branch_waveforms):
-        sub = _branch_chain(branch, proto)
-        sub.amplifier(f"ru{active_ru}_antenna_amp{b}", top.bank.antenna_amplifier,
-                      streams.stream(seed, top.stripe_id, node, f"antenna_amp{b}"))
-        amped.append(sub.wf)
-    shifted = comp.phase_shift(amped, beam_phases)
-    chain = _Chain(wf=comp.combine(shifted),
-                   cp_samples=proto.cp_samples, n_fft=proto.n_fft,
-                   taps=taps, apply_delays=proto.apply_delays,
-                   linear_only=linear_only)
-    chain.element(f"ru{active_ru}_coupler_out", top.coupler)
-    for i in range(active_ru - 1, -1, -1):
-        node = i + 1
-        chain.element(f"fiber{i + 1}", top.fiber, length_m=top.fiber_lengths[i + 1])
-        chain.element(f"ru{i}_coupler_out", top.coupler)
-        chain.amplifier(f"ru{i}_booster", top.booster_params(i),
-                        streams.stream(seed, top.stripe_id, node, "booster"))
-        chain.element(f"ru{i}_coupler_in", top.coupler)
-    chain.element("fiber0", top.fiber, length_m=top.fiber_lengths[0])
-    _cu_receive(chain, top, seed)
+    antennas = _antenna_amps(top, active_ru, seed, len(branch_waveforms))
+    trunk = _trunk(top, active_ru, seed, "ul")
+    lna = ("cu_rx_amp", bank.boost_amplifier,
+           streams.stream(seed, top.stripe_id, CU_NODE, "lna"))
+    draws = _noise_draws(chain, [*antennas, *trunk, lna], chain.wf.samples.size)
+    with _NoiseAhead(draws) as chain.noise:
+        amped = []
+        for stage, branch in zip(antennas, branch_waveforms):
+            sub = _branch_chain(branch, chain)
+            sub.amplifier(*stage)
+            amped.append(sub.wf)
+        chain.wf = comp.combine(comp.phase_shift(amped, beam_phases))
+        _run_stages(chain, trunk)
+        osc = comp.Oscillator(bank.oscillator, top.grid.sample_rate,
+                              streams.stream(seed, top.stripe_id, CU_NODE, "oscillator_rx"))
+        chain.iq_mix("cu_rx_iq", bank.iq_modem, osc, downmix=True)
+        chain.amplifier(*lna)
     return chain.wf, (tuple(chain.taps) if chain.taps is not None else ()), chain.offset
 
 

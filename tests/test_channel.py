@@ -302,6 +302,25 @@ def test_awgn_measured_snr():
     assert abs(snr - 20.0) < 0.2
 
 
+def _noisy_reference(y, var, rng):
+    """Receiver noise as first written: two draws, then one sum."""
+    sigma = np.sqrt(var / 2.0)
+    return y + sigma * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
+
+
+def test_receiver_noise_bits_match_reference():
+    """The fused noise pass changes no bit on a (Q, n_ant, S) grid."""
+    gen = np.random.default_rng(17)
+    y = gen.standard_normal((64, 4, 6)) + 1j * gen.standard_normal((64, 4, 6))
+    y[::5] = 0.0
+    var = thermal_noise_power(3e9, 7.0)
+    got = add_thermal_noise(y, 3e9, 7.0, np.random.default_rng(3))
+    assert got.tobytes() == _noisy_reference(y, var, np.random.default_rng(3)).tobytes()
+    var = np.mean(np.abs(y) ** 2) * 10.0 ** (-12.0 / 10.0)
+    got = add_awgn(y, 12.0, np.random.default_rng(4))
+    assert got.tobytes() == _noisy_reference(y, var, np.random.default_rng(4)).tobytes()
+
+
 def test_noise_uncorrelated_across_bins():
     rng = np.random.default_rng(16)
     y = np.zeros((1 << 18, 1), complex)

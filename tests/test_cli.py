@@ -11,7 +11,7 @@ import pytest
 
 from stripesim.cli import main
 
-from conftest import COMP_YAML, flat_s2p
+from conftest import COMP_YAML, ENV_YAML, flat_s2p
 
 
 def _run(*argv) -> int:
@@ -83,7 +83,7 @@ _AMP = "boost_amplifier: {model: ideal, gain_db: 0.0}"
 _IQ = "dc_offset: [0.0, 0.0]"
 
 
-@pytest.mark.parametrize("command, flags, components, dataset_files, expected", [
+@pytest.mark.parametrize("command, flags, config_edit, dataset_files, expected", [
     pytest.param("run", ["--ru", "1"],
                  (_AMP, _AMP[:-1] + ", poly_coeffs: [abc]}"), None, 2,
                  id="poly-coeffs-not-numbers"),
@@ -92,6 +92,12 @@ _IQ = "dc_offset: [0.0, 0.0]"
                  id="poly-coeffs-not-a-list"),
     pytest.param("run", ["--ru", "1"], (_IQ, "dc_offset: abc"), None, 2,
                  id="dc-offset-not-a-number"),
+    pytest.param("run", ["--ru", "1"], ("N_RUs: 3", "N_RUs: 4"), None, 2,
+                 id="stripe-config-n-rus-disagrees"),
+    pytest.param("run", ["--ru", "1"], ("N_stripes: 1", "N_stripes: 2"), None, 2,
+                 id="stripe-config-n-stripes-disagrees"),
+    pytest.param("run", ["--ru", "1"], ("pattern: isotropic", "pattern: tr38901"),
+                 None, 2, id="antenna-pattern-not-applied"),
     pytest.param("run", ["--ru", "1", "--ue", "7", "--channel", "{ds}"],
                  None, None, 2, id="run-unknown-dataset-ue"),
     pytest.param("sweep-ru", ["--ue", "7", "--channel", "{ds}"],
@@ -108,11 +114,12 @@ _IQ = "dc_offset: [0.0, 0.0]"
                  3, id="dataset-metadata-without-header"),
 ])
 def test_bad_input_exits_typed(config_tree, tmp_path, capsys, command, flags,
-                               components, dataset_files, expected):
+                               config_edit, dataset_files, expected):
     """Malformed inputs end as typed errors, never as 'internal error'."""
-    if components is not None:
-        old, new = components
-        config_tree["components"].write_text(COMP_YAML.replace(old, new))
+    if config_edit is not None:
+        old, new = config_edit
+        key, text = ("env", ENV_YAML) if old in ENV_YAML else ("components", COMP_YAML)
+        config_tree[key].write_text(text.replace(old, new))
     if "{ds}" in flags:
         channel = _gen_dataset(config_tree, tmp_path / "cfr")
         flags = [channel if f == "{ds}" else f for f in flags]

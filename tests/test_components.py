@@ -144,6 +144,44 @@ def test_amplifier_reproducible():
     np.testing.assert_array_equal(ya.samples, yb.samples)
 
 
+def _amplifier_reference(x, params, rng):
+    """The amplifier as first written: two draws, then the nonlinearity."""
+    samples = x
+    pn = noise_power(params.nf_db, params.bandwidth, params.temperature)
+    if pn > 0.0:
+        sigma = np.sqrt(pn / 2.0)
+        samples = x + sigma * (rng.standard_normal(x.size)
+                               + 1j * rng.standard_normal(x.size))
+    return params.gain_linear * pa_nonlinearity(samples, params.mode, params)
+
+
+@pytest.mark.parametrize("mode", ["ideal", "tanh", "atan", "polynomial",
+                                  "soft_limiter"])
+@pytest.mark.parametrize("nf_db", [0.0, 10.0])
+def test_amplifier_bits_match_reference(mode, nf_db):
+    """The fused noise pass and in-place nonlinearity change no output bit,
+    at any drive level and on exact-zero samples (the r == 0 branch)."""
+    p = _amp(gain_db=15.0, mode=mode, sat_amplitude=0.5, nf_db=nf_db,
+             bandwidth=3e9, poly_coeffs=(1.0, -0.1 + 0.02j))
+    for seed in range(5):
+        for amplitude in (0.01, 0.5, 100.0):
+            gen = np.random.default_rng(seed)
+            x = amplitude * (gen.standard_normal(4096)
+                             + 1j * gen.standard_normal(4096))
+            x[::7] = 0.0
+            want = _amplifier_reference(x, p, np.random.default_rng(seed + 50))
+            got = amplifier_process(_wave(x), p, np.random.default_rng(seed + 50))
+            assert got.samples.tobytes() == want.tobytes()
+
+
+def test_one_stacked_draw_equals_two_draws():
+    for shape in ((1000,), (16, 4, 3)):
+        a = np.random.default_rng(5)
+        two = np.stack([a.standard_normal(shape), a.standard_normal(shape)])
+        one = np.random.default_rng(5).standard_normal((2,) + shape)
+        assert one.tobytes() == two.tobytes()
+
+
 def test_amplifier_amam_saturating_family():
     """AM/AM cloud of a driven soft limiter: monotone and capped at G*A."""
     rng = np.random.default_rng(3)

@@ -1,16 +1,19 @@
 """Stripe assembly, calibration, downlink/uplink propagation, run_link."""
 
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from stripesim import stripe
 from stripesim.components import AmplifierParams
 from stripesim.config import (AntennaConfig, ComponentBank, EnvironmentConfig,
                               LinearElementSpec, StripeLayout, StripeNode,
                               SubThzConfig, WaveformConfig)
 from stripesim.dataset import generate_synthetic, read_dataset, write_dataset
-from stripesim.errors import CalibrationInfeasible, ConfigError
+from stripesim.errors import CalibrationInfeasible, ConfigError, LengthError
 from stripesim.stripe import (build_stripe, calibrate_gains, make_grid,
                               propagate_downlink, run_link)
 from stripesim.touchstone import parse_touchstone
@@ -253,6 +256,106 @@ def test_time_domain_fiber_delay_tracked_and_transparent():
     assert res.delay_samples == round(2.0 / 2e8 * 6e9) + round(0.5 / 2e8 * 6e9)
     assert res.metrics.nmse_db <= -100.0
     assert res.metrics.ber == 0.0
+
+
+def _noisy_time_domain_bank(env, wf):
+    """Noisy tanh boosters and antenna amps on a delaying time-domain fiber,
+    so the waveform grows along the walk."""
+    grid_probe = make_grid(env, wf)
+    text = s2p_from_taps([0.9, 0.1], grid_probe.fc, grid_probe.sample_rate,
+                         n_points=grid_probe.n_fft)
+    return _bank(
+        fiber=LinearElementSpec(model="s2p_filter", network=parse_touchstone(text),
+                                domain="time", n_taps=8, length_m=1.0,
+                                group_velocity=2e8),
+        boost_amplifier=AmplifierParams(gain_db=3.0, mode="tanh", sat_amplitude=2.0,
+                                        nf_db=8.0, bandwidth=3e9),
+        antenna_amplifier=AmplifierParams(gain_db=2.0, nf_db=6.0, bandwidth=3e9))
+
+
+@pytest.mark.parametrize("direction", ["dl", "ul"])
+def test_noisy_time_domain_walk_draws_ahead_exactly(direction, monkeypatch):
+    """Noise drawn one stage ahead follows the growing waveform length and
+    equals the noise drawn inline, bit for bit."""
+    env = _env(n_rus=4, n_antennas=2, q=128)
+    wf = _wf(n_ofdm_symbols=2, cp_length=8)
+    bank = _noisy_time_domain_bank(env, wf)
+    threads = threading.active_count()
+    first = run_link(env, wf, bank, "los", 0, 0, 3, direction=direction, seed=21)
+    again = run_link(env, wf, bank, "los", 0, 0, 3, direction=direction, seed=21)
+    # CU fiber 2.0 m, then three 0.5 m segments, at 2e8 m/s and 6 GS/s
+    assert first.delay_samples == round(2.0 / 2e8 * 6e9) + 3 * round(0.5 / 2e8 * 6e9)
+    assert again.rx_symbols.tobytes() == first.rx_symbols.tobytes()
+    assert threading.active_count() == threads  # no helper outlives a walk
+    monkeypatch.setattr(stripe, "_noise_draws", lambda *args: [])
+    inline = run_link(env, wf, bank, "los", 0, 0, 3, direction=direction, seed=21)
+    assert inline.rx_symbols.tobytes() == first.rx_symbols.tobytes()
+    assert inline.metrics == first.metrics
+
+
+def test_noise_drawn_for_the_wrong_length_raises(monkeypatch):
+    """A planned length that the walk does not reach is an error, never a
+    silent second draw."""
+    env = _env(n_rus=3, q=128)
+    wf = _wf(n_ofdm_symbols=2, cp_length=8)
+    top = build_stripe(env, _noisy_time_domain_bank(env, wf), 0, make_grid(env, wf), wf)
+    x = TimeWaveform(np.ones(512, complex), top.grid.sample_rate)
+    plan = stripe._noise_draws
+    monkeypatch.setattr(stripe, "_noise_draws",
+                        lambda chain, stages, length: plan(chain, stages, length - 1))
+    threads = threading.active_count()
+    with pytest.raises(LengthError):
+        propagate_downlink(top, x, 2, [0.0], seed=1)
+    assert threading.active_count() == threads
+
+
+def test_noiseless_walks_start_no_thread(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a helper thread was started")
+
+    monkeypatch.setattr(stripe, "ThreadPoolExecutor", no_pool)
+    env = _env(n_rus=3)
+    bank = _bank(boost_amplifier=AmplifierParams(mode="tanh", sat_amplitude=2.0))
+    for direction in ("dl", "ul"):
+        run_link(env, _wf(), bank, "los", 0, 0, 2, direction=direction, seed=3,
+                 calibrate=True)
+
+
+def test_concurrent_links_match_serial():
+    """Links on several threads, each with its own helper, give the serial
+    results; more threads than cores and a short switch interval."""
+    env = _env(n_rus=4, n_antennas=2, q=128)
+    wf = _wf(n_ofdm_symbols=2, cp_length=8)
+    bank = _noisy_time_domain_bank(env, wf)
+    seeds = [31, 32, 33, 34]
+
+    def link(seed):
+        return run_link(env, wf, bank, "los", 0, 0, 3, direction="ul" if seed % 2 else "dl",
+                        seed=seed).rx_symbols.tobytes()
+
+    serial = {seed: link(seed) for seed in seeds}
+    results, errors = {}, []
+
+    def work(seed):
+        try:
+            for _ in range(3):
+                results.setdefault(seed, set()).add(link(seed))
+        except Exception as exc:  # reported below, with the seed
+            errors.append((seed, exc))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in seeds]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not errors, errors
+    assert results == {seed: {serial[seed]} for seed in seeds}
 
 
 def test_fd_fiber_matches_fixed_damping_reference():
