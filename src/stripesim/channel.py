@@ -325,23 +325,25 @@ def thermal_noise_power(bandwidth: float, nf_db: float,
 
 def add_thermal_noise(y: np.ndarray, bandwidth: float, nf_db: float,
                       rng: np.random.Generator,
-                      temperature: float = 290.0) -> np.ndarray:
+                      temperature: float = 290.0, *, out=None) -> np.ndarray:
     """Add the receiver noise floor to per-subcarrier data.
 
     Grid entries are in mean-sample-power units, so the full in-band
     thermal power kT*B*F appears as the per-bin complex-Gaussian variance;
-    bins and antennas receive independent draws.
+    bins and antennas receive independent draws. The result goes into
+    ``out`` (which may be ``y`` itself) or, by default, a fresh array.
     """
     y = np.asarray(y, dtype=np.complex128)
     var = thermal_noise_power(bandwidth, nf_db, temperature)
-    return add_complex_noise(y, np.sqrt(var / 2.0), rng)
+    return add_complex_noise(y, np.sqrt(var / 2.0), rng, out=out)
 
 
 def add_awgn(y: np.ndarray, snr_db: float, rng: np.random.Generator,
-             signal_power: float | None = None) -> np.ndarray:
+             signal_power: float | None = None, *, out=None) -> np.ndarray:
     """Add complex Gaussian noise at a target SNR relative to ``y``'s mean
-    power (or an explicit reference power)."""
+    power (or an explicit reference power), into ``out`` as
+    `add_thermal_noise` does."""
     y = np.asarray(y, dtype=np.complex128)
     p = float(np.mean(np.abs(y) ** 2)) if signal_power is None else signal_power
     var = p * 10.0 ** (-snr_db / 10.0)
-    return add_complex_noise(y, np.sqrt(var / 2.0), rng)
+    return add_complex_noise(y, np.sqrt(var / 2.0), rng, out=out)

@@ -6,13 +6,16 @@ noise ``w`` sized from the noise figure and bandwidth, and ``f_nl`` a
 memoryless nonlinearity chosen per mode. Linear elements (fiber, coupler)
 apply either per-subcarrier in the frequency domain or by convolution in
 the time domain. Stateful pieces (oscillator phase) live in small classes;
-everything else is a pure function.
+everything else is a function of its inputs. The waveform stages write
+their result into a fresh array or into the ``out`` array they are given,
+which may be their own input: that is how a stripe walk reuses buffers.
+Without ``out`` no input is ever changed.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -141,6 +144,9 @@ class LinearElementParams:
     impulse: ImpulseResponse | None = None
     length_m: float = 0.0
     group_velocity: float = 2e8  # m/s
+    # ``response.h`` in FFT bin order for per-symbol filtering, prepared
+    # once here (`dataclasses.replace` carries it over)
+    fft_response: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.model not in LINEAR_MODELS:
@@ -152,6 +158,13 @@ class LinearElementParams:
                 raise GridMismatch("frequency-domain element needs a prepared response")
             if self.domain == "time" and self.impulse is None:
                 raise GridMismatch("time-domain element needs a prepared impulse response")
+        if self.response is not None and self.fft_response is None:
+            object.__setattr__(self, "fft_response", np.fft.ifftshift(self.response.h))
+
+    @property
+    def amplitude(self) -> float:
+        """Amplitude factor of a fixed-damping element."""
+        return 10.0 ** (-self.loss_db / 20.0)
 
     def delay_samples(self, sample_rate: float) -> int:
         """Integer propagation delay from fiber length and sampling rate."""
@@ -198,29 +211,41 @@ def pa_nonlinearity(x, mode: str, params: AmplifierParams) -> np.ndarray:
     raise UnsupportedMode(f"amplifier mode {mode!r}")
 
 
-def add_complex_noise(samples: np.ndarray, sigma: float,
-                      rng: np.random.Generator) -> np.ndarray:
-    """``samples + sigma * (a + 1j*b)`` in a fresh buffer, with ``a`` and
-    ``b`` standard normal arrays shaped like ``samples``.
+def _noise_into(samples: np.ndarray, sigma: float, rng: np.random.Generator,
+                out: np.ndarray) -> np.ndarray:
+    """Write ``samples + sigma * (a + 1j*b)`` into ``out`` and return the
+    spent ``(2,) + shape`` draw, free for use as two real scratch arrays.
 
     One ``(2,) + shape`` draw yields the same numbers, in the same order,
     as drawing ``a`` and then ``b``.
     """
     z = rng.standard_normal((2,) + samples.shape)
     z *= sigma
-    out = np.empty(samples.shape, dtype=np.complex128)
     np.add(samples.real, z[0], out=out.real)
     np.add(samples.imag, z[1], out=out.imag)
+    return z
+
+
+def add_complex_noise(samples: np.ndarray, sigma: float,
+                      rng: np.random.Generator, *, out=None) -> np.ndarray:
+    """``samples + sigma * (a + 1j*b)``, with ``a`` and ``b`` standard
+    normal arrays shaped like ``samples``, written into ``out`` (which may
+    be ``samples`` itself) or, by default, into a fresh array."""
+    if out is None:
+        out = np.empty(samples.shape, dtype=np.complex128)
+    _noise_into(samples, sigma, rng, out)
     return out
 
 
-def _tanh_in_place(x: np.ndarray, sat_amplitude: float):
-    """``a * tanh(|x| / a) * x / |x|`` written over ``x``, rounding as
+def _tanh_in_place(x: np.ndarray, sat_amplitude: float, r: np.ndarray,
+                   inv: np.ndarray):
+    """``a * tanh(|x| / a) * x / |x|`` written over ``x``, with ``r`` and
+    ``inv`` as real scratch shaped like ``x``, rounding as
     `pa_nonlinearity` does: numpy divides a complex by a real ``|x|`` by
     multiplying with ``1 / |x|``. The two agree bit for bit on inputs free
     of negative zeros, which every noisy input is."""
-    r = np.abs(x)
-    inv = np.zeros_like(r)
+    np.abs(x, out=r)
+    inv.fill(0.0)
     np.divide(1.0, r, out=inv, where=r > 0)
     x *= inv
     r /= sat_amplitude
@@ -230,45 +255,60 @@ def _tanh_in_place(x: np.ndarray, sat_amplitude: float):
 
 
 def amplifier_process(x: TimeWaveform, params: AmplifierParams,
-                      rng: np.random.Generator) -> TimeWaveform:
+                      rng: np.random.Generator, *, out=None) -> TimeWaveform:
     """y = G * f_nl(x + w); w is circularly-symmetric Gaussian with total
     power from `noise_power`, injected before the nonlinearity.
 
     ``rng`` needs only a ``standard_normal(size)`` method, so the stripe
-    walk can hand in noise drawn ahead of time.
+    walk can hand in noise drawn ahead of time. The result is written into
+    ``out`` (which may be ``x.samples`` itself) or, by default, into a
+    fresh array; ``x`` is never changed unless it is ``out``.
     """
+    if out is None:
+        out = np.empty(x.samples.shape, dtype=np.complex128)
     pn = noise_power(params.nf_db, params.bandwidth, params.temperature)
     if pn == 0.0:
         # a noiseless input may hold negative zeros: keep the division
-        out = params.gain_linear * pa_nonlinearity(x.samples, params.mode, params)
+        np.multiply(params.gain_linear,
+                    pa_nonlinearity(x.samples, params.mode, params), out=out)
         return x.with_samples(out)
-    noisy = add_complex_noise(x.samples, np.sqrt(pn / 2.0), rng)
+    z = _noise_into(x.samples, np.sqrt(pn / 2.0), rng, out)
     if params.mode in ("ideal", "tanh"):
         if params.mode == "tanh":
-            _tanh_in_place(noisy, params.sat_amplitude)
-        noisy *= params.gain_linear
-        return x.with_samples(noisy)
-    return x.with_samples(params.gain_linear
-                          * pa_nonlinearity(noisy, params.mode, params))
+            _tanh_in_place(out, params.sat_amplitude, z[0], z[1])
+        out *= params.gain_linear
+    else:
+        np.multiply(params.gain_linear,
+                    pa_nonlinearity(out, params.mode, params), out=out)
+    return x.with_samples(out)
 
 
 # ---------------------------------------------------------------------------
 # DAC
 # ---------------------------------------------------------------------------
 
-def _quantize_rail(v: np.ndarray, clip: float, bits: int) -> np.ndarray:
+def _quantize_rail(v: np.ndarray, clip: float, bits: int, out: np.ndarray):
+    """Quantized ``v`` written into ``out`` (which may be ``v`` itself)."""
     delta = 2.0 * clip / (1 << bits)
-    idx = np.floor(v / delta)
-    idx = np.clip(idx, -(1 << (bits - 1)), (1 << (bits - 1)) - 1)
-    return (idx + 0.5) * delta
+    np.divide(v, delta, out=out)
+    np.floor(out, out=out)
+    np.clip(out, -(1 << (bits - 1)), (1 << (bits - 1)) - 1, out=out)
+    out += 0.5
+    out *= delta
 
 
-def dac_process(x: TimeWaveform, params: DacParams) -> TimeWaveform:
-    """Per-rail clip to [-clip, +clip] and mid-rise uniform quantization."""
+def dac_process(x: TimeWaveform, params: DacParams, *, out=None) -> TimeWaveform:
+    """Per-rail clip to [-clip, +clip] and mid-rise uniform quantization,
+    written into ``out`` (which may be ``x.samples`` itself) or, by
+    default, a fresh array. The ideal DAC returns ``x`` unchanged."""
     if params.mode == "ideal":
         return x
-    out = (_quantize_rail(x.samples.real, params.clip_amplitude, params.bits)
-           + 1j * _quantize_rail(x.samples.imag, params.clip_amplitude, params.bits))
+    if out is None:
+        out = np.empty(x.samples.shape, dtype=np.complex128)
+    # a quantized level is never zero, so on inputs free of NaNs writing
+    # the rails equals the complex sum re + 1j*im bit for bit
+    _quantize_rail(x.samples.real, params.clip_amplitude, params.bits, out.real)
+    _quantize_rail(x.samples.imag, params.clip_amplitude, params.bits, out.imag)
     return x.with_samples(out)
 
 
@@ -328,8 +368,9 @@ def oscillator_phasor(n: int, params: OscillatorParams, sample_rate: float,
 # ---------------------------------------------------------------------------
 
 def iq_modem_process(x: TimeWaveform, params: IqParams,
-                     phases: np.ndarray) -> TimeWaveform:
-    """y = (alpha*x + beta*conj(x)) * e^{j*phi} + dc.
+                     phases: np.ndarray, *, out=None) -> TimeWaveform:
+    """y = (alpha*x + beta*conj(x)) * e^{j*phi} + dc, written into ``out``
+    (which may be ``x.samples`` itself) or, by default, a fresh array.
 
     alpha = (1 + g e^{j phi_mis})/2 and beta = (1 - g e^{j phi_mis})/2, so
     ideal parameters are the exact identity.
@@ -338,13 +379,14 @@ def iq_modem_process(x: TimeWaveform, params: IqParams,
     if phases.size != x.samples.size:
         raise LengthError("phasor length must equal the waveform length")
     a, b = params.alpha, params.beta
-    mixed = a * x.samples
-    if b != 0:
-        mixed = mixed + b * np.conj(x.samples)
+    image = b * np.conj(x.samples) if b != 0 else None  # before out overwrites x
+    mixed = np.multiply(a, x.samples, out=out)
+    if image is not None:
+        mixed += image
     if np.any(phases):
-        mixed = mixed * np.exp(1j * phases)
+        mixed *= np.exp(1j * phases)
     if params.dc_offset != 0:
-        mixed = mixed + params.dc_offset
+        mixed += params.dc_offset
     return x.with_samples(mixed)
 
 
@@ -363,10 +405,9 @@ def linear_element_process(x, params: LinearElementParams, *, apply_delay: bool 
     if params.model == "ideal":
         return x
     if params.model == "fixed_damping":
-        scale = 10.0 ** (-params.loss_db / 20.0)
         if isinstance(x, TimeWaveform):
-            return x.with_samples(x.samples * scale)
-        return np.asarray(x) * scale
+            return x.with_samples(x.samples * params.amplitude)
+        return np.asarray(x) * params.amplitude
     # s2p_filter
     if params.domain == "frequency":
         data = np.asarray(x, dtype=np.complex128)
@@ -398,14 +439,23 @@ def split(x: TimeWaveform, n: int) -> list[TimeWaveform]:
 
 
 def combine(branches: list[TimeWaveform]) -> TimeWaveform:
-    """Coherent elementwise sum of equally long branches."""
+    """Coherent elementwise sum of equally long branches, added in branch
+    order (the bits of ``np.sum`` over the stacked branches)."""
     if not branches:
         raise LengthError("need at least one branch")
     length = branches[0].samples.size
     if any(b.samples.size != length for b in branches):
         raise LengthError("branches must share the same length")
-    total = np.sum([b.samples for b in branches], axis=0)
+    total = branches[0].samples.copy()
+    for b in branches[1:]:
+        total += b.samples
     return branches[0].with_samples(total)
+
+
+def rotate(samples: np.ndarray, theta: float, *, out=None) -> np.ndarray:
+    """``samples * e^{j*theta}``, written into ``out`` (which may be
+    ``samples`` itself) or, by default, into a fresh array."""
+    return np.multiply(samples, np.exp(1j * theta), out=out)
 
 
 def phase_shift(branches: list[TimeWaveform], phases) -> list[TimeWaveform]:
@@ -413,5 +463,5 @@ def phase_shift(branches: list[TimeWaveform], phases) -> list[TimeWaveform]:
     phases = np.asarray(phases, dtype=np.float64)
     if phases.size != len(branches):
         raise LengthError("one phase per branch required")
-    return [b.with_samples(b.samples * np.exp(1j * theta))
+    return [b.with_samples(rotate(b.samples, theta))
             for b, theta in zip(branches, phases)]

@@ -30,6 +30,7 @@ from .waveform import _is_power_of_two
 
 QAM_ORDERS = (4, 16, 64, 256)
 PILOT_MODES = ("scattered", "block")
+STRIPE_AXES = ("x", "y", "z")  # stripe_config.orientation
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +225,12 @@ def load_environment(path) -> EnvironmentConfig:
                             if sec.has("start_position") else None),
             end_position=(_as_xyz(sec.get("end_position"), "stripe_config.end_position")
                           if sec.has("end_position") else None),
-            orientation=str(sec.get("orientation", "x")),
+            orientation=str(sec.get("orientation", "x")).lower(),
         )
         sec.warn_unknown()
+        if layout.orientation not in STRIPE_AXES:
+            raise SchemaError(f"stripe_config.orientation {layout.orientation!r}: "
+                              f"expected one of x, y, z")
     if layout.n_rus < 1:
         raise SchemaError("stripe_config.n_rus must be >= 1")
 
@@ -256,6 +260,13 @@ def load_environment(path) -> EnvironmentConfig:
             if len(nodes) - 1 != layout.n_rus:
                 raise GeometryError(f"stripe_config.n_rus is {layout.n_rus} but "
                                     f"radio_stripes[{si}] has {len(nodes) - 1} RUs")
+            # the axis along which the stripe's nodes spread the most
+            spans = [max(n.position[k] for n in nodes) - min(n.position[k] for n in nodes)
+                     for k in range(3)]
+            if spans[STRIPE_AXES.index(layout.orientation)] < max(spans):
+                raise GeometryError(
+                    f"stripe_config.orientation is {layout.orientation} but radio_stripes"
+                    f"[{si}] runs along {STRIPE_AXES[spans.index(max(spans))]}")
 
     ue_positions = []
     for ui, raw_ue in enumerate(top.require("ue_positions")):
@@ -290,6 +301,9 @@ def load_environment(path) -> EnvironmentConfig:
         sec.warn_unknown()
         if antenna.n_antennas < 1:
             raise SchemaError("antenna.n_antennas must be >= 1")
+        if antenna.polarization.lower() != "single":
+            raise UnsupportedModel(f"antenna polarization {antenna.polarization!r}: "
+                                   f"only single is supported")
         if antenna.pattern != "isotropic":
             # tr38901 is a known pattern (channel.AntennaPattern), but no
             # channel path applies it yet, so accepting it would be a no-op

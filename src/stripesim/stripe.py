@@ -10,16 +10,31 @@ adds the receiver noise floor. Uplink mirrors the chain back to the CU.
 Exactly one RU is active per run. Every component draws from its own
 random stream keyed by (seed, stripe, node, tag), so results are
 independent of evaluation order; (configs, seed) fully determine every
-output bit. The same keying is why a walk may draw an amplifier's noise
-one stage ahead, on a helper thread: that noise depends on the stage's
-stream and the waveform length, never on the signal.
+output bit. The same keying is why a link may make all its Gaussian
+draws ahead of the stages that add them, on one helper thread: a draw
+depends on its stream and its shape, never on the signal.
+
+Buffers. A walk never writes the arrays it is given (``wf_in``,
+``branch_waveforms``). Each stage writes its output over the walk's
+current waveform when the walk owns it, that is when the walk or a
+stage before it made that array, and otherwise into the calling thread's
+workspace: arrays kept for the last waveform shape (the trunk and a
+second branch buffer, the per-symbol FFT body and the noise-draw slots)
+that the next walk on the thread overwrites. Whatever leaves a walk or a
+link is a fresh array that no later walk touches: the downlink branch
+waveforms, the uplink output, every `LinkResult` array and, when taps are
+recorded, every tap (each stage then writes a fresh array, so a recorded
+array keeps its value).
 """
 
 from __future__ import annotations
 
+import threading
 import warnings
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -145,9 +160,44 @@ def build_stripe(env: EnvironmentConfig, bank: ComponentBank, stripe_id: int,
 # Chain propagation machinery
 # ---------------------------------------------------------------------------
 
+class _Workspace:
+    """Arrays that walks overwrite stage after stage; each name keeps only
+    the array of the last shape asked for."""
+
+    def __init__(self):
+        self._arrays = {}
+
+    def get(self, name: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
+        a = self._arrays.get(name)
+        if a is None or a.shape != shape or a.dtype != dtype:
+            a = self._arrays[name] = np.empty(shape, dtype)
+        return a
+
+    def holds(self, x: np.ndarray) -> bool:
+        return any(np.may_share_memory(x, a) for a in self._arrays.values())
+
+
+_threads = threading.local()
+
+
+def _thread_workspace() -> _Workspace:
+    """The calling thread's workspace: links on one thread run one at a
+    time, so they can share it; links on other threads never see it."""
+    ws = getattr(_threads, "workspace", None)
+    if ws is None:
+        ws = _threads.workspace = _Workspace()
+    return ws
+
+
 @dataclass
 class _Chain:
-    """Mutable propagation state: waveform, accumulated delay, taps."""
+    """Mutable propagation state: waveform, accumulated delay, taps.
+
+    A stage overwrites the waveform when the walk owns it, and otherwise
+    writes into the workspace array named ``buffer``; the caller's input
+    is never written. With taps recorded, every stage writes a fresh
+    array, so each recorded array keeps its value.
+    """
 
     wf: TimeWaveform
     cp_samples: int
@@ -157,90 +207,111 @@ class _Chain:
     apply_delays: bool = True
     linear_only: bool = False  # calibration mode: amplifiers as pure gain, no noise
     noise: _NoiseAhead | None = None
+    ws: _Workspace = field(default_factory=_thread_workspace)
+    buffer: str = "trunk"
+    owned: bool = False  # wf.samples is the walk's own, free to overwrite
 
-    def _record(self, label: str, x_in: np.ndarray, x_out: np.ndarray):
+    def target(self, x: np.ndarray) -> np.ndarray:
+        """The array a stage writes its output into."""
         if self.taps is not None:
-            self.taps.append((label, x_in, x_out))
+            return np.empty_like(x)
+        if self.owned:
+            return x
+        return self.ws.get(self.buffer, x.shape)
+
+    def _put(self, label: str, x: np.ndarray, out: np.ndarray):
+        if self.taps is not None:
+            self.taps.append((label, x, out))
+        self.owned = self.owned or out is not x
+        self.wf = self.wf.with_samples(out, tag=label)
+
+    def result(self) -> TimeWaveform:
+        """The waveform in an array that no later walk overwrites."""
+        if self.ws.holds(self.wf.samples):
+            return self.wf.with_samples(self.wf.samples.copy())
+        return self.wf
 
     def element(self, label: str, params: comp.LinearElementParams,
                 length_m: float | None = None):
         if length_m is not None:
             params = replace(params, length_m=length_m)
-        x = self.wf
-        if params.model == "s2p_filter" and params.domain == "frequency":
-            out = self._fd_filter(x.samples, params.response.h)
-            y = x.with_samples(out, tag=label)
+        x = self.wf.samples
+        if params.model == "fixed_damping":
+            out = np.multiply(x, params.amplitude, out=self.target(x))
+        elif params.model == "s2p_filter" and params.domain == "frequency":
+            out = self._fd_filter(x, params.fft_response, self.target(x))
         else:
-            y = comp.linear_element_process(x, params, apply_delay=self.apply_delays)
-            self.offset += self.delay(params)
-            y = y.with_samples(y.samples, tag=label)
-        self._record(label, x.samples, y.samples)
-        self.wf = y
+            out = comp.linear_element_process(self.wf, params,
+                                              apply_delay=self.apply_delays).samples
+            if self.apply_delays:
+                self.offset += _delay(params, None, self.wf.sample_rate)
+        self._put(label, x, out)
 
-    def delay(self, params: comp.LinearElementParams,
-              length_m: float | None = None) -> int:
-        """Samples an element prepends to the waveform on this walk."""
-        if not (self.apply_delays and params.model == "s2p_filter"
-                and params.domain == "time"):
-            return 0
-        if length_m is not None:
-            params = replace(params, length_m=length_m)
-        return params.delay_samples(self.wf.sample_rate)
-
-    def _fd_filter(self, samples: np.ndarray, h_centered: np.ndarray) -> np.ndarray:
-        """Per-symbol circular filtering; the CP is rebuilt from the
-        filtered tail so the stream stays a valid CP-OFDM signal."""
-        frame = self.n_fft + self.cp_samples
-        n_sym = (samples.size - self.offset) // frame
-        out = samples.copy()
+    def _fd_filter(self, x: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Per-symbol circular filtering with the FFT-ordered response
+        ``h``; the CP is rebuilt from the filtered tail so the stream stays
+        a valid CP-OFDM signal."""
+        cp = self.cp_samples
+        frame = self.n_fft + cp
+        n_sym = (x.size - self.offset) // frame
+        if out is not x:
+            np.copyto(out, x)
         if n_sym == 0:
             return out
-        h = np.fft.ifftshift(h_centered)
         seg = out[self.offset:self.offset + n_sym * frame].reshape(n_sym, frame)
-        body = np.fft.ifft(np.fft.fft(seg[:, self.cp_samples:], axis=1) * h, axis=1)
-        seg[:, self.cp_samples:] = body
-        if self.cp_samples:
-            seg[:, :self.cp_samples] = body[:, -self.cp_samples:]
+        body = self.ws.get("fft_body", (n_sym, self.n_fft))
+        np.fft.fft(seg[:, cp:], axis=1, out=body)
+        body *= h
+        np.fft.ifft(body, axis=1, out=seg[:, cp:])
+        if cp:
+            seg[:, :cp] = seg[:, -cp:]
         return out
 
     def amplifier(self, label: str, params: comp.AmplifierParams,
                   rng: np.random.Generator):
-        x = self.wf
+        x = self.wf.samples
+        out = self.target(x)
         if self.linear_only:
-            y = x.with_samples(x.samples * params.gain_linear, tag=label)
+            np.multiply(x, params.gain_linear, out=out)
         else:
             if self.noise is not None:
                 rng = self.noise.source(rng)
-            y = comp.amplifier_process(x, params, rng)
-            y = y.with_samples(y.samples, tag=label)
-        self._record(label, x.samples, y.samples)
-        self.wf = y
+            comp.amplifier_process(self.wf, params, rng, out=out)
+        self._put(label, x, out)
 
     def dac(self, label: str, params: comp.DacParams):
         x = self.wf
-        y = x if self.linear_only else comp.dac_process(x, params)
-        y = y.with_samples(y.samples, tag=label)
-        self._record(label, x.samples, y.samples)
-        self.wf = y
+        if not (self.linear_only or params.mode == "ideal"):
+            x = comp.dac_process(x, params, out=self.target(x.samples))
+        self._put(label, self.wf.samples, x.samples)
 
     def iq_mix(self, label: str, params: comp.IqParams, osc: comp.Oscillator,
                downmix: bool = False):
         x = self.wf
         if self.linear_only:
-            y = x.with_samples(x.samples, tag=label)
+            y = x
         else:
             phases = osc.phases(x.samples.size)
             if downmix:
                 phases = -phases
-            y = comp.iq_modem_process(x, params, phases)
-            y = y.with_samples(y.samples, tag=label)
-        self._record(label, x.samples, y.samples)
-        self.wf = y
+            y = comp.iq_modem_process(x, params, phases, out=self.target(x.samples))
+        self._put(label, x.samples, y.samples)
+
+
+def _delay(params: comp.LinearElementParams, length_m: float | None,
+           sample_rate: float) -> int:
+    """Samples a time-domain s2p element prepends to the waveform."""
+    if not (params.model == "s2p_filter" and params.domain == "time"):
+        return 0
+    if length_m is not None:
+        params = replace(params, length_m=length_m)
+    return params.delay_samples(sample_rate)
 
 
 class _Drawn:
-    """The noise one amplifier stage draws, made ahead on the helper thread;
-    stands in for the stage's generator in `comp.amplifier_process`."""
+    """The noise one stage draws, made ahead on the helper thread; stands
+    in for the stage's generator in `comp.amplifier_process` and
+    `comp.add_complex_noise`."""
 
     def __init__(self, size: tuple, future):
         self._size = size
@@ -254,79 +325,128 @@ class _Drawn:
 
 
 class _NoiseAhead:
-    """Draws the noise of a walk's noisy amplifiers one stage ahead.
+    """Draws a link's Gaussian noise ahead of the stages that add it.
 
-    ``draws`` lists (rng, size) in walk order. One helper thread draws the
-    next stage's normals while the walk runs the stages before it;
-    `Generator.standard_normal` releases the GIL. The helper calls nothing
-    else, and the thread lives only inside the ``with`` block, so no
-    thread outlives a walk (sweep workers are forked between walks). At
-    most one draw is made ahead, to bound peak memory.
+    ``draws`` lists (rng, shape) of every draw in the order the link
+    consumes them; ``streams`` maps each amplifier stage's label to its
+    generator, so the walk uses the generators the plan names. One helper
+    thread makes the draws in order, at most ``AHEAD`` beyond the one in
+    use, into a ring of ``AHEAD + 1`` workspace slots: a slot is drawn
+    into again only once the stage that used it has returned.
+    `Generator.standard_normal` releases the GIL, and the helper calls
+    nothing else. The thread lives only inside the ``with`` block, so none
+    outlives a link (sweep workers are forked between links), and leaving
+    the block waits for a draw in progress, so no slot is written after.
     """
 
-    def __init__(self, draws: list):
+    AHEAD = 4
+
+    def __init__(self, draws: list, streams: dict | None = None):
+        self.streams = streams
         self._draws = draws
+        self._slots = []
+        self._next = 0  # index of the next draw to submit
+        self._queued = deque()
         self._pool = None
-        self._next = None
 
     def __enter__(self) -> "_NoiseAhead":
         if self._draws:
+            self._slots = self._assign_slots(_thread_workspace())
             self._pool = ThreadPoolExecutor(max_workers=1)
-            self._submit()
+            while self._next < min(self.AHEAD, len(self._draws)):
+                self._submit()
         return self
 
     def __exit__(self, *exc):
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
 
+    def _assign_slots(self, ws: _Workspace) -> list:
+        """The array each draw is made into. Waveform draws, shaped
+        (2, length), cycle a ring; the over-the-air draw, the one draw of a
+        link shaped like a resource grid, has an array of its own."""
+        sizes = [int(np.prod(shape)) for _rng, shape in self._draws]
+        ring = [n for n, (_rng, shape) in zip(sizes, self._draws) if len(shape) == 2]
+        if ring:
+            ring_buf = ws.get("noise_ring", (min(len(ring), self.AHEAD + 1), max(ring)),
+                              np.float64)
+        slots, k = [], 0
+        for n, (_rng, shape) in zip(sizes, self._draws):
+            if len(shape) == 2:
+                slots.append(ring_buf[k % len(ring_buf), :n].reshape(shape))
+                k += 1
+            else:
+                slots.append(ws.get("noise_grid", shape, np.float64))
+        return slots
+
     def _submit(self):
-        rng, size = self._draws.pop(0)
-        # allocated on the walk's thread: on the example sweep, buffers the
-        # helper allocated itself raised peak RSS by a further ~2 MB
-        out = np.empty(size)
-        self._next = (rng, _Drawn(size, self._pool.submit(rng.standard_normal, out=out)))
+        rng, shape = self._draws[self._next]
+        future = self._pool.submit(rng.standard_normal, out=self._slots[self._next])
+        self._queued.append((rng, _Drawn(shape, future)))
+        self._next += 1
 
     def source(self, rng: np.random.Generator):
         """The draw made ahead for the stage that owns ``rng``, or ``rng``
         itself when no draw was planned for it (a noiseless amplifier)."""
-        if self._next is None or self._next[0] is not rng:
+        if not self._queued or self._queued[0][0] is not rng:
             return rng
-        drawn = self._next[1]
-        self._next = None
-        if self._draws:
+        drawn = self._queued.popleft()[1]
+        # the stage that used the previous draw has returned, so its slot
+        # is free for the draw AHEAD places on
+        if self._next < len(self._draws):
             self._submit()
         return drawn
 
 
-def _noise_draws(chain: _Chain, stages, length: int) -> list:
-    """(rng, size) of every noisy amplifier in ``stages``, in walk order,
+def _noise_draws(sample_rate: float, stages, length: int) -> list:
+    """(rng, shape) of every noisy amplifier in ``stages``, in walk order,
     sized by the waveform length each one sees."""
     draws = []
     for _label, params, arg in stages:
         if isinstance(params, comp.LinearElementParams):
-            length += chain.delay(params, arg)
-        elif not chain.linear_only and comp.noise_power(
-                params.nf_db, params.bandwidth, params.temperature) > 0.0:
+            length += _delay(params, arg, sample_rate)
+        elif comp.noise_power(params.nf_db, params.bandwidth, params.temperature) > 0.0:
             draws.append((arg, (2, length)))
     return draws
 
 
-def _trunk(top: StripeTopology, active_ru: int, seed: int, direction: str) -> list:
-    """The trunk between the CU chain and the active RU's antenna side, in
-    walk order: elements as (label, params, fiber length or None) and
-    boosters as (label, params, rng)."""
-    stages = []
+def _amp_streams(top: StripeTopology, active_ru: int, seed: int, direction: str) -> dict:
+    """The random stream of every amplifier stage on one walk, by label."""
+    cu_label, cu_tag = ("cu_pa", "pa") if direction == "dl" else ("cu_rx_amp", "lna")
+    rngs = {cu_label: streams.stream(seed, top.stripe_id, CU_NODE, cu_tag)}
     for i in range(active_ru):
-        stages += [(f"fiber{i}", top.fiber, top.fiber_lengths[i]),
-                   (f"ru{i}_coupler_in", top.coupler, None),
-                   (f"ru{i}_booster", top.booster_params(i),
-                    streams.stream(seed, top.stripe_id, i + 1, "booster")),
-                   (f"ru{i}_coupler_out", top.coupler, None)]
+        rngs[f"ru{i}_booster"] = streams.stream(seed, top.stripe_id, i + 1, "booster")
+    for b in range(top.n_antennas):
+        rngs[f"ru{active_ru}_antenna_amp{b}"] = streams.stream(
+            seed, top.stripe_id, active_ru + 1, f"antenna_amp{b}")
+    return rngs
+
+
+def _walk_stages(top: StripeTopology, active_ru: int, rngs: dict,
+                 direction: str) -> tuple:
+    """(head, trunk, tail): the stages of one walk in walk order. Elements
+    are (label, params, fiber length or None) and amplifiers (label,
+    params, rng). Downlink runs the CU PA, the trunk and the antenna
+    amplifiers; uplink runs the antenna amplifiers, the trunk in reverse
+    and the CU receive amplifier. Between head and trunk (downlink) or
+    trunk and tail (uplink) sits the CU's DAC/IQ or IQ stage."""
+    bank = top.bank
+    antennas = [(label, bank.antenna_amplifier, rngs[label])
+                for label in (f"ru{active_ru}_antenna_amp{b}"
+                              for b in range(top.n_antennas))]
+    trunk = []
+    for i in range(active_ru):
+        trunk += [(f"fiber{i}", top.fiber, top.fiber_lengths[i]),
+                  (f"ru{i}_coupler_in", top.coupler, None),
+                  (f"ru{i}_booster", top.booster_params(i), rngs[f"ru{i}_booster"]),
+                  (f"ru{i}_coupler_out", top.coupler, None)]
     # the active RU's coupler joins the trunk to its antennas
     role = "in" if direction == "dl" else "out"
-    stages += [(f"fiber{active_ru}", top.fiber, top.fiber_lengths[active_ru]),
-               (f"ru{active_ru}_coupler_{role}", top.coupler, None)]
-    return stages if direction == "dl" else stages[::-1]
+    trunk += [(f"fiber{active_ru}", top.fiber, top.fiber_lengths[active_ru]),
+              (f"ru{active_ru}_coupler_{role}", top.coupler, None)]
+    if direction == "dl":
+        return [("cu_pa", bank.boost_amplifier, rngs["cu_pa"])], trunk, antennas
+    return antennas, trunk[::-1], [("cu_rx_amp", bank.boost_amplifier, rngs["cu_rx_amp"])]
 
 
 def _run_stages(chain: _Chain, stages):
@@ -337,50 +457,53 @@ def _run_stages(chain: _Chain, stages):
             chain.amplifier(label, params, arg)
 
 
-def _antenna_amps(top: StripeTopology, active_ru: int, seed: int,
-                  n_branches: int) -> list:
-    return [(f"ru{active_ru}_antenna_amp{b}", top.bank.antenna_amplifier,
-             streams.stream(seed, top.stripe_id, active_ru + 1, f"antenna_amp{b}"))
-            for b in range(n_branches)]
-
-
-def _branch_chain(branch: TimeWaveform, chain: _Chain) -> _Chain:
-    return _Chain(wf=branch, cp_samples=chain.cp_samples, n_fft=chain.n_fft,
-                  offset=chain.offset, taps=chain.taps,
-                  apply_delays=chain.apply_delays, linear_only=chain.linear_only,
-                  noise=chain.noise)
-
-
-def propagate_downlink(top: StripeTopology, wf_in: TimeWaveform, active_ru: int,
-                       beam_phases, seed: int, record_taps: bool = False,
-                       linear_only: bool = False):
-    """CU chain -> trunk -> active-RU front end; returns the per-antenna
-    air waveforms together with the tap list and the accumulated delay."""
+def _start_walk(top: StripeTopology, wf: TimeWaveform, active_ru: int, beam_phases,
+                seed: int, direction: str, record_taps: bool, linear_only: bool,
+                noise: _NoiseAhead | None):
+    """Check a walk's arguments; return its phases, chain and noise
+    stream: ``noise`` itself, or one planned from the walk's own stages."""
     if not 0 <= active_ru < top.n_rus:
         raise ConfigError(f"active_ru {active_ru} out of range [0, {top.n_rus})")
     beam_phases = np.asarray(beam_phases, dtype=np.float64)
     if beam_phases.size != top.n_antennas:
         raise LengthError("one beam phase per antenna branch required")
-    bank = top.bank
-    chain = _Chain(wf=wf_in, cp_samples=top.wf.cp_length * top.grid.oversampling,
+    chain = _Chain(wf=wf, cp_samples=top.wf.cp_length * top.grid.oversampling,
                    n_fft=top.grid.n_fft, taps=[] if record_taps else None,
                    apply_delays=not linear_only, linear_only=linear_only)
-    pa = ("cu_pa", bank.boost_amplifier,
-          streams.stream(seed, top.stripe_id, CU_NODE, "pa"))
-    trunk = _trunk(top, active_ru, seed, "dl")
-    antennas = _antenna_amps(top, active_ru, seed, top.n_antennas)
-    draws = _noise_draws(chain, [pa, *trunk, *antennas], wf_in.samples.size)
-    with _NoiseAhead(draws) as chain.noise:
+    if noise is not None:
+        return beam_phases, chain, nullcontext(noise)
+    rngs = _amp_streams(top, active_ru, seed, direction)
+    draws = [] if linear_only else _noise_draws(
+        wf.sample_rate, sum(_walk_stages(top, active_ru, rngs, direction), []),
+        wf.samples.size)
+    return beam_phases, chain, _NoiseAhead(draws, rngs)
+
+
+def propagate_downlink(top: StripeTopology, wf_in: TimeWaveform, active_ru: int,
+                       beam_phases, seed: int, record_taps: bool = False,
+                       linear_only: bool = False, *, noise: _NoiseAhead | None = None):
+    """CU chain -> trunk -> active-RU front end; returns the per-antenna
+    air waveforms together with the tap list and the accumulated delay.
+
+    ``noise`` is the running noise stream of the link the walk belongs to
+    (see `run_link`); without it the walk plans and draws its own.
+    """
+    beam_phases, chain, noise = _start_walk(top, wf_in, active_ru, beam_phases, seed,
+                                            "dl", record_taps, linear_only, noise)
+    bank = top.bank
+    with noise as chain.noise:
+        pa, trunk, antennas = _walk_stages(top, active_ru, chain.noise.streams, "dl")
         chain.dac("cu_dac", bank.dac)
         osc = comp.Oscillator(bank.oscillator, top.grid.sample_rate,
                               streams.stream(seed, top.stripe_id, CU_NODE, "oscillator"))
         chain.iq_mix("cu_iq", bank.iq_modem, osc)
-        chain.amplifier(*pa)
-        _run_stages(chain, trunk)
-        branches = comp.phase_shift(comp.split(chain.wf, top.n_antennas), beam_phases)
+        _run_stages(chain, pa + trunk)
         out = []
-        for stage, branch in zip(antennas, branches):
-            sub = _branch_chain(branch, chain)
+        for stage, branch, theta in zip(antennas, comp.split(chain.wf, top.n_antennas),
+                                        beam_phases):
+            # each split branch is a fresh array: rotate and amplify it in place
+            comp.rotate(branch.samples, theta, out=branch.samples)
+            sub = replace(chain, wf=branch, owned=True)
             sub.amplifier(*stage)
             out.append(sub.wf)
     return out, (tuple(chain.taps) if chain.taps is not None else ()), chain.offset
@@ -388,40 +511,43 @@ def propagate_downlink(top: StripeTopology, wf_in: TimeWaveform, active_ru: int,
 
 def propagate_uplink(top: StripeTopology, branch_waveforms, active_ru: int,
                      beam_phases, seed: int, record_taps: bool = False,
-                     linear_only: bool = False):
+                     linear_only: bool = False, *, noise: _NoiseAhead | None = None):
     """Active-RU receive front end -> trunk in reverse -> CU receive chain.
 
     ``branch_waveforms`` are the per-antenna signals right after the
-    wireless hop. Couplers swap roles relative to downlink.
+    wireless hop. Couplers swap roles relative to downlink. ``noise`` is
+    as in `propagate_downlink`.
     """
-    if not 0 <= active_ru < top.n_rus:
-        raise ConfigError(f"active_ru {active_ru} out of range [0, {top.n_rus})")
-    beam_phases = np.asarray(beam_phases, dtype=np.float64)
-    if beam_phases.size != top.n_antennas:
-        raise LengthError("one beam phase per antenna branch required")
+    beam_phases, chain, noise = _start_walk(
+        top, branch_waveforms[0], active_ru, beam_phases, seed, "ul", record_taps,
+        linear_only, noise)
+    if len(branch_waveforms) != beam_phases.size:
+        raise LengthError("one phase per branch required")
     bank = top.bank
-    chain = _Chain(wf=branch_waveforms[0],
-                   cp_samples=top.wf.cp_length * top.grid.oversampling,
-                   n_fft=top.grid.n_fft, taps=[] if record_taps else None,
-                   apply_delays=not linear_only, linear_only=linear_only)
-    antennas = _antenna_amps(top, active_ru, seed, len(branch_waveforms))
-    trunk = _trunk(top, active_ru, seed, "ul")
-    lna = ("cu_rx_amp", bank.boost_amplifier,
-           streams.stream(seed, top.stripe_id, CU_NODE, "lna"))
-    draws = _noise_draws(chain, [*antennas, *trunk, lna], chain.wf.samples.size)
-    with _NoiseAhead(draws) as chain.noise:
-        amped = []
-        for stage, branch in zip(antennas, branch_waveforms):
-            sub = _branch_chain(branch, chain)
+    with noise as chain.noise:
+        antennas, trunk, lna = _walk_stages(top, active_ru, chain.noise.streams, "ul")
+        total = None
+        for b, (stage, branch, theta) in enumerate(zip(antennas, branch_waveforms,
+                                                       beam_phases)):
+            # amplify, rotate and sum the branches; the sum builds up in
+            # the trunk buffer and each later branch passes through another
+            sub = replace(chain, wf=branch, buffer="trunk" if b == 0 else "branch")
             sub.amplifier(*stage)
-            amped.append(sub.wf)
-        chain.wf = comp.combine(comp.phase_shift(amped, beam_phases))
+            y = sub.wf.samples
+            y = comp.rotate(y, theta, out=sub.target(y))
+            if total is None:
+                total = y
+            else:
+                total += y
+        chain.wf = chain.wf.with_samples(total)
+        chain.owned = True
         _run_stages(chain, trunk)
         osc = comp.Oscillator(bank.oscillator, top.grid.sample_rate,
                               streams.stream(seed, top.stripe_id, CU_NODE, "oscillator_rx"))
         chain.iq_mix("cu_rx_iq", bank.iq_modem, osc, downmix=True)
-        chain.amplifier(*lna)
-    return chain.wf, (tuple(chain.taps) if chain.taps is not None else ()), chain.offset
+        _run_stages(chain, lna)
+    return (chain.result(), (tuple(chain.taps) if chain.taps is not None else ()),
+            chain.offset)
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +589,11 @@ def calibrate_gains(top: StripeTopology, target_power_dbm: float,
     target_w = 10.0 ** ((target_power_dbm - 30.0) / 10.0)
     max_gain = 10.0 ** (max_gain_db / 10.0)
 
+    # a workspace of its own: the reference is shorter than a link's
+    # waveform, and the thread's workspace keeps the link's shapes
     chain = _Chain(wf=ref, cp_samples=wf.cp_length * grid.oversampling,
-                   n_fft=grid.n_fft, apply_delays=False, linear_only=True)
+                   n_fft=grid.n_fft, apply_delays=False, linear_only=True,
+                   ws=_Workspace(), owned=True)
 
     def _passband_power() -> float:
         # mean power over the second symbol's bins: past any filter
@@ -484,7 +613,7 @@ def calibrate_gains(top: StripeTopology, target_power_dbm: float,
         gain = target_w / power_in
         was_clipped = gain > max_gain
         gain = min(gain, max_gain)
-        chain.wf = chain.wf.with_samples(chain.wf.samples * np.sqrt(gain))
+        np.multiply(chain.wf.samples, np.sqrt(gain), out=chain.wf.samples)
         gains.append(10.0 * np.log10(gain))
         clipped.append(was_clipped)
         p_in.append(_dbm(power_in))
@@ -575,13 +704,13 @@ def default_beam_phases(channel: ChannelRealization, direction: str) -> np.ndarr
 
 
 def _ota_noise(y: np.ndarray, bank: ComponentBank, grid: SubcarrierGrid,
-               seed: int, ota_snr_db: float | None) -> np.ndarray:
-    rng = streams.stream(seed, "ota-noise")
+               rng, ota_snr_db: float | None) -> np.ndarray:
+    """The over-the-air hop's receiver noise, added over ``y``."""
     if ota_snr_db is not None:
-        return add_awgn(y, ota_snr_db, rng)
+        return add_awgn(y, ota_snr_db, rng, out=y)
     if bank.receiver.nf_db is not None:
         return add_thermal_noise(y, grid.bw, bank.receiver.nf_db, rng,
-                                 bank.receiver.temperature)
+                                 bank.receiver.temperature, out=y)
     return y
 
 
@@ -625,59 +754,72 @@ def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank
     elif isinstance(channel_source, ChannelRealization):
         n_tx, n_rx = channel_source.n_tx, channel_source.n_rx
 
-    realization = resolve_channel(env, grid, channel_source, ue_index,
-                                  stripe_id, active_ru, seed, n_tx, n_rx)
-    n_tx, n_rx = realization.n_tx, realization.n_rx
-
     topology = build_stripe(env, bank, stripe_id, grid, wf_cfg)
     if topology.n_antennas != n_tx:
         topology = replace(topology, n_antennas=n_tx)
-    calibration = None
-    if calibrate:
-        calibration = calibrate_gains(topology, bank.calibration.target_power_dbm,
-                                      bank.calibration.max_gain_db, seed=seed)
-        topology = topology.with_gains(calibration.gains_db)
 
-    if beam_phases is None:
-        beam_phases = default_beam_phases(realization, direction)
-
-    mask = pilot_mask(wf_cfg.pilot_mode, wf_cfg.pilot_spacing,
-                      grid.num_subcarriers, wf_cfg.n_ofdm_symbols)
-    m = int(np.log2(wf_cfg.qam_order))
-    n_bits = int(np.count_nonzero(~mask)) * m
-    bits = streams.stream(seed, "data-bits").integers(0, 2, n_bits)
-    tx_grid = build_resource_grid(bits, wf_cfg, grid, seed)
-    tx_wf = set_power(ofdm_modulate(tx_grid, grid, wf_cfg.cp_length),
-                      wf_cfg.tx_power)
-
+    # One noise stream for the whole link: every Gaussian draw, in the order
+    # the link consumes them, drawn ahead while the channel, calibration
+    # and transmit waveform are prepared. Calibration changes booster gains
+    # only, so the uncalibrated stripe sizes the same draws.
     s = wf_cfg.n_ofdm_symbols
-    if direction == "dl":
-        branches, taps, offset = propagate_downlink(
-            topology, tx_wf, active_ru, beam_phases, seed, record_taps)
-        branch_grids = np.stack(
-            [extract_symbols(b.samples[offset:offset + tx_wf.samples.size],
-                             grid, wf_cfg.cp_length, s) for b in branches],
-            axis=1)  # (Q, n_tx, S)
-        air = apply_channel(branch_grids, realization)  # (Q, n_rx, S)
-        air = _ota_noise(air, bank, grid, seed, ota_snr_db)
-        rx_symbols = air.sum(axis=1)  # coherent UE combining
-        branch_out = tuple(branches)
-    else:
-        ue_grid = extract_symbols(tx_wf.samples, grid, wf_cfg.cp_length, s)
-        ue_elems = np.repeat(ue_grid[:, None, :], n_rx, axis=1) / np.sqrt(n_rx)
-        up = realization.transposed()  # (Q, n_tx_ru, n_rx_ue)
-        at_ru = apply_channel(ue_elems, up)  # (Q, n_tx_ru, S)
-        at_ru = _ota_noise(at_ru, bank, grid, seed, ota_snr_db)
-        branches = [TimeWaveform(
-            synthesize_symbols(at_ru[:, b, :], grid, wf_cfg.cp_length),
-            sample_rate=grid.sample_rate, origin_tag=f"ru_rx{b}")
-            for b in range(n_tx)]
-        cu_wf, taps, offset = propagate_uplink(
-            topology, branches, active_ru, beam_phases, seed, record_taps)
-        rx_symbols = extract_symbols(
-            cu_wf.samples[offset:offset + tx_wf.samples.size],
-            grid, wf_cfg.cp_length, s)
-        branch_out = tuple(branches)
+    rngs = _amp_streams(topology, active_ru, seed, direction)
+    draws = _noise_draws(grid.sample_rate,
+                         sum(_walk_stages(topology, active_ru, rngs, direction), []),
+                         s * (grid.n_fft + wf_cfg.cp_length * grid.oversampling))
+    ota_rng = streams.stream(seed, "ota-noise")
+    if ota_snr_db is not None or bank.receiver.nf_db is not None:
+        ota = (ota_rng, (2, grid.num_subcarriers, n_rx if direction == "dl" else n_tx, s))
+        draws = draws + [ota] if direction == "dl" else [ota] + draws
+
+    with _NoiseAhead(draws, rngs) as noise:
+        realization = resolve_channel(env, grid, channel_source, ue_index,
+                                      stripe_id, active_ru, seed, n_tx, n_rx)
+        calibration = None
+        if calibrate:
+            calibration = calibrate_gains(topology, bank.calibration.target_power_dbm,
+                                          bank.calibration.max_gain_db, seed=seed)
+            topology = topology.with_gains(calibration.gains_db)
+
+        if beam_phases is None:
+            beam_phases = default_beam_phases(realization, direction)
+
+        mask = pilot_mask(wf_cfg.pilot_mode, wf_cfg.pilot_spacing,
+                          grid.num_subcarriers, wf_cfg.n_ofdm_symbols)
+        m = int(np.log2(wf_cfg.qam_order))
+        n_bits = int(np.count_nonzero(~mask)) * m
+        bits = streams.stream(seed, "data-bits").integers(0, 2, n_bits)
+        tx_grid = build_resource_grid(bits, wf_cfg, grid, seed)
+        tx_wf = set_power(ofdm_modulate(tx_grid, grid, wf_cfg.cp_length),
+                          wf_cfg.tx_power)
+
+        if direction == "dl":
+            branches, taps, offset = propagate_downlink(
+                topology, tx_wf, active_ru, beam_phases, seed, record_taps, noise=noise)
+            branch_grids = np.stack(
+                [extract_symbols(b.samples[offset:offset + tx_wf.samples.size],
+                                 grid, wf_cfg.cp_length, s) for b in branches],
+                axis=1)  # (Q, n_tx, S)
+            air = apply_channel(branch_grids, realization)  # (Q, n_rx, S)
+            air = _ota_noise(air, bank, grid, noise.source(ota_rng), ota_snr_db)
+            rx_symbols = air.sum(axis=1)  # coherent UE combining
+        else:
+            ue_grid = extract_symbols(tx_wf.samples, grid, wf_cfg.cp_length, s)
+            ue_elems = np.repeat(ue_grid[:, None, :], n_rx, axis=1) / np.sqrt(n_rx)
+            up = realization.transposed()  # (Q, n_tx_ru, n_rx_ue)
+            at_ru = apply_channel(ue_elems, up)  # (Q, n_tx_ru, S)
+            at_ru = _ota_noise(at_ru, bank, grid, noise.source(ota_rng), ota_snr_db)
+            branches = [TimeWaveform(
+                synthesize_symbols(at_ru[:, b, :], grid, wf_cfg.cp_length),
+                sample_rate=grid.sample_rate, origin_tag=f"ru_rx{b}")
+                for b in range(n_tx)]
+            cu_wf, taps, offset = propagate_uplink(
+                topology, branches, active_ru, beam_phases, seed, record_taps,
+                noise=noise)
+            rx_symbols = extract_symbols(
+                cu_wf.samples[offset:offset + tx_wf.samples.size],
+                grid, wf_cfg.cp_length, s)
+    branch_out = tuple(branches)
 
     # receiver timing sync: rotate the channel's bulk delay off the grid
     rx_symbols = timing_advance(rx_symbols, realization.grid,

@@ -98,6 +98,12 @@ _IQ = "dc_offset: [0.0, 0.0]"
                  id="stripe-config-n-stripes-disagrees"),
     pytest.param("run", ["--ru", "1"], ("pattern: isotropic", "pattern: tr38901"),
                  None, 2, id="antenna-pattern-not-applied"),
+    pytest.param("run", ["--ru", "1"], ("orientation: x", "orientation: y"), None, 2,
+                 id="stripe-config-orientation-disagrees"),
+    pytest.param("run", ["--ru", "1"], ("orientation: x", "orientation: w"), None, 2,
+                 id="stripe-config-orientation-unknown"),
+    pytest.param("run", ["--ru", "1"], ("polarization: single", "polarization: dual"),
+                 None, 2, id="antenna-polarization-not-applied"),
     pytest.param("run", ["--ru", "1", "--ue", "7", "--channel", "{ds}"],
                  None, None, 2, id="run-unknown-dataset-ue"),
     pytest.param("sweep-ru", ["--ue", "7", "--channel", "{ds}"],

@@ -3,19 +3,22 @@
 import dataclasses
 import sys
 import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stripesim import stripe
-from stripesim.components import AmplifierParams
-from stripesim.config import (AntennaConfig, ComponentBank, EnvironmentConfig,
-                              LinearElementSpec, StripeLayout, StripeNode,
-                              SubThzConfig, WaveformConfig)
+from stripesim.components import AmplifierParams, DacParams
+from stripesim.config import (AntennaConfig, ComponentBank,
+                              EnvironmentConfig, LinearElementSpec, ReceiverConfig,
+                              StripeLayout, StripeNode, SubThzConfig, WaveformConfig,
+                              load_components, load_environment, load_waveform)
 from stripesim.dataset import generate_synthetic, read_dataset, write_dataset
 from stripesim.errors import CalibrationInfeasible, ConfigError, LengthError
 from stripesim.stripe import (build_stripe, calibrate_gains, make_grid,
-                              propagate_downlink, run_link)
+                              propagate_downlink, propagate_uplink, run_link)
 from stripesim.touchstone import parse_touchstone
 from stripesim.waveform import SubcarrierGrid, TimeWaveform, set_power
 
@@ -319,6 +322,14 @@ def test_noiseless_walks_start_no_thread(monkeypatch):
     for direction in ("dl", "ul"):
         run_link(env, _wf(), bank, "los", 0, 0, 2, direction=direction, seed=3,
                  calibrate=True)
+    # a whole link with every noise source off: amplifiers, receiver and
+    # over-the-air; turning the over-the-air noise on does start the helper
+    assert bank.receiver.nf_db is None
+    for direction in ("dl", "ul"):
+        run_link(env, _wf(), bank, "identity", 0, 0, 2, direction=direction, seed=3)
+        with pytest.raises(AssertionError, match="helper thread"):
+            run_link(env, _wf(), bank, "identity", 0, 0, 2, direction=direction,
+                     seed=3, ota_snr_db=20.0)
 
 
 def test_concurrent_links_match_serial():
@@ -444,3 +455,199 @@ def test_stagewise_compression_and_scatter_growth():
                                         for b in range(20)])))
     assert all(b < a for a, b in zip(comp[:-1], comp[1:]))
     assert all(b > a for a, b in zip(scatter[:-1], scatter[1:]))
+
+
+# ---------------------------------------------------------------------------
+# Reused buffers: what a walk may overwrite, and what leaves a link
+# ---------------------------------------------------------------------------
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
+
+
+def _workspace_bank(env, wf):
+    """Every stage kind that works in the walk's buffers: a quantizing DAC,
+    a frequency-domain s2p fiber, fixed-damping couplers, noisy tanh
+    boosters and noisy antenna amplifiers, plus receiver noise."""
+    grid_probe = make_grid(env, wf)
+    text = s2p_from_taps([0.8, 0.15j, 0.05], grid_probe.fc, grid_probe.sample_rate,
+                         n_points=grid_probe.n_fft)
+    return _bank(
+        fiber=LinearElementSpec(model="s2p_filter", network=parse_touchstone(text),
+                                domain="frequency"),
+        coupler=LinearElementSpec(model="fixed_damping", loss_db=3.0),
+        boost_amplifier=AmplifierParams(gain_db=4.0, mode="tanh", sat_amplitude=2.0,
+                                        nf_db=8.0, bandwidth=3e9),
+        antenna_amplifier=AmplifierParams(gain_db=2.0, nf_db=6.0, bandwidth=3e9),
+        dac=DacParams(mode="quantize", bits=10, clip_amplitude=1.0),
+        receiver=ReceiverConfig(nf_db=7.0))
+
+
+def _link_bytes(res) -> list:
+    """Every array a LinkResult carries, as bytes."""
+    arrays = [res.rx_symbols, res.h_estimate, res.tx_grid.symbols,
+              *(b.samples for b in res.ru_branch_waveforms)]
+    for _label, x_in, x_out in res.stage_taps:
+        arrays += [x_in, x_out]
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("record_taps", [False, True])
+@pytest.mark.parametrize("direction", ["dl", "ul"])
+def test_walks_leave_their_inputs_unchanged(direction, record_taps):
+    env = _env(n_rus=4, n_antennas=2, q=128)
+    wf = _wf(n_ofdm_symbols=2, cp_length=8)
+    top = build_stripe(env, _workspace_bank(env, wf), 0, make_grid(env, wf), wf)
+    rng = np.random.default_rng(5)
+    n = 2 * (top.grid.n_fft + 8 * top.grid.oversampling)
+    inputs = [TimeWaveform(0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)),
+                           top.grid.sample_rate) for _ in range(2)]
+    before = [x.samples.tobytes() for x in inputs]
+    if direction == "dl":
+        out, taps, _ = propagate_downlink(top, inputs[0], 3, [0.3, -0.2], seed=4,
+                                          record_taps=record_taps)
+    else:
+        out, taps, _ = propagate_uplink(top, inputs, 3, [0.3, -0.2], seed=4,
+                                        record_taps=record_taps)
+        out = [out]
+    assert [x.samples.tobytes() for x in inputs] == before
+    assert bool(taps) == record_taps
+    kept = [o.samples.tobytes() for o in out]
+    propagate_downlink(top, inputs[1], 3, [0.0, 0.0], seed=5)
+    propagate_uplink(top, inputs, 3, [0.0, 0.0], seed=5)
+    assert [o.samples.tobytes() for o in out] == kept
+
+
+@pytest.mark.parametrize("record_taps", [False, True])
+@pytest.mark.parametrize("direction", ["dl", "ul"])
+def test_link_results_survive_later_links(direction, record_taps):
+    """No array of a LinkResult is a buffer a later link on the same thread
+    overwrites: not the received grid, the branch waveforms or the taps."""
+    env = _env(n_rus=4, n_antennas=2, q=128)
+    wf = _wf(n_ofdm_symbols=2, cp_length=8)
+    bank = _workspace_bank(env, wf)
+    res = run_link(env, wf, bank, "los", 0, 0, 3, direction=direction, seed=8,
+                   calibrate=True, record_taps=record_taps)
+    kept = _link_bytes(res)
+    assert bool(res.stage_taps) == record_taps
+    for other in ("dl", "ul"):
+        run_link(env, wf, bank, "los", 0, 0, 3, direction=other, seed=9,
+                 calibrate=True, record_taps=record_taps)
+    assert _link_bytes(res) == kept
+
+
+@pytest.mark.parametrize("direction", ["dl", "ul"])
+def test_failed_link_leaves_no_thread_and_no_trace(direction, monkeypatch):
+    """A link that raises mid-walk stops its helper, and the next link on
+    the same thread is bit-identical to one run before the failure."""
+    env = _env(n_rus=4, n_antennas=2, q=128)
+    wf = _wf(n_ofdm_symbols=2, cp_length=8)
+    bank = _workspace_bank(env, wf)
+    reference = _link_bytes(run_link(env, wf, bank, "los", 0, 0, 3,
+                                     direction=direction, seed=2, calibrate=True))
+    plan = stripe._noise_draws
+    monkeypatch.setattr(stripe, "_noise_draws",
+                        lambda chain, stages, length: plan(chain, stages, length - 1))
+    threads = threading.active_count()
+    with pytest.raises(LengthError):
+        run_link(env, wf, bank, "los", 0, 0, 3, direction=direction, seed=2,
+                 calibrate=True)
+    assert threading.active_count() == threads
+    monkeypatch.undo()
+    again = run_link(env, wf, bank, "los", 0, 0, 3, direction=direction, seed=2,
+                     calibrate=True)
+    assert _link_bytes(again) == reference
+
+
+@pytest.mark.parametrize("drop", ["ota", "all"])
+@pytest.mark.parametrize("noise", ["thermal", "awgn"])
+@pytest.mark.parametrize("direction", ["dl", "ul"])
+def test_noise_drawn_ahead_matches_inline(direction, noise, drop, tmp_path,
+                                          monkeypatch):
+    """The link-wide stream, over-the-air draw included, gives the bits of
+    drawing inline, on a 4x4 dataset grid."""
+    env = _env(n_rus=3, n_antennas=4, q=128)
+    wf = _wf(n_ofdm_symbols=2, cp_length=8)
+    grid = SubcarrierGrid(env.sub_thz.fc, env.sub_thz.bw, 128, 1)
+    write_dataset(generate_synthetic(env, grid, model="tdl", seed=3, n_tx=4, n_rx=4),
+                  tmp_path)
+    bank = _workspace_bank(env, wf)
+    snr = 18.0 if noise == "awgn" else None
+
+    def link():
+        return run_link(env, wf, bank, read_dataset(tmp_path), 0, 0, 2,
+                        direction=direction, seed=12, ota_snr_db=snr)
+
+    ahead = link()
+    real = stripe._NoiseAhead
+    keep = (lambda shape: len(shape) == 2) if drop == "ota" else (lambda shape: False)
+    monkeypatch.setattr(stripe, "_NoiseAhead", lambda draws, streams=None: real(
+        [d for d in draws if keep(d[1])], streams))
+    inline = link()
+    assert inline.rx_symbols.tobytes() == ahead.rx_symbols.tobytes()
+    assert inline.metrics == ahead.metrics
+
+
+def _held_bytes(obj, seen) -> int:
+    """Bytes of the arrays reachable from a LinkResult, each base once."""
+    if isinstance(obj, np.ndarray):
+        base = obj if obj.base is None else obj.base
+        if id(base) in seen:
+            return 0
+        seen.add(id(base))
+        return base.nbytes
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return sum(_held_bytes(getattr(obj, f.name), seen)
+                   for f in dataclasses.fields(obj))
+    if isinstance(obj, (tuple, list)):
+        return sum(_held_bytes(x, seen) for x in obj)
+    return 0
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+# Bounds in waveform buffers, from the example scenario: a warm link peaks
+# 6.45 (dl) and 7.92 (ul) buffers above what its result holds, and a
+# one-antenna walk 0.01 above its output. A stage that allocates its
+# output afresh adds about one buffer to the walk.
+_LINK_BUFFERS = {"dl": 7.0, "ul": 8.5}
+_WALK_BUFFERS = 0.25
+
+
+@pytest.mark.parametrize("direction", ["dl", "ul"])
+def test_warm_link_allocates_few_waveform_buffers(direction):
+    env = load_environment(EXAMPLES / "environment.yaml")
+    wf = load_waveform(EXAMPLES / "waveform.yaml")
+    bank = load_components(EXAMPLES / "components.yaml")
+    grid = make_grid(env, wf)
+    buffer = wf.n_ofdm_symbols * (grid.n_fft + wf.cp_length * grid.oversampling) * 16
+
+    def link():
+        return run_link(env, wf, bank, "los", 0, 0, 9, direction=direction, seed=6)
+
+    link()  # warm: the thread's workspace now holds this shape
+    res, peak = _traced_peak(link)
+    assert (peak - _held_bytes(res, set())) / buffer < _LINK_BUFFERS[direction]
+
+    # the walk alone, on one antenna branch, allocates only what it returns
+    top = dataclasses.replace(build_stripe(env, bank, 0, grid, wf), n_antennas=1)
+    rng = np.random.default_rng(1)
+    n = buffer // 16
+    x = TimeWaveform(1e-3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)),
+                     grid.sample_rate)
+    if direction == "dl":
+        def walk():
+            return propagate_downlink(top, x, 9, [0.0], seed=6)[0][0]
+    else:
+        def walk():
+            return propagate_uplink(top, [x], 9, [0.0], seed=6)[0]
+    walk()
+    out, peak = _traced_peak(walk)
+    assert (peak - out.samples.nbytes) / buffer < _WALK_BUFFERS
