@@ -144,9 +144,10 @@ class LinearElementParams:
     impulse: ImpulseResponse | None = None
     length_m: float = 0.0
     group_velocity: float = 2e8  # m/s
-    # ``response.h`` in FFT bin order for per-symbol filtering, prepared
-    # once here (`dataclasses.replace` carries it over)
-    fft_response: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # ``response.h`` in FFT bin order for per-symbol filtering, always
+    # derived from ``response`` (never set by the caller)
+    fft_response: np.ndarray | None = field(init=False, default=None, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         if self.model not in LINEAR_MODELS:
@@ -158,7 +159,7 @@ class LinearElementParams:
                 raise GridMismatch("frequency-domain element needs a prepared response")
             if self.domain == "time" and self.impulse is None:
                 raise GridMismatch("time-domain element needs a prepared impulse response")
-        if self.response is not None and self.fft_response is None:
+        if self.response is not None:
             object.__setattr__(self, "fft_response", np.fft.ifftshift(self.response.h))
 
     @property
@@ -439,16 +440,13 @@ def split(x: TimeWaveform, n: int) -> list[TimeWaveform]:
 
 
 def combine(branches: list[TimeWaveform]) -> TimeWaveform:
-    """Coherent elementwise sum of equally long branches, added in branch
-    order (the bits of ``np.sum`` over the stacked branches)."""
+    """Coherent elementwise sum of equally long branches."""
     if not branches:
         raise LengthError("need at least one branch")
     length = branches[0].samples.size
     if any(b.samples.size != length for b in branches):
         raise LengthError("branches must share the same length")
-    total = branches[0].samples.copy()
-    for b in branches[1:]:
-        total += b.samples
+    total = np.sum([b.samples for b in branches], axis=0)
     return branches[0].with_samples(total)
 
 

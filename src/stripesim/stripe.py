@@ -17,14 +17,15 @@ depends on its stream and its shape, never on the signal.
 Buffers. A walk never writes the arrays it is given (``wf_in``,
 ``branch_waveforms``). Each stage writes its output over the walk's
 current waveform when the walk owns it, that is when the walk or a
-stage before it made that array, and otherwise into the calling thread's
-workspace: arrays kept for the last waveform shape (the trunk and a
-second branch buffer, the per-symbol FFT body and the noise-draw slots)
-that the next walk on the thread overwrites. Whatever leaves a walk or a
-link is a fresh array that no later walk touches: the downlink branch
-waveforms, the uplink output, every `LinkResult` array and, when taps are
-recorded, every tap (each stage then writes a fresh array, so a recorded
-array keeps its value).
+stage before it made that array. Otherwise it writes into the calling
+thread's workspace, arrays kept for the last waveform shape that the
+next walk on the thread overwrites: the trunk, a second uplink branch,
+the per-symbol FFT body and the noise-draw slots. The last stage of a
+walk writes a fresh array (the downlink split, the uplink CU receive
+amplifier), so whatever leaves a walk or a link is an array no later
+walk touches: the downlink branch waveforms, the uplink output, every
+`LinkResult` array and, when taps are recorded, every tap (each stage
+then writes a fresh array, so a recorded array keeps its value).
 """
 
 from __future__ import annotations
@@ -173,9 +174,6 @@ class _Workspace:
             a = self._arrays[name] = np.empty(shape, dtype)
         return a
 
-    def holds(self, x: np.ndarray) -> bool:
-        return any(np.may_share_memory(x, a) for a in self._arrays.values())
-
 
 _threads = threading.local()
 
@@ -194,9 +192,10 @@ class _Chain:
     """Mutable propagation state: waveform, accumulated delay, taps.
 
     A stage overwrites the waveform when the walk owns it, and otherwise
-    writes into the workspace array named ``buffer``; the caller's input
-    is never written. With taps recorded, every stage writes a fresh
-    array, so each recorded array keeps its value.
+    writes into the workspace array named ``buffer``, or a fresh array if
+    ``buffer`` is None; the caller's input is never written. With taps
+    recorded, every stage writes a fresh array, so each recorded array
+    keeps its value.
     """
 
     wf: TimeWaveform
@@ -208,15 +207,15 @@ class _Chain:
     linear_only: bool = False  # calibration mode: amplifiers as pure gain, no noise
     noise: _NoiseAhead | None = None
     ws: _Workspace = field(default_factory=_thread_workspace)
-    buffer: str = "trunk"
+    buffer: str | None = "trunk"
     owned: bool = False  # wf.samples is the walk's own, free to overwrite
 
     def target(self, x: np.ndarray) -> np.ndarray:
         """The array a stage writes its output into."""
-        if self.taps is not None:
-            return np.empty_like(x)
-        if self.owned:
+        if self.owned and self.taps is None:
             return x
+        if self.taps is not None or self.buffer is None:
+            return np.empty_like(x)
         return self.ws.get(self.buffer, x.shape)
 
     def _put(self, label: str, x: np.ndarray, out: np.ndarray):
@@ -224,12 +223,6 @@ class _Chain:
             self.taps.append((label, x, out))
         self.owned = self.owned or out is not x
         self.wf = self.wf.with_samples(out, tag=label)
-
-    def result(self) -> TimeWaveform:
-        """The waveform in an array that no later walk overwrites."""
-        if self.ws.holds(self.wf.samples):
-            return self.wf.with_samples(self.wf.samples.copy())
-        return self.wf
 
     def element(self, label: str, params: comp.LinearElementParams,
                 length_m: float | None = None):
@@ -527,11 +520,10 @@ def propagate_uplink(top: StripeTopology, branch_waveforms, active_ru: int,
     with noise as chain.noise:
         antennas, trunk, lna = _walk_stages(top, active_ru, chain.noise.streams, "ul")
         total = None
-        for b, (stage, branch, theta) in enumerate(zip(antennas, branch_waveforms,
-                                                       beam_phases)):
+        for stage, branch, theta in zip(antennas, branch_waveforms, beam_phases):
             # amplify, rotate and sum the branches; the sum builds up in
             # the trunk buffer and each later branch passes through another
-            sub = replace(chain, wf=branch, buffer="trunk" if b == 0 else "branch")
+            sub = replace(chain, wf=branch, buffer="trunk" if total is None else "branch")
             sub.amplifier(*stage)
             y = sub.wf.samples
             y = comp.rotate(y, theta, out=sub.target(y))
@@ -545,8 +537,9 @@ def propagate_uplink(top: StripeTopology, branch_waveforms, active_ru: int,
         osc = comp.Oscillator(bank.oscillator, top.grid.sample_rate,
                               streams.stream(seed, top.stripe_id, CU_NODE, "oscillator_rx"))
         chain.iq_mix("cu_rx_iq", bank.iq_modem, osc, downmix=True)
+        chain.owned, chain.buffer = False, None  # the output leaves the walk
         _run_stages(chain, lna)
-    return (chain.result(), (tuple(chain.taps) if chain.taps is not None else ()),
+    return (chain.wf, (tuple(chain.taps) if chain.taps is not None else ()),
             chain.offset)
 
 

@@ -1,5 +1,7 @@
 """Hardware impairment bank: amplifiers, DAC, oscillator, IQ, elements."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -389,6 +391,22 @@ def test_frequency_response_identity():
     p = LinearElementParams(model="s2p_filter", domain="frequency", response=fr)
     data = np.arange(32, dtype=complex).reshape(32, 1)
     np.testing.assert_array_equal(linear_element_process(data, p), data)
+
+
+def test_fft_ordered_response_follows_the_response():
+    """The FFT-ordered response is derived, never carried over: replacing
+    the response (or any other field) re-derives it."""
+    grid = SubcarrierGrid(157.75e9, 3e9, 32, 1)
+    p = LinearElementParams(model="s2p_filter", domain="frequency",
+                            response=FrequencyResponse(grid=grid, h=np.arange(32.0)))
+    np.testing.assert_array_equal(p.fft_response, np.fft.ifftshift(np.arange(32.0)))
+    other = FrequencyResponse(grid=grid, h=np.arange(32.0) * 1j)
+    q = dataclasses.replace(p, response=other, length_m=5.0)
+    np.testing.assert_array_equal(q.fft_response, np.fft.ifftshift(other.h))
+    with pytest.raises(TypeError):
+        LinearElementParams(model="s2p_filter", response=other, fft_response=np.ones(32))
+    with pytest.raises(ValueError):
+        dataclasses.replace(p, fft_response=np.ones(32))
 
 
 def test_frequency_response_grid_mismatch():
