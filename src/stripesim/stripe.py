@@ -20,10 +20,10 @@ current waveform when the walk owns it, that is when the walk or a
 stage before it made that array. Otherwise it writes into the calling
 thread's workspace, arrays kept for the last waveform shape that the
 next walk on the thread overwrites: the trunk, a second uplink branch,
-the per-symbol FFT body and the noise-draw slots. The last stage of a
-walk writes a fresh array (the downlink split, the uplink CU receive
-amplifier), so whatever leaves a walk or a link is an array no later
-walk touches: the downlink branch waveforms, the uplink output, every
+the per-symbol FFT body and the noise-draw slots. The downlink split
+and the uplink's last stage (the CU receive amplifier) write fresh
+arrays, so whatever leaves a walk or a link is an array no later walk
+touches: the downlink branch waveforms, the uplink output, every
 `LinkResult` array and, when taps are recorded, every tap (each stage
 then writes a fresh array, so a recorded array keeps its value).
 """
@@ -226,14 +226,14 @@ class _Chain:
 
     def element(self, label: str, params: comp.LinearElementParams,
                 length_m: float | None = None):
-        if length_m is not None:
-            params = replace(params, length_m=length_m)
         x = self.wf.samples
         if params.model == "fixed_damping":
             out = np.multiply(x, params.amplitude, out=self.target(x))
         elif params.model == "s2p_filter" and params.domain == "frequency":
             out = self._fd_filter(x, params.fft_response, self.target(x))
         else:
+            if length_m is not None:  # only a time-domain delay depends on it
+                params = replace(params, length_m=length_m)
             out = comp.linear_element_process(self.wf, params,
                                               apply_delay=self.apply_delays).samples
             if self.apply_delays:
