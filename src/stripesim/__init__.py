@@ -10,8 +10,8 @@ impairment and RU-selection studies.
 __version__ = "0.1.0"
 
 from .waveform import (ResourceGrid, SubcarrierGrid, TimeWaveform,
-                       build_resource_grid, demap_qam, map_qam,
-                       ofdm_demodulate, ofdm_modulate, set_power)
+                       build_resource_grid, demap_qam, map_qam, ofdm_modulate,
+                       set_power)
 from .touchstone import (FrequencyResponse, ImpulseResponse, TwoPortNetwork,
                          interpolate_s21, parse_touchstone, read_touchstone,
                          to_impulse_response)
@@ -20,7 +20,7 @@ from .components import (AmplifierParams, DacParams, IqParams,
                          amplifier_process, combine, dac_process,
                          iq_modem_process, linear_element_process,
                          noise_power, oscillator_phasor, pa_nonlinearity,
-                         phase_shift, split)
+                         split)
 from .channel import (AntennaPattern, ChannelRealization, TdlParams,
                       add_thermal_noise, antenna_gain_38901, apply_channel,
                       free_space_gain, los_channel, rayleigh_channel,
@@ -30,8 +30,8 @@ from .config import (ComponentBank, EnvironmentConfig, WaveformConfig,
                      validate_cross)
 from .dataset import (CfrDataset, CfrDatasetReader, DatasetHeader, UeMetadata,
                       generate_synthetic, read_dataset, write_dataset)
-from .metrics import (MetricReport, am_am_extract, am_pm_extract, ber,
-                      equalize, estimate_channel, nmse)
+from .metrics import (MetricReport, am_am_extract, ber, equalize,
+                      estimate_channel, nmse)
 from .stripe import (CalibrationResult, LinkResult, StripeTopology,
                      build_stripe, calibrate_gains, make_grid,
                      propagate_downlink, propagate_uplink, run_link)

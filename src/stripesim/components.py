@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DomainError, GridMismatch, LengthError, UnsupportedMode,
-                     ZeroSignal)
+from .errors import DomainError, GridMismatch, LengthError, UnsupportedMode
 from .touchstone import FrequencyResponse, ImpulseResponse
 from .waveform import TimeWaveform
 
@@ -79,14 +78,6 @@ class DacParams:
                 raise DomainError("bits must be >= 1")
             if self.clip_amplitude <= 0:
                 raise DomainError("clip_amplitude must be positive")
-
-
-def clip_from_rms_db(samples: np.ndarray, headroom_db: float) -> float:
-    """Absolute clip level placed ``headroom_db`` above the signal RMS."""
-    rms = float(np.sqrt(np.mean(np.abs(samples) ** 2)))
-    if rms == 0.0:
-        raise ZeroSignal("cannot derive a clip level from an all-zero signal")
-    return rms * 10.0 ** (headroom_db / 20.0)
 
 
 @dataclass(frozen=True)
@@ -454,12 +445,3 @@ def rotate(samples: np.ndarray, theta: float, *, out=None) -> np.ndarray:
     """``samples * e^{j*theta}``, written into ``out`` (which may be
     ``samples`` itself) or, by default, into a fresh array."""
     return np.multiply(samples, np.exp(1j * theta), out=out)
-
-
-def phase_shift(branches: list[TimeWaveform], phases) -> list[TimeWaveform]:
-    """Per-branch complex rotation by arbitrary phases (radians)."""
-    phases = np.asarray(phases, dtype=np.float64)
-    if phases.size != len(branches):
-        raise LengthError("one phase per branch required")
-    return [b.with_samples(rotate(b.samples, theta))
-            for b, theta in zip(branches, phases)]

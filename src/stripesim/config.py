@@ -212,8 +212,10 @@ def load_environment(path) -> EnvironmentConfig:
         raise SchemaError("room extents must be positive")
 
     layout = StripeLayout()
+    spacing_given = False
     if top.has("stripe_config"):
         sec = _Section(top.get("stripe_config"), "stripe_config")
+        spacing_given = sec.has("inter_ru_spacing")
         layout = StripeLayout(
             n_stripes=_as_int(sec.get("n_stripes", 1), "stripe_config.n_stripes"),
             n_rus=_as_int(sec.get("n_rus", 1), "stripe_config.n_rus"),
@@ -267,6 +269,15 @@ def load_environment(path) -> EnvironmentConfig:
                 raise GeometryError(
                     f"stripe_config.orientation is {layout.orientation} but radio_stripes"
                     f"[{si}] runs along {STRIPE_AXES[spans.index(max(spans))]}")
+            if spacing_given:
+                for ni in range(1, len(nodes) - 1):  # neighbouring RUs ni, ni + 1
+                    gap = float(np.linalg.norm(np.subtract(nodes[ni + 1].position,
+                                                           nodes[ni].position)))
+                    if abs(gap - layout.inter_ru_spacing) > 1e-6:
+                        raise GeometryError(
+                            f"stripe_config.inter_ru_spacing is {layout.inter_ru_spacing} m"
+                            f" but radio_stripes[{si}][{ni}] and [{ni + 1}] are"
+                            f" {gap:.6g} m apart")
 
     ue_positions = []
     for ui, raw_ue in enumerate(top.require("ue_positions")):

@@ -28,8 +28,7 @@ import numpy as np
 from .channel import (ChannelRealization, SPEED_OF_LIGHT, los_channel,
                       tdl_channel, TdlParams, ula_positions)
 from .config import EnvironmentConfig
-from .errors import (ChecksumError, FormatError, IoError, NotFound,
-                     UnsupportedModel)
+from .errors import ChecksumError, FormatError, IoError, UnsupportedModel
 from .waveform import SubcarrierGrid
 from . import streams
 
@@ -224,19 +223,6 @@ class CfrDatasetReader:
                 raise FormatError(f"ue_{ue_id}.cfr header disagrees with metadata")
             self._cache[ue_id] = tensor
         return self._cache[ue_id]
-
-    def query_ue(self, position, tolerance: float) -> int:
-        """Nearest stored UE within tolerance; ties -> smallest ue_id."""
-        if not self.ues:
-            raise NotFound("dataset has no UEs")
-        target = np.asarray(position, dtype=np.float64)
-        best = min(
-            ((float(np.linalg.norm(np.asarray(ue.position) - target)), ue.ue_id)
-             for ue in self.ues))
-        if best[0] > tolerance:
-            raise NotFound(f"no UE within {tolerance} m of {tuple(target)} "
-                           f"(closest: {best[0]:.4g} m)")
-        return best[1]
 
     def get_channel(self, ue_id: int, stripe_id: int, ru_id: int,
                     oversampling: int = 1) -> ChannelRealization:

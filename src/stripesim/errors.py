@@ -71,10 +71,6 @@ class NoPilots(StripeSimError):
     """Channel estimation requested without any pilot positions."""
 
 
-class NotFound(StripeSimError):
-    """Lookup produced no match within tolerance."""
-
-
 class FormatError(StripeSimError):
     """Binary dataset file violates the CFR1 layout."""
 

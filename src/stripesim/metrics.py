@@ -138,7 +138,7 @@ def report(tx_grid: ResourceGrid, rx_symbols: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# AM/AM and AM/PM extraction from stage taps
+# AM/AM extraction from stage taps
 # ---------------------------------------------------------------------------
 
 def am_am_extract(stage_taps, decimate: int = 1):
@@ -153,17 +153,4 @@ def am_am_extract(stage_taps, decimate: int = 1):
         n = min(len(x_in), len(x_out))
         sl = slice(0, n, max(1, decimate))
         out.append((label, np.abs(np.asarray(x_in)[sl]), np.abs(np.asarray(x_out)[sl])))
-    return out
-
-
-def am_pm_extract(stage_taps, decimate: int = 1):
-    """(|input|, output phase - input phase) pairs per tapped stage."""
-    out = []
-    for label, x_in, x_out in stage_taps:
-        n = min(len(x_in), len(x_out))
-        sl = slice(0, n, max(1, decimate))
-        xi = np.asarray(x_in)[sl]
-        xo = np.asarray(x_out)[sl]
-        dphi = np.angle(xo * np.conj(xi))
-        out.append((label, np.abs(xi), dphi))
     return out

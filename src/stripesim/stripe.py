@@ -6,6 +6,8 @@ booster -> output coupler); the active RU splits across its antenna
 branches, phase shifts, amplifies per branch and radiates. The wireless
 hop applies the per-subcarrier channel in the resource-grid domain and
 adds the receiver noise floor. Uplink mirrors the chain back to the CU.
+`_walk_stages`, the single description of a walk, lists its stages in
+order; `_run_stages` runs every such list, and calibration's trunk too.
 
 Exactly one RU is active per run. Every component draws from its own
 random stream keyed by (seed, stripe, node, tag), so results are
@@ -30,6 +32,7 @@ then writes a fresh array, so a recorded array keeps its value).
 
 from __future__ import annotations
 
+import functools
 import threading
 import warnings
 from collections import deque
@@ -203,8 +206,7 @@ class _Chain:
     n_fft: int
     offset: int = 0
     taps: list | None = None
-    apply_delays: bool = True
-    linear_only: bool = False  # calibration mode: amplifiers as pure gain, no noise
+    linear_only: bool = False  # calibration mode: gains only, no noise or delay
     noise: _NoiseAhead | None = None
     ws: _Workspace = field(default_factory=_thread_workspace)
     buffer: str | None = "trunk"
@@ -224,20 +226,16 @@ class _Chain:
         self.owned = self.owned or out is not x
         self.wf = self.wf.with_samples(out, tag=label)
 
-    def element(self, label: str, params: comp.LinearElementParams,
-                length_m: float | None = None):
+    def element(self, label: str, params: comp.LinearElementParams):
         x = self.wf.samples
         if params.model == "fixed_damping":
             out = np.multiply(x, params.amplitude, out=self.target(x))
         elif params.model == "s2p_filter" and params.domain == "frequency":
             out = self._fd_filter(x, params.fft_response, self.target(x))
         else:
-            if length_m is not None:  # only a time-domain delay depends on it
-                params = replace(params, length_m=length_m)
             out = comp.linear_element_process(self.wf, params,
-                                              apply_delay=self.apply_delays).samples
-            if self.apply_delays:
-                self.offset += _delay(params, None, self.wf.sample_rate)
+                                              apply_delay=not self.linear_only).samples
+            self.offset += out.size - x.size  # the delay it prepended
         self._put(label, x, out)
 
     def _fd_filter(self, x: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -291,16 +289,6 @@ class _Chain:
         self._put(label, x.samples, y.samples)
 
 
-def _delay(params: comp.LinearElementParams, length_m: float | None,
-           sample_rate: float) -> int:
-    """Samples a time-domain s2p element prepends to the waveform."""
-    if not (params.model == "s2p_filter" and params.domain == "time"):
-        return 0
-    if length_m is not None:
-        params = replace(params, length_m=length_m)
-    return params.delay_samples(sample_rate)
-
-
 class _Drawn:
     """The noise one stage draws, made ahead on the helper thread; stands
     in for the stage's generator in `comp.amplifier_process` and
@@ -321,11 +309,11 @@ class _NoiseAhead:
     """Draws a link's Gaussian noise ahead of the stages that add it.
 
     ``draws`` lists (rng, shape) of every draw in the order the link
-    consumes them; ``streams`` maps each amplifier stage's label to its
-    generator, so the walk uses the generators the plan names. One helper
-    thread makes the draws in order, at most ``AHEAD`` beyond the one in
-    use, into a ring of ``AHEAD + 1`` workspace slots: a slot is drawn
-    into again only once the stage that used it has returned.
+    consumes them; ``streams`` is the plan's ``stream(node, tag)`` (see
+    `_plan_noise`), so the walk uses the generators the plan names. One
+    helper thread makes the draws in order, at most ``AHEAD`` beyond the
+    one in use, into a ring of ``AHEAD + 1`` workspace slots: a slot is
+    drawn into again only once the stage that used it has returned.
     `Generator.standard_normal` releases the GIL, and the helper calls
     nothing else. The thread lives only inside the ``with`` block, so none
     outlives a link (sweep workers are forked between links), and leaving
@@ -334,7 +322,7 @@ class _NoiseAhead:
 
     AHEAD = 4
 
-    def __init__(self, draws: list, streams: dict | None = None):
+    def __init__(self, draws: list, streams=None):
         self.streams = streams
         self._draws = draws
         self._slots = []
@@ -391,63 +379,85 @@ class _NoiseAhead:
         return drawn
 
 
+def _trunk(top: StripeTopology, n_boosted: int, stream) -> list:
+    """The trunk in downlink order, up to the fiber that feeds RU
+    ``n_boosted`` (if the stripe has that RU): each RU before it sits in
+    line as input coupler, booster and output coupler. ``stream(node,
+    tag)`` gives each booster its random stream."""
+    stages = []
+    for i in range(min(n_boosted + 1, top.n_rus)):
+        fiber = top.fiber
+        if fiber.model == "s2p_filter" and fiber.domain == "time":
+            # the segment's delay, the one thing its length sets
+            fiber = replace(fiber, length_m=top.fiber_lengths[i])
+        stages.append((f"fiber{i}", fiber, None))
+        if i < n_boosted:
+            stages += [(f"ru{i}_coupler_in", top.coupler, None),
+                       (f"ru{i}_booster", top.booster_params(i), stream(i + 1, "booster")),
+                       (f"ru{i}_coupler_out", top.coupler, None)]
+    return stages
+
+
+def _walk_stages(top: StripeTopology, active_ru: int, stream, direction: str) -> list:
+    """Every stage of one walk, in walk order: the one description of what
+    a walk runs. A stage is (label, params, arg); ``arg`` is an amplifier's
+    random stream, the IQ mixer's (oscillator, downmix) or None, and
+    ``stream(node, tag)`` gives each component its stream. The antenna
+    amplifiers run one per branch: last on downlink, after the split, and
+    first on uplink, before the sum."""
+    bank = top.bank
+    dl = direction == "dl"
+    osc = comp.Oscillator(bank.oscillator, top.grid.sample_rate,
+                          stream(CU_NODE, "oscillator" if dl else "oscillator_rx"))
+    # the active RU's coupler joins the trunk to its antennas
+    trunk = _trunk(top, active_ru, stream) + [
+        (f"ru{active_ru}_coupler_{'in' if dl else 'out'}", top.coupler, None)]
+    antennas = [(f"ru{active_ru}_antenna_amp{b}", bank.antenna_amplifier,
+                 stream(active_ru + 1, f"antenna_amp{b}")) for b in range(top.n_antennas)]
+    if dl:
+        return [("cu_dac", bank.dac, None), ("cu_iq", bank.iq_modem, (osc, False)),
+                ("cu_pa", bank.boost_amplifier, stream(CU_NODE, "pa")), *trunk, *antennas]
+    return [*antennas, *trunk[::-1], ("cu_rx_iq", bank.iq_modem, (osc, True)),
+            ("cu_rx_amp", bank.boost_amplifier, stream(CU_NODE, "lna"))]
+
+
+def _run_stages(chain: _Chain, stages):
+    """Apply ``stages`` to ``chain`` in order: the one runner of every walk."""
+    for label, params, arg in stages:
+        if isinstance(params, comp.LinearElementParams):
+            chain.element(label, params)
+        elif isinstance(params, comp.AmplifierParams):
+            chain.amplifier(label, params, arg)
+        elif isinstance(params, comp.DacParams):
+            chain.dac(label, params)
+        elif isinstance(params, comp.IqParams):
+            chain.iq_mix(label, params, *arg)
+        else:  # calibration's meter, standing in for a booster
+            params()
+
+
 def _noise_draws(sample_rate: float, stages, length: int) -> list:
     """(rng, shape) of every noisy amplifier in ``stages``, in walk order,
     sized by the waveform length each one sees."""
     draws = []
     for _label, params, arg in stages:
         if isinstance(params, comp.LinearElementParams):
-            length += _delay(params, arg, sample_rate)
-        elif comp.noise_power(params.nf_db, params.bandwidth, params.temperature) > 0.0:
+            if params.model == "s2p_filter" and params.domain == "time":
+                length += params.delay_samples(sample_rate)
+        elif isinstance(params, comp.AmplifierParams) and comp.noise_power(
+                params.nf_db, params.bandwidth, params.temperature) > 0.0:
             draws.append((arg, (2, length)))
     return draws
 
 
-def _amp_streams(top: StripeTopology, active_ru: int, seed: int, direction: str) -> dict:
-    """The random stream of every amplifier stage on one walk, by label."""
-    cu_label, cu_tag = ("cu_pa", "pa") if direction == "dl" else ("cu_rx_amp", "lna")
-    rngs = {cu_label: streams.stream(seed, top.stripe_id, CU_NODE, cu_tag)}
-    for i in range(active_ru):
-        rngs[f"ru{i}_booster"] = streams.stream(seed, top.stripe_id, i + 1, "booster")
-    for b in range(top.n_antennas):
-        rngs[f"ru{active_ru}_antenna_amp{b}"] = streams.stream(
-            seed, top.stripe_id, active_ru + 1, f"antenna_amp{b}")
-    return rngs
-
-
-def _walk_stages(top: StripeTopology, active_ru: int, rngs: dict,
-                 direction: str) -> tuple:
-    """(head, trunk, tail): the stages of one walk in walk order. Elements
-    are (label, params, fiber length or None) and amplifiers (label,
-    params, rng). Downlink runs the CU PA, the trunk and the antenna
-    amplifiers; uplink runs the antenna amplifiers, the trunk in reverse
-    and the CU receive amplifier. Between head and trunk (downlink) or
-    trunk and tail (uplink) sits the CU's DAC/IQ or IQ stage."""
-    bank = top.bank
-    antennas = [(label, bank.antenna_amplifier, rngs[label])
-                for label in (f"ru{active_ru}_antenna_amp{b}"
-                              for b in range(top.n_antennas))]
-    trunk = []
-    for i in range(active_ru):
-        trunk += [(f"fiber{i}", top.fiber, top.fiber_lengths[i]),
-                  (f"ru{i}_coupler_in", top.coupler, None),
-                  (f"ru{i}_booster", top.booster_params(i), rngs[f"ru{i}_booster"]),
-                  (f"ru{i}_coupler_out", top.coupler, None)]
-    # the active RU's coupler joins the trunk to its antennas
-    role = "in" if direction == "dl" else "out"
-    trunk += [(f"fiber{active_ru}", top.fiber, top.fiber_lengths[active_ru]),
-              (f"ru{active_ru}_coupler_{role}", top.coupler, None)]
-    if direction == "dl":
-        return [("cu_pa", bank.boost_amplifier, rngs["cu_pa"])], trunk, antennas
-    return antennas, trunk[::-1], [("cu_rx_amp", bank.boost_amplifier, rngs["cu_rx_amp"])]
-
-
-def _run_stages(chain: _Chain, stages):
-    for label, params, arg in stages:
-        if isinstance(params, comp.LinearElementParams):
-            chain.element(label, params, length_m=arg)
-        else:
-            chain.amplifier(label, params, arg)
+def _plan_noise(top: StripeTopology, active_ru: int, seed: int, direction: str,
+                length: int) -> tuple:
+    """(stream, draws) of one walk on ``length`` input samples. The walk
+    builds its stages with ``stream(node, tag)``, which makes each random
+    stream once, so it uses the generators ``draws`` names."""
+    stream = functools.cache(functools.partial(streams.stream, seed, top.stripe_id))
+    stages = _walk_stages(top, active_ru, stream, direction)
+    return stream, _noise_draws(top.grid.sample_rate, stages, length)
 
 
 def _start_walk(top: StripeTopology, wf: TimeWaveform, active_ru: int, beam_phases,
@@ -462,14 +472,11 @@ def _start_walk(top: StripeTopology, wf: TimeWaveform, active_ru: int, beam_phas
         raise LengthError("one beam phase per antenna branch required")
     chain = _Chain(wf=wf, cp_samples=top.wf.cp_length * top.grid.oversampling,
                    n_fft=top.grid.n_fft, taps=[] if record_taps else None,
-                   apply_delays=not linear_only, linear_only=linear_only)
+                   linear_only=linear_only)
     if noise is not None:
         return beam_phases, chain, nullcontext(noise)
-    rngs = _amp_streams(top, active_ru, seed, direction)
-    draws = [] if linear_only else _noise_draws(
-        wf.sample_rate, sum(_walk_stages(top, active_ru, rngs, direction), []),
-        wf.samples.size)
-    return beam_phases, chain, _NoiseAhead(draws, rngs)
+    stream, draws = _plan_noise(top, active_ru, seed, direction, wf.samples.size)
+    return beam_phases, chain, _NoiseAhead([] if linear_only else draws, stream)
 
 
 def propagate_downlink(top: StripeTopology, wf_in: TimeWaveform, active_ru: int,
@@ -483,21 +490,17 @@ def propagate_downlink(top: StripeTopology, wf_in: TimeWaveform, active_ru: int,
     """
     beam_phases, chain, noise = _start_walk(top, wf_in, active_ru, beam_phases, seed,
                                             "dl", record_taps, linear_only, noise)
-    bank = top.bank
     with noise as chain.noise:
-        pa, trunk, antennas = _walk_stages(top, active_ru, chain.noise.streams, "dl")
-        chain.dac("cu_dac", bank.dac)
-        osc = comp.Oscillator(bank.oscillator, top.grid.sample_rate,
-                              streams.stream(seed, top.stripe_id, CU_NODE, "oscillator"))
-        chain.iq_mix("cu_iq", bank.iq_modem, osc)
-        _run_stages(chain, pa + trunk)
+        stages = _walk_stages(top, active_ru, chain.noise.streams, "dl")
+        n_shared = len(stages) - top.n_antennas
+        _run_stages(chain, stages[:n_shared])
         out = []
-        for stage, branch, theta in zip(antennas, comp.split(chain.wf, top.n_antennas),
-                                        beam_phases):
+        for stage, branch, theta in zip(stages[n_shared:],
+                                        comp.split(chain.wf, top.n_antennas), beam_phases):
             # each split branch is a fresh array: rotate and amplify it in place
             comp.rotate(branch.samples, theta, out=branch.samples)
             sub = replace(chain, wf=branch, owned=True)
-            sub.amplifier(*stage)
+            _run_stages(sub, [stage])
             out.append(sub.wf)
     return out, (tuple(chain.taps) if chain.taps is not None else ()), chain.offset
 
@@ -516,15 +519,14 @@ def propagate_uplink(top: StripeTopology, branch_waveforms, active_ru: int,
         linear_only, noise)
     if len(branch_waveforms) != beam_phases.size:
         raise LengthError("one phase per branch required")
-    bank = top.bank
     with noise as chain.noise:
-        antennas, trunk, lna = _walk_stages(top, active_ru, chain.noise.streams, "ul")
+        stages = _walk_stages(top, active_ru, chain.noise.streams, "ul")
         total = None
-        for stage, branch, theta in zip(antennas, branch_waveforms, beam_phases):
+        for stage, branch, theta in zip(stages, branch_waveforms, beam_phases):
             # amplify, rotate and sum the branches; the sum builds up in
             # the trunk buffer and each later branch passes through another
             sub = replace(chain, wf=branch, buffer="trunk" if total is None else "branch")
-            sub.amplifier(*stage)
+            _run_stages(sub, [stage])
             y = sub.wf.samples
             y = comp.rotate(y, theta, out=sub.target(y))
             if total is None:
@@ -533,12 +535,10 @@ def propagate_uplink(top: StripeTopology, branch_waveforms, active_ru: int,
                 total += y
         chain.wf = chain.wf.with_samples(total)
         chain.owned = True
-        _run_stages(chain, trunk)
-        osc = comp.Oscillator(bank.oscillator, top.grid.sample_rate,
-                              streams.stream(seed, top.stripe_id, CU_NODE, "oscillator_rx"))
-        chain.iq_mix("cu_rx_iq", bank.iq_modem, osc, downmix=True)
+        *shared, last = stages[top.n_antennas:]
+        _run_stages(chain, shared)
         chain.owned, chain.buffer = False, None  # the output leaves the walk
-        _run_stages(chain, lna)
+        _run_stages(chain, [last])
     return (chain.wf, (tuple(chain.taps) if chain.taps is not None else ()),
             chain.offset)
 
@@ -585,8 +585,7 @@ def calibrate_gains(top: StripeTopology, target_power_dbm: float,
     # a workspace of its own: the reference is shorter than a link's
     # waveform, and the thread's workspace keeps the link's shapes
     chain = _Chain(wf=ref, cp_samples=wf.cp_length * grid.oversampling,
-                   n_fft=grid.n_fft, apply_delays=False, linear_only=True,
-                   ws=_Workspace(), owned=True)
+                   n_fft=grid.n_fft, linear_only=True, ws=_Workspace(), owned=True)
 
     def _passband_power() -> float:
         # mean power over the second symbol's bins: past any filter
@@ -599,19 +598,22 @@ def calibrate_gains(top: StripeTopology, target_power_dbm: float,
     chain.wf = ref.with_samples(ref.samples * np.sqrt(target_w / _passband_power()))
 
     gains, clipped, p_in, p_out = [], [], [], []
-    for i in range(top.n_rus):
-        chain.element(f"fiber{i}", top.fiber, length_m=top.fiber_lengths[i])
-        chain.element(f"ru{i}_coupler_in", top.coupler)
+
+    def meter():
+        # stands in for a booster: sets its gain from the power it meters
         power_in = _passband_power()
         gain = target_w / power_in
-        was_clipped = gain > max_gain
+        clipped.append(gain > max_gain)
         gain = min(gain, max_gain)
         np.multiply(chain.wf.samples, np.sqrt(gain), out=chain.wf.samples)
         gains.append(10.0 * np.log10(gain))
-        clipped.append(was_clipped)
         p_in.append(_dbm(power_in))
         p_out.append(_dbm(power_in * gain))
-        chain.element(f"ru{i}_coupler_out", top.coupler)
+
+    # the whole trunk, each booster's stream unused and its stage metered
+    trunk = _trunk(top, top.n_rus, lambda node, tag: None)
+    _run_stages(chain, [(label, meter, None) if isinstance(params, comp.AmplifierParams)
+                        else (label, params, arg) for label, params, arg in trunk])
     if any(clipped):
         bad = [i for i, c in enumerate(clipped) if c]
         warnings.warn(f"boosters {bad} clipped at max_gain={max_gain_db} dB; "
@@ -756,16 +758,14 @@ def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank
     # and transmit waveform are prepared. Calibration changes booster gains
     # only, so the uncalibrated stripe sizes the same draws.
     s = wf_cfg.n_ofdm_symbols
-    rngs = _amp_streams(topology, active_ru, seed, direction)
-    draws = _noise_draws(grid.sample_rate,
-                         sum(_walk_stages(topology, active_ru, rngs, direction), []),
-                         s * (grid.n_fft + wf_cfg.cp_length * grid.oversampling))
+    stream, draws = _plan_noise(topology, active_ru, seed, direction,
+                                s * (grid.n_fft + wf_cfg.cp_length * grid.oversampling))
     ota_rng = streams.stream(seed, "ota-noise")
     if ota_snr_db is not None or bank.receiver.nf_db is not None:
         ota = (ota_rng, (2, grid.num_subcarriers, n_rx if direction == "dl" else n_tx, s))
         draws = draws + [ota] if direction == "dl" else [ota] + draws
 
-    with _NoiseAhead(draws, rngs) as noise:
+    with _NoiseAhead(draws, stream) as noise:
         realization = resolve_channel(env, grid, channel_source, ue_index,
                                       stripe_id, active_ru, seed, n_tx, n_rx)
         calibration = None

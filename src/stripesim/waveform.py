@@ -333,12 +333,6 @@ def ofdm_modulate(rg: ResourceGrid, grid: SubcarrierGrid, cp_length: int) -> Tim
     return TimeWaveform(samples=samples, sample_rate=grid.sample_rate, origin_tag="tx")
 
 
-def ofdm_demodulate(wf: TimeWaveform, grid: SubcarrierGrid, cp_length: int,
-                    n_symbols: int) -> ResourceGrid:
-    """Recover the Q x S resource grid from a CP-OFDM waveform."""
-    return ResourceGrid(symbols=extract_symbols(wf.samples, grid, cp_length, n_symbols))
-
-
 def set_power(wf: TimeWaveform, p_dbm: float) -> TimeWaveform:
     """Scale so mean |x|^2 equals the dBm target (1-ohm reference)."""
     current = wf.power

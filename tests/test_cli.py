@@ -104,6 +104,8 @@ _IQ = "dc_offset: [0.0, 0.0]"
                  id="stripe-config-orientation-unknown"),
     pytest.param("run", ["--ru", "1"], ("polarization: single", "polarization: dual"),
                  None, 2, id="antenna-polarization-not-applied"),
+    pytest.param("run", ["--ru", "1"], ("inter_RU_spacing: 0.5", "inter_RU_spacing: 0.6"),
+                 None, 2, id="stripe-config-inter-ru-spacing-disagrees"),
     pytest.param("run", ["--ru", "1", "--ue", "7", "--channel", "{ds}"],
                  None, None, 2, id="run-unknown-dataset-ue"),
     pytest.param("sweep-ru", ["--ue", "7", "--channel", "{ds}"],

@@ -8,10 +8,10 @@ import pytest
 from stripesim.components import (AmplifierParams, DacParams, IqParams,
                                   LinearElementParams, Oscillator,
                                   OscillatorParams, amplifier_process,
-                                  clip_from_rms_db, combine, dac_process,
-                                  iq_modem_process, linear_element_process,
-                                  noise_power, oscillator_phasor,
-                                  pa_nonlinearity, phase_shift, split)
+                                  combine, dac_process, iq_modem_process,
+                                  linear_element_process, noise_power,
+                                  oscillator_phasor, pa_nonlinearity, rotate,
+                                  split)
 from stripesim.errors import (DomainError, GridMismatch, LengthError,
                               UnsupportedMode)
 from stripesim.touchstone import (FrequencyResponse, interpolate_s21,
@@ -239,11 +239,6 @@ def test_dac_inband_error_bound():
     y = dac_process(_wave(samples), p)
     assert np.max(np.abs(y.samples.real - samples.real)) <= delta / 2 + 1e-12
     assert np.max(np.abs(y.samples.imag - samples.imag)) <= delta / 2 + 1e-12
-
-
-def test_clip_from_rms_db():
-    x = np.full(100, 2.0 + 0j)
-    assert abs(clip_from_rms_db(x, 6.0) - 2.0 * 10 ** 0.3) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +482,7 @@ def test_combine_split_round_trip(n):
 def test_combine_antiphase_cancels():
     x = _wave(np.ones(16))
     a, b = split(x, 2)
-    out = combine(phase_shift([a, b], [0.0, np.pi]))
+    out = combine([a, b.with_samples(rotate(b.samples, np.pi))])
     assert np.max(np.abs(out.samples)) < 1e-15
 
 
@@ -507,10 +502,6 @@ def test_phase_shift_alignment_gain():
 
 def test_phase_shift_identity_and_length():
     x = _wave(np.ones(8))
-    out = phase_shift([x], [0.0])
-    np.testing.assert_array_equal(out[0].samples, x.samples)
-    with pytest.raises(LengthError):
-        phase_shift([x], [0.0, 1.0])
     with pytest.raises(LengthError):
         combine([x, _wave(np.ones(4))])
     with pytest.raises(DomainError):

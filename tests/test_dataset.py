@@ -1,4 +1,4 @@
-"""CFR1 dataset codec, lazy reader, UE lookup, synthetic generation."""
+"""CFR1 dataset codec, lazy reader, synthetic generation."""
 
 import json
 import zlib
@@ -11,7 +11,7 @@ from stripesim.channel import los_channel
 from stripesim.dataset import (CfrDataset, DatasetHeader, HEADER_BYTES,
                                UeMetadata, array_geometry, generate_synthetic,
                                read_dataset, write_dataset)
-from stripesim.errors import ChecksumError, FormatError, NotFound
+from stripesim.errors import ChecksumError, FormatError
 from stripesim.waveform import SubcarrierGrid
 
 
@@ -140,41 +140,6 @@ def test_repeatable_reads(tmp_path):
     b = reader.get_channel(0, 0, 1)
     np.testing.assert_array_equal(a.h, b.h)
     assert a.provenance == "dataset"
-
-
-# ---------------------------------------------------------------------------
-# UE lookup
-# ---------------------------------------------------------------------------
-
-def _reader_with_ues(tmp_path, positions):
-    header = DatasetHeader(1, 1, 1, 1, 4, 157.75e9, 3e9)
-    ues = tuple(UeMetadata(ue_id=i, position=p) for i, p in enumerate(positions))
-    channels = {ue.ue_id: np.zeros(header.tensor_shape, complex) for ue in ues}
-    write_dataset(CfrDataset(header=header, ues=ues, channels=channels), tmp_path)
-    return read_dataset(tmp_path)
-
-
-def test_query_ue_exact_and_nearby(tmp_path):
-    reader = _reader_with_ues(tmp_path, [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)])
-    assert reader.query_ue((1.0, 0.0, 0.0), tolerance=0.0) == 1
-    assert reader.query_ue((0.99, 0.0, 0.0), tolerance=0.05) == 1
-    with pytest.raises(NotFound):
-        reader.query_ue((0.5, 0.0, 0.0), tolerance=0.0)
-
-
-def test_query_ue_tie_break(tmp_path):
-    reader = _reader_with_ues(tmp_path, [(0.0, 0.0, 0.0), (2.0, 0.0, 0.0)])
-    assert reader.query_ue((1.0, 0.0, 0.0), tolerance=2.0) == 0
-
-
-def test_query_ue_order_independent(tmp_path):
-    a = _reader_with_ues(tmp_path / "a", [(0.0, 0, 0), (3.0, 0, 0), (1.0, 0, 0)])
-    b = _reader_with_ues(tmp_path / "b", [(1.0, 0, 0), (0.0, 0, 0), (3.0, 0, 0)])
-    pos_a = {ue.ue_id: ue.position for ue in a.ues}
-    pos_b = {ue.ue_id: ue.position for ue in b.ues}
-    qa = a.query_ue((0.9, 0, 0), 1.0)
-    qb = b.query_ue((0.9, 0, 0), 1.0)
-    assert pos_a[qa] == pos_b[qb] == (1.0, 0.0, 0.0)
 
 
 def test_get_channel_index_errors(tmp_path):

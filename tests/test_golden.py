@@ -1,0 +1,118 @@
+"""SHA-256 digests of the CLI's CSV outputs on a stripe with every
+impairment on: a noisy tanh booster, a quantizing DAC, an AR(1)
+oscillator with innovation, IQ imbalance with a DC offset, a 3-tap s2p
+fiber with a length, and a receiver noise figure, in both fiber domains.
+
+Outputs depend on (configs, seed) alone, so a change that keeps results
+keeps every digest here bit for bit. A change that alters results on
+purpose records new digests and says so. The digests were recorded with
+numpy 2.4 on x86-64; another numpy build may round FFTs differently.
+"""
+
+import hashlib
+
+import pytest
+
+from stripesim.cli import main
+
+from conftest import s2p_from_taps
+
+COMPONENTS = """\
+boost_amplifier: {model: tanh, gain_db: 3.0, sat_amplitude: 0.5, nf_db: 10.0,
+                  bandwidth: 3.0e9}
+antenna_amplifier: {model: ideal, gain_db: 2.0, nf_db: 8.0, bandwidth: 3.0e9}
+fiber: {model: s2p_filter, file: fiber.s2p, domain: %s, taps: 8, length_m: 1.0,
+        group_velocity: 2.0e8}
+coupler: {model: fixed_damping, loss_db: 3.0}
+dac: {model: quantize, bits: 10, clip_amplitude: 1.0}
+oscillator: {model: ar1, ar_rho: 0.99, innovation_std: 0.01, initial_phase: 0.1}
+iq_modem: {gain_mismatch: 1.05, phase_mismatch: 0.02, dc_offset: [0.001, -0.002]}
+calibration: {target_power: 0.0, max_gain: 30.0}
+receiver: {nf_db: 7.0}
+"""
+
+# The identity channel keeps the over-the-air hop out of the link budget,
+# so the metrics show the hardware impairments (SNDR 11-21 dB).
+DL = ["run", "--channel", "identity", "--direction", "dl", "--ru", "2"]
+UL = ["run", "--channel", "identity", "--direction", "ul", "--ru", "1"]
+TAPS = ["taps/*.csv", "am_am.csv"]
+
+# name -> (command line before the config flags, output files digested)
+COMMANDS = {
+    "run-dl-ru2": (DL, ["metrics.csv"]),
+    "run-dl-ru2-calibrate": ([*DL, "--calibrate"], ["metrics.csv"]),
+    "run-ul-ru1": (UL, ["metrics.csv"]),
+    "run-ul-ru1-calibrate": ([*UL, "--calibrate"], ["metrics.csv"]),
+    "sweep-ru": (["sweep-ru", "--channel", "identity", "--jobs", "1"], ["heatmap.csv"]),
+    "calibrate": (["calibrate"], ["gains.csv"]),
+    "run-dl-ru2-taps": ([*DL, "--taps"], TAPS),
+    "run-ul-ru1-taps": ([*UL, "--taps"], TAPS),
+}
+
+DIGESTS = {
+    "frequency": {
+        "run-dl-ru2":
+            "6bd4b281c890e872056635b53115b7cf44ccf6ccd042185b1658d7fa2d1e1008",
+        "run-dl-ru2-calibrate":
+            "693b3f0f51bb05a34a6397f53c3f2825fdc02b5d4d576611ef072b45a6a4dc44",
+        "run-ul-ru1":
+            "14ca7077fbb83d706d78cde8eb7ad4e80cc54fad5a95fef0eb678de375a1e3f8",
+        "run-ul-ru1-calibrate":
+            "3c3f5bbb330690378cd2386096ed96598e98737a5247406d37565be52b5cb85a",
+        "sweep-ru":
+            "89404a3847604f861e4f070b83628881137160f66a23311365d237461c2676fe",
+        "calibrate":
+            "8a4bcfe2808b38635c0bcda6026005319045b5ed026d586ffb9bf77de632c114",
+        "run-dl-ru2-taps":
+            "ab7cee86b2508474c65e1bc5fa38794d589e25c54e3d9d9e28052a658eda894a",
+        "run-ul-ru1-taps":
+            "5723d42d548790189e7580577efecbc2fba91b2d1cd34bc49cca353a5226b7c3",
+    },
+    "time": {
+        "run-dl-ru2":
+            "9d92ef3025aa8f41db5e141ebe90dea77aef5b23a4ec96d1f537526618bd409e",
+        "run-dl-ru2-calibrate":
+            "339c8d6411fa832c026c26672eff71a91cbc6e73b8c1a8e491843479116091d2",
+        "run-ul-ru1":
+            "b1bb064a434d5b0c73f005c288a2fcc1e1f91f852c38bfa3bd8077da0c42dec1",
+        "run-ul-ru1-calibrate":
+            "a180286e60ee56685e47d93400fdd5cf2bd106cbc248845671e7d45f368684fe",
+        "sweep-ru":
+            "0697952479a30e957393428fe0c497f11a8be4c68e64fecebf31018e006fd3e7",
+        "calibrate":
+            "4c2c4c56cbe2fc607b6da134829e58e52be252db3d0894a27b663759b91ec567",
+        "run-dl-ru2-taps":
+            "9b8b311b51ac1e3726a1a68916d9e1c59c27421892e8c8055245594ed0ed1029",
+        "run-ul-ru1-taps":
+            "701988e31cdb1d194726a7408080042898930b80c77131cc32be90abc6b7489a",
+    },
+}
+
+
+def _digest(out_dir, patterns) -> str:
+    """One SHA-256 over the names and bytes of the matched files."""
+    h = hashlib.sha256()
+    for pattern in patterns:
+        paths = sorted(out_dir.glob(pattern))
+        assert paths, pattern
+        for path in paths:
+            h.update(path.relative_to(out_dir).as_posix().encode() + b"\0")
+            h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("domain", ["frequency", "time"])
+def test_cli_outputs_match_recorded_digests(domain, config_tree, tmp_path):
+    configs = config_tree["components"].parent
+    # on the run's grid: 256 subcarriers, 2x oversampling, 6 GS/s
+    (configs / "fiber.s2p").write_text(
+        s2p_from_taps([0.8, 0.15j, 0.05], 157.75e9, 6e9, n_points=512))
+    config_tree["components"].write_text(COMPONENTS % domain)
+    flags = ["--env", config_tree["env"], "--waveform", config_tree["waveform"],
+             "--components", config_tree["components"], "--seed", "5"]
+    got = {}
+    for name, (argv, patterns) in COMMANDS.items():
+        out = tmp_path / name
+        assert main([str(a) for a in [*argv, *flags, "--out", out]]) == 0, name
+        got[name] = _digest(out, patterns)
+    assert got == DIGESTS[domain]

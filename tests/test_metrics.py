@@ -6,9 +6,9 @@ import pytest
 from stripesim.channel import TdlParams, tdl_channel
 from stripesim.components import AmplifierParams, amplifier_process, noise_power
 from stripesim.errors import DimensionError, NoPilots
-from stripesim.metrics import (am_am_extract, am_pm_extract, ber, equalize,
-                               error_spectrum, estimate_channel,
-                               evm_percent_from_nmse, nmse, report)
+from stripesim.metrics import (am_am_extract, ber, equalize, error_spectrum,
+                               estimate_channel, evm_percent_from_nmse, nmse,
+                               report)
 from stripesim.waveform import (SubcarrierGrid, TimeWaveform,
                                 build_resource_grid, pilot_mask)
 from stripesim.config import WaveformConfig
@@ -231,13 +231,6 @@ def test_am_am_noisy_stage_scatter():
     sigma_w2 = noise_power(10.0, 3e9)
     expected = np.sqrt(p.gain_linear ** 2 * sigma_w2 / 2)
     assert abs(np.std(resid) / expected - 1.0) < 0.02
-
-
-def test_am_pm_extract_phase_difference():
-    x = np.exp(1j * np.linspace(0, 1, 64))
-    y = x * np.exp(1j * 0.25)
-    [(_, xs, dphi)] = am_pm_extract([("s", x, y)])
-    np.testing.assert_allclose(dphi, 0.25, rtol=1e-9)
 
 
 def test_am_am_decimation():

@@ -128,6 +128,25 @@ def test_calibration_analytic_loss_budget():
     np.testing.assert_allclose(result.gains_db, [8.0, 10.0, 10.0], atol=0.01)
 
 
+def test_calibration_time_domain_fiber_matches_frequency_domain():
+    """Calibration meters a delaying time-domain fiber without its delay,
+    so its gains equal those of the same fiber filtered per subcarrier."""
+    env = _env(n_rus=4)
+    wf = _wf()
+    grid = make_grid(env, wf)
+    # one S21 point on every bin of the simulated band
+    network = parse_touchstone(s2p_from_taps([0.8, 0.15j, 0.05], grid.fc,
+                                             grid.sample_rate, n_points=grid.n_fft + 1))
+    gains = {}
+    for domain in ("time", "frequency"):
+        bank = _bank(fiber=LinearElementSpec(model="s2p_filter", network=network,
+                                             domain=domain, n_taps=8, length_m=1.0,
+                                             group_velocity=2e8))
+        top = build_stripe(env, bank, 0, grid, wf)
+        gains[domain] = calibrate_gains(top, target_power_dbm=0.0, max_gain_db=30.0).gains_db
+    np.testing.assert_allclose(gains["time"], gains["frequency"], rtol=0, atol=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # Propagation basics
 # ---------------------------------------------------------------------------
@@ -177,6 +196,31 @@ def test_downlink_tap_labels():
     assert labels[:3] == ["cu_dac", "cu_iq", "cu_pa"]
     assert "ru0_booster" in labels
     assert labels[-1] == "ru1_antenna_amp0"
+
+
+@pytest.mark.parametrize("direction, labels", [
+    ("dl", ["cu_dac", "cu_iq", "cu_pa",
+            "fiber0", "ru0_coupler_in", "ru0_booster", "ru0_coupler_out",
+            "fiber1", "ru1_coupler_in", "ru1_booster", "ru1_coupler_out",
+            "fiber2", "ru2_coupler_in", "ru2_antenna_amp0", "ru2_antenna_amp1"]),
+    ("ul", ["ru2_antenna_amp0", "ru2_antenna_amp1", "ru2_coupler_out", "fiber2",
+            "ru1_coupler_out", "ru1_booster", "ru1_coupler_in", "fiber1",
+            "ru0_coupler_out", "ru0_booster", "ru0_coupler_in", "fiber0",
+            "cu_rx_iq", "cu_rx_amp"]),
+])
+def test_walk_tap_labels(direction, labels):
+    """Every stage of a walk at RU 2 of 4, with two antennas, in order."""
+    env = _env(n_rus=4, n_antennas=2)
+    wf = _wf(n_ofdm_symbols=2)
+    grid = make_grid(env, wf)
+    top = build_stripe(env, ComponentBank(), 0, grid, wf)
+    x = TimeWaveform(np.ones(2 * (grid.n_fft + 32), complex), grid.sample_rate)
+    if direction == "dl":
+        _, taps, _ = propagate_downlink(top, x, 2, [0.0, 0.0], seed=1, record_taps=True)
+    else:
+        _, taps, _ = propagate_uplink(top, [x, x], 2, [0.0, 0.0], seed=1,
+                                      record_taps=True)
+    assert [t[0] for t in taps] == labels
 
 
 # ---------------------------------------------------------------------------
