@@ -21,10 +21,9 @@ from .components import (AmplifierParams, DacParams, IqParams,
                          iq_modem_process, linear_element_process,
                          noise_power, oscillator_phasor, pa_nonlinearity,
                          split)
-from .channel import (AntennaPattern, ChannelRealization, TdlParams,
-                      add_thermal_noise, antenna_gain_38901, apply_channel,
-                      free_space_gain, los_channel, rayleigh_channel,
-                      tap_powers, tdl_channel)
+from .channel import (ChannelRealization, TdlParams, add_thermal_noise,
+                      apply_channel, free_space_gain, los_channel,
+                      rayleigh_channel, tap_powers, tdl_channel)
 from .config import (ComponentBank, EnvironmentConfig, WaveformConfig,
                      load_components, load_environment, load_waveform,
                      validate_cross)

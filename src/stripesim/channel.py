@@ -2,8 +2,8 @@
 
 All models produce a Q x Nrx x Ntx tensor H with ``H[q][k, m]`` the
 coefficient from transmit element m to receive element k at subcarrier q,
-decomposed into a free-space power gain, optional per-element antenna
-gains, and a unit-mean-square small-scale term:
+decomposed into a free-space power gain between isotropic elements and
+a unit-mean-square small-scale term:
 
 * line of sight - deterministic unit-magnitude phase rotation,
 * uncorrelated Rayleigh - i.i.d. CN(0, 1) across (q, m, k),
@@ -74,34 +74,6 @@ class TdlParams:
             raise DomainError("beta must be >= 0")
 
 
-@dataclass(frozen=True)
-class AntennaPattern:
-    """Isotropic or 3GPP TR 38.901 single-element pattern.
-
-    ``boresight`` is the peak direction; ``up`` fixes the vertical cut.
-    Defaults follow the usual 38.901 element: 8 dBi peak, 65 deg 3-dB
-    beamwidths, 30 dB side-lobe/front-back floors.
-    """
-
-    kind: str = "isotropic"
-    max_gain_dbi: float = 8.0
-    theta_3db_deg: float = 65.0
-    phi_3db_deg: float = 65.0
-    sidelobe_floor_db: float = 30.0
-    front_back_db: float = 30.0
-    boresight: tuple = (1.0, 0.0, 0.0)
-    up: tuple = (0.0, 0.0, 1.0)
-
-    def __post_init__(self):
-        if self.kind not in ("isotropic", "tr38901"):
-            raise DomainError(f"unknown antenna pattern kind {self.kind!r}")
-        if not 0.0 < self.theta_3db_deg < 180.0 or not 0.0 < self.phi_3db_deg < 180.0:
-            raise DomainError("beamwidths must lie in (0, 180) degrees")
-
-
-ISOTROPIC = AntennaPattern()
-
-
 # ---------------------------------------------------------------------------
 # Large-scale factors
 # ---------------------------------------------------------------------------
@@ -116,43 +88,6 @@ def free_space_gain(distance, frequency):
         raise DomainError("frequency must be positive")
     out = (SPEED_OF_LIGHT / (4.0 * np.pi * f * d)) ** 2
     return float(out) if out.ndim == 0 else out
-
-
-def antenna_gain_38901(direction, pattern: AntennaPattern):
-    """Linear power gain of a single element toward ``direction``.
-
-    Vertical cut: A_v = -min(12 (theta'/theta3dB)^2, SLA_v); horizontal:
-    A_h = -min(12 (phi'/phi3dB)^2, A_m); combined
-    A = -min(-(A_v + A_h), A_m); gain = 10^((G_max + A)/10).
-    """
-    d = np.asarray(direction, dtype=np.float64)
-    single = d.ndim == 1
-    d = np.atleast_2d(d)
-    norms = np.linalg.norm(d, axis=-1, keepdims=True)
-    if np.any(norms == 0):
-        raise DomainError("direction vector must be nonzero")
-    d = d / norms
-    if pattern.kind == "isotropic":
-        out = np.ones(d.shape[0])
-        return float(out[0]) if single else out
-    z = np.asarray(pattern.up, dtype=np.float64)
-    z = z / np.linalg.norm(z)
-    b = np.asarray(pattern.boresight, dtype=np.float64)
-    x = b - np.dot(b, z) * z
-    nx = np.linalg.norm(x)
-    if nx == 0:
-        raise DomainError("boresight must not be parallel to the up axis")
-    x = x / nx
-    y = np.cross(z, x)
-    theta = np.degrees(np.arccos(np.clip(d @ z, -1.0, 1.0)))
-    phi = np.degrees(np.arctan2(d @ y, d @ x))
-    a_v = -np.minimum(12.0 * ((theta - 90.0) / pattern.theta_3db_deg) ** 2,
-                      pattern.sidelobe_floor_db)
-    a_h = -np.minimum(12.0 * (phi / pattern.phi_3db_deg) ** 2,
-                      pattern.front_back_db)
-    a = -np.minimum(-(a_v + a_h), pattern.front_back_db)
-    out = 10.0 ** ((pattern.max_gain_dbi + a) / 10.0)
-    return float(out[0]) if single else out
 
 
 def ula_positions(center, axis, n_elements: int, wavelength: float) -> np.ndarray:
@@ -176,40 +111,31 @@ def _pairwise_distances(tx_positions: np.ndarray, rx_positions: np.ndarray) -> n
     return np.linalg.norm(diff, axis=-1)  # (n_tx, n_rx)
 
 
-def los_channel(grid: SubcarrierGrid, tx_positions, rx_positions,
-                tx_pattern: AntennaPattern = ISOTROPIC,
-                rx_pattern: AntennaPattern = ISOTROPIC,
-                narrowband: bool = False) -> ChannelRealization:
-    """Deterministic line-of-sight channel.
+def los_channel(grid: SubcarrierGrid, tx_positions, rx_positions) -> ChannelRealization:
+    """Deterministic line-of-sight channel between isotropic elements.
 
-    ``h[q, k, m] = sqrt(Gtx_m Grx_k b_fs(d_mk, f_q)) * e^{-j 2 pi f_q d_mk / c}``
-    with per-pair element distances. ``narrowband`` evaluates both the
-    gain and the phasor at fc, yielding a frequency-flat channel.
+    ``h[q, k, m] = sqrt(b_fs(d_mk, f_q)) * e^{-j 2 pi f_q d_mk / c}``
+    with per-pair element distances.
     """
     tx = np.atleast_2d(np.asarray(tx_positions, dtype=np.float64))
     rx = np.atleast_2d(np.asarray(rx_positions, dtype=np.float64))
     d = _pairwise_distances(tx, rx)
     if np.any(d == 0):
         raise DomainError("transmit and receive elements must not coincide")
-    f = np.full(grid.num_subcarriers, grid.fc) if narrowband else grid.frequencies()
-    f = f[:, None, None]
-    beta = free_space_gain(d[None, :, :], f)
-    g_tx = antenna_gain_38901(np.mean(rx, axis=0)[None, :] - tx, tx_pattern)
-    g_rx = antenna_gain_38901(np.mean(tx, axis=0)[None, :] - rx, rx_pattern)
-    amp = np.sqrt(g_tx[None, :, None] * g_rx[None, None, :] * beta)
+    f = grid.frequencies()[:, None, None]
+    amp = np.sqrt(free_space_gain(d[None, :, :], f))
     phase = np.exp(-2j * np.pi * f * d[None, :, :] / SPEED_OF_LIGHT)
     h_qmk = amp * phase  # (Q, n_tx, n_rx)
     return ChannelRealization(h=np.transpose(h_qmk, (0, 2, 1)), grid=grid,
                               provenance="los")
 
 
-def _large_scale(grid: SubcarrierGrid, distance, narrowband: bool = False) -> np.ndarray:
+def _large_scale(grid: SubcarrierGrid, distance) -> np.ndarray:
     """Per-subcarrier amplitude factor for stochastic models (centroid
     distance); 1.0 when no distance is given."""
     if distance is None:
         return np.ones(grid.num_subcarriers)
-    f = np.full(grid.num_subcarriers, grid.fc) if narrowband else grid.frequencies()
-    return np.sqrt(free_space_gain(float(distance), f))
+    return np.sqrt(free_space_gain(float(distance), grid.frequencies()))
 
 
 def rayleigh_channel(grid: SubcarrierGrid, n_tx: int, n_rx: int,

@@ -175,12 +175,9 @@ def _export_taps(out_dir: Path, stage_taps) -> list[str]:
 
 
 def _export_channel(out_dir: Path, realization) -> str:
-    rows = []
     h = realization.h
-    for q in range(h.shape[0]):
-        for k in range(h.shape[1]):
-            for m in range(h.shape[2]):
-                rows.append([q, k, m, h[q, k, m].real, h[q, k, m].imag])
+    index = np.indices(h.shape).reshape(3, -1).T.tolist()  # (q, rx, tx), row-major
+    rows = [[*i, z.real, z.imag] for i, z in zip(index, h.ravel().tolist())]
     _write_csv(out_dir / "channel.csv", ["q", "rx", "tx", "re", "im"], rows)
     return "channel.csv"
 

@@ -68,12 +68,9 @@ class _Section:
             raise SchemaError(f"{self.path}: missing required key {key!r}")
         return self.get(key)
 
-    def unknown_keys(self) -> list[str]:
-        return [orig for low, orig in self._by_lower.items() if low not in self._used]
-
     def warn_unknown(self) -> dict:
         """Warn about unconsumed keys; return them for retention."""
-        extra = self.unknown_keys()
+        extra = [orig for low, orig in self._by_lower.items() if low not in self._used]
         if extra:
             warnings.warn(f"{self.path}: ignoring unknown keys {extra}",
                           UnknownKeyWarning, stacklevel=3)
@@ -145,10 +142,12 @@ class StripeNode:
 
 @dataclass(frozen=True)
 class StripeLayout:
+    """The stripe_config block; None marks a key the config does not give."""
+
     n_stripes: int = 1
     n_rus: int = 1
-    inter_ru_spacing: float = 0.5
-    inter_stripe_spacing: float = 1.0
+    inter_ru_spacing: float | None = None
+    inter_stripe_spacing: float | None = None
     start_position: tuple | None = None
     end_position: tuple | None = None
     orientation: str = "x"
@@ -194,6 +193,15 @@ def _inside_room(position, room) -> bool:
     return all(0.0 <= p <= limit for p, limit in zip(position, room))
 
 
+def _check_distance(key: str, want, a, b, what: str):
+    """GeometryError unless points ``a`` and ``b`` lie ``want`` m apart (to
+    1e-6 m); no check when ``want`` is None, for a stripe_config key not given."""
+    gap = None if want is None else float(np.linalg.norm(np.subtract(a, b)))
+    if gap is not None and abs(gap - want) > 1e-6:
+        raise GeometryError(f"stripe_config.{key} disagrees with radio_stripes: "
+                            f"{what} are {gap:.6g} m apart, not {want:.6g} m")
+
+
 def _parse_node(value, path: str) -> StripeNode:
     sec = _Section(value, path)
     kind = str(sec.require("kind")).lower()
@@ -212,21 +220,19 @@ def load_environment(path) -> EnvironmentConfig:
         raise SchemaError("room extents must be positive")
 
     layout = StripeLayout()
-    spacing_given = False
     if top.has("stripe_config"):
         sec = _Section(top.get("stripe_config"), "stripe_config")
-        spacing_given = sec.has("inter_ru_spacing")
+
+        def optional(key, parse):
+            return parse(sec.get(key), f"stripe_config.{key}") if sec.has(key) else None
+
         layout = StripeLayout(
             n_stripes=_as_int(sec.get("n_stripes", 1), "stripe_config.n_stripes"),
             n_rus=_as_int(sec.get("n_rus", 1), "stripe_config.n_rus"),
-            inter_ru_spacing=_as_float(sec.get("inter_ru_spacing", 0.5),
-                                       "stripe_config.inter_ru_spacing"),
-            inter_stripe_spacing=_as_float(sec.get("inter_stripe_spacing", 1.0),
-                                           "stripe_config.inter_stripe_spacing"),
-            start_position=(_as_xyz(sec.get("start_position"), "stripe_config.start_position")
-                            if sec.has("start_position") else None),
-            end_position=(_as_xyz(sec.get("end_position"), "stripe_config.end_position")
-                          if sec.has("end_position") else None),
+            inter_ru_spacing=optional("inter_ru_spacing", _as_float),
+            inter_stripe_spacing=optional("inter_stripe_spacing", _as_float),
+            start_position=optional("start_position", _as_xyz),
+            end_position=optional("end_position", _as_xyz),
             orientation=str(sec.get("orientation", "x")).lower(),
         )
         sec.warn_unknown()
@@ -269,15 +275,18 @@ def load_environment(path) -> EnvironmentConfig:
                 raise GeometryError(
                     f"stripe_config.orientation is {layout.orientation} but radio_stripes"
                     f"[{si}] runs along {STRIPE_AXES[spans.index(max(spans))]}")
-            if spacing_given:
-                for ni in range(1, len(nodes) - 1):  # neighbouring RUs ni, ni + 1
-                    gap = float(np.linalg.norm(np.subtract(nodes[ni + 1].position,
-                                                           nodes[ni].position)))
-                    if abs(gap - layout.inter_ru_spacing) > 1e-6:
-                        raise GeometryError(
-                            f"stripe_config.inter_ru_spacing is {layout.inter_ru_spacing} m"
-                            f" but radio_stripes[{si}][{ni}] and [{ni + 1}] are"
-                            f" {gap:.6g} m apart")
+            for ni in range(1, len(nodes) - 1):  # neighbouring RUs ni, ni + 1
+                _check_distance("inter_ru_spacing", layout.inter_ru_spacing,
+                                nodes[ni].position, nodes[ni + 1].position,
+                                f"radio_stripes[{si}][{ni}] and [{ni + 1}]")
+            if si:
+                _check_distance("inter_stripe_spacing", layout.inter_stripe_spacing,
+                                stripes[si - 1][0].position, nodes[0].position,
+                                f"the CUs of radio_stripes[{si - 1}] and [{si}]")
+        for key, ni in (("start_position", 1), ("end_position", -1)):  # stripe 0's RUs
+            at = getattr(layout, key)
+            _check_distance(key, None if at is None else 0.0, at, stripes[0][ni].position,
+                            f"{key} {at} and radio_stripes[0][{ni % len(stripes[0])}]")
 
     ue_positions = []
     for ui, raw_ue in enumerate(top.require("ue_positions")):
@@ -316,8 +325,8 @@ def load_environment(path) -> EnvironmentConfig:
             raise UnsupportedModel(f"antenna polarization {antenna.polarization!r}: "
                                    f"only single is supported")
         if antenna.pattern != "isotropic":
-            # tr38901 is a known pattern (channel.AntennaPattern), but no
-            # channel path applies it yet, so accepting it would be a no-op
+            # the channel models assume isotropic elements, so any other
+            # pattern would be accepted and then ignored
             raise UnsupportedModel(f"antenna pattern {antenna.pattern!r}: "
                                    f"only isotropic is supported")
 
@@ -386,11 +395,13 @@ def load_waveform(path) -> WaveformConfig:
     if cfg.pilot_spacing < 1:
         raise SchemaError("pilot_spacing must be >= 1")
     if cfg.num_subcarriers is not None:
-        _check_against_grid(cfg, cfg.num_subcarriers, strict=True)
+        problems = _check_against_grid(cfg, cfg.num_subcarriers)
+        if problems:
+            raise SchemaError("; ".join(problems))
     return cfg
 
 
-def _check_against_grid(wf: WaveformConfig, num_subcarriers: int, strict: bool) -> list[str]:
+def _check_against_grid(wf: WaveformConfig, num_subcarriers: int) -> list[str]:
     problems = []
     if wf.cp_length >= num_subcarriers:
         problems.append(f"cp_length ({wf.cp_length}) must be smaller than the "
@@ -398,8 +409,6 @@ def _check_against_grid(wf: WaveformConfig, num_subcarriers: int, strict: bool) 
     if wf.pilot_mode == "scattered" and num_subcarriers % wf.pilot_spacing != 0:
         problems.append(f"pilot_spacing ({wf.pilot_spacing}) must divide the "
                         f"subcarrier count ({num_subcarriers})")
-    if strict and problems:
-        raise SchemaError("; ".join(problems))
     return problems
 
 
@@ -511,7 +520,6 @@ def load_components(path) -> ComponentBank:
     p = Path(path)
     top = _Section(_load_yaml(p), str(p))
     base = p.parent
-    bank = ComponentBank()
     kwargs = {}
     if top.has("boost_amplifier"):
         kwargs["boost_amplifier"] = _parse_amplifier(
@@ -573,7 +581,7 @@ def load_components(path) -> ComponentBank:
         )
         sec.warn_unknown()
     top.warn_unknown()
-    return ComponentBank(**kwargs) if kwargs else bank
+    return ComponentBank(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +640,7 @@ def validate_cross(env: EnvironmentConfig, wf: WaveformConfig,
             f"waveform num_subcarriers={wf.num_subcarriers} differs from grid {q}"))
 
     if q is not None:
-        for problem in _check_against_grid(wf, q, strict=False):
+        for problem in _check_against_grid(wf, q):
             errors.append(ValidationIssue("WaveformGrid", problem))
         cp_span = wf.cp_length * wf.oversampling_factor
         for name, element in (("fiber", comp.fiber), ("coupler", comp.coupler)):
@@ -662,12 +670,10 @@ def environment_to_dict(env: EnvironmentConfig) -> dict:
         "stripe_config": {
             "n_stripes": env.stripe_config.n_stripes,
             "n_rus": env.stripe_config.n_rus,
-            "inter_ru_spacing": env.stripe_config.inter_ru_spacing,
-            "inter_stripe_spacing": env.stripe_config.inter_stripe_spacing,
-            **({"start_position": list(env.stripe_config.start_position)}
-               if env.stripe_config.start_position else {}),
-            **({"end_position": list(env.stripe_config.end_position)}
-               if env.stripe_config.end_position else {}),
+            **{key: list(value) if isinstance(value, tuple) else value
+               for key in ("inter_ru_spacing", "inter_stripe_spacing",
+                           "start_position", "end_position")
+               if (value := getattr(env.stripe_config, key)) is not None},
             "orientation": env.stripe_config.orientation,
         },
         "radio_stripes": [

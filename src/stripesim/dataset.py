@@ -53,8 +53,8 @@ class DatasetHeader:
         return (self.n_stripes, self.n_rus, self.n_rx, self.n_tx,
                 self.num_subcarriers)
 
-    def grid(self, oversampling: int = 1) -> SubcarrierGrid:
-        return SubcarrierGrid(self.fc, self.bw, self.num_subcarriers, oversampling)
+    def grid(self) -> SubcarrierGrid:
+        return SubcarrierGrid(self.fc, self.bw, self.num_subcarriers)
 
 
 @dataclass(frozen=True)
@@ -224,8 +224,7 @@ class CfrDatasetReader:
             self._cache[ue_id] = tensor
         return self._cache[ue_id]
 
-    def get_channel(self, ue_id: int, stripe_id: int, ru_id: int,
-                    oversampling: int = 1) -> ChannelRealization:
+    def get_channel(self, ue_id: int, stripe_id: int, ru_id: int) -> ChannelRealization:
         """H tensor (Q x n_rx x n_tx) for one stripe/RU pair."""
         tensor = self._tensor(ue_id)
         if not 0 <= stripe_id < self.header.n_stripes:
@@ -233,7 +232,7 @@ class CfrDatasetReader:
         if not 0 <= ru_id < self.header.n_rus:
             raise IndexError(f"ru_id {ru_id} out of range")
         h = np.transpose(tensor[stripe_id, ru_id], (2, 0, 1))  # (Q, n_rx, n_tx)
-        return ChannelRealization(h=h, grid=self.header.grid(oversampling),
+        return ChannelRealization(h=h, grid=self.header.grid(),
                                   provenance="dataset")
 
     def to_memory(self) -> CfrDataset:

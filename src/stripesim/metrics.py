@@ -141,16 +141,15 @@ def report(tx_grid: ResourceGrid, rx_symbols: np.ndarray,
 # AM/AM extraction from stage taps
 # ---------------------------------------------------------------------------
 
-def am_am_extract(stage_taps, decimate: int = 1):
+def am_am_extract(stage_taps):
     """(|input|, |output|) sample pairs per tapped stage.
 
     ``stage_taps`` is an iterable of (label, input samples, output
-    samples); pairs are truncated to the common length and optionally
-    decimated. Returns a list of (label, x, y) in tap order.
+    samples); pairs are truncated to the common length. Returns a list of
+    (label, x, y) in tap order.
     """
     out = []
     for label, x_in, x_out in stage_taps:
         n = min(len(x_in), len(x_out))
-        sl = slice(0, n, max(1, decimate))
-        out.append((label, np.abs(np.asarray(x_in)[sl]), np.abs(np.asarray(x_out)[sl])))
+        out.append((label, np.abs(np.asarray(x_in)[:n]), np.abs(np.asarray(x_out)[:n])))
     return out

@@ -50,8 +50,8 @@ from .channel import (ChannelRealization, TdlParams, add_awgn,
                       tdl_channel, timing_advance)
 from .config import (ComponentBank, EnvironmentConfig, LinearElementSpec,
                      WaveformConfig, validate_cross)
-from .errors import (CalibrationInfeasible, ConfigError, LengthError,
-                     TruncationWarning)
+from .errors import (CalibrationInfeasible, ConfigError, GridMismatch,
+                     LengthError, TruncationWarning)
 from .metrics import MetricReport, estimate_channel, report
 from .touchstone import interpolate_s21, to_impulse_response
 from .waveform import (ResourceGrid, SubcarrierGrid, build_resource_grid,
@@ -224,7 +224,7 @@ class _Chain:
         if self.taps is not None:
             self.taps.append((label, x, out))
         self.owned = self.owned or out is not x
-        self.wf = self.wf.with_samples(out, tag=label)
+        self.wf = self.wf.with_samples(out)
 
     def element(self, label: str, params: comp.LinearElementParams):
         x = self.wf.samples
@@ -460,13 +460,20 @@ def _plan_noise(top: StripeTopology, active_ru: int, seed: int, direction: str,
     return stream, _noise_draws(top.grid.sample_rate, stages, length)
 
 
-def _start_walk(top: StripeTopology, wf: TimeWaveform, active_ru: int, beam_phases,
+def _start_walk(top: StripeTopology, inputs, active_ru: int, beam_phases,
                 seed: int, direction: str, record_taps: bool, linear_only: bool,
                 noise: _NoiseAhead | None):
     """Check a walk's arguments; return its phases, chain and noise
-    stream: ``noise`` itself, or one planned from the walk's own stages."""
+    stream: ``noise`` itself, or one planned from the walk's own stages.
+    ``inputs`` are the waveforms the walk starts from; its chain starts
+    from the first."""
     if not 0 <= active_ru < top.n_rus:
         raise ConfigError(f"active_ru {active_ru} out of range [0, {top.n_rus})")
+    for x in inputs:
+        if x.sample_rate != top.grid.sample_rate:
+            raise GridMismatch(f"input sampled at {x.sample_rate} Hz, the stripe "
+                               f"grid at {top.grid.sample_rate} Hz")
+    wf = inputs[0]
     beam_phases = np.asarray(beam_phases, dtype=np.float64)
     if beam_phases.size != top.n_antennas:
         raise LengthError("one beam phase per antenna branch required")
@@ -488,7 +495,7 @@ def propagate_downlink(top: StripeTopology, wf_in: TimeWaveform, active_ru: int,
     ``noise`` is the running noise stream of the link the walk belongs to
     (see `run_link`); without it the walk plans and draws its own.
     """
-    beam_phases, chain, noise = _start_walk(top, wf_in, active_ru, beam_phases, seed,
+    beam_phases, chain, noise = _start_walk(top, [wf_in], active_ru, beam_phases, seed,
                                             "dl", record_taps, linear_only, noise)
     with noise as chain.noise:
         stages = _walk_stages(top, active_ru, chain.noise.streams, "dl")
@@ -515,7 +522,7 @@ def propagate_uplink(top: StripeTopology, branch_waveforms, active_ru: int,
     as in `propagate_downlink`.
     """
     beam_phases, chain, noise = _start_walk(
-        top, branch_waveforms[0], active_ru, beam_phases, seed, "ul", record_taps,
+        top, branch_waveforms, active_ru, beam_phases, seed, "ul", record_taps,
         linear_only, noise)
     if len(branch_waveforms) != beam_phases.size:
         raise LengthError("one phase per branch required")
@@ -554,10 +561,6 @@ class CalibrationResult:
     input_powers_dbm: tuple
     output_powers_dbm: tuple
 
-    @property
-    def feasible(self) -> bool:
-        return not any(self.clipped)
-
 
 def _dbm(power_watts: float) -> float:
     return 10.0 * np.log10(power_watts / 1e-3)
@@ -578,7 +581,7 @@ def calibrate_gains(top: StripeTopology, target_power_dbm: float,
         0, 2, 2 * grid.num_subcarriers * 2)
     symbols = map_qam(ref_bits, 4).reshape(grid.num_subcarriers, 2)
     ref = TimeWaveform(synthesize_symbols(symbols, grid, wf.cp_length),
-                       sample_rate=grid.sample_rate, origin_tag="calibration")
+                       sample_rate=grid.sample_rate)
     target_w = 10.0 ** ((target_power_dbm - 30.0) / 10.0)
     max_gain = 10.0 ** (max_gain_db / 10.0)
 
@@ -663,8 +666,7 @@ def resolve_channel(env: EnvironmentConfig, grid: SubcarrierGrid, source,
     if isinstance(source, ChannelRealization):
         return source
     if isinstance(source, CfrDatasetReader):
-        return source.get_channel(ue_index, stripe_id, active_ru,
-                                  oversampling=1)
+        return source.get_channel(ue_index, stripe_id, active_ru)
     model = source
     tdl_params = None
     if isinstance(source, (tuple, list)):
@@ -687,8 +689,9 @@ def resolve_channel(env: EnvironmentConfig, grid: SubcarrierGrid, source,
     raise ConfigError(f"unknown channel source {source!r}")
 
 
-def default_beam_phases(channel: ChannelRealization, direction: str) -> np.ndarray:
-    """Conjugate-matched steering at the center subcarrier.
+def default_beam_phases(channel: ChannelRealization) -> np.ndarray:
+    """Conjugate-matched steering at the center subcarrier, for either
+    direction.
 
     Aligns the per-branch phases of the effective (combined over the UE
     side) channel so the over-the-air or combined sum adds coherently.
@@ -714,7 +717,7 @@ def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank
              direction: str = "dl", seed: int = 0, *,
              calibrate: bool = False, record_taps: bool = False,
              ota_snr_db: float | None = None, ue_antennas: int = 1,
-             beam_phases=None, dataset_header=None) -> LinkResult:
+             beam_phases=None) -> LinkResult:
     """One end-to-end link: bits -> waveform -> stripe -> air -> metrics.
 
     Fully deterministic in (configs, seed). ``ota_snr_db`` overrides the
@@ -724,17 +727,21 @@ def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank
         raise ConfigError(f"direction must be 'dl' or 'ul', got {direction!r}")
     from .dataset import CfrDatasetReader
 
-    if isinstance(channel_source, CfrDatasetReader):
-        dataset_header = channel_source.header
+    from_dataset = isinstance(channel_source, CfrDatasetReader)
+    dataset_header = channel_source.header if from_dataset else None
     check = validate_cross(env, wf_cfg, bank, dataset_header)
     if not check.ok:
         raise ConfigError("; ".join(f"{e.code}: {e.message}" for e in check.errors))
     n_rus = len(env.stripe_nodes(stripe_id)) - 1
     if not 0 <= active_ru < n_rus:
         raise ConfigError(f"active_ru {active_ru} out of range [0, {n_rus})")
-    if isinstance(channel_source, CfrDatasetReader):
+    if from_dataset:
         if ue_index not in {ue.ue_id for ue in channel_source.ues}:
             raise ConfigError(f"ue_index {ue_index} is not a UE of the dataset")
+        if stripe_id >= dataset_header.n_stripes or active_ru >= dataset_header.n_rus:
+            raise ConfigError(
+                f"the dataset covers {dataset_header.n_stripes} stripe(s) of "
+                f"{dataset_header.n_rus} RU(s), not stripe {stripe_id} RU {active_ru}")
     elif not 0 <= ue_index < len(env.ue_positions) and not isinstance(
             channel_source, ChannelRealization):
         raise ConfigError(f"ue_index {ue_index} out of range")
@@ -742,7 +749,7 @@ def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank
     grid = make_grid(env, wf_cfg, dataset_header)
     n_tx = env.antenna.n_antennas
     n_rx = ue_antennas
-    if isinstance(channel_source, CfrDatasetReader):
+    if from_dataset:
         n_tx, n_rx = dataset_header.n_tx, dataset_header.n_rx
     elif channel_source == "identity":
         n_rx = n_tx
@@ -775,7 +782,7 @@ def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank
             topology = topology.with_gains(calibration.gains_db)
 
         if beam_phases is None:
-            beam_phases = default_beam_phases(realization, direction)
+            beam_phases = default_beam_phases(realization)
 
         mask = pilot_mask(wf_cfg.pilot_mode, wf_cfg.pilot_spacing,
                           grid.num_subcarriers, wf_cfg.n_ofdm_symbols)
@@ -804,7 +811,7 @@ def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank
             at_ru = _ota_noise(at_ru, bank, grid, noise.source(ota_rng), ota_snr_db)
             branches = [TimeWaveform(
                 synthesize_symbols(at_ru[:, b, :], grid, wf_cfg.cp_length),
-                sample_rate=grid.sample_rate, origin_tag=f"ru_rx{b}")
+                sample_rate=grid.sample_rate)
                 for b in range(n_tx)]
             cu_wf, taps, offset = propagate_uplink(
                 topology, branches, active_ru, beam_phases, seed, record_taps,

@@ -64,10 +64,6 @@ class SubcarrierGrid:
         return self.bw / self.num_subcarriers
 
     @property
-    def critical_rate(self) -> float:
-        return self.bw
-
-    @property
     def sample_rate(self) -> float:
         return self.bw * self.oversampling
 
@@ -96,7 +92,6 @@ class TimeWaveform:
 
     samples: np.ndarray
     sample_rate: float
-    origin_tag: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.complex128))
@@ -106,9 +101,8 @@ class TimeWaveform:
         """Mean |x|^2 over all samples."""
         return float(np.mean(np.abs(self.samples) ** 2))
 
-    def with_samples(self, samples: np.ndarray, tag: str | None = None) -> "TimeWaveform":
-        return replace(self, samples=samples,
-                       origin_tag=self.origin_tag if tag is None else tag)
+    def with_samples(self, samples: np.ndarray) -> "TimeWaveform":
+        return replace(self, samples=samples)
 
 
 @dataclass(frozen=True)
@@ -330,7 +324,7 @@ def ofdm_modulate(rg: ResourceGrid, grid: SubcarrierGrid, cp_length: int) -> Tim
     the last ``cp_length*os`` samples are prepended as the cyclic prefix.
     """
     samples = synthesize_symbols(rg.symbols, grid, cp_length)
-    return TimeWaveform(samples=samples, sample_rate=grid.sample_rate, origin_tag="tx")
+    return TimeWaveform(samples=samples, sample_rate=grid.sample_rate)
 
 
 def set_power(wf: TimeWaveform, p_dbm: float) -> TimeWaveform:

@@ -94,6 +94,16 @@ ENV_YAML = textwrap.dedent("""\
       ap_positions: [[1.0, 1.0, 2.9]]
 """)
 
+LAST_RU = "    - {kind: radio_unit, position: [1.6, 3.0, 2.8]}\n"
+
+# (old, new) edits of ENV_YAML that add a second stripe, its CU 1.0 m
+# (inter_stripe_spacing) from the first one's
+TWO_STRIPES = [("N_stripes: 1", "N_stripes: 2"), (LAST_RU, LAST_RU + (
+    "  - - {kind: central_unit, position: [0.1, 4.0, 2.8]}\n"
+    "    - {kind: radio_unit, position: [0.6, 4.0, 2.8]}\n"
+    "    - {kind: radio_unit, position: [1.1, 4.0, 2.8]}\n"
+    "    - {kind: radio_unit, position: [1.6, 4.0, 2.8]}\n"))]
+
 WF_YAML = textwrap.dedent("""\
     waveform_type: cp-ofdm
     n_ofdm_symbols: 4

@@ -1,18 +1,15 @@
-"""Channel models: free-space gain, antenna patterns, LoS/Rayleigh/TDL."""
+"""Channel models: free-space gain, LoS/Rayleigh/TDL, noise and sync."""
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stripesim.channel import (AntennaPattern, ChannelRealization,
-                               SPEED_OF_LIGHT, TdlParams, add_awgn,
-                               add_thermal_noise, antenna_gain_38901,
-                               apply_channel, bulk_delay, free_space_gain,
-                               identity_channel, los_channel,
-                               rayleigh_channel, tap_powers, tdl_channel,
-                               thermal_noise_power, timing_advance,
-                               ula_positions)
+from stripesim.channel import (ChannelRealization, SPEED_OF_LIGHT, TdlParams,
+                               add_awgn, add_thermal_noise, apply_channel,
+                               bulk_delay, free_space_gain, identity_channel,
+                               los_channel, rayleigh_channel, tap_powers,
+                               tdl_channel, thermal_noise_power, timing_advance)
 from stripesim.errors import DimensionError, DomainError
 from stripesim.waveform import SubcarrierGrid
 
@@ -57,35 +54,6 @@ def test_free_space_gain_domain():
 
 
 # ---------------------------------------------------------------------------
-# Antenna pattern
-# ---------------------------------------------------------------------------
-
-def test_isotropic_gain():
-    assert antenna_gain_38901((0.3, -0.4, 0.8), AntennaPattern()) == 1.0
-
-
-def test_tr38901_boresight():
-    p = AntennaPattern(kind="tr38901")
-    got = antenna_gain_38901((1.0, 0.0, 0.0), p)
-    assert abs(got - 10 ** 0.8) < 1e-12
-
-
-def test_tr38901_vertical_3db_multiple():
-    p = AntennaPattern(kind="tr38901")
-    # 65 deg off boresight in the vertical cut: A_v = -12 dB
-    theta = np.deg2rad(90 + 65)
-    d = (np.sin(theta), 0.0, np.cos(theta))
-    got = antenna_gain_38901(d, p)
-    assert abs(got - 10 ** ((8.0 - 12.0) / 10.0)) < 1e-9
-
-
-def test_tr38901_floor():
-    p = AntennaPattern(kind="tr38901")
-    got = antenna_gain_38901((-1.0, 0.0, 0.0), p)  # straight backwards
-    assert abs(got - 10 ** ((8.0 - 30.0) / 10.0)) < 1e-12
-
-
-# ---------------------------------------------------------------------------
 # LoS
 # ---------------------------------------------------------------------------
 
@@ -107,16 +75,6 @@ def test_los_full_cycle_phase():
     real = los_channel(grid, [(0.0, 0.0, 0.0)], [(d, 0.0, 0.0)])
     phase = real.h[q_probe, 0, 0] / abs(real.h[q_probe, 0, 0])
     assert abs(phase - 1.0) < 1e-6
-
-
-def test_los_narrowband_matches_center_subcarrier():
-    grid = _grid(q=64)
-    tx = ula_positions((0.0, 0.0, 1.0), (1, 0, 0), 2, SPEED_OF_LIGHT / grid.fc)
-    rx = ula_positions((3.0, 1.0, 1.0), (1, 0, 0), 2, SPEED_OF_LIGHT / grid.fc)
-    wide = los_channel(grid, tx, rx)
-    narrow = los_channel(grid, tx, rx, narrowband=True)
-    np.testing.assert_array_equal(narrow.h[0], narrow.h[-1])
-    np.testing.assert_array_equal(narrow.h[32], wide.h[32])  # q = Q/2
 
 
 def test_los_magnitude_smooth_monotone_in_frequency():

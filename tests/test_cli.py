@@ -7,11 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from stripesim.cli import main
+from stripesim.channel import ChannelRealization
+from stripesim.cli import _export_channel, main
+from stripesim.waveform import SubcarrierGrid
 
-from conftest import COMP_YAML, ENV_YAML, flat_s2p
+from conftest import COMP_YAML, ENV_YAML, LAST_RU, TWO_STRIPES, flat_s2p
 
 
 def _run(*argv) -> int:
@@ -106,6 +109,15 @@ _IQ = "dc_offset: [0.0, 0.0]"
                  None, 2, id="antenna-polarization-not-applied"),
     pytest.param("run", ["--ru", "1"], ("inter_RU_spacing: 0.5", "inter_RU_spacing: 0.6"),
                  None, 2, id="stripe-config-inter-ru-spacing-disagrees"),
+    pytest.param("run", ["--ru", "1"],
+                 [*TWO_STRIPES, ("inter_stripe_spacing: 1.0", "inter_stripe_spacing: 1.5")],
+                 None, 2, id="stripe-config-inter-stripe-spacing-disagrees"),
+    pytest.param("run", ["--ru", "1"],
+                 ("orientation: x", "orientation: x\n  start_position: [0.7, 3.0, 2.8]"),
+                 None, 2, id="stripe-config-start-position-disagrees"),
+    pytest.param("run", ["--ru", "1"],
+                 ("orientation: x", "orientation: x\n  end_position: [1.5, 3.0, 2.8]"),
+                 None, 2, id="stripe-config-end-position-disagrees"),
     pytest.param("run", ["--ru", "1", "--ue", "7", "--channel", "{ds}"],
                  None, None, 2, id="run-unknown-dataset-ue"),
     pytest.param("sweep-ru", ["--ue", "7", "--channel", "{ds}"],
@@ -125,9 +137,12 @@ def test_bad_input_exits_typed(config_tree, tmp_path, capsys, command, flags,
                                config_edit, dataset_files, expected):
     """Malformed inputs end as typed errors, never as 'internal error'."""
     if config_edit is not None:
-        old, new = config_edit
-        key, text = ("env", ENV_YAML) if old in ENV_YAML else ("components", COMP_YAML)
-        config_tree[key].write_text(text.replace(old, new))
+        edits = config_edit if isinstance(config_edit, list) else [config_edit]
+        key, text = ("env", ENV_YAML) if edits[0][0] in ENV_YAML else ("components", COMP_YAML)
+        for old, new in edits:
+            assert old in text, old
+            text = text.replace(old, new)
+        config_tree[key].write_text(text)
     if "{ds}" in flags:
         channel = _gen_dataset(config_tree, tmp_path / "cfr")
         flags = [channel if f == "{ds}" else f for f in flags]
@@ -136,6 +151,21 @@ def test_bad_input_exits_typed(config_tree, tmp_path, capsys, command, flags,
     capsys.readouterr()
     code = _run(command, *_base_flags(config_tree), *flags, "--out", tmp_path / "o")
     assert code == expected
+    assert "internal error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags", [("run", ["--ru", "3"]), ("sweep-ru", [])],
+                         ids=["run", "sweep-ru"])
+def test_dataset_without_the_ru_exits_config(config_tree, tmp_path, capsys, command,
+                                             flags):
+    """A dataset of three RUs on a four-RU stripe cannot serve RU 3."""
+    channel = _gen_dataset(config_tree, tmp_path / "cfr")
+    config_tree["env"].write_text(ENV_YAML.replace("N_RUs: 3", "N_RUs: 4").replace(
+        LAST_RU, LAST_RU + LAST_RU.replace("1.6", "2.1")))
+    capsys.readouterr()
+    code = _run(command, *_base_flags(config_tree), "--channel", channel, *flags,
+                "--out", tmp_path / "o")
+    assert code == 2
     assert "internal error" not in capsys.readouterr().err
 
 
@@ -163,6 +193,18 @@ def test_run_taps_export(config_tree, tmp_path):
     am = _read_csv(out / "am_am.csv")
     assert am[0][0] == "xstage0"
     assert am[0][1] == "ystage0"
+
+
+def test_channel_dump_matches_the_loop_reference(tmp_path):
+    """channel.csv lists h[q, rx, tx] in row-major order, each value at
+    full precision, as the per-entry loop it replaced wrote it."""
+    rng = np.random.default_rng(3)
+    h = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
+    _export_channel(tmp_path, ChannelRealization(h=h, grid=SubcarrierGrid(1e11, 1e9, 4)))
+    loop = [["q", "rx", "tx", "re", "im"]] + [
+        [str(q), str(k), str(m), repr(float(h[q, k, m].real)), repr(float(h[q, k, m].imag))]
+        for q in range(4) for k in range(3) for m in range(2)]
+    assert _read_csv(tmp_path / "channel.csv") == loop
 
 
 def test_run_replay_from_manifest(config_tree, tmp_path):

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from stripesim.channel import ChannelRealization
 from stripesim.components import (AmplifierParams, DacParams, IqParams,
                                   LinearElementParams, Oscillator,
                                   OscillatorParams, amplifier_process,
@@ -14,6 +15,7 @@ from stripesim.components import (AmplifierParams, DacParams, IqParams,
                                   split)
 from stripesim.errors import (DomainError, GridMismatch, LengthError,
                               UnsupportedMode)
+from stripesim.stripe import default_beam_phases
 from stripesim.touchstone import (FrequencyResponse, interpolate_s21,
                                   parse_touchstone, to_impulse_response)
 from stripesim.waveform import (SubcarrierGrid, TimeWaveform, extract_symbols,
@@ -486,18 +488,17 @@ def test_combine_antiphase_cancels():
     assert np.max(np.abs(out.samples)) < 1e-15
 
 
-def test_phase_shift_alignment_gain():
-    """Conjugate-aligned phases beat random phases on average."""
+def test_default_beam_phases_align_branches():
+    """The default steering adds the four RU branches coherently at Q/2:
+    |sum_b h_b e^{j theta_b}| = sum_b |h_b|, h_b summed over the UE side."""
     rng = np.random.default_rng(16)
-    n_trials, n_br = 1000, 4
-    h = rng.standard_normal((n_trials, n_br)) + 1j * rng.standard_normal((n_trials, n_br))
-    aligned = np.abs(np.sum(np.abs(h), axis=1)) ** 2
-    rand_ph = np.exp(1j * rng.uniform(0, 2 * np.pi, (n_trials, n_br)))
-    random = np.abs(np.sum(h * rand_ph, axis=1)) ** 2
-    assert aligned.mean() >= random.mean()
-    # and aligned equals sum of magnitudes exactly, per trial
-    got = np.abs(np.sum(h * np.exp(-1j * np.angle(h)), axis=1))
-    np.testing.assert_allclose(got, np.sum(np.abs(h), axis=1), rtol=1e-12)
+    q, n_rx, n_tx = 16, 2, 4
+    h = rng.standard_normal((q, n_rx, n_tx)) + 1j * rng.standard_normal((q, n_rx, n_tx))
+    theta = default_beam_phases(
+        ChannelRealization(h=h, grid=SubcarrierGrid(157.75e9, 3e9, q)))
+    h_b = h[q // 2].sum(axis=0)
+    np.testing.assert_allclose(np.abs(np.sum(h_b * np.exp(1j * theta))),
+                               np.sum(np.abs(h_b)), rtol=1e-12)
 
 
 def test_phase_shift_identity_and_length():

@@ -13,7 +13,7 @@ from stripesim.errors import (GeometryError, ParseError, SchemaError,
                               TouchstoneError, UnknownKeyWarning,
                               UnsupportedModel)
 
-from conftest import COMP_YAML, ENV_YAML, WF_YAML, flat_s2p
+from conftest import COMP_YAML, ENV_YAML, TWO_STRIPES, WF_YAML, flat_s2p
 
 
 def _write(tmp_path, name, text):
@@ -55,6 +55,29 @@ def test_environment_paper_dimension_example(tmp_path):
     env = load_environment(_write(tmp_path, "env.yaml", yaml.safe_dump(doc)))
     assert len(env.radio_stripes[0]) == 11
     assert env.sub_thz.num_subcarriers == 4096
+
+
+def test_stripe_config_agreeing_with_the_nodes_loads(tmp_path):
+    """start/end positions on stripe 0's first/last RU and the CU gap as
+    inter_stripe_spacing load, and survive a round trip."""
+    text = ENV_YAML.replace("orientation: x", "orientation: x\n  start_position: "
+                            "[0.6, 3.0, 2.8]\n  end_position: [1.6, 3.0, 2.8]")
+    for old, new in TWO_STRIPES:
+        text = text.replace(old, new)
+    env = load_environment(_write(tmp_path, "env.yaml", text))
+    assert env.n_stripes == 2
+    assert env.stripe_config.start_position == (0.6, 3.0, 2.8)
+    dumped = yaml.safe_dump(environment_to_dict(env))
+    assert load_environment(_write(tmp_path, "env2.yaml", dumped)) == env
+
+
+def test_stripe_config_spacing_not_given_is_none(tmp_path):
+    text = "\n".join(line for line in ENV_YAML.splitlines()
+                     if "spacing" not in line)
+    env = load_environment(_write(tmp_path, "env.yaml", text))
+    assert env.stripe_config.inter_ru_spacing is None
+    assert env.stripe_config.inter_stripe_spacing is None
+    assert "inter_ru_spacing" not in environment_to_dict(env)["stripe_config"]
 
 
 def test_stripe_must_start_with_cu(tmp_path):

@@ -47,7 +47,12 @@ COMMANDS = {
     "calibrate": (["calibrate"], ["gains.csv"]),
     "run-dl-ru2-taps": ([*DL, "--taps"], TAPS),
     "run-ul-ru1-taps": ([*UL, "--taps"], TAPS),
+    "run-dl-ru2-los-channel": (["run", "--channel", "los", "--direction", "dl",
+                                "--ru", "2", "--dump-channel"], ["channel.csv"]),
 }
+
+# the LoS channel does not depend on the fiber domain
+LOS_CHANNEL = "bac8be364dbd787c2bee511407aeccc7237b8693244de88c1e02d09cc69462e3"
 
 DIGESTS = {
     "frequency": {
@@ -67,6 +72,7 @@ DIGESTS = {
             "ab7cee86b2508474c65e1bc5fa38794d589e25c54e3d9d9e28052a658eda894a",
         "run-ul-ru1-taps":
             "5723d42d548790189e7580577efecbc2fba91b2d1cd34bc49cca353a5226b7c3",
+        "run-dl-ru2-los-channel": LOS_CHANNEL,
     },
     "time": {
         "run-dl-ru2":
@@ -85,6 +91,7 @@ DIGESTS = {
             "9b8b311b51ac1e3726a1a68916d9e1c59c27421892e8c8055245594ed0ed1029",
         "run-ul-ru1-taps":
             "701988e31cdb1d194726a7408080042898930b80c77131cc32be90abc6b7489a",
+        "run-dl-ru2-los-channel": LOS_CHANNEL,
     },
 }
 

@@ -232,8 +232,3 @@ def test_am_am_noisy_stage_scatter():
     expected = np.sqrt(p.gain_linear ** 2 * sigma_w2 / 2)
     assert abs(np.std(resid) / expected - 1.0) < 0.02
 
-
-def test_am_am_decimation():
-    x = np.arange(100, dtype=complex)
-    [(_, xs, _)] = am_am_extract([("s", x, x)], decimate=10)
-    assert xs.size == 10

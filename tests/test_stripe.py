@@ -16,7 +16,8 @@ from stripesim.config import (AntennaConfig, ComponentBank,
                               StripeLayout, StripeNode, SubThzConfig, WaveformConfig,
                               load_components, load_environment, load_waveform)
 from stripesim.dataset import generate_synthetic, read_dataset, write_dataset
-from stripesim.errors import CalibrationInfeasible, ConfigError, LengthError
+from stripesim.errors import (CalibrationInfeasible, ConfigError, GridMismatch,
+                              LengthError)
 from stripesim.stripe import (build_stripe, calibrate_gains, make_grid,
                               propagate_downlink, propagate_uplink, run_link)
 from stripesim.touchstone import parse_touchstone
@@ -100,7 +101,7 @@ def test_calibration_ten_db_per_stage():
     result = calibrate_gains(top, target_power_dbm=-10.0, max_gain_db=20.0)
     np.testing.assert_allclose(result.gains_db, 10.0, atol=0.01)
     np.testing.assert_allclose(result.output_powers_dbm, -10.0, atol=0.1)
-    assert result.feasible
+    assert not any(result.clipped)
 
 
 def test_calibration_clipping_warns():
@@ -354,6 +355,27 @@ def test_noise_drawn_for_the_wrong_length_raises(monkeypatch):
     with pytest.raises(LengthError):
         propagate_downlink(top, x, 2, [0.0], seed=1)
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("direction", ["dl", "ul"])
+def test_walk_input_off_the_grid_rate_raises(direction, monkeypatch):
+    """An input sampled at another rate than the stripe grid (here the
+    second uplink branch) is a GridMismatch before any noise is planned."""
+    env = _env(n_rus=3, n_antennas=2, q=128)
+    wf = _wf(n_ofdm_symbols=2, cp_length=8)
+    top = build_stripe(env, _noisy_time_domain_bank(env, wf), 0, make_grid(env, wf), wf)
+    on, off = (TimeWaveform(np.ones(512, complex), rate)
+               for rate in (top.grid.sample_rate, 2 * top.grid.sample_rate))
+
+    def no_plan(*args):
+        raise AssertionError("noise was planned")
+
+    monkeypatch.setattr(stripe, "_noise_draws", no_plan)
+    with pytest.raises(GridMismatch):
+        if direction == "dl":
+            propagate_downlink(top, off, 2, [0.0, 0.0], seed=1)
+        else:
+            propagate_uplink(top, [on, off], 2, [0.0, 0.0], seed=1)
 
 
 def test_noiseless_walks_start_no_thread(monkeypatch):
