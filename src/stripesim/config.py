@@ -144,13 +144,13 @@ class StripeNode:
 class StripeLayout:
     """The stripe_config block; None marks a key the config does not give."""
 
-    n_stripes: int = 1
-    n_rus: int = 1
+    n_stripes: int | None = None
+    n_rus: int | None = None
     inter_ru_spacing: float | None = None
     inter_stripe_spacing: float | None = None
     start_position: tuple | None = None
     end_position: tuple | None = None
-    orientation: str = "x"
+    orientation: str | None = None
 
 
 @dataclass(frozen=True)
@@ -227,19 +227,19 @@ def load_environment(path) -> EnvironmentConfig:
             return parse(sec.get(key), f"stripe_config.{key}") if sec.has(key) else None
 
         layout = StripeLayout(
-            n_stripes=_as_int(sec.get("n_stripes", 1), "stripe_config.n_stripes"),
-            n_rus=_as_int(sec.get("n_rus", 1), "stripe_config.n_rus"),
+            n_stripes=optional("n_stripes", _as_int),
+            n_rus=optional("n_rus", _as_int),
             inter_ru_spacing=optional("inter_ru_spacing", _as_float),
             inter_stripe_spacing=optional("inter_stripe_spacing", _as_float),
             start_position=optional("start_position", _as_xyz),
             end_position=optional("end_position", _as_xyz),
-            orientation=str(sec.get("orientation", "x")).lower(),
+            orientation=optional("orientation", lambda v, _path: str(v).lower()),
         )
         sec.warn_unknown()
-        if layout.orientation not in STRIPE_AXES:
+        if layout.orientation not in (None, *STRIPE_AXES):
             raise SchemaError(f"stripe_config.orientation {layout.orientation!r}: "
                               f"expected one of x, y, z")
-    if layout.n_rus < 1:
+    if layout.n_rus is not None and layout.n_rus < 1:
         raise SchemaError("stripe_config.n_rus must be >= 1")
 
     stripes = []
@@ -261,17 +261,18 @@ def load_environment(path) -> EnvironmentConfig:
                     f"radio_stripes[{si}][{ni}] at {node.position} lies outside the room {room}")
         stripes.append(nodes)
     if top.has("stripe_config"):
-        if layout.n_stripes != len(stripes):
+        if layout.n_stripes not in (None, len(stripes)):
             raise GeometryError(f"stripe_config.n_stripes is {layout.n_stripes} but "
                                 f"radio_stripes lists {len(stripes)} stripes")
         for si, nodes in enumerate(stripes):
-            if len(nodes) - 1 != layout.n_rus:
+            if layout.n_rus not in (None, len(nodes) - 1):
                 raise GeometryError(f"stripe_config.n_rus is {layout.n_rus} but "
                                     f"radio_stripes[{si}] has {len(nodes) - 1} RUs")
             # the axis along which the stripe's nodes spread the most
             spans = [max(n.position[k] for n in nodes) - min(n.position[k] for n in nodes)
                      for k in range(3)]
-            if spans[STRIPE_AXES.index(layout.orientation)] < max(spans):
+            if (layout.orientation is not None
+                    and spans[STRIPE_AXES.index(layout.orientation)] < max(spans)):
                 raise GeometryError(
                     f"stripe_config.orientation is {layout.orientation} but radio_stripes"
                     f"[{si}] runs along {STRIPE_AXES[spans.index(max(spans))]}")
@@ -667,15 +668,12 @@ def validate_cross(env: EnvironmentConfig, wf: WaveformConfig,
 def environment_to_dict(env: EnvironmentConfig) -> dict:
     return {
         "room": {"x": env.room[0], "y": env.room[1], "z": env.room[2]},
+        # only the keys the config gave: an omitted one stays unchecked
         "stripe_config": {
-            "n_stripes": env.stripe_config.n_stripes,
-            "n_rus": env.stripe_config.n_rus,
-            **{key: list(value) if isinstance(value, tuple) else value
-               for key in ("inter_ru_spacing", "inter_stripe_spacing",
-                           "start_position", "end_position")
-               if (value := getattr(env.stripe_config, key)) is not None},
-            "orientation": env.stripe_config.orientation,
-        },
+            key: list(value) if isinstance(value, tuple) else value
+            for key in ("n_stripes", "n_rus", "inter_ru_spacing", "inter_stripe_spacing",
+                        "start_position", "end_position", "orientation")
+            if (value := getattr(env.stripe_config, key)) is not None},
         "radio_stripes": [
             [{"kind": n.kind, "position": list(n.position)} for n in stripe]
             for stripe in env.radio_stripes

@@ -97,3 +97,11 @@ class UnknownKeyWarning(UserWarning):
 
 class TruncationWarning(UserWarning):
     """Impulse-response truncation discarded a notable energy fraction."""
+
+
+class InterSymbolInterferenceRisk(UserWarning):
+    """A time-domain filter keeps more taps than the cyclic prefix spans."""
+
+
+class AntennaCountMismatch(UserWarning):
+    """A dataset's n_tx overrides the configured RU antenna count."""

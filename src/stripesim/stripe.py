@@ -20,20 +20,24 @@ Buffers. A walk never writes the arrays it is given (``wf_in``,
 ``branch_waveforms``). Each stage writes its output over the walk's
 current waveform when the walk owns it, that is when the walk or a
 stage before it made that array. Otherwise it writes into the calling
-thread's workspace, arrays kept for the last waveform shape that the
-next walk on the thread overwrites: the trunk, a second uplink branch,
-the per-symbol FFT body and the noise-draw slots. The downlink split
-and the uplink's last stage (the CU receive amplifier) write fresh
-arrays, so whatever leaves a walk or a link is an array no later walk
-touches: the downlink branch waveforms, the uplink output, every
+thread's workspace (`waveform._thread_workspace`), arrays kept for the
+last shape asked for that the next walk on the thread overwrites: the
+trunk, a second uplink branch, the per-symbol FFT spectrum and the
+noise-draw slots. The OFDM pair at the link ends transforms in that
+same spectrum, so a link makes no other spectrum; calibration, whose
+reference is shorter, runs on a workspace of its own. The downlink
+split and the uplink's last stage (the CU receive amplifier) write
+fresh arrays, so whatever leaves a walk or a link is an array no later
+walk touches: the downlink branch waveforms, the uplink output, every
 `LinkResult` array and, when taps are recorded, every tap (each stage
 then writes a fresh array, so a recorded array keeps its value).
+`run_link` drops each waveform- or grid-sized array once it is used,
+so later ones reuse its memory rather than fresh pages.
 """
 
 from __future__ import annotations
 
 import functools
-import threading
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -50,14 +54,16 @@ from .channel import (ChannelRealization, TdlParams, add_awgn,
                       tdl_channel, timing_advance)
 from .config import (ComponentBank, EnvironmentConfig, LinearElementSpec,
                      WaveformConfig, validate_cross)
-from .errors import (CalibrationInfeasible, ConfigError, GridMismatch,
-                     LengthError, TruncationWarning)
+from .errors import (AntennaCountMismatch, CalibrationInfeasible, ConfigError,
+                     GridMismatch, InterSymbolInterferenceRisk, LengthError,
+                     TruncationWarning)
 from .metrics import MetricReport, estimate_channel, report
 from .touchstone import interpolate_s21, to_impulse_response
-from .waveform import (ResourceGrid, SubcarrierGrid, build_resource_grid,
-                       extract_symbols, map_qam, ofdm_modulate, pilot_mask,
-                       pilot_sequence, set_power, synthesize_symbols,
-                       TimeWaveform)
+from .waveform import (ResourceGrid, SubcarrierGrid, TimeWaveform, _own_workspace,
+                       _power_scale, _thread_workspace, _Workspace,
+                       build_resource_grid, extract_symbols, map_qam,
+                       ofdm_modulate, pilot_mask, pilot_sequence,
+                       synthesize_symbols)
 
 CU_NODE = 0  # node ids within a stripe: CU = 0, RU i = i + 1
 
@@ -163,32 +169,6 @@ def build_stripe(env: EnvironmentConfig, bank: ComponentBank, stripe_id: int,
 # ---------------------------------------------------------------------------
 # Chain propagation machinery
 # ---------------------------------------------------------------------------
-
-class _Workspace:
-    """Arrays that walks overwrite stage after stage; each name keeps only
-    the array of the last shape asked for."""
-
-    def __init__(self):
-        self._arrays = {}
-
-    def get(self, name: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
-        a = self._arrays.get(name)
-        if a is None or a.shape != shape or a.dtype != dtype:
-            a = self._arrays[name] = np.empty(shape, dtype)
-        return a
-
-
-_threads = threading.local()
-
-
-def _thread_workspace() -> _Workspace:
-    """The calling thread's workspace: links on one thread run one at a
-    time, so they can share it; links on other threads never see it."""
-    ws = getattr(_threads, "workspace", None)
-    if ws is None:
-        ws = _threads.workspace = _Workspace()
-    return ws
-
 
 @dataclass
 class _Chain:
@@ -580,43 +560,47 @@ def calibrate_gains(top: StripeTopology, target_power_dbm: float,
     ref_bits = streams.stream(seed, "calibration-reference").integers(
         0, 2, 2 * grid.num_subcarriers * 2)
     symbols = map_qam(ref_bits, 4).reshape(grid.num_subcarriers, 2)
-    ref = TimeWaveform(synthesize_symbols(symbols, grid, wf.cp_length),
-                       sample_rate=grid.sample_rate)
     target_w = 10.0 ** ((target_power_dbm - 30.0) / 10.0)
     max_gain = 10.0 ** (max_gain_db / 10.0)
+    gains, clipped, p_in, p_out = [], [], [], []
 
     # a workspace of its own: the reference is shorter than a link's
     # waveform, and the thread's workspace keeps the link's shapes
-    chain = _Chain(wf=ref, cp_samples=wf.cp_length * grid.oversampling,
-                   n_fft=grid.n_fft, linear_only=True, ws=_Workspace(), owned=True)
+    with _own_workspace():
+        chain = _Chain(wf=TimeWaveform(synthesize_symbols(symbols, grid, wf.cp_length),
+                                       sample_rate=grid.sample_rate),
+                       cp_samples=wf.cp_length * grid.oversampling,
+                       n_fft=grid.n_fft, linear_only=True, owned=True)
 
-    def _passband_power() -> float:
-        # mean power over the second symbol's bins: past any filter
-        # transient and free of cyclic-prefix duplication bias
-        bins = extract_symbols(chain.wf.samples, grid, wf.cp_length, 2)
-        return float(np.mean(np.abs(bins[:, 1]) ** 2))
+        def _passband_power() -> float:
+            # mean power over the second symbol's bins: past any filter
+            # transient and free of cyclic-prefix duplication bias
+            bins = extract_symbols(chain.wf.samples, grid, wf.cp_length, 2)
+            return float(np.mean(np.abs(bins[:, 1]) ** 2))
 
-    # normalize so the measured passband power of the injected reference
-    # is exactly the target (injection and measurement share one meter)
-    chain.wf = ref.with_samples(ref.samples * np.sqrt(target_w / _passband_power()))
+        def scale(gain: float):
+            np.multiply(chain.wf.samples, np.sqrt(gain), out=chain.wf.samples)
 
-    gains, clipped, p_in, p_out = [], [], [], []
+        # normalize so the measured passband power of the injected reference
+        # is exactly the target (injection and measurement share one meter)
+        scale(target_w / _passband_power())
 
-    def meter():
-        # stands in for a booster: sets its gain from the power it meters
-        power_in = _passband_power()
-        gain = target_w / power_in
-        clipped.append(gain > max_gain)
-        gain = min(gain, max_gain)
-        np.multiply(chain.wf.samples, np.sqrt(gain), out=chain.wf.samples)
-        gains.append(10.0 * np.log10(gain))
-        p_in.append(_dbm(power_in))
-        p_out.append(_dbm(power_in * gain))
+        def meter():
+            # stands in for a booster: sets its gain from the power it meters
+            power_in = _passband_power()
+            gain = target_w / power_in
+            clipped.append(gain > max_gain)
+            gain = min(gain, max_gain)
+            scale(gain)
+            gains.append(10.0 * np.log10(gain))
+            p_in.append(_dbm(power_in))
+            p_out.append(_dbm(power_in * gain))
 
-    # the whole trunk, each booster's stream unused and its stage metered
-    trunk = _trunk(top, top.n_rus, lambda node, tag: None)
-    _run_stages(chain, [(label, meter, None) if isinstance(params, comp.AmplifierParams)
-                        else (label, params, arg) for label, params, arg in trunk])
+        # the whole trunk, each booster's stream unused and its stage metered
+        trunk = _trunk(top, top.n_rus, lambda node, tag: None)
+        _run_stages(chain, [(label, meter, None)
+                            if isinstance(params, comp.AmplifierParams)
+                            else (label, params, arg) for label, params, arg in trunk])
     if any(clipped):
         bad = [i for i, c in enumerate(clipped) if c]
         warnings.warn(f"boosters {bad} clipped at max_gain={max_gain_db} dB; "
@@ -712,6 +696,11 @@ def _ota_noise(y: np.ndarray, bank: ComponentBank, grid: SubcarrierGrid,
     return y
 
 
+# the warning class of each `validate_cross` warning code
+_CROSS_CHECK_WARNINGS = {cls.__name__: cls for cls in (AntennaCountMismatch,
+                                                       InterSymbolInterferenceRisk)}
+
+
 def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank,
              channel_source, ue_index: int, stripe_id: int, active_ru: int,
              direction: str = "dl", seed: int = 0, *,
@@ -732,6 +721,9 @@ def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank
     check = validate_cross(env, wf_cfg, bank, dataset_header)
     if not check.ok:
         raise ConfigError("; ".join(f"{e.code}: {e.message}" for e in check.errors))
+    for issue in check.warnings:
+        warnings.warn(f"{issue.code}: {issue.message}", _CROSS_CHECK_WARNINGS[issue.code],
+                      stacklevel=2)
     n_rus = len(env.stripe_nodes(stripe_id)) - 1
     if not 0 <= active_ru < n_rus:
         raise ConfigError(f"active_ru {active_ru} out of range [0, {n_rus})")
@@ -765,8 +757,8 @@ def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank
     # and transmit waveform are prepared. Calibration changes booster gains
     # only, so the uncalibrated stripe sizes the same draws.
     s = wf_cfg.n_ofdm_symbols
-    stream, draws = _plan_noise(topology, active_ru, seed, direction,
-                                s * (grid.n_fft + wf_cfg.cp_length * grid.oversampling))
+    n_samples = s * (grid.n_fft + wf_cfg.cp_length * grid.oversampling)
+    stream, draws = _plan_noise(topology, active_ru, seed, direction, n_samples)
     ota_rng = streams.stream(seed, "ota-noise")
     if ota_snr_db is not None or bank.receiver.nf_db is not None:
         ota = (ota_rng, (2, grid.num_subcarriers, n_rx if direction == "dl" else n_tx, s))
@@ -788,37 +780,50 @@ def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank
                           grid.num_subcarriers, wf_cfg.n_ofdm_symbols)
         m = int(np.log2(wf_cfg.qam_order))
         n_bits = int(np.count_nonzero(~mask)) * m
-        bits = streams.stream(seed, "data-bits").integers(0, 2, n_bits)
-        tx_grid = build_resource_grid(bits, wf_cfg, grid, seed)
-        tx_wf = set_power(ofdm_modulate(tx_grid, grid, wf_cfg.cp_length),
-                          wf_cfg.tx_power)
+        tx_grid = build_resource_grid(streams.stream(seed, "data-bits").integers(0, 2, n_bits),
+                                      wf_cfg, grid, seed)
+        tx_wf = ofdm_modulate(tx_grid, grid, wf_cfg.cp_length)
+        # scale the modulator's fresh array in place, as set_power would
+        np.multiply(tx_wf.samples, _power_scale(tx_wf, wf_cfg.tx_power), out=tx_wf.samples)
 
+        # each waveform- or grid-sized array is dropped once used, so the
+        # arrays made after it reuse its memory instead of fresh pages
         if direction == "dl":
             branches, taps, offset = propagate_downlink(
                 topology, tx_wf, active_ru, beam_phases, seed, record_taps, noise=noise)
-            branch_grids = np.stack(
-                [extract_symbols(b.samples[offset:offset + tx_wf.samples.size],
-                                 grid, wf_cfg.cp_length, s) for b in branches],
-                axis=1)  # (Q, n_tx, S)
+            del tx_wf
+            branch_grids = np.empty((grid.num_subcarriers, n_tx, s), dtype=np.complex128)
+            for b, branch in enumerate(branches):
+                extract_symbols(branch.samples[offset:offset + n_samples],
+                                grid, wf_cfg.cp_length, s, out=branch_grids[:, b, :])
             air = apply_channel(branch_grids, realization)  # (Q, n_rx, S)
+            del branch_grids
             air = _ota_noise(air, bank, grid, noise.source(ota_rng), ota_snr_db)
             rx_symbols = air.sum(axis=1)  # coherent UE combining
+            del air
         else:
-            ue_grid = extract_symbols(tx_wf.samples, grid, wf_cfg.cp_length, s)
-            ue_elems = np.repeat(ue_grid[:, None, :], n_rx, axis=1) / np.sqrt(n_rx)
+            # the UE's grid on each of its elements, at 1/sqrt(n_rx) amplitude
+            ue_elems = np.empty((grid.num_subcarriers, n_rx, s), dtype=np.complex128)
+            ue_grid = extract_symbols(tx_wf.samples, grid, wf_cfg.cp_length, s,
+                                      out=ue_elems[:, 0, :])
+            del tx_wf
+            ue_grid /= np.sqrt(n_rx)
+            ue_elems[:, 1:, :] = ue_grid[:, None, :]
             up = realization.transposed()  # (Q, n_tx_ru, n_rx_ue)
             at_ru = apply_channel(ue_elems, up)  # (Q, n_tx_ru, S)
+            del ue_elems, ue_grid
             at_ru = _ota_noise(at_ru, bank, grid, noise.source(ota_rng), ota_snr_db)
             branches = [TimeWaveform(
                 synthesize_symbols(at_ru[:, b, :], grid, wf_cfg.cp_length),
                 sample_rate=grid.sample_rate)
                 for b in range(n_tx)]
+            del at_ru
             cu_wf, taps, offset = propagate_uplink(
                 topology, branches, active_ru, beam_phases, seed, record_taps,
                 noise=noise)
-            rx_symbols = extract_symbols(
-                cu_wf.samples[offset:offset + tx_wf.samples.size],
-                grid, wf_cfg.cp_length, s)
+            rx_symbols = extract_symbols(cu_wf.samples[offset:offset + n_samples],
+                                         grid, wf_cfg.cp_length, s)
+            del cu_wf
     branch_out = tuple(branches)
 
     # receiver timing sync: rotate the channel's bulk delay off the grid

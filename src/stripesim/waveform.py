@@ -14,10 +14,24 @@ Conventions
   resource-grid power; absolute power is then set once by `set_power`.
 * ``cp_length`` is counted in critical-rate samples and multiplied by the
   oversampling factor internally, keeping configs os-independent.
+
+Scratch and exactness
+---------------------
+* The OFDM pair writes its per-symbol spectrum into the calling thread's
+  workspace (`_thread_workspace`, the one the stripe walk also uses) and
+  makes no other scratch: bins go straight into FFT order, and the
+  transforms run in place of the shift-and-copy steps they replace.
+* The mapper looks each symbol up in a per-order table built by the
+  mapping arithmetic; the demapper slices each axis on its own and
+  returns exactly the bits of a full minimum-distance search, falling
+  back to that search where rounding could make the two differ.
 """
 
 from __future__ import annotations
 
+import functools
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +42,48 @@ from . import streams
 
 def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
+
+
+# ---------------------------------------------------------------------------
+# Per-thread scratch
+# ---------------------------------------------------------------------------
+
+class _Workspace:
+    """Arrays that walks and the OFDM pair overwrite call after call; each
+    name keeps only the array of the last shape asked for."""
+
+    def __init__(self):
+        self._arrays = {}
+
+    def get(self, name: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
+        a = self._arrays.get(name)
+        if a is None or a.shape != shape or a.dtype != dtype:
+            a = self._arrays[name] = np.empty(shape, dtype)
+        return a
+
+
+_threads = threading.local()
+
+
+def _thread_workspace() -> _Workspace:
+    """The calling thread's workspace: links on one thread run one at a
+    time, so they can share it; links on other threads never see it."""
+    ws = getattr(_threads, "workspace", None)
+    if ws is None:
+        ws = _threads.workspace = _Workspace()
+    return ws
+
+
+@contextmanager
+def _own_workspace():
+    """Give the block a fresh workspace as the thread's, then restore the
+    thread's own: work on other shapes leaves the thread's arrays be."""
+    saved = _thread_workspace()
+    _threads.workspace = _Workspace()
+    try:
+        yield
+    finally:
+        _threads.workspace = saved
 
 
 @dataclass(frozen=True)
@@ -99,7 +155,8 @@ class TimeWaveform:
     @property
     def power(self) -> float:
         """Mean |x|^2 over all samples."""
-        return float(np.mean(np.abs(self.samples) ** 2))
+        p = np.abs(self.samples)
+        return float(np.mean(np.square(p, out=p)))
 
     def with_samples(self, samples: np.ndarray) -> "TimeWaveform":
         return replace(self, samples=samples)
@@ -172,6 +229,27 @@ def _axis_levels(bits: np.ndarray, bits_per_axis: int) -> np.ndarray:
     return (n_levels - 1) - 2 * _gray_decode(words)
 
 
+def _word_bits(order: int) -> np.ndarray:
+    """(M, m) int8 bits of every word, most significant bit first."""
+    m = _bits_per_symbol(order)
+    words = np.arange(order)
+    return ((words[:, None] >> np.arange(m - 1, -1, -1)[None, :]) & 1).astype(np.int8)
+
+
+@functools.cache
+def _qam_table(order: int) -> np.ndarray:
+    """All M constellation points indexed by the integer bit word, from
+    the mapping arithmetic; read-only, shared by every call."""
+    bits = _word_bits(order)
+    half = bits.shape[1] // 2
+    i_lv = _axis_levels(bits[:, :half], half)
+    q_lv = _axis_levels(bits[:, half:], half)
+    norm = np.sqrt(2.0 * (order - 1) / 3.0)
+    table = (i_lv + 1j * q_lv) / norm
+    table.flags.writeable = False
+    return table
+
+
 def map_qam(bits, order: int) -> np.ndarray:
     """Gray-mapped square QAM symbols with unit average energy.
 
@@ -180,36 +258,35 @@ def map_qam(bits, order: int) -> np.ndarray:
     the all-zero word on the most positive amplitude, and the constellation
     is normalized by sqrt(2*(M-1)/3) so E|s|^2 = 1.
     """
-    bits = np.asarray(bits, dtype=np.int64).ravel()
     m = _bits_per_symbol(order)
+    word = np.min_scalar_type(order - 1)
+    bits = np.asarray(bits, dtype=word).ravel()
     if bits.size % m != 0:
         raise LengthError(f"bit count {bits.size} not divisible by {m}")
-    words = bits.reshape(-1, m)
-    half = m // 2
-    i_lv = _axis_levels(words[:, :half], half)
-    q_lv = _axis_levels(words[:, half:], half)
-    norm = np.sqrt(2.0 * (order - 1) / 3.0)
-    return (i_lv + 1j * q_lv) / norm
+    words = bits.reshape(-1, m) @ (1 << np.arange(m - 1, -1, -1)).astype(word)
+    return _qam_table(order)[words]
 
 
 def constellation(order: int) -> np.ndarray:
     """All M constellation points indexed by the integer bit word."""
-    m = _bits_per_symbol(order)
-    words = np.arange(order)
-    bits = (words[:, None] >> np.arange(m - 1, -1, -1)[None, :]) & 1
-    return map_qam(bits.ravel(), order)
+    return _qam_table(order).copy()
 
 
-def demap_qam(symbols, order: int) -> np.ndarray:
-    """Hard-decision demapping (minimum Euclidean distance).
+@functools.cache
+def _slicer_tables(order: int) -> tuple:
+    """(Gray word of each level index, (M, m) bits of each word); read-only."""
+    k = np.arange(1 << (_bits_per_symbol(order) // 2))
+    tables = k ^ (k >> 1), _word_bits(order)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
-    Ties on a decision boundary resolve to the smallest constellation
-    index, i.e. the smallest bit word.
-    """
-    symbols = np.asarray(symbols, dtype=np.complex128).ravel()
-    m = _bits_per_symbol(order)
-    points = constellation(order)
-    idx = np.empty(symbols.size, dtype=np.int64)
+
+def _nearest_points(symbols: np.ndarray, order: int) -> np.ndarray:
+    """Index of the nearest constellation point by full search; ties go
+    to the smallest index."""
+    points = _qam_table(order)
+    idx = np.empty(symbols.size, dtype=np.intp)
     # chunked full search keeps the tie-break exact without a big matrix;
     # a 1 MB block of distances stays in cache and adds little to the peak
     chunk = max(1, (1 << 16) // order)
@@ -217,8 +294,58 @@ def demap_qam(symbols, order: int) -> np.ndarray:
         block = symbols[start:start + chunk]
         d2 = np.abs(block[:, None] - points[None, :]) ** 2
         idx[start:start + block.size] = np.argmin(d2, axis=1)
-    bits = (idx[:, None] >> np.arange(m - 1, -1, -1)[None, :]) & 1
-    return bits.ravel().astype(np.int8)
+    return idx
+
+
+# relative distance to a decision threshold below which rounding in the
+# full search could pick another point than the per-axis slicer; the
+# search's own rounding is below 1e-14 of the same scale
+_SLICE_MARGIN = 1e-12
+
+
+def demap_qam(symbols, order: int) -> np.ndarray:
+    """Hard-decision demapping (minimum Euclidean distance).
+
+    Ties on a decision boundary resolve to the smallest constellation
+    index, i.e. the smallest bit word.
+
+    Each axis is sliced on its own: in level units t = v*norm the levels
+    are the odd integers, level index k = clip(rint(((L-1) - t)/2)). A
+    symbol within about 1e-12*(t_I^2 + t_Q^2 + L^2) of a threshold, or not
+    finite, goes through the full search instead, so the bits equal the
+    full search's on every input.
+    """
+    symbols = np.asarray(symbols, dtype=np.complex128).ravel()
+    gray, bits = _slicer_tables(order)
+    n_levels = gray.size
+    norm = np.sqrt(2.0 * (order - 1) / 3.0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        t_i = symbols.real * norm
+        t_q = symbols.imag * norm
+        margin = np.multiply(t_i, t_i)
+        margin += np.square(t_q)
+        margin += n_levels * n_levels
+        margin *= _SLICE_MARGIN
+        safe = np.ones(symbols.size, dtype=bool)
+        levels = []
+        for t in (t_i, t_q):
+            # r: position in level-index units, thresholds at half-integers
+            r = np.subtract(n_levels - 1, t, out=t)
+            r *= 0.5
+            k = np.rint(r)
+            r -= k
+            np.abs(r, out=r)
+            np.subtract(0.5, r, out=r)  # distance to the nearest threshold
+            safe &= r > margin  # False for NaN
+            levels.append(np.clip(k, 0, n_levels - 1, out=k))
+    k_i, k_q = levels
+    unsafe = np.flatnonzero(~safe)  # almost always empty
+    k_i[unsafe] = k_q[unsafe] = 0  # a NaN level casts to no index
+    idx = gray[k_i.astype(np.intp)]
+    idx <<= bits.shape[1] // 2
+    idx |= gray[k_q.astype(np.intp)]
+    idx[unsafe] = _nearest_points(symbols[unsafe], order)
+    return bits[idx].ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -277,43 +404,56 @@ def build_resource_grid(bits, wf_cfg, grid: SubcarrierGrid, seed: int) -> Resour
 # OFDM modulation
 # ---------------------------------------------------------------------------
 
-def _embed_centered(symbols: np.ndarray, n_fft: int) -> np.ndarray:
-    """Place Q bins centered into (S, n_fft) zero-padded spectra."""
-    q, s = symbols.shape
-    spec = np.zeros((s, n_fft), dtype=np.complex128)
-    lo = n_fft // 2 - q // 2
-    spec[:, lo:lo + q] = symbols.T
-    return spec
-
-
 def synthesize_symbols(symbols: np.ndarray, grid: SubcarrierGrid, cp_length: int) -> np.ndarray:
-    """Time samples for a Q x S symbol array (CP included), no power scaling."""
+    """Time samples for a Q x S symbol array (CP included), no power scaling.
+
+    The bins go straight into FFT order in the thread's scratch spectrum
+    (centered bin i at (i - Q/2) mod n_fft, guard bins zero) and are
+    inverse-transformed into the body of each frame of the fresh result.
+    """
     n = grid.n_fft
     cp = cp_length * grid.oversampling
     if cp >= n:
         raise ConfigError(f"cyclic prefix ({cp}) must be shorter than the FFT ({n})")
     if cp < 0:
         raise ConfigError("cp_length must be >= 0")
-    spec = np.fft.ifftshift(_embed_centered(symbols, n), axes=1)
-    body = np.fft.ifft(spec, axis=1) * (n / np.sqrt(grid.num_subcarriers))
-    if cp:
-        body = np.concatenate([body[:, -cp:], body], axis=1)
-    return body.reshape(-1)
+    q, s = symbols.shape
+    half = q // 2
+    spec = _thread_workspace().get("fft_body", (s, n))
+    spec[:, :q - half] = symbols[half:].T
+    spec[:, q - half:n - half] = 0.0
+    spec[:, n - half:] = symbols[:half].T
+    out = np.empty((s, n + cp), dtype=np.complex128)
+    body = np.fft.ifft(spec, axis=1, out=out[:, cp:])
+    body *= n / np.sqrt(grid.num_subcarriers)
+    out[:, :cp] = body[:, n - cp:]
+    return out.reshape(-1)
 
 
 def extract_symbols(samples: np.ndarray, grid: SubcarrierGrid, cp_length: int,
-                    n_symbols: int) -> np.ndarray:
-    """Inverse of `synthesize_symbols`: Q x S symbol array from samples."""
+                    n_symbols: int, *, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of `synthesize_symbols`: Q x S symbol array from samples.
+
+    The result is a fresh transposed C-order array, or ``out`` (Q x S)
+    when given; the transform runs in the thread's scratch spectrum.
+    """
     n = grid.n_fft
+    q = grid.num_subcarriers
     cp = cp_length * grid.oversampling
     frame = n + cp
     expected = n_symbols * frame
     if samples.size != expected:
         raise LengthError(f"waveform has {samples.size} samples, expected {expected}")
     body = samples.reshape(n_symbols, frame)[:, cp:]
-    spec = np.fft.fftshift(np.fft.fft(body, axis=1), axes=1)
-    lo = n // 2 - grid.num_subcarriers // 2
-    return (spec[:, lo:lo + grid.num_subcarriers] / (n / np.sqrt(grid.num_subcarriers))).T
+    spec = np.fft.fft(body, axis=1,
+                      out=_thread_workspace().get("fft_body", (n_symbols, n)))
+    if out is None:
+        out = np.empty((n_symbols, q), dtype=np.complex128).T
+    half = q // 2
+    scale = n / np.sqrt(q)
+    np.divide(spec[:, n - half:], scale, out=out[:half].T)
+    np.divide(spec[:, :q - half], scale, out=out[half:].T)
+    return out
 
 
 def ofdm_modulate(rg: ResourceGrid, grid: SubcarrierGrid, cp_length: int) -> TimeWaveform:
@@ -327,10 +467,15 @@ def ofdm_modulate(rg: ResourceGrid, grid: SubcarrierGrid, cp_length: int) -> Tim
     return TimeWaveform(samples=samples, sample_rate=grid.sample_rate)
 
 
-def set_power(wf: TimeWaveform, p_dbm: float) -> TimeWaveform:
-    """Scale so mean |x|^2 equals the dBm target (1-ohm reference)."""
+def _power_scale(wf: TimeWaveform, p_dbm: float) -> float:
+    """The amplitude factor that brings mean |x|^2 to the dBm target."""
     current = wf.power
     if current == 0.0:
         raise ZeroSignal("cannot set the power of an all-zero waveform")
     target = 10.0 ** ((p_dbm - 30.0) / 10.0)
-    return wf.with_samples(wf.samples * np.sqrt(target / current))
+    return np.sqrt(target / current)
+
+
+def set_power(wf: TimeWaveform, p_dbm: float) -> TimeWaveform:
+    """Scale so mean |x|^2 equals the dBm target (1-ohm reference)."""
+    return wf.with_samples(wf.samples * _power_scale(wf, p_dbm))

@@ -14,7 +14,10 @@ from stripesim.channel import ChannelRealization
 from stripesim.cli import _export_channel, main
 from stripesim.waveform import SubcarrierGrid
 
-from conftest import COMP_YAML, ENV_YAML, LAST_RU, TWO_STRIPES, flat_s2p
+from stripesim.errors import AntennaCountMismatch, InterSymbolInterferenceRisk
+
+from conftest import (COMP_YAML, ENV_YAML, LAST_RU, TWO_STRIPES, flat_s2p,
+                      s2p_from_taps)
 
 
 def _run(*argv) -> int:
@@ -167,6 +170,33 @@ def test_dataset_without_the_ru_exits_config(config_tree, tmp_path, capsys, comm
                 "--out", tmp_path / "o")
     assert code == 2
     assert "internal error" not in capsys.readouterr().err
+
+
+def test_dataset_overriding_the_antenna_count_warns(config_tree, tmp_path):
+    """A 4 x 4 dataset on the one-antenna test scenario runs with four RU
+    antennas, and says so."""
+    assert _run("gen-channels", "--env", config_tree["env"], "--model", "los",
+                "--n-tx", "4", "--n-rx", "4", "--out", tmp_path / "cfr") == 0
+    with pytest.warns(AntennaCountMismatch, match="AntennaCountMismatch: .*n_tx=4"):
+        code = _run("run", *_base_flags(config_tree), "--channel",
+                    f"dataset:{tmp_path / 'cfr'}", "--ru", "1", "--out", tmp_path / "o")
+    assert code == 0
+
+
+def test_time_domain_taps_beyond_the_cp_warn(config_tree, tmp_path):
+    """A time-domain fiber keeping 64 taps against a 32-sample CP runs, and
+    says that symbols may interfere."""
+    configs = config_tree["components"].parent
+    (configs / "fiber.s2p").write_text(
+        s2p_from_taps([0.8, 0.15j, 0.05], 157.75e9, 6e9, n_points=512))
+    config_tree["components"].write_text(COMP_YAML.replace(
+        "fiber: {model: ideal}", "fiber: {model: s2p_filter, file: fiber.s2p, "
+        "domain: time, taps: 64}"))
+    with pytest.warns(InterSymbolInterferenceRisk,
+                      match="InterSymbolInterferenceRisk: fiber: .*64 taps"):
+        code = _run("run", *_base_flags(config_tree), "--channel", "identity",
+                    "--ru", "1", "--out", tmp_path / "o")
+    assert code == 0
 
 
 def test_cli_import_loads_no_scipy():

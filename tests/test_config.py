@@ -80,6 +80,29 @@ def test_stripe_config_spacing_not_given_is_none(tmp_path):
     assert "inter_ru_spacing" not in environment_to_dict(env)["stripe_config"]
 
 
+@pytest.mark.parametrize("omitted", ["N_RUs: 3", "N_stripes: 1", "orientation: x"])
+def test_stripe_config_key_not_given_is_none(omitted, tmp_path):
+    """An omitted count or orientation is not checked (it used to be
+    checked against 1 or x), and a snapshot leaves it out."""
+    text = "\n".join(line for line in ENV_YAML.splitlines() if omitted not in line)
+    env = load_environment(_write(tmp_path, "env.yaml", text))
+    key = {"N_RUs: 3": "n_rus", "N_stripes: 1": "n_stripes",
+           "orientation: x": "orientation"}[omitted]
+    assert getattr(env.stripe_config, key) is None
+    dumped = environment_to_dict(env)
+    assert key not in dumped["stripe_config"]
+    assert load_environment(_write(tmp_path, "env2.yaml", yaml.safe_dump(dumped))) == env
+
+
+def test_stripe_config_orientation_not_given_allows_any_axis(tmp_path):
+    # the test stripe turned to run along y, with no orientation key
+    text = ENV_YAML.replace("  orientation: x\n", "")
+    for x in ("0.6", "1.1", "1.6"):
+        text = text.replace(f"[{x}, 3.0, 2.8]", f"[0.1, {float(x) + 2.9:.1f}, 2.8]")
+    env = load_environment(_write(tmp_path, "env.yaml", text))
+    assert [n.position[1] for n in env.radio_stripes[0]] == [3.0, 3.5, 4.0, 4.5]
+
+
 def test_stripe_must_start_with_cu(tmp_path):
     bad = ENV_YAML.replace("- - {kind: central_unit, position: [0.1, 3.0, 2.8]}",
                            "- - {kind: radio_unit, position: [0.1, 3.0, 2.8]}")

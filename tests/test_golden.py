@@ -123,3 +123,50 @@ def test_cli_outputs_match_recorded_digests(domain, config_tree, tmp_path):
         assert main([str(a) for a in [*argv, *flags, "--out", out]]) == 0, name
         got[name] = _digest(out, patterns)
     assert got == DIGESTS[domain]
+
+
+# Other grids than the example's: QAM 4, 64 and 256 on a 1x-oversampled
+# grid with no cyclic prefix and block pilots, in both directions, with
+# every impairment on (frequency-domain fiber). The taps pin the OFDM
+# waveforms; metrics.csv pins the demapped bits through the BER.
+OTHER_GRID_WF = """\
+waveform_type: cp-ofdm
+n_ofdm_symbols: 4
+qam_order: %d
+oversampling_factor: 1
+cp_length: 0
+pilot_spacing: 8
+pilot_mode: block
+tx_power: 0.0
+"""
+
+OTHER_GRID_DIGESTS = {
+    "dl-qam4":
+        "c4e9c40a9ba42d6596edcf79b1fd86d6141d519e954a99eafd145c173d7076bb",
+    "ul-qam4":
+        "639a6e3ae117fb2539d14681c28fb0ecc5c2eace460e53bc1747d9436d9fc5a6",
+    "dl-qam64":
+        "03d48774b47e37775a9fb70bcb0bc6100fabd8237179d76789f428f3702be1b9",
+    "ul-qam64":
+        "3b6d318fb9113209744c945fa5a8d56afc35d2027f367e35664744f580af6900",
+    "dl-qam256":
+        "4eb267586d8616257f6815cb9eb92376538de081cbb3c37480015fdb8c8b00e7",
+    "ul-qam256":
+        "15f0e5eb105aab0991b83e79a52ea436d6d15c602b53f519b48c74e4633a5cb9",
+}
+
+
+@pytest.mark.parametrize("direction", ["dl", "ul"])
+@pytest.mark.parametrize("order", [4, 64, 256])
+def test_other_grids_match_recorded_digests(order, direction, config_tree, tmp_path):
+    configs = config_tree["components"].parent
+    (configs / "fiber.s2p").write_text(
+        s2p_from_taps([0.8, 0.15j, 0.05], 157.75e9, 6e9, n_points=512))
+    config_tree["components"].write_text(COMPONENTS % "frequency")
+    config_tree["waveform"].write_text(OTHER_GRID_WF % order)
+    out = tmp_path / "out"
+    argv = [*(DL if direction == "dl" else UL), "--taps",
+            "--env", config_tree["env"], "--waveform", config_tree["waveform"],
+            "--components", config_tree["components"], "--seed", "5", "--out", out]
+    assert main([str(a) for a in argv]) == 0
+    assert _digest(out, [*TAPS, "metrics.csv"]) == OTHER_GRID_DIGESTS[f"{direction}-qam{order}"]

@@ -1,0 +1,227 @@
+"""The link-end kernels against the implementations they replaced, bit for
+bit: the table QAM mapper, the per-axis slicer and the copy-free OFDM
+pair. The reference copies below are the straightforward versions (an
+arithmetic mapper, a full minimum-distance search, shift-and-copy
+transforms); a kernel that differs from them in one bit fails here.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from stripesim.waveform import (SubcarrierGrid, demap_qam, extract_symbols,
+                                map_qam, synthesize_symbols)
+
+ORDERS = (4, 16, 64, 256)
+
+
+# ---------------------------------------------------------------------------
+# Reference kernels
+# ---------------------------------------------------------------------------
+
+def _ref_gray_decode(g):
+    b = g.copy()
+    shift = 1
+    while shift < 64:
+        b ^= b >> shift
+        shift *= 2
+    return b
+
+
+def _ref_axis_levels(bits, bits_per_axis):
+    weights = 1 << np.arange(bits_per_axis - 1, -1, -1)
+    words = bits.astype(np.int64) @ weights
+    return ((1 << bits_per_axis) - 1) - 2 * _ref_gray_decode(words)
+
+
+def _ref_map_qam(bits, order):
+    bits = np.asarray(bits, dtype=np.int64).ravel()
+    m = int(np.log2(order))
+    words = bits.reshape(-1, m)
+    half = m // 2
+    i_lv = _ref_axis_levels(words[:, :half], half)
+    q_lv = _ref_axis_levels(words[:, half:], half)
+    return (i_lv + 1j * q_lv) / np.sqrt(2.0 * (order - 1) / 3.0)
+
+
+def _all_words(order):
+    m = int(np.log2(order))
+    return (np.arange(order)[:, None] >> np.arange(m - 1, -1, -1)[None, :]) & 1
+
+
+def _ref_demap_qam(symbols, order):
+    symbols = np.asarray(symbols, dtype=np.complex128).ravel()
+    m = int(np.log2(order))
+    points = _ref_map_qam(_all_words(order).ravel(), order)
+    d2 = np.abs(symbols[:, None] - points[None, :]) ** 2
+    idx = np.argmin(d2, axis=1)
+    return (((idx[:, None] >> np.arange(m - 1, -1, -1)[None, :]) & 1)
+            .ravel().astype(np.int8))
+
+
+def _ref_synthesize(symbols, grid, cp_length):
+    n = grid.n_fft
+    cp = cp_length * grid.oversampling
+    q, s = symbols.shape
+    spec = np.zeros((s, n), dtype=np.complex128)
+    lo = n // 2 - q // 2
+    spec[:, lo:lo + q] = symbols.T
+    body = np.fft.ifft(np.fft.ifftshift(spec, axes=1), axis=1) * (
+        n / np.sqrt(grid.num_subcarriers))
+    if cp:
+        body = np.concatenate([body[:, -cp:], body], axis=1)
+    return body.reshape(-1)
+
+
+def _ref_extract(samples, grid, cp_length, n_symbols):
+    n = grid.n_fft
+    cp = cp_length * grid.oversampling
+    body = samples.reshape(n_symbols, n + cp)[:, cp:]
+    spec = np.fft.fftshift(np.fft.fft(body, axis=1), axes=1)
+    lo = n // 2 - grid.num_subcarriers // 2
+    return (spec[:, lo:lo + grid.num_subcarriers] / (n / np.sqrt(grid.num_subcarriers))).T
+
+
+def _same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: -0.0 and NaN payloads included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Mapper
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_map_qam_matches_the_arithmetic_on_every_word(order):
+    words = _all_words(order)
+    assert _same_bits(map_qam(words.ravel(), order), _ref_map_qam(words.ravel(), order))
+    # a long stream of every word, from a list and from int8 bits
+    rng = np.random.default_rng(order)
+    bits = words[rng.permutation(np.repeat(np.arange(order), 3))].ravel()
+    assert _same_bits(map_qam(bits.astype(np.int8), order), _ref_map_qam(bits, order))
+    assert _same_bits(map_qam(bits.tolist(), order), _ref_map_qam(bits, order))
+
+
+# ---------------------------------------------------------------------------
+# Demapper
+# ---------------------------------------------------------------------------
+
+def _thresholds(order) -> np.ndarray:
+    """Every decision threshold of one axis, and the outer edges, in
+    unnormalized symbol units."""
+    n_levels = int(np.sqrt(order))
+    norm = np.sqrt(2.0 * (order - 1) / 3.0)
+    return np.arange(-n_levels, n_levels + 1, 2) / norm
+
+
+def _ulps_around(x, k):
+    """x and its k nearest floats on either side."""
+    out = [x]
+    up = down = x
+    for _ in range(k):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_demap_matches_the_full_search_at_every_threshold(order):
+    """Each threshold and the floats 1-2 ulp around it, on either axis,
+    against random and threshold values on the other axis."""
+    axis = _ulps_around(_thresholds(order), 2)
+    rng = np.random.default_rng(order)
+    other = np.concatenate([axis, rng.uniform(-1.5, 1.5, axis.size)])
+    u, w = np.meshgrid(axis, other)
+    x = np.concatenate([(u + 1j * w).ravel(), (w + 1j * u).ravel()])
+    assert _same_bits(demap_qam(x, order), _ref_demap_qam(x, order))
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_demap_matches_the_full_search_over_snr(order):
+    rng = np.random.default_rng(100 + order)
+    m = int(np.log2(order))
+    for snr_db in range(-30, 41, 10):
+        s = map_qam(rng.integers(0, 2, 3000 * m), order)
+        sigma = np.sqrt(10 ** (-snr_db / 10) / 2)
+        y = s + sigma * (rng.standard_normal(s.size) + 1j * rng.standard_normal(s.size))
+        assert _same_bits(demap_qam(y, order), _ref_demap_qam(y, order)), snr_db
+    # noiseless points and their 1e6-scaled outliers
+    s = map_qam(_all_words(order).ravel(), order)
+    assert _same_bits(demap_qam(s, order), _ref_demap_qam(s, order))
+    assert _same_bits(demap_qam(s * 1e6, order), _ref_demap_qam(s * 1e6, order))
+
+
+_coordinate = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),  # -0.0, 1e300, NaN, +-inf
+    st.floats(-2.0, 2.0),
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1e300, -1e300, 1e6]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ORDERS),
+       st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=40),
+       st.lists(st.tuples(st.integers(0, 16), st.integers(-2, 2), _coordinate),
+                max_size=8))
+def test_demap_matches_the_full_search_on_any_input(order, pairs, near):
+    """Arbitrary coordinates, plus points 1-2 ulp from a threshold."""
+    values = [complex(u, w) for u, w in pairs]
+    edges = _thresholds(order)
+    for i, ulps, other in near:
+        t = edges[i % edges.size]
+        for _ in range(abs(ulps)):
+            t = np.nextafter(t, np.inf if ulps > 0 else -np.inf)
+        values += [complex(t, other), complex(other, t)]
+    x = np.array(values, dtype=np.complex128)
+    with np.errstate(all="ignore"):  # the full search overflows on 1e300
+        assert _same_bits(demap_qam(x, order), _ref_demap_qam(x, order))
+
+
+# ---------------------------------------------------------------------------
+# OFDM pair
+# ---------------------------------------------------------------------------
+
+def _grid(q, os):
+    return SubcarrierGrid(157.75e9, 3e9, q, os)
+
+
+@pytest.mark.parametrize("q", [1, 2, 64])
+@pytest.mark.parametrize("os", [1, 2, 3])
+@pytest.mark.parametrize("with_cp", [False, True])
+def test_ofdm_pair_matches_the_shift_and_copy_transforms(q, os, with_cp):
+    rng = np.random.default_rng(q * 10 + os + with_cp)
+    grid, s = _grid(q, os), 3
+    cp = min(5, q - 1) if with_cp else 0  # shorter than the FFT
+    # a branch of a (Q, branches, S) array, as the uplink passes it
+    at_ru = rng.standard_normal((q, 4, s)) + 1j * rng.standard_normal((q, 4, s))
+    x = synthesize_symbols(at_ru[:, 2, :], grid, cp)
+    assert _same_bits(x, _ref_synthesize(at_ru[:, 2, :], grid, cp))
+
+    noisy = x + 1e-3 * rng.standard_normal(x.size)
+    ref = _ref_extract(noisy, grid, cp, s)
+    got = extract_symbols(noisy, grid, cp, s)
+    assert _same_bits(got, ref)
+    assert got.strides == ref.strides  # the estimator's sums follow the layout
+    # into a branch slice of a (Q, branches, S) array, as the downlink does
+    out = np.zeros((q, 4, s), dtype=np.complex128)
+    assert extract_symbols(noisy, grid, cp, s, out=out[:, 1, :]) is not None
+    assert _same_bits(out[:, 1, :].copy(), ref.copy())
+    assert not out[:, [0, 2, 3], :].any()
+
+
+def test_back_to_back_shapes_leak_no_stale_bins():
+    """The scratch spectrum is shared: a call after one that filled every
+    bin, of the same or another shape, must still zero its guard bins."""
+    rng = np.random.default_rng(5)
+    calls = [(64, 1, 0, 3), (32, 2, 4, 3), (64, 1, 0, 3), (16, 4, 2, 3), (8, 2, 1, 5),
+             (32, 2, 4, 3), (16, 2, 0, 2), (32, 1, 0, 2)]
+    for q, os, cp, s in calls:
+        grid = _grid(q, os)
+        # an extraction of noise first fills every bin of the spectrum
+        n = s * (grid.n_fft + cp * os)
+        extract_symbols(rng.standard_normal(n) + 0j, grid, cp, s)
+        sym = rng.standard_normal((q, s)) + 1j * rng.standard_normal((q, s))
+        x = synthesize_symbols(sym, grid, cp)
+        assert _same_bits(x, _ref_synthesize(sym, grid, cp)), (q, os, cp, s)
+        assert _same_bits(extract_symbols(x, grid, cp, s), _ref_extract(x, grid, cp, s))

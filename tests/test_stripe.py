@@ -680,10 +680,12 @@ def _traced_peak(fn):
 
 
 # Bounds in waveform buffers, from the example scenario: a warm link peaks
-# 6.45 (dl) and 7.92 (ul) buffers above what its result holds, and a
+# 2.69 buffers above what its result holds in either direction, and a
 # one-antenna walk 0.01 above its output. A stage that allocates its
-# output afresh adds about one buffer to the walk.
-_LINK_BUFFERS = {"dl": 7.0, "ul": 8.5}
+# output afresh adds about one buffer to the walk; OFDM synthesis that
+# makes fresh spectra again, five times per uplink link, breaks the
+# uplink bound.
+_LINK_BUFFERS = {"dl": 3.2, "ul": 3.2}
 _WALK_BUFFERS = 0.25
 
 
