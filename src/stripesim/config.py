@@ -120,7 +120,7 @@ def _load_yaml(path) -> dict:
     if not p.is_file():
         raise ParseError(f"config file not found: {p}")
     try:
-        raw = yaml.safe_load(p.read_text())
+        raw = yaml.load(p.read_text(), getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ParseError(f"{p}: {exc}") from exc
     if raw is None:

@@ -11,8 +11,8 @@ then f64 fc, bw (40 header bytes total), then float32 interleaved
 (re, im) pairs in row-major order stripe -> ru -> rx -> tx -> q.
 
 Storage is float32 (matching typical ray-tracing export precision);
-in-memory tensors are complex128. Readers load metadata eagerly and
-channel tensors lazily, one UE file at a time.
+in-memory tensors are complex128. Readers load metadata eagerly; each channel
+lookup re-checks its whole UE file's CRC and keeps only its (stripe, RU) slice.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -88,16 +89,8 @@ class CfrDataset:
 # Binary codec
 # ---------------------------------------------------------------------------
 
-def _encode_channel_file(header: DatasetHeader, tensor: np.ndarray) -> bytes:
-    payload = np.ascontiguousarray(tensor.astype(np.complex64)).view("<c8")
-    return (MAGIC
-            + _HEADER.pack(header.n_stripes, header.n_rus, header.n_rx,
-                           header.n_tx, header.num_subcarriers,
-                           header.fc, header.bw)
-            + payload.tobytes())
-
-
 def _decode_channel_file(blob: bytes, path: str) -> tuple[DatasetHeader, np.ndarray]:
+    """Checked header and a read-only complex64 view of the payload in ``blob``."""
     if blob[:4] != MAGIC:
         raise FormatError(f"{path}: bad magic {blob[:4]!r}")
     if len(blob) < HEADER_BYTES:
@@ -111,7 +104,7 @@ def _decode_channel_file(blob: bytes, path: str) -> tuple[DatasetHeader, np.ndar
     if len(blob) != expected:
         raise FormatError(f"{path}: file is {len(blob)} bytes, expected {expected}")
     flat = np.frombuffer(blob, dtype="<c8", offset=HEADER_BYTES)
-    return header, flat.reshape(header.tensor_shape).astype(np.complex128)
+    return header, flat.reshape(header.tensor_shape)
 
 
 def _ue_to_json(ue: UeMetadata) -> dict:
@@ -150,17 +143,25 @@ def write_dataset(dataset: CfrDataset, directory) -> dict:
     }
     files: dict[str, dict] = {}
 
-    def _emit(name: str, blob: bytes):
+    def _emit(name: str, chunks):  # with a running CRC and byte count
+        crc = size = 0
         try:
-            (out / name).write_bytes(blob)
+            with open(out / name, "wb") as f:
+                for chunk in map(memoryview, chunks):
+                    f.write(chunk)
+                    crc, size = zlib.crc32(chunk, crc), size + chunk.nbytes
         except OSError as exc:
             raise IoError(f"cannot write {out / name}: {exc}") from exc
-        files[name] = {"crc32": zlib.crc32(blob), "size": len(blob)}
+        files[name] = {"crc32": crc, "size": size}
 
-    _emit("metadata.json", json.dumps(metadata, indent=1).encode())
-    for ue in dataset.ues:
-        _emit(f"ue_{ue.ue_id}.cfr",
-              _encode_channel_file(h, dataset.channels[ue.ue_id]))
+    _emit("metadata.json", [json.dumps(metadata, indent=1).encode()])
+    head = MAGIC + _HEADER.pack(h.n_stripes, h.n_rus, h.n_rx, h.n_tx,
+                                h.num_subcarriers, h.fc, h.bw)
+    for ue in dataset.ues:  # the header, then one complex64 block per (stripe, RU)
+        tensor = dataset.channels[ue.ue_id]
+        _emit(f"ue_{ue.ue_id}.cfr", chain([head], (
+            np.ascontiguousarray(tensor[i], dtype="<c8")
+            for i in np.ndindex(h.n_stripes, h.n_rus))))
     manifest = {"format": "CFR1", "files": files}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
     return manifest
@@ -169,8 +170,8 @@ def write_dataset(dataset: CfrDataset, directory) -> dict:
 class CfrDatasetReader:
     """Lazy dataset handle: metadata eager, channel tensors on demand.
 
-    Read-only after open; safe for concurrent lookups. Each UE file is
-    checksum-verified on first access and cached.
+    Read-only after open and caches no channel; safe for concurrent lookups.
+    Each lookup re-checks its whole UE file and keeps only its slice.
     """
 
     def __init__(self, directory):
@@ -201,7 +202,6 @@ class CfrDatasetReader:
             raise FormatError(f"{self._dir / 'metadata.json'}: malformed metadata "
                               f"({exc!r})") from None
         self._by_id = {ue.ue_id: ue for ue in self.ues}
-        self._cache: dict[int, np.ndarray] = {}
 
     def _read_checked(self, name: str) -> bytes:
         path = self._dir / name
@@ -213,30 +213,30 @@ class CfrDatasetReader:
             raise ChecksumError(f"{path}: CRC32 mismatch")
         return blob
 
-    def _tensor(self, ue_id: int) -> np.ndarray:
+    def _payload(self, ue_id: int) -> np.ndarray:
+        """Checked complex64 view of a UE file; it holds the file's bytes."""
         if ue_id not in self._by_id:
             raise IndexError(f"unknown ue_id {ue_id}")
-        if ue_id not in self._cache:
-            blob = self._read_checked(f"ue_{ue_id}.cfr")
-            header, tensor = _decode_channel_file(blob, f"ue_{ue_id}.cfr")
-            if header != self.header:
-                raise FormatError(f"ue_{ue_id}.cfr header disagrees with metadata")
-            self._cache[ue_id] = tensor
-        return self._cache[ue_id]
+        blob = self._read_checked(f"ue_{ue_id}.cfr")
+        header, payload = _decode_channel_file(blob, f"ue_{ue_id}.cfr")
+        if header != self.header:
+            raise FormatError(f"ue_{ue_id}.cfr header disagrees with metadata")
+        return payload
 
     def get_channel(self, ue_id: int, stripe_id: int, ru_id: int) -> ChannelRealization:
-        """H tensor (Q x n_rx x n_tx) for one stripe/RU pair."""
-        tensor = self._tensor(ue_id)
+        """H tensor (Q x n_rx x n_tx) for one stripe/RU pair: a view of a
+        fresh (n_rx, n_tx, Q) block; the file's bytes are not kept."""
         if not 0 <= stripe_id < self.header.n_stripes:
             raise IndexError(f"stripe_id {stripe_id} out of range")
         if not 0 <= ru_id < self.header.n_rus:
             raise IndexError(f"ru_id {ru_id} out of range")
-        h = np.transpose(tensor[stripe_id, ru_id], (2, 0, 1))  # (Q, n_rx, n_tx)
-        return ChannelRealization(h=h, grid=self.header.grid(),
-                                  provenance="dataset")
+        block = self._payload(ue_id)[stripe_id, ru_id].astype(np.complex128)
+        return ChannelRealization(h=np.transpose(block, (2, 0, 1)),  # (Q, n_rx, n_tx)
+                                  grid=self.header.grid(), provenance="dataset")
 
     def to_memory(self) -> CfrDataset:
-        channels = {ue.ue_id: self._tensor(ue.ue_id) for ue in self.ues}
+        channels = {ue.ue_id: self._payload(ue.ue_id).astype(np.complex128)
+                    for ue in self.ues}
         return CfrDataset(header=self.header, ues=self.ues, channels=channels)
 
 

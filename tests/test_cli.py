@@ -121,6 +121,10 @@ _IQ = "dc_offset: [0.0, 0.0]"
     pytest.param("run", ["--ru", "1"],
                  ("orientation: x", "orientation: x\n  end_position: [1.5, 3.0, 2.8]"),
                  None, 2, id="stripe-config-end-position-disagrees"),
+    pytest.param("run", ["--ru", "1"], ("room: {x: 10.0", "room: [10.0"), None, 2,
+                 id="environment-yaml-malformed"),
+    pytest.param("run", ["--ru", "1"], (_AMP, _AMP[:-1]), None, 2,
+                 id="components-yaml-malformed"),
     pytest.param("run", ["--ru", "1", "--ue", "7", "--channel", "{ds}"],
                  None, None, 2, id="run-unknown-dataset-ue"),
     pytest.param("sweep-ru", ["--ue", "7", "--channel", "{ds}"],

@@ -1,11 +1,12 @@
 """YAML loading, schema/geometry validation, cross-checks, round trips."""
 
 import warnings
+from pathlib import Path
 
 import pytest
 import yaml
 
-from stripesim.config import (components_to_dict, environment_to_dict,
+from stripesim.config import (_load_yaml, components_to_dict, environment_to_dict,
                               load_components, load_environment, load_waveform,
                               validate_cross, waveform_to_dict)
 from stripesim.dataset import DatasetHeader
@@ -165,6 +166,24 @@ def test_malformed_yaml(tmp_path):
         load_environment(_write(tmp_path, "env.yaml", "room: [1, 2\n"))
     with pytest.raises(ParseError):
         load_environment(tmp_path / "missing.yaml")
+
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
+YAML_TEXTS = {**{p.name: p.read_text() for p in sorted(EXAMPLES.glob("*.yaml"))},
+              "conftest-env": ENV_YAML, "conftest-waveform": WF_YAML,
+              "conftest-components": COMP_YAML}
+
+
+@pytest.mark.parametrize("name", YAML_TEXTS)
+def test_c_and_python_yaml_loaders_agree(tmp_path, name):
+    """The libyaml parser, used when PyYAML has it, reads what SafeLoader reads."""
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML built without libyaml")
+    text = YAML_TEXTS[name]
+    want = yaml.load(text, yaml.SafeLoader)
+    got = yaml.load(text, yaml.CSafeLoader)
+    assert got == want and repr(got) == repr(want)  # repr also tells 1 from 1.0
+    assert repr(_load_yaml(_write(tmp_path, "c.yaml", text))) == repr(want)
 
 
 def test_non_power_of_two_subcarriers(tmp_path):

@@ -1,5 +1,6 @@
 """CFR1 dataset codec, lazy reader, synthetic generation."""
 
+import hashlib
 import json
 import zlib
 
@@ -8,11 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stripesim.channel import los_channel
+from stripesim.config import load_environment
 from stripesim.dataset import (CfrDataset, DatasetHeader, HEADER_BYTES,
                                UeMetadata, array_geometry, generate_synthetic,
                                read_dataset, write_dataset)
 from stripesim.errors import ChecksumError, FormatError
 from stripesim.waveform import SubcarrierGrid
+
+from conftest import ENV_YAML, TWO_STRIPES
 
 
 def _make_dataset(rng, n_ue=2, n_stripes=1, n_rus=2, n_rx=2, n_tx=2, q=8):
@@ -152,6 +156,80 @@ def test_get_channel_index_errors(tmp_path):
         reader.get_channel(0, 1, 0)
     with pytest.raises(IndexError):
         reader.get_channel(9, 0, 0)
+
+
+def _full_decode(path):
+    """Whole UE file to complex128, as the reader decoded it before slicing."""
+    blob = path.read_bytes()
+    shape = tuple(np.frombuffer(blob, dtype="<u4", count=5, offset=4))
+    flat = np.frombuffer(blob, dtype="<c8", offset=HEADER_BYTES)
+    return flat.reshape(shape).astype(np.complex128)
+
+
+def test_every_slice_equals_the_full_decode(tmp_path):
+    rng = np.random.default_rng(7)
+    write_dataset(_make_dataset(rng, n_ue=2, n_stripes=2, n_rus=3, n_rx=2, n_tx=3),
+                  tmp_path)
+    reader = read_dataset(tmp_path)
+    for ue in (0, 1):
+        tensor = _full_decode(tmp_path / f"ue_{ue}.cfr")
+        for s in range(2):
+            for r in range(3):
+                want = np.transpose(tensor[s, r], (2, 0, 1))
+                got = reader.get_channel(ue, s, r).h
+                assert got.dtype == want.dtype and got.shape == want.shape == (8, 2, 3)
+                assert got.strides == want.strides
+                assert got.tobytes() == want.tobytes()
+
+
+def test_damage_outside_the_slice_still_fails_the_checksum(tmp_path):
+    rng = np.random.default_rng(8)
+    write_dataset(_make_dataset(rng, n_ue=1, n_stripes=2, n_rus=3, n_rx=2, n_tx=3),
+                  tmp_path)
+    path = tmp_path / "ue_0.cfr"
+    blob = bytearray(path.read_bytes())
+    block_bytes = 2 * 3 * 8 * 8
+    blob[HEADER_BYTES + 4 * block_bytes + 5] ^= 0x01  # stripe 1, RU 1
+    path.write_bytes(bytes(blob))
+    reader = read_dataset(tmp_path)
+    with pytest.raises(ChecksumError):
+        reader.get_channel(0, 0, 0)
+
+
+# SHA-256 of every file write_dataset writes for _golden_dataset(),
+# recorded before the writer streamed its blocks (numpy 2.4, x86-64).
+WRITER_DIGESTS = {
+    "metadata.json":
+        "f4468bc0ab683d222a815d1ed57eee0d8858ba130de528bc42d2a4d7e4ce8eda",
+    "ue_0.cfr":
+        "eaf44fe1ad300426e9296cf951c5fa66e8c43a4145938414fc7ae55522e18ae6",
+    "ue_1.cfr":
+        "d304e89dfb4eed90d7928580a9d1580f6bb469d19dd98bc0456c22516e8f7011",
+    "manifest.json":
+        "b9b0998f060a3039c52d99a43045a33f9b12dd3f261f2a07180f36117b46d2af",
+}
+
+
+def _golden_dataset(tmp_path):
+    """2 UEs, 2 stripes of 3 RUs, 2 x 2 antennas, Q=32, TDL seed 5."""
+    text = ENV_YAML
+    for old, new in TWO_STRIPES:
+        text = text.replace(old, new)
+    (tmp_path / "env.yaml").write_text(text)
+    env = load_environment(tmp_path / "env.yaml")
+    grid = SubcarrierGrid(157.75e9, 3e9, 32, 1)
+    return generate_synthetic(env, grid, model="tdl", seed=5, n_tx=2, n_rx=2)
+
+
+def test_writer_files_match_recorded_digests(tmp_path):
+    out = tmp_path / "ds"
+    manifest = write_dataset(_golden_dataset(tmp_path), out)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert got == WRITER_DIGESTS
+    assert json.loads((out / "manifest.json").read_text()) == manifest
+    for name, entry in manifest["files"].items():
+        blob = (out / name).read_bytes()
+        assert entry == {"crc32": zlib.crc32(blob), "size": len(blob)}
 
 
 # ---------------------------------------------------------------------------

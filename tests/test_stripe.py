@@ -719,3 +719,13 @@ def test_warm_link_allocates_few_waveform_buffers(direction):
     walk()
     out, peak = _traced_peak(walk)
     assert (peak - out.samples.nbytes) / buffer < _WALK_BUFFERS
+
+
+def test_dataset_link_holds_only_its_channel_slice(tmp_path):
+    """A dataset link's channel owns its (stripe, RU) block, not the UE file."""
+    env = _env(n_rus=3, n_antennas=2, q=128)
+    grid = SubcarrierGrid(env.sub_thz.fc, env.sub_thz.bw, 128, 1)
+    write_dataset(generate_synthetic(env, grid, model="tdl", seed=3, n_tx=2, n_rx=2),
+                  tmp_path)
+    res = run_link(env, _wf(), ComponentBank(), read_dataset(tmp_path), 0, 0, 1, seed=5)
+    assert _held_bytes(res.channel, set()) == 2 * 2 * 128 * 16
