@@ -10,8 +10,7 @@ impairment and RU-selection studies.
 __version__ = "0.1.0"
 
 from .waveform import (ResourceGrid, SubcarrierGrid, TimeWaveform,
-                       build_resource_grid, demap_qam, map_qam, ofdm_modulate,
-                       set_power)
+                       build_resource_grid, demap_qam, map_qam, ofdm_modulate)
 from .touchstone import (FrequencyResponse, ImpulseResponse, TwoPortNetwork,
                          interpolate_s21, parse_touchstone, read_touchstone,
                          to_impulse_response)

@@ -29,8 +29,8 @@ from .channel import TdlParams
 from .config import (components_to_dict, environment_to_dict, load_components,
                      load_environment, load_waveform, waveform_to_dict)
 from .dataset import generate_synthetic, read_dataset, write_dataset
-from .errors import StripeSimError, ConfigError, GeometryError, ParseError, \
-    SchemaError, TouchstoneError, UnsupportedModel, UnsupportedMode
+from .errors import StripeSimError, ConfigError, DomainError, GeometryError, \
+    ParseError, SchemaError, TouchstoneError, UnsupportedModel, UnsupportedMode
 from .metrics import am_am_extract
 from .stripe import build_stripe, calibrate_gains, make_grid, run_link
 from .touchstone import read_touchstone
@@ -76,15 +76,30 @@ def _load_configs(args):
     return env, wf, bank
 
 
+def _check_counts(args, *names):
+    """ConfigError unless each named count flag is at least 1."""
+    for name in names:
+        if getattr(args, name) < 1:
+            raise ConfigError(f"--{name.replace('_', '-')} must be >= 1, "
+                              f"got {getattr(args, name)}")
+
+
 def _resolve_channel_arg(spec: str):
     """'los' | 'rayleigh' | 'tdl[:beta[:taps]]' | 'dataset:PATH'."""
     if spec.startswith("dataset:"):
         return read_dataset(spec.split(":", 1)[1])
-    if spec.startswith("tdl"):
-        parts = spec.split(":")
-        beta = float(parts[1]) if len(parts) > 1 else 0.5
-        n_taps = int(parts[2]) if len(parts) > 2 else 8
-        return ("tdl", TdlParams(n_taps=n_taps, beta=beta))
+    if spec == "tdl" or spec.startswith("tdl:"):
+        parts = spec.split(":")[1:]
+        try:
+            # an omitted value keeps its TdlParams default
+            params = TdlParams(**{name: kind(text) for (name, kind), text
+                                  in zip((("beta", float), ("n_taps", int)), parts)})
+        except (ValueError, DomainError):
+            params = None
+        if params is None or len(parts) > 2 or not np.isfinite(params.beta):
+            raise ConfigError(f"channel {spec!r}: expected tdl[:beta[:taps]] with a "
+                              f"finite beta >= 0 and an integer taps >= 1")
+        return ("tdl", params)
     if spec in ("los", "rayleigh", "identity"):
         return spec
     raise ConfigError(f"unknown channel source {spec!r}")
@@ -213,6 +228,7 @@ def _sweep_cell(payload) -> tuple:
 
 def cmd_sweep_ru(args) -> int:
     started = time.monotonic()
+    _check_counts(args, "jobs")
     env, wf, bank = _load_configs(args)
     channel = _resolve_channel_arg(args.channel)
     out_dir = Path(args.out)
@@ -298,6 +314,7 @@ def cmd_inspect_s2p(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_channels(args) -> int:
+    _check_counts(args, "n_tx", "n_rx", "taps_l")
     env = load_environment(args.env)
     if args.model not in ("los", "tdl"):
         raise ConfigError(f"unknown synthetic model {args.model!r}")

@@ -6,16 +6,21 @@ grid metadata), waveform.yaml (CP-OFDM numerology) and components.yaml
 records; powers arrive in dBm and gains in dB at the config surface and
 are converted to linear exactly once, inside the component processors.
 
-Keys are matched case-insensitively (N_RUs and n_rus are the same key)
-and unknown keys are retained-and-ignored with a warning so configs
-carrying ray-tracer-only metadata load cleanly. The sub-10 GHz block is
-parsed but never influences the simulation.
+Keys are matched case-insensitively (N_RUs and n_rus are the same key).
+Each flat section is declared once, as a table from YAML key to record
+field and parser. Loading parses only the keys a file gives, so each
+default lives only in its record, and the manifest snapshot writes the
+same keys back. Unknown keys at the environment's top level are warned
+about and retained (``extras``), so configs carrying ray-tracer-only
+metadata load cleanly; unknown keys anywhere else are warned about and
+dropped. The sub-10 GHz block is parsed but never influences the
+simulation.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +49,7 @@ class _Section:
         if not isinstance(raw, dict):
             raise SchemaError(f"{path}: expected a mapping, got {type(raw).__name__}")
         self.path = path
+        self.prefix = f"{path}."  # starts a key's path in error messages
         self._raw = raw
         self._by_lower = {}
         for key in raw:
@@ -90,13 +96,23 @@ def _as_float(value, path: str) -> float:
 
 
 def _as_complex(value, path: str) -> complex:
-    """A number, a complex literal such as "1+2j", or an [re, im] pair."""
-    try:
-        if isinstance(value, (list, tuple)) and len(value) == 2:
-            return complex(float(value[0]), float(value[1]))
-        return complex(value)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{path}: expected a number or [re, im], got {value!r}") from None
+    """A number, a complex literal such as "1+2j", or an [re, im] pair; each
+    part finite, and no bool."""
+    if isinstance(value, str):
+        try:
+            value = complex(value)
+        except ValueError:
+            raise SchemaError(f"{path}: expected a number or [re, im], got {value!r}") from None
+        value = (value.real, value.imag)
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return complex(_as_float(value[0], path), _as_float(value[1], path))
+    return complex(_as_float(value, path))
+
+
+def _as_complex_list(value, path: str) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise SchemaError(f"{path}: expected a list, got {value!r}")
+    return tuple(_as_complex(c, f"{path}[{i}]") for i, c in enumerate(value))
 
 
 def _as_int(value, path: str) -> int:
@@ -106,6 +122,32 @@ def _as_int(value, path: str) -> int:
     return int(out)
 
 
+def _as_count(value, path: str) -> int:
+    out = _as_int(value, path)
+    if out < 1:
+        raise SchemaError(f"{path} must be >= 1")
+    return out
+
+
+def _as_name(value, path: str) -> str:
+    return str(value).lower()
+
+
+def _choice(*options, error=SchemaError):
+    """Parser of a case-insensitive name that must be one of ``options``."""
+    def parse(value, path: str) -> str:
+        name = str(value).lower()
+        if name not in options:
+            raise error(f"{path} {name!r}: expected one of {', '.join(options)}")
+        return name
+    return parse
+
+
+def _or_none(parse):
+    """``parse``, except that a YAML null stays None."""
+    return lambda value, path: None if value is None else parse(value, path)
+
+
 def _as_xyz(value, path: str) -> tuple[float, float, float]:
     if isinstance(value, dict):
         sec = _Section(value, path)
@@ -113,6 +155,13 @@ def _as_xyz(value, path: str) -> tuple[float, float, float]:
     if isinstance(value, (list, tuple)) and len(value) == 3:
         return tuple(_as_float(v, path) for v in value)
     raise SchemaError(f"{path}: expected [x, y, z] or {{x, y, z}}")
+
+
+def _top(path) -> _Section:
+    """The top level of a YAML file, whose keys' paths are their bare names."""
+    top = _Section(_load_yaml(path), str(path))
+    top.prefix = ""
+    return top
 
 
 def _load_yaml(path) -> dict:
@@ -131,6 +180,47 @@ def _load_yaml(path) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Key tables: yaml key -> (record field, parser), one per flat section
+# ---------------------------------------------------------------------------
+
+def _read(sec: _Section, table: dict, required=()) -> dict:
+    """The record fields that ``sec`` gives, parsed; every other field keeps
+    its record's default. Warns about keys not in ``table``. Two keys that
+    name one field (``model`` and ``mode``) may not both be given."""
+    for key in required:
+        sec.require(key)
+    out, given = {}, {}
+    for key, (name, parse) in table.items():
+        if sec.has(key):
+            if name in given:
+                raise SchemaError(f"{sec.path}: give {given[name]!r} or {key!r}, not both")
+            given[name] = key
+            out[name] = parse(sec.get(key), sec.prefix + key)
+    sec.warn_unknown()
+    return out
+
+
+def _plain(value):
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _snapshot(record, table: dict) -> dict:
+    """Every field of ``record`` under its first key in ``table``: None is
+    left out, a tuple is written as a list, a complex value as [re, im]."""
+    out, seen = {}, set()
+    for key, (name, _parse) in table.items():
+        value = getattr(record, name)
+        if name not in seen and value is not None:
+            out[key] = _plain(value)
+        seen.add(name)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Environment
 # ---------------------------------------------------------------------------
 
@@ -138,6 +228,10 @@ def _load_yaml(path) -> dict:
 class StripeNode:
     kind: str
     position: tuple
+
+
+_NODE_KEYS = {"kind": ("kind", _choice("central_unit", "radio_unit")),
+              "position": ("position", _as_xyz)}
 
 
 @dataclass(frozen=True)
@@ -153,6 +247,16 @@ class StripeLayout:
     orientation: str | None = None
 
 
+_LAYOUT_KEYS = {
+    "n_stripes": ("n_stripes", _as_int), "n_rus": ("n_rus", _as_count),
+    "inter_ru_spacing": ("inter_ru_spacing", _as_float),
+    "inter_stripe_spacing": ("inter_stripe_spacing", _as_float),
+    "start_position": ("start_position", _as_xyz),
+    "end_position": ("end_position", _as_xyz),
+    "orientation": ("orientation", _choice(*STRIPE_AXES)),
+}
+
+
 @dataclass(frozen=True)
 class SubThzConfig:
     fc: float
@@ -160,11 +264,24 @@ class SubThzConfig:
     num_subcarriers: int
 
 
+_SUB_THZ_KEYS = {"fc": ("fc", _as_float), "bw": ("bw", _as_float),
+                 "num_subcarriers": ("num_subcarriers", _as_int)}
+
+
 @dataclass(frozen=True)
 class AntennaConfig:
     n_antennas: int = 1
     polarization: str = "single"
     pattern: str = "isotropic"
+
+
+# the channel models assume isotropic single-polarized elements, so any
+# other pattern or polarization would be accepted and then ignored
+_ANTENNA_KEYS = {
+    "n_antennas": ("n_antennas", _as_count),
+    "polarization": ("polarization", _choice("single", error=UnsupportedModel)),
+    "pattern": ("pattern", _choice("isotropic", error=UnsupportedModel)),
+}
 
 
 @dataclass(frozen=True)
@@ -202,45 +319,16 @@ def _check_distance(key: str, want, a, b, what: str):
                             f"{what} are {gap:.6g} m apart, not {want:.6g} m")
 
 
-def _parse_node(value, path: str) -> StripeNode:
-    sec = _Section(value, path)
-    kind = str(sec.require("kind")).lower()
-    if kind not in ("central_unit", "radio_unit"):
-        raise SchemaError(f"{path}: node kind must be central_unit or radio_unit")
-    position = _as_xyz(sec.require("position"), f"{path}.position")
-    sec.warn_unknown()
-    return StripeNode(kind=kind, position=position)
-
-
 def load_environment(path) -> EnvironmentConfig:
     """Load and geometry-check environment.yaml."""
-    top = _Section(_load_yaml(path), str(path))
+    top = _top(path)
     room = _as_xyz(top.require("room"), "room")
     if any(r <= 0 for r in room):
         raise SchemaError("room extents must be positive")
 
-    layout = StripeLayout()
-    if top.has("stripe_config"):
-        sec = _Section(top.get("stripe_config"), "stripe_config")
-
-        def optional(key, parse):
-            return parse(sec.get(key), f"stripe_config.{key}") if sec.has(key) else None
-
-        layout = StripeLayout(
-            n_stripes=optional("n_stripes", _as_int),
-            n_rus=optional("n_rus", _as_int),
-            inter_ru_spacing=optional("inter_ru_spacing", _as_float),
-            inter_stripe_spacing=optional("inter_stripe_spacing", _as_float),
-            start_position=optional("start_position", _as_xyz),
-            end_position=optional("end_position", _as_xyz),
-            orientation=optional("orientation", lambda v, _path: str(v).lower()),
-        )
-        sec.warn_unknown()
-        if layout.orientation not in (None, *STRIPE_AXES):
-            raise SchemaError(f"stripe_config.orientation {layout.orientation!r}: "
-                              f"expected one of x, y, z")
-    if layout.n_rus is not None and layout.n_rus < 1:
-        raise SchemaError("stripe_config.n_rus must be >= 1")
+    # a key the block does not give stays None and unchecked
+    layout = StripeLayout(**_read(_Section(top.get("stripe_config", {}), "stripe_config"),
+                                  _LAYOUT_KEYS))
 
     stripes = []
     raw_stripes = top.require("radio_stripes")
@@ -249,7 +337,8 @@ def load_environment(path) -> EnvironmentConfig:
     for si, raw_stripe in enumerate(raw_stripes):
         if not isinstance(raw_stripe, list) or len(raw_stripe) < 2:
             raise SchemaError(f"radio_stripes[{si}] must list a CU followed by >= 1 RU")
-        nodes = tuple(_parse_node(n, f"radio_stripes[{si}][{ni}]")
+        nodes = tuple(StripeNode(**_read(_Section(n, f"radio_stripes[{si}][{ni}]"), _NODE_KEYS,
+                                         required=("kind", "position")))
                       for ni, n in enumerate(raw_stripe))
         if nodes[0].kind != "central_unit":
             raise GeometryError(f"radio_stripes[{si}]: first node must be the central unit")
@@ -260,34 +349,33 @@ def load_environment(path) -> EnvironmentConfig:
                 raise GeometryError(
                     f"radio_stripes[{si}][{ni}] at {node.position} lies outside the room {room}")
         stripes.append(nodes)
-    if top.has("stripe_config"):
-        if layout.n_stripes not in (None, len(stripes)):
-            raise GeometryError(f"stripe_config.n_stripes is {layout.n_stripes} but "
-                                f"radio_stripes lists {len(stripes)} stripes")
-        for si, nodes in enumerate(stripes):
-            if layout.n_rus not in (None, len(nodes) - 1):
-                raise GeometryError(f"stripe_config.n_rus is {layout.n_rus} but "
-                                    f"radio_stripes[{si}] has {len(nodes) - 1} RUs")
-            # the axis along which the stripe's nodes spread the most
-            spans = [max(n.position[k] for n in nodes) - min(n.position[k] for n in nodes)
-                     for k in range(3)]
-            if (layout.orientation is not None
-                    and spans[STRIPE_AXES.index(layout.orientation)] < max(spans)):
-                raise GeometryError(
-                    f"stripe_config.orientation is {layout.orientation} but radio_stripes"
-                    f"[{si}] runs along {STRIPE_AXES[spans.index(max(spans))]}")
-            for ni in range(1, len(nodes) - 1):  # neighbouring RUs ni, ni + 1
-                _check_distance("inter_ru_spacing", layout.inter_ru_spacing,
-                                nodes[ni].position, nodes[ni + 1].position,
-                                f"radio_stripes[{si}][{ni}] and [{ni + 1}]")
-            if si:
-                _check_distance("inter_stripe_spacing", layout.inter_stripe_spacing,
-                                stripes[si - 1][0].position, nodes[0].position,
-                                f"the CUs of radio_stripes[{si - 1}] and [{si}]")
-        for key, ni in (("start_position", 1), ("end_position", -1)):  # stripe 0's RUs
-            at = getattr(layout, key)
-            _check_distance(key, None if at is None else 0.0, at, stripes[0][ni].position,
-                            f"{key} {at} and radio_stripes[0][{ni % len(stripes[0])}]")
+    if layout.n_stripes not in (None, len(stripes)):
+        raise GeometryError(f"stripe_config.n_stripes is {layout.n_stripes} but "
+                            f"radio_stripes lists {len(stripes)} stripes")
+    for si, nodes in enumerate(stripes):
+        if layout.n_rus not in (None, len(nodes) - 1):
+            raise GeometryError(f"stripe_config.n_rus is {layout.n_rus} but "
+                                f"radio_stripes[{si}] has {len(nodes) - 1} RUs")
+        # the axis along which the stripe's nodes spread the most
+        spans = [max(n.position[k] for n in nodes) - min(n.position[k] for n in nodes)
+                 for k in range(3)]
+        if (layout.orientation is not None
+                and spans[STRIPE_AXES.index(layout.orientation)] < max(spans)):
+            raise GeometryError(
+                f"stripe_config.orientation is {layout.orientation} but radio_stripes"
+                f"[{si}] runs along {STRIPE_AXES[spans.index(max(spans))]}")
+        for ni in range(1, len(nodes) - 1):  # neighbouring RUs ni, ni + 1
+            _check_distance("inter_ru_spacing", layout.inter_ru_spacing,
+                            nodes[ni].position, nodes[ni + 1].position,
+                            f"radio_stripes[{si}][{ni}] and [{ni + 1}]")
+        if si:
+            _check_distance("inter_stripe_spacing", layout.inter_stripe_spacing,
+                            stripes[si - 1][0].position, nodes[0].position,
+                            f"the CUs of radio_stripes[{si - 1}] and [{si}]")
+    for key, ni in (("start_position", 1), ("end_position", -1)):  # stripe 0's RUs
+        at = getattr(layout, key)
+        _check_distance(key, None if at is None else 0.0, at, stripes[0][ni].position,
+                        f"{key} {at} and radio_stripes[0][{ni % len(stripes[0])}]")
 
     ue_positions = []
     for ui, raw_ue in enumerate(top.require("ue_positions")):
@@ -298,38 +386,15 @@ def load_environment(path) -> EnvironmentConfig:
 
     sub_thz = None
     if top.has("sub_thz"):
-        sec = _Section(top.get("sub_thz"), "sub_thz")
-        sub_thz = SubThzConfig(
-            fc=_as_float(sec.require("fc"), "sub_thz.fc"),
-            bw=_as_float(sec.require("bw"), "sub_thz.bw"),
-            num_subcarriers=_as_int(sec.require("num_subcarriers"),
-                                    "sub_thz.num_subcarriers"),
-        )
-        sec.warn_unknown()
+        sub_thz = SubThzConfig(**_read(_Section(top.get("sub_thz"), "sub_thz"), _SUB_THZ_KEYS,
+                                       required=("fc", "bw", "num_subcarriers")))
         if sub_thz.fc <= 0 or sub_thz.bw <= 0:
             raise SchemaError("sub_thz.fc and sub_thz.bw must be positive")
         if not _is_power_of_two(sub_thz.num_subcarriers):
             raise SchemaError("sub_thz.num_subcarriers must be a power of two")
 
-    antenna = AntennaConfig()
-    if top.has("antenna"):
-        sec = _Section(top.get("antenna"), "antenna")
-        antenna = AntennaConfig(
-            n_antennas=_as_int(sec.get("n_antennas", 1), "antenna.n_antennas"),
-            polarization=str(sec.get("polarization", "single")),
-            pattern=str(sec.get("pattern", "isotropic")).lower(),
-        )
-        sec.warn_unknown()
-        if antenna.n_antennas < 1:
-            raise SchemaError("antenna.n_antennas must be >= 1")
-        if antenna.polarization.lower() != "single":
-            raise UnsupportedModel(f"antenna polarization {antenna.polarization!r}: "
-                                   f"only single is supported")
-        if antenna.pattern != "isotropic":
-            # the channel models assume isotropic elements, so any other
-            # pattern would be accepted and then ignored
-            raise UnsupportedModel(f"antenna pattern {antenna.pattern!r}: "
-                                   f"only isotropic is supported")
+    antenna = AntennaConfig(**_read(_Section(top.get("antenna", {}), "antenna"),
+                                    _ANTENNA_KEYS))
 
     cu_fiber = _as_float(top.require("central_unit_fiber_length"),
                          "central_unit_fiber_length")
@@ -363,38 +428,30 @@ class WaveformConfig:
     num_subcarriers: int | None = None  # optional duplicate of the env grid
 
 
+def _as_waveform_type(value, path: str) -> str:
+    """Only CP-OFDM is implemented; cp_ofdm names it too."""
+    return _choice("cp-ofdm", error=UnsupportedModel)(str(value).replace("_", "-"), path)
+
+
+_WAVEFORM_KEYS = {
+    "waveform_type": ("waveform_type", _as_waveform_type),
+    "n_ofdm_symbols": ("n_ofdm_symbols", _as_count), "qam_order": ("qam_order", _as_int),
+    "oversampling_factor": ("oversampling_factor", _as_count),
+    "cp_length": ("cp_length", _as_int), "pilot_spacing": ("pilot_spacing", _as_count),
+    "pilot_mode": ("pilot_mode", _choice(*PILOT_MODES)), "tx_power": ("tx_power", _as_float),
+    "num_subcarriers": ("num_subcarriers", _as_int),
+}
+
+
 def load_waveform(path) -> WaveformConfig:
     """Load and schema-check waveform.yaml."""
-    top = _Section(_load_yaml(path), str(path))
-    wtype = str(top.require("waveform_type")).lower().replace("_", "-")
-    if wtype != "cp-ofdm":
-        raise UnsupportedModel(f"waveform_type {wtype!r} (only cp-ofdm is implemented)")
-    cfg = WaveformConfig(
-        waveform_type=wtype,
-        n_ofdm_symbols=_as_int(top.require("n_ofdm_symbols"), "n_ofdm_symbols"),
-        qam_order=_as_int(top.require("qam_order"), "qam_order"),
-        oversampling_factor=_as_int(top.get("oversampling_factor", 1),
-                                    "oversampling_factor"),
-        cp_length=_as_int(top.get("cp_length", 0), "cp_length"),
-        pilot_spacing=_as_int(top.get("pilot_spacing", 8), "pilot_spacing"),
-        pilot_mode=str(top.get("pilot_mode", "scattered")).lower(),
-        tx_power=_as_float(top.get("tx_power", 0.0), "tx_power"),
-        num_subcarriers=(_as_int(top.get("num_subcarriers"), "num_subcarriers")
-                         if top.has("num_subcarriers") else None),
-    )
-    top.warn_unknown()
-    if cfg.n_ofdm_symbols < 1:
-        raise SchemaError("n_ofdm_symbols must be >= 1")
+    top = _top(path)
+    cfg = WaveformConfig(**_read(top, _WAVEFORM_KEYS,
+                                 required=("waveform_type", "n_ofdm_symbols", "qam_order")))
     if cfg.qam_order not in QAM_ORDERS:
         raise SchemaError(f"qam_order must be one of {QAM_ORDERS} (a power of 4)")
-    if cfg.oversampling_factor < 1:
-        raise SchemaError("oversampling_factor must be >= 1")
     if cfg.cp_length < 0:
         raise SchemaError("cp_length must be >= 0")
-    if cfg.pilot_mode not in PILOT_MODES:
-        raise SchemaError(f"pilot_mode must be one of {PILOT_MODES}")
-    if cfg.pilot_spacing < 1:
-        raise SchemaError("pilot_spacing must be >= 1")
     if cfg.num_subcarriers is not None:
         problems = _check_against_grid(cfg, cfg.num_subcarriers)
         if problems:
@@ -463,126 +520,60 @@ class ComponentBank:
     receiver: ReceiverConfig = field(default_factory=ReceiverConfig)
 
 
-def _parse_amplifier(sec: _Section) -> AmplifierParams:
-    mode = str(sec.get("model", sec.get("mode", "ideal"))).lower()
-    if mode not in AMPLIFIER_MODES:
-        raise UnsupportedModel(f"{sec.path}: amplifier model {mode!r}")
-    coeffs = sec.get("poly_coeffs", [])
-    if not isinstance(coeffs, (list, tuple)):
-        raise SchemaError(f"{sec.path}.poly_coeffs: expected a list, got {coeffs!r}")
-    parsed_coeffs = [_as_complex(c, f"{sec.path}.poly_coeffs[{i}]")
-                     for i, c in enumerate(coeffs)]
-    params = AmplifierParams(
-        gain_db=_as_float(sec.get("gain_db", 0.0), f"{sec.path}.gain_db"),
-        mode=mode,
-        sat_amplitude=_as_float(sec.get("sat_amplitude", 1.0),
-                                f"{sec.path}.sat_amplitude"),
-        poly_coeffs=tuple(parsed_coeffs),
-        nf_db=_as_float(sec.get("nf_db", 0.0), f"{sec.path}.nf_db"),
-        bandwidth=_as_float(sec.get("bandwidth", 0.0), f"{sec.path}.bandwidth"),
-        temperature=_as_float(sec.get("temperature", 290.0), f"{sec.path}.temperature"),
-    )
-    sec.warn_unknown()
-    return params
+_AMPLIFIER_MODE = _choice(*AMPLIFIER_MODES, error=UnsupportedModel)
 
-
-def _parse_linear_element(sec: _Section, base_dir: Path) -> LinearElementSpec:
-    model = str(sec.get("model", "ideal")).lower()
-    if model not in LINEAR_MODELS:
-        raise UnsupportedModel(f"{sec.path}: linear element model {model!r}")
-    file_rel = sec.get("file")
-    network = None
-    if model == "s2p_filter":
-        if file_rel is None:
-            raise SchemaError(f"{sec.path}: s2p_filter requires a 'file' key")
-        network = read_touchstone(base_dir / str(file_rel))
-    domain = str(sec.get("domain", "frequency")).lower()
-    if domain not in ("frequency", "time"):
-        raise UnsupportedMode(f"{sec.path}: application domain {domain!r}")
-    spec = LinearElementSpec(
-        model=model,
-        loss_db=_as_float(sec.get("loss_db", 0.0), f"{sec.path}.loss_db"),
-        file=str(file_rel) if file_rel is not None else None,
-        network=network,
-        domain=domain,
-        n_taps=_as_int(sec.get("taps", 256), f"{sec.path}.taps"),
-        length_m=_as_float(sec.get("length_m", 0.0), f"{sec.path}.length_m"),
-        group_velocity=_as_float(sec.get("group_velocity", 2e8),
-                                 f"{sec.path}.group_velocity"),
-    )
-    sec.warn_unknown()
-    if spec.n_taps < 1:
-        raise SchemaError(f"{sec.path}: taps must be >= 1")
-    return spec
+# one key table per record type of a ComponentBank block; mode is an
+# alias of model, and a snapshot writes model
+_COMPONENT_KEYS = {
+    AmplifierParams: {
+        "model": ("mode", _AMPLIFIER_MODE), "mode": ("mode", _AMPLIFIER_MODE),
+        "gain_db": ("gain_db", _as_float), "sat_amplitude": ("sat_amplitude", _as_float),
+        "poly_coeffs": ("poly_coeffs", _as_complex_list), "nf_db": ("nf_db", _as_float),
+        "bandwidth": ("bandwidth", _as_float), "temperature": ("temperature", _as_float)},
+    LinearElementSpec: {
+        "model": ("model", _choice(*LINEAR_MODELS, error=UnsupportedModel)),
+        "loss_db": ("loss_db", _as_float),
+        "file": ("file", _or_none(lambda value, _path: str(value))),
+        "domain": ("domain", _choice("frequency", "time", error=UnsupportedMode)),
+        "taps": ("n_taps", _as_count), "length_m": ("length_m", _as_float),
+        "group_velocity": ("group_velocity", _as_float)},
+    DacParams: {
+        "model": ("mode", _as_name), "mode": ("mode", _as_name),
+        "bits": ("bits", _as_int), "clip_amplitude": ("clip_amplitude", _as_float)},
+    OscillatorParams: {
+        "model": ("mode", _as_name), "mode": ("mode", _as_name),
+        "cfo_hz": ("cfo_hz", _as_float), "ar_rho": ("ar_rho", _as_float),
+        "innovation_std": ("innovation_std", _as_float),
+        "initial_phase": ("initial_phase", _as_float)},
+    IqParams: {
+        "gain_mismatch": ("gain_mismatch", _as_float),
+        "phase_mismatch": ("phase_mismatch", _as_float),
+        "dc_offset": ("dc_offset", _as_complex)},
+    CalibrationConfig: {"target_power": ("target_power_dbm", _as_float),
+                        "max_gain": ("max_gain_db", _as_float)},
+    ReceiverConfig: {"nf_db": ("nf_db", _or_none(_as_float)),
+                     "temperature": ("temperature", _as_float)},
+}
 
 
 def load_components(path) -> ComponentBank:
     """Load components.yaml; .s2p paths resolve relative to the file."""
     p = Path(path)
-    top = _Section(_load_yaml(p), str(p))
-    base = p.parent
-    kwargs = {}
-    if top.has("boost_amplifier"):
-        kwargs["boost_amplifier"] = _parse_amplifier(
-            _Section(top.get("boost_amplifier"), "boost_amplifier"))
-    if top.has("antenna_amplifier"):
-        kwargs["antenna_amplifier"] = _parse_amplifier(
-            _Section(top.get("antenna_amplifier"), "antenna_amplifier"))
-    if top.has("fiber"):
-        kwargs["fiber"] = _parse_linear_element(_Section(top.get("fiber"), "fiber"), base)
-    if top.has("coupler"):
-        kwargs["coupler"] = _parse_linear_element(_Section(top.get("coupler"), "coupler"), base)
-    if top.has("dac"):
-        sec = _Section(top.get("dac"), "dac")
-        mode = str(sec.get("model", sec.get("mode", "quantize" if sec.has("bits") else "ideal"))).lower()
-        kwargs["dac"] = DacParams(
-            mode=mode,
-            bits=_as_int(sec.get("bits", 12), "dac.bits"),
-            clip_amplitude=_as_float(sec.get("clip_amplitude", 1.0), "dac.clip_amplitude"),
-        )
-        sec.warn_unknown()
-    if top.has("oscillator"):
-        sec = _Section(top.get("oscillator"), "oscillator")
-        kwargs["oscillator"] = OscillatorParams(
-            mode=str(sec.get("model", sec.get("mode", "ideal"))).lower(),
-            cfo_hz=_as_float(sec.get("cfo_hz", 0.0), "oscillator.cfo_hz"),
-            ar_rho=_as_float(sec.get("ar_rho", 1.0), "oscillator.ar_rho"),
-            innovation_std=_as_float(sec.get("innovation_std", 0.0),
-                                     "oscillator.innovation_std"),
-            initial_phase=_as_float(sec.get("initial_phase", 0.0),
-                                    "oscillator.initial_phase"),
-        )
-        sec.warn_unknown()
-    if top.has("iq_modem"):
-        sec = _Section(top.get("iq_modem"), "iq_modem")
-        dc = _as_complex(sec.get("dc_offset", 0.0), "iq_modem.dc_offset")
-        kwargs["iq_modem"] = IqParams(
-            gain_mismatch=_as_float(sec.get("gain_mismatch", 1.0),
-                                    "iq_modem.gain_mismatch"),
-            phase_mismatch=_as_float(sec.get("phase_mismatch", 0.0),
-                                     "iq_modem.phase_mismatch"),
-            dc_offset=dc,
-        )
-        sec.warn_unknown()
-    if top.has("calibration"):
-        sec = _Section(top.get("calibration"), "calibration")
-        kwargs["calibration"] = CalibrationConfig(
-            target_power_dbm=_as_float(sec.get("target_power", 0.0),
-                                       "calibration.target_power"),
-            max_gain_db=_as_float(sec.get("max_gain", 30.0), "calibration.max_gain"),
-        )
-        sec.warn_unknown()
-    if top.has("receiver"):
-        sec = _Section(top.get("receiver"), "receiver")
-        nf = sec.get("nf_db")
-        kwargs["receiver"] = ReceiverConfig(
-            nf_db=None if nf is None else _as_float(nf, "receiver.nf_db"),
-            temperature=_as_float(sec.get("temperature", 290.0),
-                                  "receiver.temperature"),
-        )
-        sec.warn_unknown()
+    top = _top(p)
+    parts = {}
+    for part in fields(ComponentBank):
+        record = part.default_factory  # the block's record type
+        sec = _Section(top.get(part.name, {}), part.name)
+        kwargs = _read(sec, _COMPONENT_KEYS[record])
+        if record is DacParams and "bits" in kwargs:
+            kwargs.setdefault("mode", "quantize")  # bits given means quantize
+        if record is LinearElementSpec and kwargs.get("model") == "s2p_filter":
+            if kwargs.get("file") is None:
+                raise SchemaError(f"{sec.path}: s2p_filter requires a 'file' key")
+            kwargs["network"] = read_touchstone(p.parent / kwargs["file"])
+        parts[part.name] = record(**kwargs)
     top.warn_unknown()
-    return ComponentBank(**kwargs)
+    return ComponentBank(**parts)
 
 
 # ---------------------------------------------------------------------------
@@ -669,22 +660,12 @@ def environment_to_dict(env: EnvironmentConfig) -> dict:
     return {
         "room": {"x": env.room[0], "y": env.room[1], "z": env.room[2]},
         # only the keys the config gave: an omitted one stays unchecked
-        "stripe_config": {
-            key: list(value) if isinstance(value, tuple) else value
-            for key in ("n_stripes", "n_rus", "inter_ru_spacing", "inter_stripe_spacing",
-                        "start_position", "end_position", "orientation")
-            if (value := getattr(env.stripe_config, key)) is not None},
-        "radio_stripes": [
-            [{"kind": n.kind, "position": list(n.position)} for n in stripe]
-            for stripe in env.radio_stripes
-        ],
+        "stripe_config": _snapshot(env.stripe_config, _LAYOUT_KEYS),
+        "radio_stripes": [[_snapshot(n, _NODE_KEYS) for n in stripe]
+                          for stripe in env.radio_stripes],
         "ue_positions": [list(p) for p in env.ue_positions],
-        **({"sub_thz": {"fc": env.sub_thz.fc, "bw": env.sub_thz.bw,
-                        "num_subcarriers": env.sub_thz.num_subcarriers}}
-           if env.sub_thz else {}),
-        "antenna": {"n_antennas": env.antenna.n_antennas,
-                    "polarization": env.antenna.polarization,
-                    "pattern": env.antenna.pattern},
+        **({"sub_thz": _snapshot(env.sub_thz, _SUB_THZ_KEYS)} if env.sub_thz else {}),
+        "antenna": _snapshot(env.antenna, _ANTENNA_KEYS),
         "central_unit_fiber_length": env.central_unit_fiber_length,
         **({"sub10ghz": env.sub10ghz} if env.sub10ghz else {}),
         **env.extras,
@@ -692,63 +673,9 @@ def environment_to_dict(env: EnvironmentConfig) -> dict:
 
 
 def waveform_to_dict(wf: WaveformConfig) -> dict:
-    out = {
-        "waveform_type": wf.waveform_type,
-        "n_ofdm_symbols": wf.n_ofdm_symbols,
-        "qam_order": wf.qam_order,
-        "oversampling_factor": wf.oversampling_factor,
-        "cp_length": wf.cp_length,
-        "pilot_spacing": wf.pilot_spacing,
-        "pilot_mode": wf.pilot_mode,
-        "tx_power": wf.tx_power,
-    }
-    if wf.num_subcarriers is not None:
-        out["num_subcarriers"] = wf.num_subcarriers
-    return out
-
-
-def _amplifier_to_dict(a: AmplifierParams) -> dict:
-    out = {"model": a.mode, "gain_db": a.gain_db, "nf_db": a.nf_db,
-           "bandwidth": a.bandwidth, "temperature": a.temperature}
-    if a.mode in ("tanh", "atan", "soft_limiter"):
-        out["sat_amplitude"] = a.sat_amplitude
-    if a.mode == "polynomial":
-        out["poly_coeffs"] = [[c.real, c.imag] for c in a.poly_coeffs]
-    return out
-
-
-def _element_to_dict(e: LinearElementSpec) -> dict:
-    out = {"model": e.model, "domain": e.domain}
-    if e.model == "fixed_damping":
-        out["loss_db"] = e.loss_db
-    if e.model == "s2p_filter":
-        out.update(file=e.file, taps=e.n_taps)
-    if e.length_m:
-        out["length_m"] = e.length_m
-    if e.group_velocity != 2e8:
-        out["group_velocity"] = e.group_velocity
-    return out
+    return _snapshot(wf, _WAVEFORM_KEYS)
 
 
 def components_to_dict(bank: ComponentBank) -> dict:
-    return {
-        "boost_amplifier": _amplifier_to_dict(bank.boost_amplifier),
-        "antenna_amplifier": _amplifier_to_dict(bank.antenna_amplifier),
-        "fiber": _element_to_dict(bank.fiber),
-        "coupler": _element_to_dict(bank.coupler),
-        "dac": {"model": bank.dac.mode, "bits": bank.dac.bits,
-                "clip_amplitude": bank.dac.clip_amplitude},
-        "oscillator": {"model": bank.oscillator.mode,
-                       "cfo_hz": bank.oscillator.cfo_hz,
-                       "ar_rho": bank.oscillator.ar_rho,
-                       "innovation_std": bank.oscillator.innovation_std,
-                       "initial_phase": bank.oscillator.initial_phase},
-        "iq_modem": {"gain_mismatch": bank.iq_modem.gain_mismatch,
-                     "phase_mismatch": bank.iq_modem.phase_mismatch,
-                     "dc_offset": [bank.iq_modem.dc_offset.real,
-                                   bank.iq_modem.dc_offset.imag]},
-        "calibration": {"target_power": bank.calibration.target_power_dbm,
-                        "max_gain": bank.calibration.max_gain_db},
-        "receiver": {"nf_db": bank.receiver.nf_db,
-                     "temperature": bank.receiver.temperature},
-    }
+    return {part.name: _snapshot(getattr(bank, part.name), _COMPONENT_KEYS[part.default_factory])
+            for part in fields(bank)}

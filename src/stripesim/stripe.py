@@ -783,7 +783,7 @@ def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank
         tx_grid = build_resource_grid(streams.stream(seed, "data-bits").integers(0, 2, n_bits),
                                       wf_cfg, grid, seed)
         tx_wf = ofdm_modulate(tx_grid, grid, wf_cfg.cp_length)
-        # scale the modulator's fresh array in place, as set_power would
+        # scale the modulator's fresh array in place to the dBm target
         np.multiply(tx_wf.samples, _power_scale(tx_wf, wf_cfg.tx_power), out=tx_wf.samples)
 
         # each waveform- or grid-sized array is dropped once used, so the

@@ -11,7 +11,7 @@ Conventions
 * Oversampling is frequency-domain zero padding: the Q occupied bins are
   centered in a ``Q*os``-point spectrum, so the band limitation is exact.
 * The modulator is scaled so the mean time-sample power equals the mean
-  resource-grid power; absolute power is then set once by `set_power`.
+  resource-grid power; absolute power is then set once by `_power_scale`.
 * ``cp_length`` is counted in critical-rate samples and multiplied by the
   oversampling factor internally, keeping configs os-independent.
 
@@ -187,14 +187,6 @@ class ResourceGrid:
             object.__setattr__(self, "pilot_mask", mask)
 
     @property
-    def n_subcarriers(self) -> int:
-        return self.symbols.shape[0]
-
-    @property
-    def n_symbols(self) -> int:
-        return self.symbols.shape[1]
-
-    @property
     def data_mask(self) -> np.ndarray:
         if self.pilot_mask is None:
             raise ConfigError("grid carries no pilot layout")
@@ -265,11 +257,6 @@ def map_qam(bits, order: int) -> np.ndarray:
         raise LengthError(f"bit count {bits.size} not divisible by {m}")
     words = bits.reshape(-1, m) @ (1 << np.arange(m - 1, -1, -1)).astype(word)
     return _qam_table(order)[words]
-
-
-def constellation(order: int) -> np.ndarray:
-    """All M constellation points indexed by the integer bit word."""
-    return _qam_table(order).copy()
 
 
 @functools.cache
@@ -474,8 +461,3 @@ def _power_scale(wf: TimeWaveform, p_dbm: float) -> float:
         raise ZeroSignal("cannot set the power of an all-zero waveform")
     target = 10.0 ** ((p_dbm - 30.0) / 10.0)
     return np.sqrt(target / current)
-
-
-def set_power(wf: TimeWaveform, p_dbm: float) -> TimeWaveform:
-    """Scale so mean |x|^2 equals the dBm target (1-ohm reference)."""
-    return wf.with_samples(wf.samples * _power_scale(wf, p_dbm))

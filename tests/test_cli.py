@@ -98,6 +98,23 @@ _IQ = "dc_offset: [0.0, 0.0]"
                  id="poly-coeffs-not-a-list"),
     pytest.param("run", ["--ru", "1"], (_IQ, "dc_offset: abc"), None, 2,
                  id="dc-offset-not-a-number"),
+    pytest.param("run", ["--ru", "1"],
+                 (_AMP, _AMP[:-1] + ", poly_coeffs: [.nan]}"), None, 2,
+                 id="poly-coeffs-not-finite"),
+    pytest.param("run", ["--ru", "1"], (_IQ, "dc_offset: .inf"), None, 2,
+                 id="dc-offset-not-finite"),
+    pytest.param("run", ["--ru", "1"], (_IQ, "dc_offset: true"), None, 2,
+                 id="dc-offset-a-bool"),
+    pytest.param("run", ["--ru", "1"], (_AMP, _AMP.replace("ideal", "ideal, mode: tanh")),
+                 None, 2, id="amplifier-model-and-mode"),
+    pytest.param("run", ["--ru", "1", "--channel", "tdl:abc"], None, None, 2,
+                 id="channel-tdl-beta-not-a-number"),
+    pytest.param("run", ["--ru", "1", "--channel", "tdl:0.5:x"], None, None, 2,
+                 id="channel-tdl-taps-not-an-integer"),
+    pytest.param("run", ["--ru", "1", "--channel", "tdl:0.5:0"], None, None, 2,
+                 id="channel-tdl-taps-zero"),
+    pytest.param("run", ["--ru", "1", "--channel", "tdl:nan"], None, None, 2,
+                 id="channel-tdl-beta-not-finite"),
     pytest.param("run", ["--ru", "1"], ("N_RUs: 3", "N_RUs: 4"), None, 2,
                  id="stripe-config-n-rus-disagrees"),
     pytest.param("run", ["--ru", "1"], ("N_stripes: 1", "N_stripes: 2"), None, 2,
@@ -159,6 +176,24 @@ def test_bad_input_exits_typed(config_tree, tmp_path, capsys, command, flags,
     code = _run(command, *_base_flags(config_tree), *flags, "--out", tmp_path / "o")
     assert code == expected
     assert "internal error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("gen-channels", ["--n-rx", "-1"]),
+    ("gen-channels", ["--n-tx", "0"]),
+    ("gen-channels", ["--taps-l", "0"]),
+    ("sweep-ru", ["--jobs", "0"]),
+    ("sweep-ru", ["--jobs", "-2"]),
+], ids=["n-rx-negative", "n-tx-zero", "taps-l-zero", "jobs-zero", "jobs-negative"])
+def test_counts_below_one_exit_config(config_tree, tmp_path, capsys, command, flags):
+    """A count flag below 1 is a configuration error, and nothing is written."""
+    configs = (["--env", config_tree["env"]] if command == "gen-channels"
+               else _base_flags(config_tree))
+    capsys.readouterr()
+    assert _run(command, *configs, *flags, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert "must be >= 1" in err and "internal error" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command, flags", [("run", ["--ru", "3"]), ("sweep-ru", [])],

@@ -1,14 +1,21 @@
 """YAML loading, schema/geometry validation, cross-checks, round trips."""
 
 import warnings
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
 import yaml
 
-from stripesim.config import (_load_yaml, components_to_dict, environment_to_dict,
-                              load_components, load_environment, load_waveform,
-                              validate_cross, waveform_to_dict)
+from stripesim.components import (AmplifierParams, DacParams, IqParams,
+                                  OscillatorParams)
+from stripesim.config import (_ANTENNA_KEYS, _COMPONENT_KEYS, _LAYOUT_KEYS,
+                              _NODE_KEYS, _SUB_THZ_KEYS, _WAVEFORM_KEYS, AntennaConfig,
+                              CalibrationConfig, LinearElementSpec, ReceiverConfig,
+                              StripeLayout, StripeNode, SubThzConfig, WaveformConfig,
+                              _load_yaml, _read, _Section, _snapshot, components_to_dict,
+                              environment_to_dict, load_components, load_environment,
+                              load_waveform, validate_cross, waveform_to_dict)
 from stripesim.dataset import DatasetHeader
 from stripesim.errors import (GeometryError, ParseError, SchemaError,
                               TouchstoneError, UnknownKeyWarning,
@@ -366,3 +373,68 @@ def test_components_round_trip(tmp_path):
         dumped = yaml.safe_dump(components_to_dict(bank))
         bank2 = load_components(_write(tmp_path, "comp2.yaml", dumped))
     assert bank2 == bank
+
+
+# ---------------------------------------------------------------------------
+# Key tables
+# ---------------------------------------------------------------------------
+
+KEY_TABLES = {StripeNode: _NODE_KEYS, StripeLayout: _LAYOUT_KEYS,
+              SubThzConfig: _SUB_THZ_KEYS, AntennaConfig: _ANTENNA_KEYS,
+              WaveformConfig: _WAVEFORM_KEYS, **_COMPONENT_KEYS}
+
+# every field of each section record, set away from its default
+AWAY_FROM_DEFAULT = {
+    StripeNode: dict(kind="radio_unit", position=(1.0, 2.0, 2.5)),
+    StripeLayout: dict(n_stripes=2, n_rus=5, inter_ru_spacing=0.25,
+                       inter_stripe_spacing=1.5, start_position=(1.0, 2.0, 2.5),
+                       end_position=(3.0, 2.0, 2.5), orientation="y"),
+    SubThzConfig: dict(fc=1.0e11, bw=2.0e9, num_subcarriers=512),
+    AntennaConfig: dict(n_antennas=4),
+    WaveformConfig: dict(n_ofdm_symbols=3, qam_order=64, oversampling_factor=2,
+                         cp_length=4, pilot_spacing=4, pilot_mode="block",
+                         tx_power=-3.5, num_subcarriers=64),
+    AmplifierParams: dict(gain_db=10.5, mode="polynomial", sat_amplitude=0.7,
+                          poly_coeffs=(1.0 + 0j, -0.1 + 0.05j), nf_db=5.0,
+                          bandwidth=1e9, temperature=300.0),
+    LinearElementSpec: dict(model="fixed_damping", loss_db=3.0, file="x.s2p",
+                            domain="time", n_taps=64, length_m=2.5,
+                            group_velocity=2.1e8),
+    DacParams: dict(mode="quantize", bits=8, clip_amplitude=0.8),
+    OscillatorParams: dict(mode="ar1", cfo_hz=1e3, ar_rho=0.9, innovation_std=0.01,
+                           initial_phase=0.3),
+    IqParams: dict(gain_mismatch=1.1, phase_mismatch=0.05, dc_offset=0.01 - 0.02j),
+    CalibrationConfig: dict(target_power_dbm=-5.0, max_gain_db=20.0),
+    ReceiverConfig: dict(nf_db=7.0, temperature=300.0),
+}
+# the only value these accept is their default
+ONLY_DEFAULT = {(AntennaConfig, "polarization"), (AntennaConfig, "pattern"),
+                (WaveformConfig, "waveform_type")}
+DERIVED = {(LinearElementSpec, "network")}  # read from the file key
+
+
+@pytest.mark.parametrize("record", KEY_TABLES, ids=lambda r: r.__name__)
+def test_key_table_covers_and_round_trips_its_record(record):
+    """Each record field has a key, and a record with every field away from
+    its default reloads equal from its snapshot."""
+    table, values = KEY_TABLES[record], AWAY_FROM_DEFAULT[record]
+    keyed = {name for name, _parse in table.values()}
+    for f in fields(record):
+        assert f.name in keyed or (record, f.name) in DERIVED, f.name
+        assert f.name in values or (record, f.name) in ONLY_DEFAULT | DERIVED, f.name
+        assert f.name not in values or f.default is MISSING or values[f.name] != f.default
+    original = record(**values)
+    dumped = yaml.safe_dump(_snapshot(original, table))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UnknownKeyWarning)
+        reloaded = record(**_read(_Section(yaml.safe_load(dumped), "section"), table))
+    assert reloaded == original
+
+
+def test_model_and_mode_together_rejected(tmp_path):
+    doc = COMP_YAML.replace("boost_amplifier: {model: ideal,",
+                            "boost_amplifier: {model: ideal, mode: tanh,")
+    with pytest.raises(SchemaError, match="boost_amplifier: give 'model' or 'mode'"):
+        load_components(_write(tmp_path, "comp.yaml", doc))
+    alias = COMP_YAML.replace("dac: {model: ideal}", "dac: {mode: quantize, bits: 6}")
+    assert load_components(_write(tmp_path, "alias.yaml", alias)).dac.mode == "quantize"

@@ -21,7 +21,7 @@ from stripesim.errors import (CalibrationInfeasible, ConfigError, GridMismatch,
 from stripesim.stripe import (build_stripe, calibrate_gains, make_grid,
                               propagate_downlink, propagate_uplink, run_link)
 from stripesim.touchstone import parse_touchstone
-from stripesim.waveform import SubcarrierGrid, TimeWaveform, set_power
+from stripesim.waveform import SubcarrierGrid, TimeWaveform, _power_scale
 
 from conftest import s2p_from_taps
 
@@ -174,9 +174,9 @@ def test_downlink_deeper_ru_lower_power():
     grid = make_grid(env, wf)
     top = build_stripe(env, _damped_bank(loss_db=6.0), 0, grid, wf)
     rng = np.random.default_rng(1)
-    x = set_power(TimeWaveform(
-        rng.standard_normal(2 * (grid.n_fft + 32))
-        + 1j * rng.standard_normal(2 * (grid.n_fft + 32)), grid.sample_rate), 0.0)
+    x = TimeWaveform(rng.standard_normal(2 * (grid.n_fft + 32))
+                     + 1j * rng.standard_normal(2 * (grid.n_fft + 32)), grid.sample_rate)
+    x = x.with_samples(x.samples * _power_scale(x, 0.0))
     powers = []
     for ru in (1, 4):
         branches, _, _ = propagate_downlink(top, x, ru, [0.0], seed=1)

@@ -6,11 +6,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import erfc
 
 from stripesim.errors import ConfigError, LengthError, ZeroSignal
-from stripesim.waveform import (SubcarrierGrid, TimeWaveform,
-                                build_resource_grid, constellation, demap_qam,
+from stripesim.waveform import (SubcarrierGrid, TimeWaveform, _power_scale,
+                                _qam_table, build_resource_grid, demap_qam,
                                 extract_symbols, map_qam, ofdm_modulate,
-                                pilot_mask, pilot_sequence, set_power,
-                                synthesize_symbols)
+                                pilot_mask, pilot_sequence, synthesize_symbols)
 from stripesim.config import WaveformConfig
 
 
@@ -75,7 +74,7 @@ def test_16qam_all_zero_word():
 
 def test_16qam_gray_table_oracle():
     """Enumerate the 16-point table: unit energy and per-axis Gray steps."""
-    pts = constellation(16)
+    pts = _qam_table(16)
     assert abs(np.mean(np.abs(pts) ** 2) - 1.0) < 1e-12
     scaled = pts * np.sqrt(10)
     levels = sorted(set(np.round(scaled.real)))
@@ -92,7 +91,7 @@ def test_16qam_gray_table_oracle():
 
 @pytest.mark.parametrize("order", [4, 16, 64, 256])
 def test_constellation_unit_energy_exhaustive(order):
-    pts = constellation(order)
+    pts = _qam_table(order)
     assert pts.size == order
     assert abs(np.mean(np.abs(pts) ** 2) - 1.0) < 1e-12
 
@@ -284,20 +283,25 @@ def test_modulate_demodulate_objects():
 # Power scaling
 # ---------------------------------------------------------------------------
 
+def _set_power(wf: TimeWaveform, p_dbm: float) -> TimeWaveform:
+    """Scale so mean |x|^2 equals the dBm target, as the link does."""
+    return wf.with_samples(wf.samples * _power_scale(wf, p_dbm))
+
+
 def test_set_power_dbm():
     wf = TimeWaveform(np.ones(1000, complex) * (1 + 1j), 1e9)
-    assert abs(set_power(wf, 0.0).power - 1e-3) < 1e-15
-    assert abs(set_power(wf, 30.0).power - 1.0) < 1e-12
+    assert abs(_set_power(wf, 0.0).power - 1e-3) < 1e-15
+    assert abs(_set_power(wf, 30.0).power - 1.0) < 1e-12
 
 
 def test_set_power_idempotent():
     rng = np.random.default_rng(23)
     wf = TimeWaveform(rng.standard_normal(512) + 1j * rng.standard_normal(512), 1e9)
-    once = set_power(wf, -10.0)
-    twice = set_power(once, -10.0)
+    once = _set_power(wf, -10.0)
+    twice = _set_power(once, -10.0)
     np.testing.assert_allclose(twice.samples, once.samples, rtol=1e-14)
 
 
 def test_set_power_zero_signal():
     with pytest.raises(ZeroSignal):
-        set_power(TimeWaveform(np.zeros(8), 1e9), 0.0)
+        _power_scale(TimeWaveform(np.zeros(8), 1e9), 0.0)
