@@ -19,7 +19,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +237,9 @@ def cmd_sweep_ru(args) -> int:
              for ru_id in range(len(stripe) - 1)]
     inputs = (env, wf, bank, channel)
     if args.jobs > 1:
+        # imported here: it adds ~13 ms to every start of the CLI
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs, initializer=_set_sweep_inputs,
                                  initargs=inputs) as pool:
             rows = list(pool.map(_sweep_cell, cells))

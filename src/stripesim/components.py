@@ -209,10 +209,12 @@ def _noise_into(samples: np.ndarray, sigma: float, rng: np.random.Generator,
     spent ``(2,) + shape`` draw, free for use as two real scratch arrays.
 
     One ``(2,) + shape`` draw yields the same numbers, in the same order,
-    as drawing ``a`` and then ``b``.
+    as drawing ``a`` and then ``b``; ``rng`` may return the two halves as
+    a pair of arrays.
     """
     z = rng.standard_normal((2,) + samples.shape)
-    z *= sigma
+    for half in z:
+        half *= sigma
     np.add(samples.real, z[0], out=out.real)
     np.add(samples.imag, z[1], out=out.imag)
     return z

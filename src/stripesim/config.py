@@ -129,6 +129,16 @@ def _as_count(value, path: str) -> int:
     return out
 
 
+def _at_least(low: float, *, strict: bool = False):
+    """Parser of a finite number that is >= ``low`` (> ``low`` when strict)."""
+    def parse(value, path: str) -> float:
+        out = _as_float(value, path)
+        if out < low or (strict and out == low):
+            raise SchemaError(f"{path} must be {'>' if strict else '>='} {low:g}")
+        return out
+    return parse
+
+
 def _as_name(value, path: str) -> str:
     return str(value).lower()
 
@@ -528,8 +538,11 @@ _COMPONENT_KEYS = {
     AmplifierParams: {
         "model": ("mode", _AMPLIFIER_MODE), "mode": ("mode", _AMPLIFIER_MODE),
         "gain_db": ("gain_db", _as_float), "sat_amplitude": ("sat_amplitude", _as_float),
-        "poly_coeffs": ("poly_coeffs", _as_complex_list), "nf_db": ("nf_db", _as_float),
-        "bandwidth": ("bandwidth", _as_float), "temperature": ("temperature", _as_float)},
+        "poly_coeffs": ("poly_coeffs", _as_complex_list),
+        # a noise figure below 0 dB or a temperature of 0 K or less makes
+        # the added noise power negative
+        "nf_db": ("nf_db", _at_least(0.0)), "bandwidth": ("bandwidth", _as_float),
+        "temperature": ("temperature", _at_least(0.0, strict=True))},
     LinearElementSpec: {
         "model": ("model", _choice(*LINEAR_MODELS, error=UnsupportedModel)),
         "loss_db": ("loss_db", _as_float),
@@ -552,7 +565,7 @@ _COMPONENT_KEYS = {
     CalibrationConfig: {"target_power": ("target_power_dbm", _as_float),
                         "max_gain": ("max_gain_db", _as_float)},
     ReceiverConfig: {"nf_db": ("nf_db", _or_none(_as_float)),
-                     "temperature": ("temperature", _as_float)},
+                     "temperature": ("temperature", _at_least(0.0, strict=True))},
 }
 
 

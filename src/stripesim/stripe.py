@@ -22,22 +22,30 @@ current waveform when the walk owns it, that is when the walk or a
 stage before it made that array. Otherwise it writes into the calling
 thread's workspace (`waveform._thread_workspace`), arrays kept for the
 last shape asked for that the next walk on the thread overwrites: the
-trunk, a second uplink branch, the per-symbol FFT spectrum and the
-noise-draw slots. The OFDM pair at the link ends transforms in that
-same spectrum, so a link makes no other spectrum; calibration, whose
-reference is shorter, runs on a workspace of its own. The downlink
-split and the uplink's last stage (the CU receive amplifier) write
-fresh arrays, so whatever leaves a walk or a link is an array no later
-walk touches: the downlink branch waveforms, the uplink output, every
-`LinkResult` array and, when taps are recorded, every tap (each stage
-then writes a fresh array, so a recorded array keeps its value).
-`run_link` drops each waveform- or grid-sized array once it is used,
-so later ones reuse its memory rather than fresh pages.
+trunk, one antenna branch, the per-symbol FFT spectrum and the noise
+ring. The OFDM pair at the link ends transforms in that same spectrum,
+so a link makes no other spectrum; calibration, whose reference is
+shorter, runs on a workspace of its own. A link holds each large array
+only while a stage reads it. The downlink makes its antenna branches
+one at a time in the workspace and hands each to a consumer as soon as
+its amplifier returns (`run_link` moves it into the channel's input
+grid); the uplink takes each branch only when its antenna amplifier
+needs it, and `run_link` synthesizes it then. The downlink's default
+consumer copies each branch out, and the uplink's last stage (the CU
+receive amplifier) writes a fresh array, so whatever leaves a walk or a
+link is an array no later walk touches: the downlink branch waveforms,
+the uplink output, every `LinkResult` array and, when taps are
+recorded, every tap (each stage then writes a fresh array, so a
+recorded array keeps its value). `run_link` drops each waveform- or
+grid-sized array once it is used, so later ones reuse its memory rather
+than fresh pages.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -272,17 +280,27 @@ class _Chain:
 class _Drawn:
     """The noise one stage draws, made ahead on the helper thread; stands
     in for the stage's generator in `comp.amplifier_process` and
-    `comp.add_complex_noise`."""
+    `comp.add_complex_noise`. ``z`` is the drawn array, or the pair of
+    its two halves when they sit in two ring rows."""
 
-    def __init__(self, size: tuple, future):
+    def __init__(self, size: tuple, future, z):
         self._size = size
         self._future = future
+        self._z = z
 
     def standard_normal(self, size):
         if size != self._size:
             raise LengthError(f"noise was drawn ahead for shape {self._size}, "
                               f"the stage asks for {size}")
-        return self._future.result()
+        self._future.result()
+        return self._z
+
+
+def _draw_into(rng: np.random.Generator, rows: list):
+    """Fill ``rows`` in turn from ``rng``: the numbers of one draw of
+    their stacked shape."""
+    for row in rows:
+        rng.standard_normal(out=row)
 
 
 class _NoiseAhead:
@@ -291,13 +309,17 @@ class _NoiseAhead:
     ``draws`` lists (rng, shape) of every draw in the order the link
     consumes them; ``streams`` is the plan's ``stream(node, tag)`` (see
     `_plan_noise`), so the walk uses the generators the plan names. One
-    helper thread makes the draws in order, at most ``AHEAD`` beyond the
-    one in use, into a ring of ``AHEAD + 1`` workspace slots: a slot is
-    drawn into again only once the stage that used it has returned.
-    `Generator.standard_normal` releases the GIL, and the helper calls
-    nothing else. The thread lives only inside the ``with`` block, so none
-    outlives a link (sweep workers are forked between links), and leaving
-    the block waits for a draw in progress, so no slot is written after.
+    helper thread makes the draws in order into a ring of ``AHEAD + 1``
+    workspace rows. A waveform draw, shaped (2, length), fills one row;
+    the over-the-air draw, shaped (2,) + a resource grid, fills one row
+    with each half. The lookahead counts rows: the rows of the draw in
+    use and of the draws made ahead of it are at most ``AHEAD + 1``, so a
+    row is drawn into again only once the stage that used it has
+    returned. `Generator.standard_normal` releases the GIL, and the
+    helper runs nothing else. The thread lives only inside the ``with``
+    block, so none outlives a link (sweep workers are forked between
+    links), and leaving the block waits for a draw in progress, so no row
+    is written after.
     """
 
     AHEAD = 4
@@ -305,58 +327,67 @@ class _NoiseAhead:
     def __init__(self, draws: list, streams=None):
         self.streams = streams
         self._draws = draws
-        self._slots = []
+        self._rows = []  # the ring rows each draw fills
         self._next = 0  # index of the next draw to submit
         self._queued = deque()
+        self._held = 0  # ring rows of the draw in use and the queued ones
+        self._in_use = 0  # ring rows of the draw in use
         self._pool = None
 
     def __enter__(self) -> "_NoiseAhead":
         if self._draws:
-            self._slots = self._assign_slots(_thread_workspace())
+            self._rows = self._assign_rows(_thread_workspace())
             self._pool = ThreadPoolExecutor(max_workers=1)
-            while self._next < min(self.AHEAD, len(self._draws)):
-                self._submit()
+            self._fill()
         return self
 
     def __exit__(self, *exc):
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
 
-    def _assign_slots(self, ws: _Workspace) -> list:
-        """The array each draw is made into. Waveform draws, shaped
-        (2, length), cycle a ring; the over-the-air draw, the one draw of a
-        link shaped like a resource grid, has an array of its own."""
-        sizes = [int(np.prod(shape)) for _rng, shape in self._draws]
-        ring = [n for n, (_rng, shape) in zip(sizes, self._draws) if len(shape) == 2]
-        if ring:
-            ring_buf = ws.get("noise_ring", (min(len(ring), self.AHEAD + 1), max(ring)),
-                              np.float64)
-        slots, k = [], 0
-        for n, (_rng, shape) in zip(sizes, self._draws):
-            if len(shape) == 2:
-                slots.append(ring_buf[k % len(ring_buf), :n].reshape(shape))
-                k += 1
-            else:
-                slots.append(ws.get("noise_grid", shape, np.float64))
-        return slots
+    def _assign_rows(self, ws: _Workspace) -> list:
+        """The arrays each draw is made into, ring row after ring row: one
+        row for a waveform draw, one per half for the over-the-air draw."""
+        parts = [[shape] if len(shape) == 2 else [shape[1:]] * 2
+                 for _rng, shape in self._draws]
+        n_rows = sum(len(part) for part in parts)
+        width = max(math.prod(shape) for part in parts for shape in part)
+        ring = ws.get("noise_ring", (min(n_rows, self.AHEAD + 1), width), np.float64)
+        row = itertools.count()
+        return [[ring[next(row) % len(ring), :math.prod(shape)].reshape(shape)
+                 for shape in part] for part in parts]
 
-    def _submit(self):
-        rng, shape = self._draws[self._next]
-        future = self._pool.submit(rng.standard_normal, out=self._slots[self._next])
-        self._queued.append((rng, _Drawn(shape, future)))
-        self._next += 1
+    def _fill(self):
+        """Submit the next draws while their rows fit in the ring."""
+        while self._next < len(self._draws):
+            rows = self._rows[self._next]
+            if self._held + len(rows) > self.AHEAD + 1:
+                return
+            rng, shape = self._draws[self._next]
+            future = self._pool.submit(_draw_into, rng, rows)
+            z = rows[0] if len(rows) == 1 else tuple(rows)
+            self._queued.append((rng, _Drawn(shape, future, z), len(rows)))
+            self._held += len(rows)
+            self._next += 1
 
     def source(self, rng: np.random.Generator):
         """The draw made ahead for the stage that owns ``rng``, or ``rng``
         itself when no draw was planned for it (a noiseless amplifier)."""
         if not self._queued or self._queued[0][0] is not rng:
             return rng
-        drawn = self._queued.popleft()[1]
-        # the stage that used the previous draw has returned, so its slot
-        # is free for the draw AHEAD places on
-        if self._next < len(self._draws):
-            self._submit()
+        _rng, drawn, n_rows = self._queued.popleft()
+        # the stage that used the previous draw has returned, so its rows
+        # are free for the draws that follow
+        self._held -= self._in_use
+        self._in_use = n_rows
+        self._fill()
         return drawn
+
+
+def _convolves(params: comp.LinearElementParams) -> bool:
+    """Whether the element filters in the time domain: the one element
+    whose output sample depends on earlier symbols, and that delays."""
+    return params.model == "s2p_filter" and params.domain == "time"
 
 
 def _trunk(top: StripeTopology, n_boosted: int, stream) -> list:
@@ -367,7 +398,7 @@ def _trunk(top: StripeTopology, n_boosted: int, stream) -> list:
     stages = []
     for i in range(min(n_boosted + 1, top.n_rus)):
         fiber = top.fiber
-        if fiber.model == "s2p_filter" and fiber.domain == "time":
+        if _convolves(fiber):
             # the segment's delay, the one thing its length sets
             fiber = replace(fiber, length_m=top.fiber_lengths[i])
         stages.append((f"fiber{i}", fiber, None))
@@ -422,7 +453,7 @@ def _noise_draws(sample_rate: float, stages, length: int) -> list:
     draws = []
     for _label, params, arg in stages:
         if isinstance(params, comp.LinearElementParams):
-            if params.model == "s2p_filter" and params.domain == "time":
+            if _convolves(params):
                 length += params.delay_samples(sample_rate)
         elif isinstance(params, comp.AmplifierParams) and comp.noise_power(
                 params.nf_db, params.bandwidth, params.temperature) > 0.0:
@@ -440,19 +471,23 @@ def _plan_noise(top: StripeTopology, active_ru: int, seed: int, direction: str,
     return stream, _noise_draws(top.grid.sample_rate, stages, length)
 
 
+def _check_rate(top: StripeTopology, x: TimeWaveform):
+    if x.sample_rate != top.grid.sample_rate:
+        raise GridMismatch(f"input sampled at {x.sample_rate} Hz, the stripe "
+                           f"grid at {top.grid.sample_rate} Hz")
+
+
 def _start_walk(top: StripeTopology, inputs, active_ru: int, beam_phases,
                 seed: int, direction: str, record_taps: bool, linear_only: bool,
                 noise: _NoiseAhead | None):
     """Check a walk's arguments; return its phases, chain and noise
     stream: ``noise`` itself, or one planned from the walk's own stages.
-    ``inputs`` are the waveforms the walk starts from; its chain starts
+    ``inputs`` are the waveforms the walk has in hand; its chain starts
     from the first."""
     if not 0 <= active_ru < top.n_rus:
         raise ConfigError(f"active_ru {active_ru} out of range [0, {top.n_rus})")
     for x in inputs:
-        if x.sample_rate != top.grid.sample_rate:
-            raise GridMismatch(f"input sampled at {x.sample_rate} Hz, the stripe "
-                               f"grid at {top.grid.sample_rate} Hz")
+        _check_rate(top, x)
     wf = inputs[0]
     beam_phases = np.asarray(beam_phases, dtype=np.float64)
     if beam_phases.size != top.n_antennas:
@@ -466,14 +501,24 @@ def _start_walk(top: StripeTopology, inputs, active_ru: int, beam_phases,
     return beam_phases, chain, _NoiseAhead([] if linear_only else draws, stream)
 
 
+def _copy_branch(b: int, branch: TimeWaveform, offset: int) -> TimeWaveform:
+    return branch.with_samples(branch.samples.copy())
+
+
 def propagate_downlink(top: StripeTopology, wf_in: TimeWaveform, active_ru: int,
                        beam_phases, seed: int, record_taps: bool = False,
-                       linear_only: bool = False, *, noise: _NoiseAhead | None = None):
-    """CU chain -> trunk -> active-RU front end; returns the per-antenna
-    air waveforms together with the tap list and the accumulated delay.
+                       linear_only: bool = False, *, noise: _NoiseAhead | None = None,
+                       consume=_copy_branch):
+    """CU chain -> trunk -> active-RU front end; returns what ``consume``
+    made of each antenna branch's air waveform, together with the tap
+    list and the accumulated delay.
 
-    ``noise`` is the running noise stream of the link the walk belongs to
-    (see `run_link`); without it the walk plans and draws its own.
+    The branches are made one at a time. ``consume(b, branch, offset)``
+    gets branch ``b`` as soon as its antenna amplifier returns, in an
+    array the next branch overwrites, and ``offset`` is the delay the walk
+    prepended; by default it returns a copy. ``noise`` is the running
+    noise stream of the link the walk belongs to (see `run_link`);
+    without it the walk plans and draws its own.
     """
     beam_phases, chain, noise = _start_walk(top, [wf_in], active_ru, beam_phases, seed,
                                             "dl", record_taps, linear_only, noise)
@@ -481,14 +526,18 @@ def propagate_downlink(top: StripeTopology, wf_in: TimeWaveform, active_ru: int,
         stages = _walk_stages(top, active_ru, chain.noise.streams, "dl")
         n_shared = len(stages) - top.n_antennas
         _run_stages(chain, stages[:n_shared])
+        trunk = chain.wf.samples
+        scale = 1.0 / np.sqrt(top.n_antennas)  # the factor of `comp.split`
         out = []
-        for stage, branch, theta in zip(stages[n_shared:],
-                                        comp.split(chain.wf, top.n_antennas), beam_phases):
-            # each split branch is a fresh array: rotate and amplify it in place
-            comp.rotate(branch.samples, theta, out=branch.samples)
-            sub = replace(chain, wf=branch, owned=True)
+        for b, (stage, theta) in enumerate(zip(stages[n_shared:], beam_phases)):
+            # split, rotate and amplify the branch in one array: a fresh one
+            # when taps keep it, else the workspace's
+            x = np.multiply(trunk, scale, out=None if record_taps
+                            else chain.ws.get("branch", trunk.shape))
+            comp.rotate(x, theta, out=x)
+            sub = replace(chain, wf=chain.wf.with_samples(x), owned=True)
             _run_stages(sub, [stage])
-            out.append(sub.wf)
+            out.append(consume(b, sub.wf, chain.offset))
     return out, (tuple(chain.taps) if chain.taps is not None else ()), chain.offset
 
 
@@ -498,28 +547,44 @@ def propagate_uplink(top: StripeTopology, branch_waveforms, active_ru: int,
     """Active-RU receive front end -> trunk in reverse -> CU receive chain.
 
     ``branch_waveforms`` are the per-antenna signals right after the
-    wireless hop. Couplers swap roles relative to downlink. ``noise`` is
-    as in `propagate_downlink`.
+    wireless hop, in any iterable: the walk takes each one only when its
+    antenna amplifier needs it and holds none after, so a generator lets
+    the caller make each branch only then. Couplers swap roles relative
+    to downlink. ``noise`` is as in `propagate_downlink`.
     """
-    beam_phases, chain, noise = _start_walk(
-        top, branch_waveforms, active_ru, beam_phases, seed, "ul", record_taps,
-        linear_only, noise)
-    if len(branch_waveforms) != beam_phases.size:
+    in_hand = (branch_waveforms if isinstance(branch_waveforms, (list, tuple))
+               else None)
+    branches = iter(branch_waveforms)
+    first = next(branches, None)
+    if first is None or (in_hand is not None and len(in_hand) != top.n_antennas):
         raise LengthError("one phase per branch required")
+    beam_phases, chain, noise = _start_walk(
+        top, in_hand or [first], active_ru, beam_phases, seed, "ul", record_taps,
+        linear_only, noise)
+    del in_hand, first  # the chain holds the first branch until its stage
     with noise as chain.noise:
         stages = _walk_stages(top, active_ru, chain.noise.streams, "ul")
-        total = None
-        for stage, branch, theta in zip(stages, branch_waveforms, beam_phases):
-            # amplify, rotate and sum the branches; the sum builds up in
-            # the trunk buffer and each later branch passes through another
-            sub = replace(chain, wf=branch, buffer="trunk" if total is None else "branch")
+        for b, (stage, theta) in enumerate(zip(stages, beam_phases)):
+            # amplify, rotate and sum the branches: the first in the chain's
+            # trunk buffer, where the sum builds up, each later one in another
+            if b == 0:
+                sub = chain
+            else:
+                branch = next(branches, None)
+                if branch is None:
+                    raise LengthError("one phase per branch required")
+                _check_rate(top, branch)
+                sub = replace(chain, wf=branch, buffer="branch", owned=False)
+                del branch  # only ``sub`` holds it, until its stage returns
             _run_stages(sub, [stage])
             y = sub.wf.samples
             y = comp.rotate(y, theta, out=sub.target(y))
-            if total is None:
+            if b == 0:
                 total = y
             else:
                 total += y
+        if next(branches, None) is not None:
+            raise LengthError("one phase per branch required")
         chain.wf = chain.wf.with_samples(total)
         chain.owned = True
         *shared, last = stages[top.n_antennas:]
@@ -552,14 +617,23 @@ def calibrate_gains(top: StripeTopology, target_power_dbm: float,
 
     A flat QPSK reference at the target power is injected into the first
     fiber segment; at every booster input the passband mean power is
-    measured (on the second OFDM symbol, past any filter transient) and
-    the gain is set to min(target/P, max_gain). Gains clipped at max_gain
-    raise a `CalibrationInfeasible` warning but calibration completes.
+    measured on the reference's last OFDM symbol and the gain is set to
+    min(target/P, max_gain). Gains clipped at max_gain raise a
+    `CalibrationInfeasible` warning but calibration completes.
+
+    The reference is two symbols when the trunk holds a time-domain
+    element, so that the metered second symbol is past the filter's
+    transient. Every other element acts on each symbol alone, and the
+    reference is then only that second symbol: the same meter readings.
     """
     grid, wf = top.grid, top.wf
+    # the whole trunk, each booster's stream unused and its stage metered
+    trunk = _trunk(top, top.n_rus, lambda node, tag: None)
+    n_sym = 2 if any(isinstance(params, comp.LinearElementParams) and _convolves(params)
+                     for _label, params, _arg in trunk) else 1
     ref_bits = streams.stream(seed, "calibration-reference").integers(
         0, 2, 2 * grid.num_subcarriers * 2)
-    symbols = map_qam(ref_bits, 4).reshape(grid.num_subcarriers, 2)
+    symbols = map_qam(ref_bits, 4).reshape(grid.num_subcarriers, 2)[:, 2 - n_sym:]
     target_w = 10.0 ** ((target_power_dbm - 30.0) / 10.0)
     max_gain = 10.0 ** (max_gain_db / 10.0)
     gains, clipped, p_in, p_out = [], [], [], []
@@ -573,10 +647,10 @@ def calibrate_gains(top: StripeTopology, target_power_dbm: float,
                        n_fft=grid.n_fft, linear_only=True, owned=True)
 
         def _passband_power() -> float:
-            # mean power over the second symbol's bins: past any filter
+            # mean power over the last symbol's bins: past any filter
             # transient and free of cyclic-prefix duplication bias
-            bins = extract_symbols(chain.wf.samples, grid, wf.cp_length, 2)
-            return float(np.mean(np.abs(bins[:, 1]) ** 2))
+            bins = extract_symbols(chain.wf.samples, grid, wf.cp_length, n_sym)
+            return float(np.mean(np.abs(bins[:, -1]) ** 2))
 
         def scale(gain: float):
             np.multiply(chain.wf.samples, np.sqrt(gain), out=chain.wf.samples)
@@ -596,8 +670,6 @@ def calibrate_gains(top: StripeTopology, target_power_dbm: float,
             p_in.append(_dbm(power_in))
             p_out.append(_dbm(power_in * gain))
 
-        # the whole trunk, each booster's stream unused and its stage metered
-        trunk = _trunk(top, top.n_rus, lambda node, tag: None)
         _run_stages(chain, [(label, meter, None)
                             if isinstance(params, comp.AmplifierParams)
                             else (label, params, arg) for label, params, arg in trunk])
@@ -624,7 +696,6 @@ class LinkResult:
     h_estimate: np.ndarray
     metrics: MetricReport
     stage_taps: tuple
-    ru_branch_waveforms: tuple
     channel: ChannelRealization
     direction: str
     stripe_id: int
@@ -694,6 +765,16 @@ def _ota_noise(y: np.ndarray, bank: ComponentBank, grid: SubcarrierGrid,
         return add_thermal_noise(y, grid.bw, bank.receiver.nf_db, rng,
                                  bank.receiver.temperature, out=y)
     return y
+
+
+def _branch_waveforms(at_ru: np.ndarray, grid: SubcarrierGrid, cp_length: int):
+    """The time waveform of each RU branch ``at_ru[:, b, :]``, each made
+    only when asked for; ``at_ru`` is let go once the last one is made."""
+    columns = [at_ru[:, b, :] for b in range(at_ru.shape[1])]
+    del at_ru
+    while columns:
+        yield TimeWaveform(synthesize_symbols(columns.pop(0), grid, cp_length),
+                           sample_rate=grid.sample_rate)
 
 
 # the warning class of each `validate_cross` warning code
@@ -789,13 +870,16 @@ def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank
         # each waveform- or grid-sized array is dropped once used, so the
         # arrays made after it reuse its memory instead of fresh pages
         if direction == "dl":
-            branches, taps, offset = propagate_downlink(
-                topology, tx_wf, active_ru, beam_phases, seed, record_taps, noise=noise)
-            del tx_wf
             branch_grids = np.empty((grid.num_subcarriers, n_tx, s), dtype=np.complex128)
-            for b, branch in enumerate(branches):
+
+            def to_grid(b: int, branch: TimeWaveform, offset: int):
                 extract_symbols(branch.samples[offset:offset + n_samples],
                                 grid, wf_cfg.cp_length, s, out=branch_grids[:, b, :])
+
+            _, taps, offset = propagate_downlink(
+                topology, tx_wf, active_ru, beam_phases, seed, record_taps, noise=noise,
+                consume=to_grid)
+            del tx_wf
             air = apply_channel(branch_grids, realization)  # (Q, n_rx, S)
             del branch_grids
             air = _ota_noise(air, bank, grid, noise.source(ota_rng), ota_snr_db)
@@ -813,10 +897,7 @@ def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank
             at_ru = apply_channel(ue_elems, up)  # (Q, n_tx_ru, S)
             del ue_elems, ue_grid
             at_ru = _ota_noise(at_ru, bank, grid, noise.source(ota_rng), ota_snr_db)
-            branches = [TimeWaveform(
-                synthesize_symbols(at_ru[:, b, :], grid, wf_cfg.cp_length),
-                sample_rate=grid.sample_rate)
-                for b in range(n_tx)]
+            branches = _branch_waveforms(at_ru, grid, wf_cfg.cp_length)
             del at_ru
             cu_wf, taps, offset = propagate_uplink(
                 topology, branches, active_ru, beam_phases, seed, record_taps,
@@ -824,7 +905,6 @@ def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank
             rx_symbols = extract_symbols(cu_wf.samples[offset:offset + n_samples],
                                          grid, wf_cfg.cp_length, s)
             del cu_wf
-    branch_out = tuple(branches)
 
     # receiver timing sync: rotate the channel's bulk delay off the grid
     rx_symbols = timing_advance(rx_symbols, realization.grid,
@@ -833,8 +913,7 @@ def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank
                              pilot_sequence(seed, int(np.count_nonzero(mask))))
     link_metrics = report(tx_grid, rx_symbols, h_hat)
     return LinkResult(tx_grid=tx_grid, rx_symbols=rx_symbols, h_estimate=h_hat,
-                      metrics=link_metrics, stage_taps=taps,
-                      ru_branch_waveforms=branch_out, channel=realization,
+                      metrics=link_metrics, stage_taps=taps, channel=realization,
                       direction=direction, stripe_id=stripe_id,
                       active_ru=active_ru, ue_index=ue_index, seed=seed,
                       calibration=calibration, delay_samples=offset)

@@ -87,6 +87,7 @@ def _gen_dataset(config_tree, out) -> str:
 
 _AMP = "boost_amplifier: {model: ideal, gain_db: 0.0}"
 _IQ = "dc_offset: [0.0, 0.0]"
+_CAL = "calibration: {target_power: 0.0, max_gain: 30.0}"
 
 
 @pytest.mark.parametrize("command, flags, config_edit, dataset_files, expected", [
@@ -107,6 +108,14 @@ _IQ = "dc_offset: [0.0, 0.0]"
                  id="dc-offset-a-bool"),
     pytest.param("run", ["--ru", "1"], (_AMP, _AMP.replace("ideal", "ideal, mode: tanh")),
                  None, 2, id="amplifier-model-and-mode"),
+    pytest.param("run", ["--ru", "1"], (_AMP, _AMP[:-1] + ", nf_db: -1, bandwidth: 3.0e9}"),
+                 None, 2, id="amplifier-nf-db-negative"),
+    pytest.param("run", ["--ru", "1"],
+                 (_AMP, _AMP[:-1] + ", nf_db: 6, bandwidth: 3.0e9, temperature: -1}"),
+                 None, 2, id="amplifier-temperature-negative"),
+    pytest.param("run", ["--ru", "1"],
+                 (_CAL, _CAL + "\nreceiver: {nf_db: 7.0, temperature: 0}"), None, 2,
+                 id="receiver-temperature-zero"),
     pytest.param("run", ["--ru", "1", "--channel", "tdl:abc"], None, None, 2,
                  id="channel-tdl-beta-not-a-number"),
     pytest.param("run", ["--ru", "1", "--channel", "tdl:0.5:x"], None, None, 2,

@@ -4,6 +4,8 @@ import dataclasses
 import sys
 import threading
 import tracemalloc
+import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +23,13 @@ from stripesim.errors import (CalibrationInfeasible, ConfigError, GridMismatch,
 from stripesim.stripe import (build_stripe, calibrate_gains, make_grid,
                               propagate_downlink, propagate_uplink, run_link)
 from stripesim.touchstone import parse_touchstone
-from stripesim.waveform import SubcarrierGrid, TimeWaveform, _power_scale
+from stripesim.waveform import (SubcarrierGrid, TimeWaveform, _own_workspace,
+                                _power_scale, extract_symbols, map_qam,
+                                synthesize_symbols)
 
 from conftest import s2p_from_taps
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
 
 
 def _env(n_rus=5, spacing=0.5, n_antennas=1, q=256, ue=(3.0, 2.0, 1.5),
@@ -146,6 +152,119 @@ def test_calibration_time_domain_fiber_matches_frequency_domain():
         top = build_stripe(env, bank, 0, grid, wf)
         gains[domain] = calibrate_gains(top, target_power_dbm=0.0, max_gain_db=30.0).gains_db
     np.testing.assert_allclose(gains["time"], gains["frequency"], rtol=0, atol=1e-6)
+
+
+def _two_symbol_calibration(top, target_power_dbm, max_gain_db, seed):
+    """`calibrate_gains` as it was before it metered a one-symbol reference:
+    a two-symbol reference on every trunk, metered on its second symbol.
+    The oracle of the one-symbol reference."""
+    grid, wf = top.grid, top.wf
+    ref_bits = stripe.streams.stream(seed, "calibration-reference").integers(
+        0, 2, 2 * grid.num_subcarriers * 2)
+    symbols = map_qam(ref_bits, 4).reshape(grid.num_subcarriers, 2)
+    target_w = 10.0 ** ((target_power_dbm - 30.0) / 10.0)
+    max_gain = 10.0 ** (max_gain_db / 10.0)
+    gains, clipped, p_in, p_out = [], [], [], []
+    with _own_workspace():
+        chain = stripe._Chain(wf=TimeWaveform(synthesize_symbols(symbols, grid, wf.cp_length),
+                                              sample_rate=grid.sample_rate),
+                              cp_samples=wf.cp_length * grid.oversampling,
+                              n_fft=grid.n_fft, linear_only=True, owned=True)
+
+        def power() -> float:
+            bins = extract_symbols(chain.wf.samples, grid, wf.cp_length, 2)
+            return float(np.mean(np.abs(bins[:, 1]) ** 2))
+
+        def scale(gain: float):
+            np.multiply(chain.wf.samples, np.sqrt(gain), out=chain.wf.samples)
+
+        scale(target_w / power())
+
+        def meter():
+            power_in = power()
+            gain = target_w / power_in
+            clipped.append(gain > max_gain)
+            gain = min(gain, max_gain)
+            scale(gain)
+            gains.append(10.0 * np.log10(gain))
+            p_in.append(stripe._dbm(power_in))
+            p_out.append(stripe._dbm(power_in * gain))
+
+        trunk = stripe._trunk(top, top.n_rus, lambda node, tag: None)
+        stripe._run_stages(chain, [(label, meter, None)
+                                   if isinstance(params, AmplifierParams)
+                                   else (label, params, arg) for label, params, arg in trunk])
+    return stripe.CalibrationResult(gains_db=tuple(gains), clipped=tuple(clipped),
+                                    input_powers_dbm=tuple(p_in),
+                                    output_powers_dbm=tuple(p_out))
+
+
+def _calibration_cases():
+    """(stripe, target dBm, max gain dB) of each trunk kind the one-symbol
+    reference must meter as the two-symbol one did."""
+    env, wf = _env(n_rus=4), _wf()
+    grid = make_grid(env, wf)
+    network = parse_touchstone(s2p_from_taps([0.8, 0.15j, 0.05], grid.fc,
+                                             grid.sample_rate, n_points=grid.n_fft + 1))
+    s2p = LinearElementSpec(model="s2p_filter", network=network, domain="frequency")
+    example = [load_environment(EXAMPLES / "environment.yaml"),
+               load_waveform(EXAMPLES / "waveform.yaml"),
+               load_components(EXAMPLES / "components.yaml")]
+    return {
+        "example": (build_stripe(example[0], example[2], 0,
+                                 make_grid(example[0], example[1]), example[1]),
+                    example[2].calibration.target_power_dbm,
+                    example[2].calibration.max_gain_db),
+        "fixed-damping-fiber": (build_stripe(env, _damped_bank(loss_db=7.0), 0, grid, wf),
+                                -10.0, 20.0),
+        "s2p-coupler": (build_stripe(env, _bank(coupler=s2p), 0, grid, wf), 0.0, 30.0),
+        "clipping": (build_stripe(env, _damped_bank(loss_db=13.0), 0, grid, wf), 0.0, 12.0),
+    }
+
+
+@pytest.mark.parametrize("case", ["example", "fixed-damping-fiber", "s2p-coupler",
+                                  "clipping"])
+def test_one_symbol_calibration_equals_two_symbols(case, monkeypatch):
+    """On a trunk that filters each symbol alone, the one-symbol reference
+    gives the gains, clip flags and powers of the two-symbol one, bit for
+    bit, and synthesizes one symbol."""
+    top, target, max_gain = _calibration_cases()[case]
+    widths = []
+    synthesize = stripe.synthesize_symbols
+    monkeypatch.setattr(stripe, "synthesize_symbols", lambda symbols, *args: (
+        widths.append(symbols.shape[1]), synthesize(symbols, *args))[1])
+    clipped = False
+    for seed in range(20):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CalibrationInfeasible)
+            got = calibrate_gains(top, target, max_gain, seed=seed)
+            want = _two_symbol_calibration(top, target, max_gain, seed)
+        assert got == want
+        clipped = clipped or any(got.clipped)
+    assert clipped == (case == "clipping")
+    assert widths == [1] * 20
+
+
+def test_time_domain_trunk_calibrates_on_two_symbols(monkeypatch):
+    """A time-domain element spills each symbol into the next, so such a
+    trunk keeps the two-symbol reference and meters its second symbol."""
+    env, wf = _env(n_rus=4), _wf()
+    grid = make_grid(env, wf)
+    network = parse_touchstone(s2p_from_taps([0.8, 0.15j, 0.05], grid.fc,
+                                             grid.sample_rate, n_points=grid.n_fft + 1))
+    for part in ("fiber", "coupler"):
+        bank = _bank(**{part: LinearElementSpec(model="s2p_filter", network=network,
+                                                domain="time", n_taps=8)})
+        top = build_stripe(env, bank, 0, grid, wf)
+        widths = []
+        synthesize = stripe.synthesize_symbols
+        monkeypatch.setattr(stripe, "synthesize_symbols", lambda symbols, *args: (
+            widths.append(symbols.shape[1]), synthesize(symbols, *args))[1])
+        for seed in range(3):
+            got = calibrate_gains(top, 0.0, 30.0, seed=seed)
+            assert got == _two_symbol_calibration(top, 0.0, 30.0, seed)
+        assert widths == [2] * 3
+        monkeypatch.undo()
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +646,6 @@ def test_stagewise_compression_and_scatter_growth():
 # Reused buffers: what a walk may overwrite, and what leaves a link
 # ---------------------------------------------------------------------------
 
-EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
-
-
 def _workspace_bank(env, wf):
     """Every stage kind that works in the walk's buffers: a quantizing DAC,
     a frequency-domain s2p fiber, fixed-damping couplers, noisy tanh
@@ -550,8 +666,7 @@ def _workspace_bank(env, wf):
 
 def _link_bytes(res) -> list:
     """Every array a LinkResult carries, as bytes."""
-    arrays = [res.rx_symbols, res.h_estimate, res.tx_grid.symbols,
-              *(b.samples for b in res.ru_branch_waveforms)]
+    arrays = [res.rx_symbols, res.h_estimate, res.tx_grid.symbols]
     for _label, x_in, x_out in res.stage_taps:
         arrays += [x_in, x_out]
     return [np.asarray(a).tobytes() for a in arrays]
@@ -586,19 +701,31 @@ def test_walks_leave_their_inputs_unchanged(direction, record_taps):
 @pytest.mark.parametrize("record_taps", [False, True])
 @pytest.mark.parametrize("direction", ["dl", "ul"])
 def test_link_results_survive_later_links(direction, record_taps):
-    """No array of a LinkResult is a buffer a later link on the same thread
-    overwrites: not the received grid, the branch waveforms or the taps."""
+    """No array of a LinkResult, and no waveform a walk returns, is a buffer
+    a later link on the same thread overwrites: not the received grid, the
+    taps, the downlink branch waveforms or the uplink output."""
     env = _env(n_rus=4, n_antennas=2, q=128)
     wf = _wf(n_ofdm_symbols=2, cp_length=8)
     bank = _workspace_bank(env, wf)
     res = run_link(env, wf, bank, "los", 0, 0, 3, direction=direction, seed=8,
                    calibrate=True, record_taps=record_taps)
-    kept = _link_bytes(res)
+    top = build_stripe(env, bank, 0, make_grid(env, wf), wf)
+    rng = np.random.default_rng(8)
+    n = 2 * (top.grid.n_fft + 8 * top.grid.oversampling)
+    x = TimeWaveform(0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)),
+                     top.grid.sample_rate)
+    if direction == "dl":
+        walked = propagate_downlink(top, x, 3, [0.3, -0.2], seed=8,
+                                    record_taps=record_taps)[0]
+    else:
+        walked = [propagate_uplink(top, [x, x], 3, [0.3, -0.2], seed=8,
+                                   record_taps=record_taps)[0]]
+    kept = _link_bytes(res) + [w.samples.tobytes() for w in walked]
     assert bool(res.stage_taps) == record_taps
     for other in ("dl", "ul"):
         run_link(env, wf, bank, "los", 0, 0, 3, direction=other, seed=9,
                  calibrate=True, record_taps=record_taps)
-    assert _link_bytes(res) == kept
+    assert _link_bytes(res) + [w.samples.tobytes() for w in walked] == kept
 
 
 @pytest.mark.parametrize("direction", ["dl", "ul"])
@@ -653,6 +780,119 @@ def test_noise_drawn_ahead_matches_inline(direction, noise, drop, tmp_path,
     assert inline.metrics == ahead.metrics
 
 
+def test_half_row_draws_equal_one_stacked_draw():
+    """The over-the-air draw's two halves, drawn in turn into two ring rows,
+    hold the numbers of one (2, ...) draw from the same generator."""
+    shape = (128, 4, 3)
+    one = np.random.default_rng(9).standard_normal((2,) + shape)
+    ring = np.full((3, 2000), np.nan)
+    rows = [ring[2, :1536].reshape(shape), ring[0, :1536].reshape(shape)]
+    stripe._draw_into(np.random.default_rng(9), rows)
+    assert np.stack(rows).tobytes() == one.tobytes()
+
+
+def test_noise_ring_never_draws_over_a_draw_in_use():
+    """Waveform draws and two-row grid draws through the ring: each draw
+    keeps its numbers while in use, however far the helper has drawn."""
+    grid = (2, 64, 4, 3)  # two rows of 768
+    shapes = [(2, 300), grid, (2, 380), (2, 300), grid, grid, (2, 384), (2, 100),
+              grid, (2, 350), (2, 384), (2, 384), grid]
+    draws = [(np.random.default_rng(seed), shape) for seed, shape in enumerate(shapes)]
+    with _own_workspace(), stripe._NoiseAhead(draws) as noise:
+        for seed, (rng, shape) in enumerate(draws):
+            z = noise.source(rng).standard_normal(shape)
+            for _rng, drawn, _rows in noise._queued:
+                drawn.standard_normal(drawn._size)  # wait for every draw made ahead
+            assert np.stack(z).tobytes() == np.random.default_rng(seed).standard_normal(
+                shape).tobytes()
+
+
+@pytest.mark.parametrize("direction", ["dl", "ul"])
+def test_over_the_air_draw_shares_the_noise_ring(direction):
+    """On the example with four antennas at each end, the over-the-air draw
+    leaves no array of its own in the thread's workspace, and the ring is
+    no larger than the ring of waveform draws and that array together."""
+    env = load_environment(EXAMPLES / "environment.yaml")
+    wf = load_waveform(EXAMPLES / "waveform.yaml")
+    bank = load_components(EXAMPLES / "components.yaml")
+    grid = make_grid(env, wf)
+    run_link(env, wf, bank, "los", 0, 0, 9, direction=direction, seed=6, ue_antennas=4)
+    arrays = stripe._thread_workspace()._arrays
+    n_samples = wf.n_ofdm_symbols * (grid.n_fft + wf.cp_length * grid.oversampling)
+    grid_draw = 2 * grid.num_subcarriers * 4 * wf.n_ofdm_symbols
+    assert "noise_grid" not in arrays
+    assert not [name for name, a in arrays.items() if a.size == grid_draw]
+    old_ring = (stripe._NoiseAhead.AHEAD + 1) * 2 * n_samples
+    assert arrays["noise_ring"].nbytes <= (old_ring + grid_draw) * 8
+
+
+def _fresh(x: TimeWaveform, refs: list) -> TimeWaveform:
+    samples = x.samples.copy()
+    refs.append(weakref.ref(samples))
+    return TimeWaveform(samples, x.sample_rate)
+
+
+def test_uplink_takes_each_branch_from_any_iterable():
+    """A generator of branches gives the bits of a list, and the walk lets
+    each branch go before it asks for the next. Too few or too many
+    branches are a LengthError, one off the grid rate a GridMismatch, and
+    none leaves a helper thread behind."""
+    env = _env(n_rus=3, n_antennas=2, q=128)
+    wf = _wf(n_ofdm_symbols=2, cp_length=8)
+    top = build_stripe(env, _workspace_bank(env, wf), 0, make_grid(env, wf), wf)
+    rng = np.random.default_rng(3)
+    n = 2 * (top.grid.n_fft + 8 * top.grid.oversampling)
+    xs = [TimeWaveform(0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)),
+                       top.grid.sample_rate) for _ in range(3)]
+    refs = []
+
+    def branches():
+        for x in xs[:2]:
+            assert all(r() is None for r in refs)  # every earlier branch is gone
+            yield _fresh(x, refs)
+        assert all(r() is None for r in refs)
+
+    want = propagate_uplink(top, xs[:2], 2, [0.3, -0.2], seed=4)[0]
+    got = propagate_uplink(top, branches(), 2, [0.3, -0.2], seed=4)[0]
+    assert got.samples.tobytes() == want.samples.tobytes()
+    assert len(refs) == 2
+    threads = threading.active_count()
+    for bad in (xs[:1], xs, []):
+        with pytest.raises(LengthError):
+            propagate_uplink(top, iter(bad), 2, [0.3, -0.2], seed=4)
+    off = TimeWaveform(xs[1].samples, 2 * top.grid.sample_rate)
+    with pytest.raises(GridMismatch):
+        propagate_uplink(top, iter([xs[0], off]), 2, [0.3, -0.2], seed=4)
+    assert threading.active_count() == threads
+
+
+def test_downlink_hands_each_branch_to_its_consumer():
+    """Each branch reaches the consumer when its amplifier returns, in the
+    one array every branch is made in, with the walk's delay; the default
+    consumer's copies hold the same bits."""
+    env = _env(n_rus=4, n_antennas=3, q=128)
+    wf = _wf(n_ofdm_symbols=2, cp_length=8)
+    top = build_stripe(env, _noisy_time_domain_bank(env, wf), 0, make_grid(env, wf), wf)
+    rng = np.random.default_rng(6)
+    n = 2 * (top.grid.n_fft + 8 * top.grid.oversampling)
+    x = TimeWaveform(0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)),
+                     top.grid.sample_rate)
+    seen = []
+
+    def consume(b, branch, offset):
+        seen.append((branch.samples.__array_interface__["data"][0],
+                     branch.samples.tobytes(), offset))
+        return b
+
+    phases = [0.3, -0.2, 0.1]
+    got, _, offset = propagate_downlink(top, x, 3, phases, seed=4, consume=consume)
+    want, _, want_offset = propagate_downlink(top, x, 3, phases, seed=4)
+    assert got == [0, 1, 2]
+    assert [s[1] for s in seen] == [w.samples.tobytes() for w in want]
+    assert len({s[0] for s in seen}) == 1
+    assert {s[2] for s in seen} == {offset} == {want_offset} and offset > 0
+
+
 def _held_bytes(obj, seen) -> int:
     """Bytes of the arrays reachable from a LinkResult, each base once."""
     if isinstance(obj, np.ndarray):
@@ -680,8 +920,9 @@ def _traced_peak(fn):
 
 
 # Bounds in waveform buffers, from the example scenario: a warm link peaks
-# 2.69 buffers above what its result holds in either direction, and a
-# one-antenna walk 0.01 above its output. A stage that allocates its
+# 3.06 (downlink) and 2.69 (uplink) buffers above what its result holds,
+# which no longer holds the downlink branch waveforms, and a one-antenna
+# walk 0.01 (downlink) and 0.08 (uplink) above its output. A stage that allocates its
 # output afresh adds about one buffer to the walk; OFDM synthesis that
 # makes fresh spectra again, five times per uplink link, breaks the
 # uplink bound.
