@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import streams
 from .components import BOLTZMANN, add_complex_noise
-from .errors import DimensionError, DomainError
+from .errors import ConfigError, DimensionError, DomainError
 from .waveform import SubcarrierGrid
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
@@ -186,6 +187,25 @@ def identity_channel(grid: SubcarrierGrid, n: int = 1) -> ChannelRealization:
     h = np.broadcast_to(np.eye(n, dtype=np.complex128),
                         (grid.num_subcarriers, n, n)).copy()
     return ChannelRealization(h=h, grid=grid, provenance="identity")
+
+
+def model_channel(grid: SubcarrierGrid, model: str, tx_positions, rx_positions,
+                  stream_key: tuple, tdl_params: TdlParams | None = None) -> ChannelRealization:
+    """The 'los', 'rayleigh' or 'tdl' realization between two element
+    arrays, the same for a model run and the synthetic dataset. A random
+    model draws from ``streams.stream(*stream_key)`` and takes its
+    large-scale gain at the distance between the arrays' centroids."""
+    if model == "los":
+        return los_channel(grid, tx_positions, rx_positions)
+    if model not in ("rayleigh", "tdl"):
+        raise ConfigError(f"unknown channel model {model!r}")
+    rng = streams.stream(*stream_key)
+    centroid = float(np.linalg.norm(np.mean(tx_positions, axis=0)
+                                    - np.mean(rx_positions, axis=0)))
+    n_tx, n_rx = len(tx_positions), len(rx_positions)
+    if model == "rayleigh":
+        return rayleigh_channel(grid, n_tx, n_rx, rng, distance=centroid)
+    return tdl_channel(grid, tdl_params or TdlParams(), n_tx, n_rx, rng, distance=centroid)
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]):
+def _write_csv(path: Path, header: list[str], rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -170,7 +170,9 @@ def _export_taps(out_dir: Path, stage_taps) -> list[str]:
     taps_dir.mkdir(exist_ok=True)
     for order, (label, _x_in, x_out) in enumerate(stage_taps):
         name = f"taps/{order:02d}_{label}.csv"
-        rows = [[i, z.real, z.imag] for i, z in enumerate(x_out)]
+        # each row is made as it is written: a list of them all would
+        # outweigh the taps themselves
+        rows = ([i, z.real, z.imag] for i, z in enumerate(x_out))
         _write_csv(out_dir / name, ["index", "re", "im"], rows)
         outputs.append(name)
     amp_stages = [t for t in stage_taps
@@ -183,7 +185,7 @@ def _export_taps(out_dir: Path, stage_taps) -> list[str]:
             header += [f"xstage{idx}", f"ystage{idx}"]
             columns += [x[:n], y[:n]]
         rows = np.column_stack(columns)
-        _write_csv(out_dir / "am_am.csv", header, rows.tolist())
+        _write_csv(out_dir / "am_am.csv", header, (row.tolist() for row in rows))
         outputs.append("am_am.csv")
     return outputs
 

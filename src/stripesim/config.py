@@ -129,14 +129,26 @@ def _as_count(value, path: str) -> int:
     return out
 
 
-def _at_least(low: float, *, strict: bool = False):
-    """Parser of a finite number that is >= ``low`` (> ``low`` when strict)."""
-    def parse(value, path: str) -> float:
-        out = _as_float(value, path)
+def _within(low: float, high: float = np.inf, *, strict: bool = False, parse=_as_float):
+    """Parser of a number that ``parse`` reads and that lies in [low, high]
+    ((low, high] when strict)."""
+    def check(value, path: str):
+        out = parse(value, path)
         if out < low or (strict and out == low):
             raise SchemaError(f"{path} must be {'>' if strict else '>='} {low:g}")
+        if out > high:
+            raise SchemaError(f"{path} must be <= {high:g}")
         return out
-    return parse
+    return check
+
+
+# A gain, loss, noise figure or power beyond this many dB (or dBm) is no
+# hardware value, and 10 ** (x / 10) of one far beyond it overflows.
+MAX_DB = 300.0
+_DECIBELS = _within(-MAX_DB, MAX_DB)
+# Every level (index + 1/2) of a quantizer of up to 52 bits is exact in
+# a float64.
+MAX_DAC_BITS = 52
 
 
 def _as_name(value, path: str) -> str:
@@ -448,7 +460,7 @@ _WAVEFORM_KEYS = {
     "n_ofdm_symbols": ("n_ofdm_symbols", _as_count), "qam_order": ("qam_order", _as_int),
     "oversampling_factor": ("oversampling_factor", _as_count),
     "cp_length": ("cp_length", _as_int), "pilot_spacing": ("pilot_spacing", _as_count),
-    "pilot_mode": ("pilot_mode", _choice(*PILOT_MODES)), "tx_power": ("tx_power", _as_float),
+    "pilot_mode": ("pilot_mode", _choice(*PILOT_MODES)), "tx_power": ("tx_power", _DECIBELS),
     "num_subcarriers": ("num_subcarriers", _as_int),
 }
 
@@ -537,22 +549,23 @@ _AMPLIFIER_MODE = _choice(*AMPLIFIER_MODES, error=UnsupportedModel)
 _COMPONENT_KEYS = {
     AmplifierParams: {
         "model": ("mode", _AMPLIFIER_MODE), "mode": ("mode", _AMPLIFIER_MODE),
-        "gain_db": ("gain_db", _as_float), "sat_amplitude": ("sat_amplitude", _as_float),
+        "gain_db": ("gain_db", _DECIBELS), "sat_amplitude": ("sat_amplitude", _as_float),
         "poly_coeffs": ("poly_coeffs", _as_complex_list),
         # a noise figure below 0 dB or a temperature of 0 K or less makes
         # the added noise power negative
-        "nf_db": ("nf_db", _at_least(0.0)), "bandwidth": ("bandwidth", _as_float),
-        "temperature": ("temperature", _at_least(0.0, strict=True))},
+        "nf_db": ("nf_db", _within(0.0, MAX_DB)), "bandwidth": ("bandwidth", _as_float),
+        "temperature": ("temperature", _within(0.0, strict=True))},
     LinearElementSpec: {
         "model": ("model", _choice(*LINEAR_MODELS, error=UnsupportedModel)),
-        "loss_db": ("loss_db", _as_float),
+        "loss_db": ("loss_db", _DECIBELS),
         "file": ("file", _or_none(lambda value, _path: str(value))),
         "domain": ("domain", _choice("frequency", "time", error=UnsupportedMode)),
         "taps": ("n_taps", _as_count), "length_m": ("length_m", _as_float),
         "group_velocity": ("group_velocity", _as_float)},
     DacParams: {
         "model": ("mode", _as_name), "mode": ("mode", _as_name),
-        "bits": ("bits", _as_int), "clip_amplitude": ("clip_amplitude", _as_float)},
+        "bits": ("bits", _within(1, MAX_DAC_BITS, parse=_as_int)),
+        "clip_amplitude": ("clip_amplitude", _as_float)},
     OscillatorParams: {
         "model": ("mode", _as_name), "mode": ("mode", _as_name),
         "cfo_hz": ("cfo_hz", _as_float), "ar_rho": ("ar_rho", _as_float),
@@ -562,10 +575,10 @@ _COMPONENT_KEYS = {
         "gain_mismatch": ("gain_mismatch", _as_float),
         "phase_mismatch": ("phase_mismatch", _as_float),
         "dc_offset": ("dc_offset", _as_complex)},
-    CalibrationConfig: {"target_power": ("target_power_dbm", _as_float),
-                        "max_gain": ("max_gain_db", _as_float)},
-    ReceiverConfig: {"nf_db": ("nf_db", _or_none(_as_float)),
-                     "temperature": ("temperature", _at_least(0.0, strict=True))},
+    CalibrationConfig: {"target_power": ("target_power_dbm", _DECIBELS),
+                        "max_gain": ("max_gain_db", _DECIBELS)},
+    ReceiverConfig: {"nf_db": ("nf_db", _or_none(_DECIBELS)),
+                     "temperature": ("temperature", _within(0.0, strict=True))},
 }
 
 

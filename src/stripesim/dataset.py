@@ -26,12 +26,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (ChannelRealization, SPEED_OF_LIGHT, los_channel,
-                      tdl_channel, TdlParams, ula_positions)
+from .channel import (ChannelRealization, SPEED_OF_LIGHT, TdlParams, model_channel,
+                      ula_positions)
 from .config import EnvironmentConfig
 from .errors import ChecksumError, FormatError, IoError, UnsupportedModel
 from .waveform import SubcarrierGrid
-from . import streams
 
 MAGIC = b"CFR1"
 _HEADER = struct.Struct("<5I2d")  # n_stripes, n_rus, n_rx, n_tx, Q, fc, bw
@@ -291,8 +290,6 @@ def generate_synthetic(env: EnvironmentConfig, grid: SubcarrierGrid,
     """
     if model not in ("los", "tdl"):
         raise UnsupportedModel(f"synthetic dataset model {model!r}")
-    if model == "tdl" and tdl_params is None:
-        tdl_params = TdlParams()
     n_stripes = env.n_stripes
     n_rus = min(len(stripe) - 1 for stripe in env.radio_stripes)
     q = grid.num_subcarriers
@@ -306,14 +303,8 @@ def generate_synthetic(env: EnvironmentConfig, grid: SubcarrierGrid,
         for s in range(n_stripes):
             for r in range(n_rus):
                 tx, rx = array_geometry(env, grid, s, r, ue.position, n_tx, n_rx)
-                if model == "los":
-                    real = los_channel(grid, tx, rx)
-                else:
-                    rng = streams.stream(seed, "synthetic-tdl", ue.ue_id, s, r)
-                    centroid = float(np.linalg.norm(
-                        np.mean(tx, axis=0) - np.mean(rx, axis=0)))
-                    real = tdl_channel(grid, tdl_params, n_tx, n_rx, rng,
-                                       distance=centroid)
+                real = model_channel(grid, model, tx, rx,
+                                     (seed, "synthetic-tdl", ue.ue_id, s, r), tdl_params)
                 tensor[s, r] = np.transpose(real.h, (1, 2, 0))  # (n_rx, n_tx, Q)
         channels[ue.ue_id] = tensor
     return CfrDataset(header=header, ues=ues, channels=channels)

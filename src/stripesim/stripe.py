@@ -26,19 +26,19 @@ trunk, one antenna branch, the per-symbol FFT spectrum and the noise
 ring. The OFDM pair at the link ends transforms in that same spectrum,
 so a link makes no other spectrum; calibration, whose reference is
 shorter, runs on a workspace of its own. A link holds each large array
-only while a stage reads it. The downlink makes its antenna branches
-one at a time in the workspace and hands each to a consumer as soon as
-its amplifier returns (`run_link` moves it into the channel's input
-grid); the uplink takes each branch only when its antenna amplifier
-needs it, and `run_link` synthesizes it then. The downlink's default
-consumer copies each branch out, and the uplink's last stage (the CU
-receive amplifier) writes a fresh array, so whatever leaves a walk or a
-link is an array no later walk touches: the downlink branch waveforms,
-the uplink output, every `LinkResult` array and, when taps are
-recorded, every tap (each stage then writes a fresh array, so a
-recorded array keeps its value). `run_link` drops each waveform- or
-grid-sized array once it is used, so later ones reuse its memory rather
-than fresh pages.
+only while a stage reads it. The downlink lets its input go once the CU
+chain has read it, makes its antenna branches one at a time in the
+workspace and hands each to a consumer as soon as its amplifier returns
+(`run_link` moves it into the channel's input grid); the uplink takes
+each branch only when its antenna amplifier needs it, and `run_link`
+synthesizes it then. The downlink's default consumer copies each branch
+out, and the uplink's last stage (the CU receive amplifier) writes a
+fresh array, so whatever leaves a walk or a link is an array no later
+walk touches: the downlink branch waveforms, the uplink output and every
+`LinkResult` array. Recording taps changes no buffer: `_run_stages`
+copies each stage's input and output as it goes. `run_link` drops each
+waveform- or grid-sized array once it is used, so later ones reuse its
+memory rather than fresh pages.
 """
 
 from __future__ import annotations
@@ -56,12 +56,12 @@ import numpy as np
 
 from . import components as comp
 from . import streams
-from .channel import (ChannelRealization, TdlParams, add_awgn,
-                      add_thermal_noise, apply_channel, bulk_delay,
-                      identity_channel, los_channel, rayleigh_channel,
-                      tdl_channel, timing_advance)
+from .channel import (ChannelRealization, add_awgn, add_thermal_noise,
+                      apply_channel, bulk_delay, identity_channel, model_channel,
+                      timing_advance)
 from .config import (ComponentBank, EnvironmentConfig, LinearElementSpec,
                      WaveformConfig, validate_cross)
+from .dataset import CfrDatasetReader, array_geometry
 from .errors import (AntennaCountMismatch, CalibrationInfeasible, ConfigError,
                      GridMismatch, InterSymbolInterferenceRisk, LengthError,
                      TruncationWarning)
@@ -75,16 +75,33 @@ from .waveform import (ResourceGrid, SubcarrierGrid, TimeWaveform, _own_workspac
 
 CU_NODE = 0  # node ids within a stripe: CU = 0, RU i = i + 1
 
+# The most complex samples one array of a link may hold (4 GiB at 16 bytes
+# each). A link holds a few arrays the length of its waveform and a few
+# the size of its (Q, antennas, symbols) grid.
+MAX_LINK_SAMPLES = 1 << 28
+
 
 def make_grid(env: EnvironmentConfig, wf: WaveformConfig,
               dataset_header=None) -> SubcarrierGrid:
-    """Subcarrier grid from the environment (or dataset) plus oversampling."""
+    """Subcarrier grid from the environment (or dataset) plus oversampling.
+
+    Raises `ConfigError` when a link on this grid would make an array of
+    more than `MAX_LINK_SAMPLES`, before any walk is planned.
+    """
     if env.sub_thz is not None:
         fc, bw, q = env.sub_thz.fc, env.sub_thz.bw, env.sub_thz.num_subcarriers
     elif dataset_header is not None:
         fc, bw, q = dataset_header.fc, dataset_header.bw, dataset_header.num_subcarriers
     else:
         raise ConfigError("no sub_thz block in the environment and no dataset grid")
+    n_elements = (env.antenna.n_antennas if dataset_header is None
+                  else max(dataset_header.n_tx, dataset_header.n_rx))
+    s = wf.n_ofdm_symbols
+    for what, size in (("subcarriers x antennas x symbols", q * n_elements * s),
+                       ("waveform samples", s * (q + wf.cp_length) * wf.oversampling_factor)):
+        if size > MAX_LINK_SAMPLES:
+            raise ConfigError(f"a link would hold {size} {what}, more than the "
+                              f"{MAX_LINK_SAMPLES} one array may hold")
     return SubcarrierGrid(fc=fc, bw=bw, num_subcarriers=q,
                           oversampling=wf.oversampling_factor)
 
@@ -180,20 +197,18 @@ def build_stripe(env: EnvironmentConfig, bank: ComponentBank, stripe_id: int,
 
 @dataclass
 class _Chain:
-    """Mutable propagation state: waveform, accumulated delay, taps.
+    """Mutable propagation state: waveform, accumulated delay, noise.
 
-    A stage overwrites the waveform when the walk owns it, and otherwise
-    writes into the workspace array named ``buffer``, or a fresh array if
-    ``buffer`` is None; the caller's input is never written. With taps
-    recorded, every stage writes a fresh array, so each recorded array
-    keeps its value.
+    A stage method maps its input array to its output: the input itself
+    when the walk owns it, else the workspace array named ``buffer``, or a
+    fresh array if ``buffer`` is None; the caller's input is never
+    written. `_run_stages` puts each output in the chain.
     """
 
     wf: TimeWaveform
     cp_samples: int
     n_fft: int
     offset: int = 0
-    taps: list | None = None
     linear_only: bool = False  # calibration mode: gains only, no noise or delay
     noise: _NoiseAhead | None = None
     ws: _Workspace = field(default_factory=_thread_workspace)
@@ -202,29 +217,21 @@ class _Chain:
 
     def target(self, x: np.ndarray) -> np.ndarray:
         """The array a stage writes its output into."""
-        if self.owned and self.taps is None:
+        if self.owned:
             return x
-        if self.taps is not None or self.buffer is None:
+        if self.buffer is None:
             return np.empty_like(x)
         return self.ws.get(self.buffer, x.shape)
 
-    def _put(self, label: str, x: np.ndarray, out: np.ndarray):
-        if self.taps is not None:
-            self.taps.append((label, x, out))
-        self.owned = self.owned or out is not x
-        self.wf = self.wf.with_samples(out)
-
-    def element(self, label: str, params: comp.LinearElementParams):
-        x = self.wf.samples
+    def element(self, x: np.ndarray, params: comp.LinearElementParams) -> np.ndarray:
         if params.model == "fixed_damping":
-            out = np.multiply(x, params.amplitude, out=self.target(x))
-        elif params.model == "s2p_filter" and params.domain == "frequency":
-            out = self._fd_filter(x, params.fft_response, self.target(x))
-        else:
-            out = comp.linear_element_process(self.wf, params,
-                                              apply_delay=not self.linear_only).samples
-            self.offset += out.size - x.size  # the delay it prepended
-        self._put(label, x, out)
+            return np.multiply(x, params.amplitude, out=self.target(x))
+        if params.model == "s2p_filter" and params.domain == "frequency":
+            return self._fd_filter(x, params.fft_response, self.target(x))
+        out = comp.linear_element_process(self.wf.with_samples(x), params,
+                                          apply_delay=not self.linear_only).samples
+        self.offset += out.size - x.size  # the delay it prepended
+        return out
 
     def _fd_filter(self, x: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Per-symbol circular filtering with the FFT-ordered response
@@ -246,35 +253,29 @@ class _Chain:
             seg[:, :cp] = seg[:, -cp:]
         return out
 
-    def amplifier(self, label: str, params: comp.AmplifierParams,
-                  rng: np.random.Generator):
-        x = self.wf.samples
+    def amplifier(self, x: np.ndarray, params: comp.AmplifierParams,
+                  rng: np.random.Generator) -> np.ndarray:
         out = self.target(x)
         if self.linear_only:
-            np.multiply(x, params.gain_linear, out=out)
-        else:
-            if self.noise is not None:
-                rng = self.noise.source(rng)
-            comp.amplifier_process(self.wf, params, rng, out=out)
-        self._put(label, x, out)
+            return np.multiply(x, params.gain_linear, out=out)
+        if self.noise is not None:
+            rng = self.noise.source(rng)
+        return comp.amplifier_process(self.wf.with_samples(x), params, rng, out=out).samples
 
-    def dac(self, label: str, params: comp.DacParams):
-        x = self.wf
-        if not (self.linear_only or params.mode == "ideal"):
-            x = comp.dac_process(x, params, out=self.target(x.samples))
-        self._put(label, self.wf.samples, x.samples)
+    def dac(self, x: np.ndarray, params: comp.DacParams) -> np.ndarray:
+        if self.linear_only or params.mode == "ideal":
+            return x
+        return comp.dac_process(self.wf.with_samples(x), params, out=self.target(x)).samples
 
-    def iq_mix(self, label: str, params: comp.IqParams, osc: comp.Oscillator,
-               downmix: bool = False):
-        x = self.wf
+    def iq_mix(self, x: np.ndarray, params: comp.IqParams, osc: comp.Oscillator,
+               downmix: bool = False) -> np.ndarray:
         if self.linear_only:
-            y = x
-        else:
-            phases = osc.phases(x.samples.size)
-            if downmix:
-                phases = -phases
-            y = comp.iq_modem_process(x, params, phases, out=self.target(x.samples))
-        self._put(label, x.samples, y.samples)
+            return x
+        phases = osc.phases(x.size)
+        if downmix:
+            phases = -phases
+        return comp.iq_modem_process(self.wf.with_samples(x), params, phases,
+                                     out=self.target(x)).samples
 
 
 class _Drawn:
@@ -432,19 +433,32 @@ def _walk_stages(top: StripeTopology, active_ru: int, stream, direction: str) ->
             ("cu_rx_amp", bank.boost_amplifier, stream(CU_NODE, "lna"))]
 
 
-def _run_stages(chain: _Chain, stages):
-    """Apply ``stages`` to ``chain`` in order: the one runner of every walk."""
+def _run_stages(chain: _Chain, stages, taps: list | None = None):
+    """Apply ``stages`` to ``chain`` in order: the one runner of every walk.
+    With a ``taps`` list, each stage also appends (label, input, output)
+    as copies, so a recorded array keeps its value; within one call, an
+    input is the copy of the output before it."""
+    x_in = None
     for label, params, arg in stages:
+        x = chain.wf.samples
+        if taps is not None and x_in is None:
+            x_in = x.copy()
         if isinstance(params, comp.LinearElementParams):
-            chain.element(label, params)
+            out = chain.element(x, params)
         elif isinstance(params, comp.AmplifierParams):
-            chain.amplifier(label, params, arg)
+            out = chain.amplifier(x, params, arg)
         elif isinstance(params, comp.DacParams):
-            chain.dac(label, params)
+            out = chain.dac(x, params)
         elif isinstance(params, comp.IqParams):
-            chain.iq_mix(label, params, *arg)
+            out = chain.iq_mix(x, params, *arg)
         else:  # calibration's meter, standing in for a booster
             params()
+            out = x
+        chain.owned = chain.owned or out is not x
+        chain.wf = chain.wf.with_samples(out)
+        if taps is not None:
+            taps.append((label, x_in, out.copy()))
+            x_in = taps[-1][2]
 
 
 def _noise_draws(sample_rate: float, stages, length: int) -> list:
@@ -478,8 +492,8 @@ def _check_rate(top: StripeTopology, x: TimeWaveform):
 
 
 def _start_walk(top: StripeTopology, inputs, active_ru: int, beam_phases,
-                seed: int, direction: str, record_taps: bool, linear_only: bool,
-                noise: _NoiseAhead | None):
+                seed: int, direction: str, noise: _NoiseAhead | None,
+                linear_only: bool = False):
     """Check a walk's arguments; return its phases, chain and noise
     stream: ``noise`` itself, or one planned from the walk's own stages.
     ``inputs`` are the waveforms the walk has in hand; its chain starts
@@ -493,8 +507,7 @@ def _start_walk(top: StripeTopology, inputs, active_ru: int, beam_phases,
     if beam_phases.size != top.n_antennas:
         raise LengthError("one beam phase per antenna branch required")
     chain = _Chain(wf=wf, cp_samples=top.wf.cp_length * top.grid.oversampling,
-                   n_fft=top.grid.n_fft, taps=[] if record_taps else None,
-                   linear_only=linear_only)
+                   n_fft=top.grid.n_fft, linear_only=linear_only)
     if noise is not None:
         return beam_phases, chain, nullcontext(noise)
     stream, draws = _plan_noise(top, active_ru, seed, direction, wf.samples.size)
@@ -521,29 +534,29 @@ def propagate_downlink(top: StripeTopology, wf_in: TimeWaveform, active_ru: int,
     without it the walk plans and draws its own.
     """
     beam_phases, chain, noise = _start_walk(top, [wf_in], active_ru, beam_phases, seed,
-                                            "dl", record_taps, linear_only, noise)
+                                            "dl", noise, linear_only)
+    del wf_in  # the chain holds it until the first stage that writes
+    taps = [] if record_taps else None
     with noise as chain.noise:
         stages = _walk_stages(top, active_ru, chain.noise.streams, "dl")
         n_shared = len(stages) - top.n_antennas
-        _run_stages(chain, stages[:n_shared])
+        _run_stages(chain, stages[:n_shared], taps)
         trunk = chain.wf.samples
         scale = 1.0 / np.sqrt(top.n_antennas)  # the factor of `comp.split`
         out = []
         for b, (stage, theta) in enumerate(zip(stages[n_shared:], beam_phases)):
-            # split, rotate and amplify the branch in one array: a fresh one
-            # when taps keep it, else the workspace's
-            x = np.multiply(trunk, scale, out=None if record_taps
-                            else chain.ws.get("branch", trunk.shape))
+            # split, rotate and amplify the branch in one workspace array
+            x = np.multiply(trunk, scale, out=chain.ws.get("branch", trunk.shape))
             comp.rotate(x, theta, out=x)
             sub = replace(chain, wf=chain.wf.with_samples(x), owned=True)
-            _run_stages(sub, [stage])
+            _run_stages(sub, [stage], taps)
             out.append(consume(b, sub.wf, chain.offset))
-    return out, (tuple(chain.taps) if chain.taps is not None else ()), chain.offset
+    return out, tuple(taps or ()), chain.offset
 
 
 def propagate_uplink(top: StripeTopology, branch_waveforms, active_ru: int,
-                     beam_phases, seed: int, record_taps: bool = False,
-                     linear_only: bool = False, *, noise: _NoiseAhead | None = None):
+                     beam_phases, seed: int, record_taps: bool = False, *,
+                     noise: _NoiseAhead | None = None):
     """Active-RU receive front end -> trunk in reverse -> CU receive chain.
 
     ``branch_waveforms`` are the per-antenna signals right after the
@@ -559,9 +572,9 @@ def propagate_uplink(top: StripeTopology, branch_waveforms, active_ru: int,
     if first is None or (in_hand is not None and len(in_hand) != top.n_antennas):
         raise LengthError("one phase per branch required")
     beam_phases, chain, noise = _start_walk(
-        top, in_hand or [first], active_ru, beam_phases, seed, "ul", record_taps,
-        linear_only, noise)
+        top, in_hand or [first], active_ru, beam_phases, seed, "ul", noise)
     del in_hand, first  # the chain holds the first branch until its stage
+    taps = [] if record_taps else None
     with noise as chain.noise:
         stages = _walk_stages(top, active_ru, chain.noise.streams, "ul")
         for b, (stage, theta) in enumerate(zip(stages, beam_phases)):
@@ -576,9 +589,9 @@ def propagate_uplink(top: StripeTopology, branch_waveforms, active_ru: int,
                 _check_rate(top, branch)
                 sub = replace(chain, wf=branch, buffer="branch", owned=False)
                 del branch  # only ``sub`` holds it, until its stage returns
-            _run_stages(sub, [stage])
-            y = sub.wf.samples
-            y = comp.rotate(y, theta, out=sub.target(y))
+            _run_stages(sub, [stage], taps)
+            # the amplifier wrote an array of the walk's own
+            y = comp.rotate(sub.wf.samples, theta, out=sub.wf.samples)
             if b == 0:
                 total = y
             else:
@@ -588,11 +601,10 @@ def propagate_uplink(top: StripeTopology, branch_waveforms, active_ru: int,
         chain.wf = chain.wf.with_samples(total)
         chain.owned = True
         *shared, last = stages[top.n_antennas:]
-        _run_stages(chain, shared)
+        _run_stages(chain, shared, taps)
         chain.owned, chain.buffer = False, None  # the output leaves the walk
-        _run_stages(chain, [last])
-    return (chain.wf, (tuple(chain.taps) if chain.taps is not None else ()),
-            chain.offset)
+        _run_stages(chain, [last], taps)
+    return chain.wf, tuple(taps or ()), chain.offset
 
 
 # ---------------------------------------------------------------------------
@@ -716,8 +728,6 @@ def resolve_channel(env: EnvironmentConfig, grid: SubcarrierGrid, source,
     the same array helper as the synthetic dataset generator, so dataset
     and model paths agree.
     """
-    from .dataset import CfrDatasetReader, array_geometry  # local: avoid cycle
-
     if isinstance(source, ChannelRealization):
         return source
     if isinstance(source, CfrDatasetReader):
@@ -729,19 +739,10 @@ def resolve_channel(env: EnvironmentConfig, grid: SubcarrierGrid, source,
     base = SubcarrierGrid(grid.fc, grid.bw, grid.num_subcarriers, 1)
     if model == "identity":
         return identity_channel(base, n_tx)
-    ue_position = env.ue_positions[ue_index]
-    tx, rx = array_geometry(env, base, stripe_id, active_ru, ue_position,
+    tx, rx = array_geometry(env, base, stripe_id, active_ru, env.ue_positions[ue_index],
                             n_tx=n_tx, n_rx=n_rx)
-    if model == "los":
-        return los_channel(base, tx, rx)
-    rng = streams.stream(seed, "channel", ue_index, stripe_id, active_ru)
-    centroid = float(np.linalg.norm(np.mean(tx, axis=0) - np.mean(rx, axis=0)))
-    if model == "rayleigh":
-        return rayleigh_channel(base, n_tx, n_rx, rng, distance=centroid)
-    if model == "tdl":
-        return tdl_channel(base, tdl_params or TdlParams(), n_tx, n_rx, rng,
-                           distance=centroid)
-    raise ConfigError(f"unknown channel source {source!r}")
+    return model_channel(base, model, tx, rx,
+                         (seed, "channel", ue_index, stripe_id, active_ru), tdl_params)
 
 
 def default_beam_phases(channel: ChannelRealization) -> np.ndarray:
@@ -777,6 +778,15 @@ def _branch_waveforms(at_ru: np.ndarray, grid: SubcarrierGrid, cp_length: int):
                            sample_rate=grid.sample_rate)
 
 
+def _transmit_waveform(tx_grid: ResourceGrid, grid: SubcarrierGrid,
+                       wf_cfg: WaveformConfig) -> TimeWaveform:
+    """The modulated transmit grid, its fresh array scaled in place to the
+    configured dBm power."""
+    tx_wf = ofdm_modulate(tx_grid, grid, wf_cfg.cp_length)
+    np.multiply(tx_wf.samples, _power_scale(tx_wf, wf_cfg.tx_power), out=tx_wf.samples)
+    return tx_wf
+
+
 # the warning class of each `validate_cross` warning code
 _CROSS_CHECK_WARNINGS = {cls.__name__: cls for cls in (AntennaCountMismatch,
                                                        InterSymbolInterferenceRisk)}
@@ -795,8 +805,6 @@ def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank
     """
     if direction not in ("dl", "ul"):
         raise ConfigError(f"direction must be 'dl' or 'ul', got {direction!r}")
-    from .dataset import CfrDatasetReader
-
     from_dataset = isinstance(channel_source, CfrDatasetReader)
     dataset_header = channel_source.header if from_dataset else None
     check = validate_cross(env, wf_cfg, bank, dataset_header)
@@ -863,23 +871,25 @@ def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank
         n_bits = int(np.count_nonzero(~mask)) * m
         tx_grid = build_resource_grid(streams.stream(seed, "data-bits").integers(0, 2, n_bits),
                                       wf_cfg, grid, seed)
-        tx_wf = ofdm_modulate(tx_grid, grid, wf_cfg.cp_length)
-        # scale the modulator's fresh array in place to the dBm target
-        np.multiply(tx_wf.samples, _power_scale(tx_wf, wf_cfg.tx_power), out=tx_wf.samples)
 
         # each waveform- or grid-sized array is dropped once used, so the
         # arrays made after it reuse its memory instead of fresh pages
         if direction == "dl":
-            branch_grids = np.empty((grid.num_subcarriers, n_tx, s), dtype=np.complex128)
+            branch_grids = None
 
             def to_grid(b: int, branch: TimeWaveform, offset: int):
+                nonlocal branch_grids
+                if b == 0:  # the trunk has let the transmit waveform go
+                    branch_grids = np.empty((grid.num_subcarriers, n_tx, s),
+                                            dtype=np.complex128)
                 extract_symbols(branch.samples[offset:offset + n_samples],
                                 grid, wf_cfg.cp_length, s, out=branch_grids[:, b, :])
 
+            # the walk alone holds the transmit waveform, and drops it once
+            # the CU DAC has read it
             _, taps, offset = propagate_downlink(
-                topology, tx_wf, active_ru, beam_phases, seed, record_taps, noise=noise,
-                consume=to_grid)
-            del tx_wf
+                topology, _transmit_waveform(tx_grid, grid, wf_cfg), active_ru,
+                beam_phases, seed, record_taps, noise=noise, consume=to_grid)
             air = apply_channel(branch_grids, realization)  # (Q, n_rx, S)
             del branch_grids
             air = _ota_noise(air, bank, grid, noise.source(ota_rng), ota_snr_db)
@@ -888,9 +898,8 @@ def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank
         else:
             # the UE's grid on each of its elements, at 1/sqrt(n_rx) amplitude
             ue_elems = np.empty((grid.num_subcarriers, n_rx, s), dtype=np.complex128)
-            ue_grid = extract_symbols(tx_wf.samples, grid, wf_cfg.cp_length, s,
-                                      out=ue_elems[:, 0, :])
-            del tx_wf
+            ue_grid = extract_symbols(_transmit_waveform(tx_grid, grid, wf_cfg).samples,
+                                      grid, wf_cfg.cp_length, s, out=ue_elems[:, 0, :])
             ue_grid /= np.sqrt(n_rx)
             ue_elems[:, 1:, :] = ue_grid[:, None, :]
             up = realization.transposed()  # (Q, n_tx_ru, n_rx_ue)

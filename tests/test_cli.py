@@ -16,7 +16,7 @@ from stripesim.waveform import SubcarrierGrid
 
 from stripesim.errors import AntennaCountMismatch, InterSymbolInterferenceRisk
 
-from conftest import (COMP_YAML, ENV_YAML, LAST_RU, TWO_STRIPES, flat_s2p,
+from conftest import (COMP_YAML, ENV_YAML, LAST_RU, TWO_STRIPES, WF_YAML, flat_s2p,
                       s2p_from_taps)
 
 
@@ -116,6 +116,28 @@ _CAL = "calibration: {target_power: 0.0, max_gain: 30.0}"
     pytest.param("run", ["--ru", "1"],
                  (_CAL, _CAL + "\nreceiver: {nf_db: 7.0, temperature: 0}"), None, 2,
                  id="receiver-temperature-zero"),
+    pytest.param("run", ["--ru", "1"], (_AMP, _AMP.replace("0.0", "1e30")), None, 2,
+                 id="amplifier-gain-db-overflows"),
+    pytest.param("run", ["--ru", "1"], ("coupler: {model: ideal}",
+                                        "coupler: {model: fixed_damping, loss_db: -1e308}"),
+                 None, 2, id="coupler-loss-db-overflows"),
+    pytest.param("run", ["--ru", "1"], ("tx_power: 0.0", "tx_power: 1e30"), None, 2,
+                 id="tx-power-overflows"),
+    pytest.param("run", ["--ru", "1"], (_CAL, _CAL + "\nreceiver: {nf_db: 1e30}"), None, 2,
+                 id="receiver-nf-db-overflows"),
+    pytest.param("calibrate", [], (_CAL, _CAL.replace("30.0", "1e30")), None, 2,
+                 id="calibration-max-gain-overflows"),
+    pytest.param("run", ["--ru", "1"],
+                 ("dac: {model: ideal}", "dac: {model: quantize, bits: 1e30}"), None, 2,
+                 id="dac-bits-beyond-a-float"),
+    pytest.param("run", ["--ru", "1"], ("n_ofdm_symbols: 4", "n_ofdm_symbols: 1e30"),
+                 None, 2, id="symbol-count-too-large"),
+    pytest.param("run", ["--ru", "1"],
+                 ("oversampling_factor: 2", f"oversampling_factor: {2 ** 70}"), None, 2,
+                 id="oversampling-too-large"),
+    *[pytest.param(command, flags, ("N_antennas: 1", "N_antennas: 1e9"), None, 2,
+                   id=f"{command}-antenna-count-too-large")
+      for command, flags in (("run", ["--ru", "1"]), ("sweep-ru", []), ("calibrate", []))],
     pytest.param("run", ["--ru", "1", "--channel", "tdl:abc"], None, None, 2,
                  id="channel-tdl-beta-not-a-number"),
     pytest.param("run", ["--ru", "1", "--channel", "tdl:0.5:x"], None, None, 2,
@@ -171,7 +193,9 @@ def test_bad_input_exits_typed(config_tree, tmp_path, capsys, command, flags,
     """Malformed inputs end as typed errors, never as 'internal error'."""
     if config_edit is not None:
         edits = config_edit if isinstance(config_edit, list) else [config_edit]
-        key, text = ("env", ENV_YAML) if edits[0][0] in ENV_YAML else ("components", COMP_YAML)
+        key, text = next((key, text) for key, text in (
+            ("env", ENV_YAML), ("waveform", WF_YAML), ("components", COMP_YAML))
+            if edits[0][0] in text)
         for old, new in edits:
             assert old in text, old
             text = text.replace(old, new)
