@@ -71,8 +71,8 @@ class TdlParams:
     def __post_init__(self):
         if self.n_taps < 1:
             raise DomainError("n_taps must be >= 1")
-        if self.beta < 0:
-            raise DomainError("beta must be >= 0")
+        if not 0 <= self.beta < np.inf:
+            raise DomainError("beta must be finite and >= 0")
 
 
 # ---------------------------------------------------------------------------

@@ -25,20 +25,17 @@ import numpy as np
 
 from . import __version__, streams
 from .channel import TdlParams
-from .config import (components_to_dict, environment_to_dict, load_components,
-                     load_environment, load_waveform, waveform_to_dict)
+from .config import (_DECIBELS, components_to_dict, environment_to_dict,
+                     load_components, load_environment, load_waveform,
+                     validate_cross, waveform_to_dict)
 from .dataset import generate_synthetic, read_dataset, write_dataset
-from .errors import StripeSimError, ConfigError, DomainError, GeometryError, \
-    ParseError, SchemaError, TouchstoneError, UnsupportedModel, UnsupportedMode
+from .errors import ConfigError, DomainError, StripeSimError
 from .metrics import am_am_extract
 from .stripe import build_stripe, calibrate_gains, make_grid, run_link
 from .touchstone import read_touchstone
 from .waveform import SubcarrierGrid
 
 log = logging.getLogger("stripesim")
-
-_CONFIG_ERRORS = (ParseError, SchemaError, GeometryError, UnsupportedModel,
-                  UnsupportedMode, TouchstoneError, ConfigError)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -83,22 +80,35 @@ def _check_counts(args, *names):
                               f"got {getattr(args, name)}")
 
 
-def _resolve_channel_arg(spec: str):
+def _tdl_params(num_subcarriers: int | None, **values) -> TdlParams:
+    """TdlParams of CLI values, an omitted one at its default. ConfigError
+    unless beta is finite and >= 0 and the tap count lies in 1 ..
+    ``num_subcarriers`` (unbounded when None)."""
+    try:
+        params = TdlParams(**values)
+    except DomainError as exc:
+        raise ConfigError(f"tdl channel: {exc}") from None
+    if num_subcarriers is not None and params.n_taps > num_subcarriers:
+        raise ConfigError(f"tdl channel: {params.n_taps} taps exceed the grid's "
+                          f"{num_subcarriers} subcarriers")
+    return params
+
+
+def _resolve_channel_arg(spec: str, env):
     """'los' | 'rayleigh' | 'tdl[:beta[:taps]]' | 'dataset:PATH'."""
     if spec.startswith("dataset:"):
         return read_dataset(spec.split(":", 1)[1])
     if spec == "tdl" or spec.startswith("tdl:"):
         parts = spec.split(":")[1:]
         try:
-            # an omitted value keeps its TdlParams default
-            params = TdlParams(**{name: kind(text) for (name, kind), text
-                                  in zip((("beta", float), ("n_taps", int)), parts)})
-        except (ValueError, DomainError):
-            params = None
-        if params is None or len(parts) > 2 or not np.isfinite(params.beta):
+            values = {name: kind(text) for (name, kind), text
+                      in zip((("beta", float), ("n_taps", int)), parts)}
+        except ValueError:
+            values = None
+        if values is None or len(parts) > 2:
             raise ConfigError(f"channel {spec!r}: expected tdl[:beta[:taps]] with a "
-                              f"finite beta >= 0 and an integer taps >= 1")
-        return ("tdl", params)
+                              f"number beta and an integer taps")
+        return ("tdl", _tdl_params(env.sub_thz and env.sub_thz.num_subcarriers, **values))
     if spec in ("los", "rayleigh", "identity"):
         return spec
     raise ConfigError(f"unknown channel source {spec!r}")
@@ -136,7 +146,7 @@ _METRICS_HEADER = ["stripe_id", "ru_id", "ue_id", "seed", "direction",
 def cmd_run(args) -> int:
     started = time.monotonic()
     env, wf, bank = _load_configs(args)
-    channel = _resolve_channel_arg(args.channel)
+    channel = _resolve_channel_arg(args.channel, env)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = run_link(env, wf, bank, channel, ue_index=args.ue,
@@ -231,7 +241,7 @@ def cmd_sweep_ru(args) -> int:
     started = time.monotonic()
     _check_counts(args, "jobs")
     env, wf, bank = _load_configs(args)
-    channel = _resolve_channel_arg(args.channel)
+    channel = _resolve_channel_arg(args.channel, env)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     cells = [(args.ue, stripe_id, ru_id, args.direction, args.seed)
@@ -267,11 +277,12 @@ def cmd_sweep_ru(args) -> int:
 def cmd_calibrate(args) -> int:
     started = time.monotonic()
     env, wf, bank = _load_configs(args)
+    validate_cross(env, wf, bank)
     grid = make_grid(env, wf)
-    target = args.target_dbm if args.target_dbm is not None \
-        else bank.calibration.target_power_dbm
-    max_gain = args.max_gain if args.max_gain is not None \
-        else bank.calibration.max_gain_db
+    target = bank.calibration.target_power_dbm if args.target_dbm is None \
+        else _DECIBELS(args.target_dbm, "--target-dbm")
+    max_gain = bank.calibration.max_gain_db if args.max_gain is None \
+        else _DECIBELS(args.max_gain, "--max-gain")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -320,13 +331,11 @@ def cmd_inspect_s2p(args) -> int:
 def cmd_gen_channels(args) -> int:
     _check_counts(args, "n_tx", "n_rx", "taps_l")
     env = load_environment(args.env)
-    if args.model not in ("los", "tdl"):
-        raise ConfigError(f"unknown synthetic model {args.model!r}")
     if env.sub_thz is None:
         raise ConfigError("environment carries no sub_thz grid block")
     grid = SubcarrierGrid(env.sub_thz.fc, env.sub_thz.bw,
                           env.sub_thz.num_subcarriers, 1)
-    params = TdlParams(n_taps=args.taps_l, beta=args.beta)
+    params = _tdl_params(grid.num_subcarriers, n_taps=args.taps_l, beta=args.beta)
     dataset = generate_synthetic(env, grid, model=args.model, seed=args.seed,
                                  tdl_params=params, n_tx=args.n_tx,
                                  n_rx=args.n_rx)
@@ -413,7 +422,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CONFIG_ERRORS as exc:
+    except ConfigError as exc:
         print(f"stripesim: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except StripeSimError as exc:

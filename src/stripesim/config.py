@@ -28,7 +28,8 @@ import yaml
 
 from .components import (AMPLIFIER_MODES, LINEAR_MODELS, AmplifierParams,
                          DacParams, IqParams, OscillatorParams)
-from .errors import (GeometryError, ParseError, SchemaError,
+from .errors import (AntennaCountMismatch, ConfigError, GeometryError,
+                     InterSymbolInterferenceRisk, ParseError, SchemaError,
                      UnknownKeyWarning, UnsupportedModel, UnsupportedMode)
 from .touchstone import TwoPortNetwork, read_touchstone
 from .waveform import _is_power_of_two
@@ -146,6 +147,13 @@ def _within(low: float, high: float = np.inf, *, strict: bool = False, parse=_as
 # hardware value, and 10 ** (x / 10) of one far beyond it overflows.
 MAX_DB = 300.0
 _DECIBELS = _within(-MAX_DB, MAX_DB)
+# Nor is an amplitude whose power exceeds MAX_DB dB, a frequency beyond a
+# petahertz (ultraviolet light) or a temperature beyond 1e6 K; the noise
+# powers and phases made from one far beyond them overflow.
+MAX_HZ = 1e15
+_AMPLITUDE = _within(0.0, 10.0 ** (MAX_DB / 20.0), strict=True)
+_HERTZ = _within(0.0, MAX_HZ, strict=True)
+_KELVIN = _within(0.0, 1e6, strict=True)
 # Every level (index + 1/2) of a quantizer of up to 52 bits is exact in
 # a float64.
 MAX_DAC_BITS = 52
@@ -286,7 +294,7 @@ class SubThzConfig:
     num_subcarriers: int
 
 
-_SUB_THZ_KEYS = {"fc": ("fc", _as_float), "bw": ("bw", _as_float),
+_SUB_THZ_KEYS = {"fc": ("fc", _HERTZ), "bw": ("bw", _HERTZ),
                  "num_subcarriers": ("num_subcarriers", _as_int)}
 
 
@@ -410,8 +418,8 @@ def load_environment(path) -> EnvironmentConfig:
     if top.has("sub_thz"):
         sub_thz = SubThzConfig(**_read(_Section(top.get("sub_thz"), "sub_thz"), _SUB_THZ_KEYS,
                                        required=("fc", "bw", "num_subcarriers")))
-        if sub_thz.fc <= 0 or sub_thz.bw <= 0:
-            raise SchemaError("sub_thz.fc and sub_thz.bw must be positive")
+        if sub_thz.bw >= 2 * sub_thz.fc:  # the lowest subcarrier sits at fc - bw/2
+            raise SchemaError("sub_thz.bw must be less than twice sub_thz.fc")
         if not _is_power_of_two(sub_thz.num_subcarriers):
             raise SchemaError("sub_thz.num_subcarriers must be a power of two")
 
@@ -511,7 +519,6 @@ class LinearElementSpec:
     network: TwoPortNetwork | None = None
     domain: str = "frequency"
     n_taps: int = 256
-    length_m: float = 0.0
     group_velocity: float = 2e8
 
 
@@ -549,36 +556,38 @@ _AMPLIFIER_MODE = _choice(*AMPLIFIER_MODES, error=UnsupportedModel)
 _COMPONENT_KEYS = {
     AmplifierParams: {
         "model": ("mode", _AMPLIFIER_MODE), "mode": ("mode", _AMPLIFIER_MODE),
-        "gain_db": ("gain_db", _DECIBELS), "sat_amplitude": ("sat_amplitude", _as_float),
+        "gain_db": ("gain_db", _DECIBELS),
+        "sat_amplitude": ("sat_amplitude", _AMPLITUDE),
         "poly_coeffs": ("poly_coeffs", _as_complex_list),
         # a noise figure below 0 dB or a temperature of 0 K or less makes
         # the added noise power negative
-        "nf_db": ("nf_db", _within(0.0, MAX_DB)), "bandwidth": ("bandwidth", _as_float),
-        "temperature": ("temperature", _within(0.0, strict=True))},
+        "nf_db": ("nf_db", _within(0.0, MAX_DB)),
+        "bandwidth": ("bandwidth", _within(0.0, MAX_HZ)), "temperature": ("temperature", _KELVIN)},
     LinearElementSpec: {
         "model": ("model", _choice(*LINEAR_MODELS, error=UnsupportedModel)),
         "loss_db": ("loss_db", _DECIBELS),
         "file": ("file", _or_none(lambda value, _path: str(value))),
         "domain": ("domain", _choice("frequency", "time", error=UnsupportedMode)),
-        "taps": ("n_taps", _as_count), "length_m": ("length_m", _as_float),
-        "group_velocity": ("group_velocity", _as_float)},
+        "taps": ("n_taps", _as_count),
+        "group_velocity": ("group_velocity", _within(0.0, strict=True))},
     DacParams: {
         "model": ("mode", _as_name), "mode": ("mode", _as_name),
         "bits": ("bits", _within(1, MAX_DAC_BITS, parse=_as_int)),
-        "clip_amplitude": ("clip_amplitude", _as_float)},
+        "clip_amplitude": ("clip_amplitude", _AMPLITUDE)},
     OscillatorParams: {
         "model": ("mode", _as_name), "mode": ("mode", _as_name),
-        "cfo_hz": ("cfo_hz", _as_float), "ar_rho": ("ar_rho", _as_float),
-        "innovation_std": ("innovation_std", _as_float),
+        "cfo_hz": ("cfo_hz", _as_float), "ar_rho": ("ar_rho", _within(0.0, 1.0, strict=True)),
+        # a larger step per sample leaves the phase no less uniform
+        "innovation_std": ("innovation_std", _within(0.0, 2.0 * np.pi)),
         "initial_phase": ("initial_phase", _as_float)},
     IqParams: {
-        "gain_mismatch": ("gain_mismatch", _as_float),
+        "gain_mismatch": ("gain_mismatch", _within(0.0, strict=True)),
         "phase_mismatch": ("phase_mismatch", _as_float),
         "dc_offset": ("dc_offset", _as_complex)},
     CalibrationConfig: {"target_power": ("target_power_dbm", _DECIBELS),
                         "max_gain": ("max_gain_db", _DECIBELS)},
     ReceiverConfig: {"nf_db": ("nf_db", _or_none(_DECIBELS)),
-                     "temperature": ("temperature", _within(0.0, strict=True))},
+                     "temperature": ("temperature", _KELVIN)},
 }
 
 
@@ -606,76 +615,54 @@ def load_components(path) -> ComponentBank:
 # Cross validation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ValidationIssue:
-    code: str
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    errors: tuple
-    warnings: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
 def validate_cross(env: EnvironmentConfig, wf: WaveformConfig,
-                   comp: ComponentBank, dataset_header=None) -> ValidationReport:
-    """Cross-file consistency report; hard errors block simulation.
+                   comp: ComponentBank, dataset_header=None):
+    """Check the three configs against each other and against
+    ``dataset_header`` (optional, a dataset's grid and antenna counts).
 
-    ``dataset_header`` (optional) is compared against the environment grid
-    (Q, fc, bw). Pure function of its inputs.
+    Raises one `ConfigError` naming every problem as "Code: message",
+    joined by "; ". Warns `InterSymbolInterferenceRisk` when a time-domain
+    element keeps more taps than the cyclic prefix spans, and
+    `AntennaCountMismatch` when the dataset's n_tx overrides the
+    configured RU antenna count.
     """
-    errors: list[ValidationIssue] = []
-    warns: list[ValidationIssue] = []
-
+    errors = []
     if env.sub_thz is None and dataset_header is None:
-        errors.append(ValidationIssue(
-            "MissingGrid",
-            "environment carries no sub_thz block and no dataset supplies a grid"))
+        errors.append("MissingGrid: environment carries no sub_thz block and no "
+                      "dataset supplies a grid")
 
     q = None
     if env.sub_thz is not None:
         q = env.sub_thz.num_subcarriers
         if dataset_header is not None:
-            for attr, name in (("num_subcarriers", "num_subcarriers"),
-                               ("fc", "fc"), ("bw", "bw")):
-                env_v = getattr(env.sub_thz, attr)
-                ds_v = getattr(dataset_header, name)
+            for name in ("num_subcarriers", "fc", "bw"):
+                env_v, ds_v = getattr(env.sub_thz, name), getattr(dataset_header, name)
                 if env_v != ds_v:
-                    errors.append(ValidationIssue(
-                        "GridMismatch",
-                        f"environment {name}={env_v} but dataset {name}={ds_v}"))
+                    errors.append(f"GridMismatch: environment {name}={env_v} but "
+                                  f"dataset {name}={ds_v}")
     elif dataset_header is not None:
         q = dataset_header.num_subcarriers
 
     if wf.num_subcarriers is not None and q is not None and wf.num_subcarriers != q:
-        errors.append(ValidationIssue(
-            "GridMismatch",
-            f"waveform num_subcarriers={wf.num_subcarriers} differs from grid {q}"))
-
+        errors.append(f"GridMismatch: waveform num_subcarriers={wf.num_subcarriers} "
+                      f"differs from grid {q}")
     if q is not None:
-        for problem in _check_against_grid(wf, q):
-            errors.append(ValidationIssue("WaveformGrid", problem))
-        cp_span = wf.cp_length * wf.oversampling_factor
-        for name, element in (("fiber", comp.fiber), ("coupler", comp.coupler)):
-            if element.model == "s2p_filter" and element.domain == "time":
-                if cp_span < element.n_taps:
-                    warns.append(ValidationIssue(
-                        "InterSymbolInterferenceRisk",
-                        f"{name}: cyclic prefix spans {cp_span} samples but the "
-                        f"impulse response keeps {element.n_taps} taps"))
+        errors += [f"WaveformGrid: {problem}" for problem in _check_against_grid(wf, q)]
+    if errors:
+        raise ConfigError("; ".join(errors))
 
+    cp_span = wf.cp_length * wf.oversampling_factor
+    for name, element in (("fiber", comp.fiber), ("coupler", comp.coupler)):
+        if element.model == "s2p_filter" and element.domain == "time" \
+                and cp_span < element.n_taps:
+            warnings.warn(f"InterSymbolInterferenceRisk: {name}: cyclic prefix spans "
+                          f"{cp_span} samples but the impulse response keeps "
+                          f"{element.n_taps} taps", InterSymbolInterferenceRisk,
+                          stacklevel=2)
     if dataset_header is not None and env.antenna.n_antennas != dataset_header.n_tx:
-        warns.append(ValidationIssue(
-            "AntennaCountMismatch",
-            f"environment configures {env.antenna.n_antennas} RU antennas but the "
-            f"dataset stores n_tx={dataset_header.n_tx}"))
-
-    return ValidationReport(errors=tuple(errors), warnings=tuple(warns))
+        warnings.warn(f"AntennaCountMismatch: environment configures "
+                      f"{env.antenna.n_antennas} RU antennas but the dataset stores "
+                      f"n_tx={dataset_header.n_tx}", AntennaCountMismatch, stacklevel=2)
 
 
 # ---------------------------------------------------------------------------

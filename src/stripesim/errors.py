@@ -5,27 +5,28 @@ class StripeSimError(Exception):
     """Base class for every error raised by this package."""
 
 
-class ParseError(StripeSimError):
+class ConfigError(StripeSimError):
+    """The run's inputs (configs, flags, measurement files) are invalid or
+    inconsistent; the CLI exits 2 on every subclass."""
+
+
+class ParseError(ConfigError):
     """Input text could not be parsed at all (malformed YAML, CSV, ...)."""
 
 
-class SchemaError(StripeSimError):
+class SchemaError(ConfigError):
     """Parsed input is missing required keys or carries invalid values."""
 
 
-class GeometryError(StripeSimError):
+class GeometryError(ConfigError):
     """Node/UE placement violates the scenario geometry."""
 
 
-class UnsupportedModel(StripeSimError):
+class UnsupportedModel(ConfigError):
     """Requested model or waveform tag is not implemented."""
 
 
-class ConfigError(StripeSimError):
-    """Run-level configuration is inconsistent."""
-
-
-class TouchstoneError(StripeSimError):
+class TouchstoneError(ConfigError):
     """Touchstone file violates the format; ``kind`` names the rule."""
 
     MISSING_OPTION_LINE = "MissingOptionLine"
@@ -63,7 +64,7 @@ class ZeroSignal(StripeSimError):
     """Operation undefined on an all-zero waveform."""
 
 
-class UnsupportedMode(StripeSimError):
+class UnsupportedMode(ConfigError):
     """Component mode tag not in the implemented set."""
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NoPilots
+from .errors import DimensionError, DomainError, NoPilots
 from .waveform import ResourceGrid, demap_qam
 
 NMSE_FLOOR_DB = -200.0
@@ -81,7 +81,9 @@ def equalize(rx_symbols: np.ndarray, h_hat: np.ndarray,
 
 
 def nmse(reference: np.ndarray, estimate: np.ndarray) -> float:
-    """10*log10(sum |est - ref|^2 / sum |ref|^2), floored at -200 dB."""
+    """10*log10(sum |est - ref|^2 / sum |ref|^2), floored at -200 dB;
+    `DomainError` when that ratio is not finite, so no link reports a NaN
+    or infinite metric."""
     ref = np.asarray(reference, dtype=np.complex128).ravel()
     est = np.asarray(estimate, dtype=np.complex128).ravel()
     if ref.shape != est.shape:
@@ -90,6 +92,8 @@ def nmse(reference: np.ndarray, estimate: np.ndarray) -> float:
     if denom == 0.0:
         raise DimensionError("reference signal is all-zero")
     ratio = float(np.sum(np.abs(est - ref) ** 2)) / denom
+    if not np.isfinite(ratio):
+        raise DomainError("the estimate is not finite, so its NMSE is undefined")
     if ratio < 10.0 ** (NMSE_FLOOR_DB / 10.0):
         return NMSE_FLOOR_DB
     return 10.0 * np.log10(ratio)

@@ -62,8 +62,7 @@ from .channel import (ChannelRealization, add_awgn, add_thermal_noise,
 from .config import (ComponentBank, EnvironmentConfig, LinearElementSpec,
                      WaveformConfig, validate_cross)
 from .dataset import CfrDatasetReader, array_geometry
-from .errors import (AntennaCountMismatch, CalibrationInfeasible, ConfigError,
-                     GridMismatch, InterSymbolInterferenceRisk, LengthError,
+from .errors import (CalibrationInfeasible, ConfigError, GridMismatch, LengthError,
                      TruncationWarning)
 from .metrics import MetricReport, estimate_channel, report
 from .touchstone import interpolate_s21, to_impulse_response
@@ -110,7 +109,7 @@ def _prepare_element(spec: LinearElementSpec, grid: SubcarrierGrid) -> comp.Line
     """Materialize a config-level element onto the run's oversampled band."""
     if spec.model != "s2p_filter":
         return comp.LinearElementParams(model=spec.model, loss_db=spec.loss_db,
-                                        domain=spec.domain, length_m=spec.length_m,
+                                        domain=spec.domain,
                                         group_velocity=spec.group_velocity)
     expanded = grid.expanded()
     fr = interpolate_s21(spec.network, expanded)
@@ -126,8 +125,7 @@ def _prepare_element(spec: LinearElementSpec, grid: SubcarrierGrid) -> comp.Line
                 TruncationWarning, stacklevel=2)
     return comp.LinearElementParams(model="s2p_filter", loss_db=spec.loss_db,
                                     domain=spec.domain, response=response,
-                                    impulse=impulse, length_m=spec.length_m,
-                                    group_velocity=spec.group_velocity)
+                                    impulse=impulse, group_velocity=spec.group_velocity)
 
 
 @dataclass(frozen=True)
@@ -168,17 +166,20 @@ class StripeTopology:
 def build_stripe(env: EnvironmentConfig, bank: ComponentBank, stripe_id: int,
                  grid: SubcarrierGrid, wf: WaveformConfig) -> StripeTopology:
     """Assemble the stripe: geometry, fiber segments, component templates."""
-    try:
-        nodes = env.stripe_nodes(stripe_id)
-    except Exception as exc:
-        raise ConfigError(str(exc)) from exc
-    cu, rus = nodes[0], nodes[1:]
+    cu, *rus = env.stripe_nodes(stripe_id)
     lengths = [env.central_unit_fiber_length]
     for prev, nxt in zip(rus[:-1], rus[1:]):
         seg = float(np.linalg.norm(np.asarray(nxt.position) - np.asarray(prev.position)))
         if seg <= 0:
             raise ConfigError(f"stripe {stripe_id}: coincident RU positions")
         lengths.append(seg)
+    if _convolves(bank.fiber):
+        # each fiber segment a walk crosses prepends its delay
+        size = wf.n_ofdm_symbols * (grid.n_fft + wf.cp_length * grid.oversampling) + sum(
+            length / bank.fiber.group_velocity * grid.sample_rate for length in lengths)
+        if size > MAX_LINK_SAMPLES:
+            raise ConfigError(f"with its fiber delays a link would hold {size:.4g} waveform "
+                              f"samples, more than the {MAX_LINK_SAMPLES} one array may hold")
     return StripeTopology(
         stripe_id=stripe_id,
         cu_position=cu.position,
@@ -385,9 +386,10 @@ class _NoiseAhead:
         return drawn
 
 
-def _convolves(params: comp.LinearElementParams) -> bool:
-    """Whether the element filters in the time domain: the one element
-    whose output sample depends on earlier symbols, and that delays."""
+def _convolves(params) -> bool:
+    """Whether the element (its `LinearElementParams` or its config) filters
+    in the time domain: the one element whose output sample depends on
+    earlier symbols, and that delays."""
     return params.model == "s2p_filter" and params.domain == "time"
 
 
@@ -723,19 +725,13 @@ def resolve_channel(env: EnvironmentConfig, grid: SubcarrierGrid, source,
                     n_tx: int, n_rx: int) -> ChannelRealization:
     """Turn a channel-source spec into a realization for one link.
 
-    Accepts 'los', 'rayleigh', 'identity', 'tdl' (or ('tdl', TdlParams)),
-    a dataset reader, or a ready ChannelRealization. Model geometry uses
-    the same array helper as the synthetic dataset generator, so dataset
-    and model paths agree.
+    Accepts 'los', 'rayleigh', 'identity', 'tdl' (or ('tdl', TdlParams))
+    or a dataset reader. Model geometry uses the same array helper as the
+    synthetic dataset generator, so dataset and model paths agree.
     """
-    if isinstance(source, ChannelRealization):
-        return source
     if isinstance(source, CfrDatasetReader):
         return source.get_channel(ue_index, stripe_id, active_ru)
-    model = source
-    tdl_params = None
-    if isinstance(source, (tuple, list)):
-        model, tdl_params = source[0], source[1]
+    model, tdl_params = source if isinstance(source, tuple) else (source, None)
     base = SubcarrierGrid(grid.fc, grid.bw, grid.num_subcarriers, 1)
     if model == "identity":
         return identity_channel(base, n_tx)
@@ -787,11 +783,6 @@ def _transmit_waveform(tx_grid: ResourceGrid, grid: SubcarrierGrid,
     return tx_wf
 
 
-# the warning class of each `validate_cross` warning code
-_CROSS_CHECK_WARNINGS = {cls.__name__: cls for cls in (AntennaCountMismatch,
-                                                       InterSymbolInterferenceRisk)}
-
-
 def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank,
              channel_source, ue_index: int, stripe_id: int, active_ru: int,
              direction: str = "dl", seed: int = 0, *,
@@ -807,12 +798,7 @@ def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank
         raise ConfigError(f"direction must be 'dl' or 'ul', got {direction!r}")
     from_dataset = isinstance(channel_source, CfrDatasetReader)
     dataset_header = channel_source.header if from_dataset else None
-    check = validate_cross(env, wf_cfg, bank, dataset_header)
-    if not check.ok:
-        raise ConfigError("; ".join(f"{e.code}: {e.message}" for e in check.errors))
-    for issue in check.warnings:
-        warnings.warn(f"{issue.code}: {issue.message}", _CROSS_CHECK_WARNINGS[issue.code],
-                      stacklevel=2)
+    validate_cross(env, wf_cfg, bank, dataset_header)
     n_rus = len(env.stripe_nodes(stripe_id)) - 1
     if not 0 <= active_ru < n_rus:
         raise ConfigError(f"active_ru {active_ru} out of range [0, {n_rus})")
@@ -823,8 +809,7 @@ def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank
             raise ConfigError(
                 f"the dataset covers {dataset_header.n_stripes} stripe(s) of "
                 f"{dataset_header.n_rus} RU(s), not stripe {stripe_id} RU {active_ru}")
-    elif not 0 <= ue_index < len(env.ue_positions) and not isinstance(
-            channel_source, ChannelRealization):
+    elif not 0 <= ue_index < len(env.ue_positions):
         raise ConfigError(f"ue_index {ue_index} out of range")
 
     grid = make_grid(env, wf_cfg, dataset_header)
@@ -834,8 +819,6 @@ def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank
         n_tx, n_rx = dataset_header.n_tx, dataset_header.n_rx
     elif channel_source == "identity":
         n_rx = n_tx
-    elif isinstance(channel_source, ChannelRealization):
-        n_tx, n_rx = channel_source.n_tx, channel_source.n_rx
 
     topology = build_stripe(env, bank, stripe_id, grid, wf_cfg)
     if topology.n_antennas != n_tx:

@@ -10,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stripesim import config
 from stripesim.channel import ChannelRealization
 from stripesim.cli import _export_channel, main
+from stripesim.components import DacParams
 from stripesim.waveform import SubcarrierGrid
 
 from stripesim.errors import AntennaCountMismatch, InterSymbolInterferenceRisk
@@ -146,6 +148,33 @@ _CAL = "calibration: {target_power: 0.0, max_gain: 30.0}"
                  id="channel-tdl-taps-zero"),
     pytest.param("run", ["--ru", "1", "--channel", "tdl:nan"], None, None, 2,
                  id="channel-tdl-beta-not-finite"),
+    pytest.param("run", ["--ru", "1", "--channel", "tdl:0.5:100000"], None, None, 2,
+                 id="channel-tdl-taps-beyond-the-grid"),
+    pytest.param("run", ["--ru", "1", "--ue", "5"], None, None, 2,
+                 id="run-ue-out-of-range"),
+    *[pytest.param("calibrate", [flag, value], None, None, 2,
+                   id=f"calibrate{flag}-{value}")
+      for flag in ("--target-dbm", "--max-gain") for value in ("1e30", "inf", "nan")],
+    *[pytest.param("gen-channels", ["--model", "tdl", *flags], None, None, 2,
+                   id=f"gen-channels{flags[0]}-{flags[1]}")
+      for flags in (["--beta", "-1"], ["--beta", "nan"], ["--beta", "inf"],
+                    ["--taps-l", "100000"])],
+    *[pytest.param("run", ["--ru", "1"], (old, new), None, 2, id=name)
+      for name, old, new in (
+          ("amplifier-sat-amplitude-zero", _AMP, "boost_amplifier: {model: tanh, "
+           "sat_amplitude: 0}"),
+          ("amplifier-bandwidth-negative", _AMP, _AMP[:-1] + ", nf_db: 6, bandwidth: -1}"),
+          ("dac-clip-amplitude-zero", "dac: {model: ideal}",
+           "dac: {model: quantize, clip_amplitude: 0}"),
+          ("dac-clip-amplitude-beyond-max-db", "dac: {model: ideal}",
+           "dac: {model: quantize, clip_amplitude: 1e308}"),
+          ("oscillator-innovation-std-negative", "oscillator: {model: ideal}",
+           "oscillator: {model: wiener, innovation_std: -1}"),
+          ("oscillator-ar-rho-above-one", "oscillator: {model: ideal}",
+           "oscillator: {model: ar1, ar_rho: 2}"),
+          ("iq-gain-mismatch-zero", "gain_mismatch: 1.0", "gain_mismatch: 0"),
+          ("sub-thz-bw-beyond-twice-fc", "bw: 3.0e9", "bw: 1e30"),
+          ("sub-thz-fc-beyond-a-petahertz", "fc: 157.75e9", "fc: 1e308"))],
     pytest.param("run", ["--ru", "1"], ("N_RUs: 3", "N_RUs: 4"), None, 2,
                  id="stripe-config-n-rus-disagrees"),
     pytest.param("run", ["--ru", "1"], ("N_stripes: 1", "N_stripes: 2"), None, 2,
@@ -205,8 +234,10 @@ def test_bad_input_exits_typed(config_tree, tmp_path, capsys, command, flags,
         flags = [channel if f == "{ds}" else f for f in flags]
     for name, text in (dataset_files or {}).items():
         (tmp_path / "cfr" / name).write_text(text)
+    configs = (["--env", config_tree["env"]] if command == "gen-channels"
+               else _base_flags(config_tree))
     capsys.readouterr()
-    code = _run(command, *_base_flags(config_tree), *flags, "--out", tmp_path / "o")
+    code = _run(command, *configs, *flags, "--out", tmp_path / "o")
     assert code == expected
     assert "internal error" not in capsys.readouterr().err
 
@@ -269,6 +300,65 @@ def test_time_domain_taps_beyond_the_cp_warn(config_tree, tmp_path):
         code = _run("run", *_base_flags(config_tree), "--channel", "identity",
                     "--ru", "1", "--out", tmp_path / "o")
     assert code == 0
+
+
+@pytest.mark.parametrize("command", ["run", "calibrate"])
+@pytest.mark.parametrize("group_velocity, cu_fiber", [
+    ("0", "2.0"), ("-2e8", "2.0"), ("1e-300", "2.0"), ("1e-3", "2.0"), ("2.0e8", "1e308")])
+def test_time_domain_fiber_delays_exit_config(config_tree, tmp_path, capsys, command,
+                                              group_velocity, cu_fiber):
+    """A time-domain fiber's delays are checked before any walk: a group
+    velocity of 0 or less, or segment delays that no array could hold, are
+    configuration errors."""
+    configs = config_tree["components"].parent
+    (configs / "fiber.s2p").write_text(
+        s2p_from_taps([0.8, 0.15j, 0.05], 157.75e9, 6e9, n_points=512))
+    config_tree["components"].write_text(COMP_YAML.replace(
+        "fiber: {model: ideal}", "fiber: {model: s2p_filter, file: fiber.s2p, "
+        f"domain: time, taps: 8, group_velocity: {group_velocity}}}"))
+    config_tree["env"].write_text(ENV_YAML.replace(
+        "central_unit_fiber_length: 2.0", f"central_unit_fiber_length: {cu_fiber}"))
+    flags = ["--ru", "1"] if command == "run" else []
+    capsys.readouterr()
+    assert _run(command, *_base_flags(config_tree), *flags, "--out", tmp_path / "o") == 2
+    assert "internal error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags, output", [
+    ("run", ["--ru", "1"], "metrics.csv"),
+    ("sweep-ru", ["--direction", "dl"], "heatmap.csv")])
+def test_non_finite_metric_exits_runtime_before_writing(config_tree, tmp_path, capsys,
+                                                        monkeypatch, command, flags,
+                                                        output):
+    """A link whose metrics are not finite is a runtime error (exit 3) and
+    writes no row. The config bound that refuses the value is lifted here,
+    so the link itself overflows: a 1e308 clip level of the CU DAC."""
+    monkeypatch.setitem(config._COMPONENT_KEYS[DacParams], "clip_amplitude",
+                        ("clip_amplitude", config._as_float))
+    config_tree["components"].write_text(COMP_YAML.replace(
+        "dac: {model: ideal}", "dac: {model: quantize, clip_amplitude: 1e308}"))
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        code = _run(command, *_base_flags(config_tree), *flags, "--out", tmp_path / "o")
+    assert code == 3
+    assert "stripesim: error: the estimate is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "o" / output).exists()
+
+
+def test_dataset_run_without_sub_thz(config_tree, tmp_path):
+    """With no sub_thz block the dataset supplies the grid: the run is the
+    one whose environment gives the same grid."""
+    channel = _gen_dataset(config_tree, tmp_path / "cfr")
+    args = ["run", "--waveform", config_tree["waveform"], "--components",
+            config_tree["components"], "--channel", channel, "--ru", "2", "--seed", "4"]
+    assert _run(*args, "--env", config_tree["env"], "--out", tmp_path / "with") == 0
+    sub_thz = "sub_thz: {fc: 157.75e9, bw: 3.0e9, num_subcarriers: 256}\n"
+    assert sub_thz in ENV_YAML
+    bare = tmp_path / "bare.yaml"
+    bare.write_text(ENV_YAML.replace(sub_thz, ""))
+    assert _run(*args, "--env", bare, "--out", tmp_path / "without") == 0
+    assert ((tmp_path / "with" / "metrics.csv").read_bytes()
+            == (tmp_path / "without" / "metrics.csv").read_bytes())
 
 
 def test_cli_import_loads_no_scipy():

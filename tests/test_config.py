@@ -1,7 +1,7 @@
 """YAML loading, schema/geometry validation, cross-checks, round trips."""
 
 import warnings
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import pytest
@@ -17,9 +17,9 @@ from stripesim.config import (_ANTENNA_KEYS, _COMPONENT_KEYS, _LAYOUT_KEYS,
                               environment_to_dict, load_components, load_environment,
                               load_waveform, validate_cross, waveform_to_dict)
 from stripesim.dataset import DatasetHeader
-from stripesim.errors import (GeometryError, ParseError, SchemaError,
-                              TouchstoneError, UnknownKeyWarning,
-                              UnsupportedModel)
+from stripesim.errors import (ConfigError, GeometryError, InterSymbolInterferenceRisk,
+                              ParseError, SchemaError, TouchstoneError,
+                              UnknownKeyWarning, UnsupportedModel)
 
 from conftest import COMP_YAML, ENV_YAML, TWO_STRIPES, WF_YAML, flat_s2p
 
@@ -313,16 +313,16 @@ def _header(q=256, fc=157.75e9, bw=3.0e9):
 
 def test_validate_cross_clean(tmp_path):
     env, wf, bank = _loaded(tmp_path)
-    rep = validate_cross(env, wf, bank, _header())
-    assert rep.ok
-    assert rep.errors == ()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert validate_cross(env, wf, bank, _header()) is None
 
 
 def test_validate_cross_grid_mismatch(tmp_path):
     env, wf, bank = _loaded(tmp_path)
-    rep = validate_cross(env, wf, bank, _header(q=2048))
-    assert not rep.ok
-    assert any(e.code == "GridMismatch" for e in rep.errors)
+    with pytest.raises(ConfigError, match="^GridMismatch: environment num_subcarriers=256 "
+                                          "but dataset num_subcarriers=2048$"):
+        validate_cross(env, wf, bank, _header(q=2048))
 
 
 def test_validate_cross_isi_warning(tmp_path):
@@ -333,14 +333,26 @@ def test_validate_cross_isi_warning(tmp_path):
     env = load_environment(_write(tmp_path, "env.yaml", ENV_YAML))
     wf = load_waveform(_write(tmp_path, "wf.yaml", WF_YAML))  # cp 16 * os 2 = 32
     bank = load_components(_write(tmp_path, "comp.yaml", doc))
-    rep = validate_cross(env, wf, bank)
-    assert rep.ok
-    assert any(w.code == "InterSymbolInterferenceRisk" for w in rep.warnings)
+    with pytest.warns(InterSymbolInterferenceRisk,
+                      match="^InterSymbolInterferenceRisk: fiber: cyclic prefix spans "
+                            "32 samples but the impulse response keeps 128 taps$"):
+        validate_cross(env, wf, bank)
 
 
 def test_validate_cross_pure(tmp_path):
+    """The same inputs give the same error, which names every problem in
+    order, joined by '; '."""
     env, wf, bank = _loaded(tmp_path)
-    assert validate_cross(env, wf, bank) == validate_cross(env, wf, bank)
+    wf = replace(wf, num_subcarriers=128, pilot_spacing=24)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ConfigError) as err:
+            validate_cross(env, wf, bank, _header(fc=1.0e11))
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == (
+        "GridMismatch: environment fc=157750000000.0 but dataset fc=100000000000.0; "
+        "GridMismatch: waveform num_subcarriers=128 differs from grid 256; "
+        "WaveformGrid: pilot_spacing (24) must divide the subcarrier count (256)")
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +410,7 @@ AWAY_FROM_DEFAULT = {
                           poly_coeffs=(1.0 + 0j, -0.1 + 0.05j), nf_db=5.0,
                           bandwidth=1e9, temperature=300.0),
     LinearElementSpec: dict(model="fixed_damping", loss_db=3.0, file="x.s2p",
-                            domain="time", n_taps=64, length_m=2.5,
-                            group_velocity=2.1e8),
+                            domain="time", n_taps=64, group_velocity=2.1e8),
     DacParams: dict(mode="quantize", bits=8, clip_amplitude=0.8),
     OscillatorParams: dict(mode="ar1", cfo_hz=1e3, ar_rho=0.9, innovation_std=0.01,
                            initial_phase=0.3),

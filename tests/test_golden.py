@@ -1,7 +1,8 @@
 """SHA-256 digests of the CLI's CSV outputs on a stripe with every
 impairment on: a noisy tanh booster, a quantizing DAC, an AR(1)
 oscillator with innovation, IQ imbalance with a DC offset, a 3-tap s2p
-fiber with a length, and a receiver noise figure, in both fiber domains.
+fiber (in the time domain each segment delays by its node spacing over
+group_velocity), and a receiver noise figure, in both fiber domains.
 
 Outputs depend on (configs, seed) alone, so a change that keeps results
 keeps every digest here bit for bit. A change that alters results on
@@ -21,7 +22,7 @@ COMPONENTS = """\
 boost_amplifier: {model: tanh, gain_db: 3.0, sat_amplitude: 0.5, nf_db: 10.0,
                   bandwidth: 3.0e9}
 antenna_amplifier: {model: ideal, gain_db: 2.0, nf_db: 8.0, bandwidth: 3.0e9}
-fiber: {model: s2p_filter, file: fiber.s2p, domain: %s, taps: 8, length_m: 1.0,
+fiber: {model: s2p_filter, file: fiber.s2p, domain: %s, taps: 8,
         group_velocity: 2.0e8}
 coupler: {model: fixed_damping, loss_db: 3.0}
 dac: {model: quantize, bits: 10, clip_amplitude: 1.0}
@@ -49,6 +50,12 @@ COMMANDS = {
     "run-ul-ru1-taps": ([*UL, "--taps"], TAPS),
     "run-dl-ru2-los-channel": (["run", "--channel", "los", "--direction", "dl",
                                 "--ru", "2", "--dump-channel"], ["channel.csv"]),
+    # the random channel models, each realization dumped with the metrics
+    **{f"run-{direction}-ru{ru}-{name}": (
+        ["run", "--channel", channel, "--direction", direction, "--ru", ru,
+         "--dump-channel"], ["metrics.csv", "channel.csv"])
+       for name, channel in (("rayleigh", "rayleigh"), ("tdl-0.3-4", "tdl:0.3:4"))
+       for direction, ru in (("dl", "2"), ("ul", "1"))},
 }
 
 # the LoS channel does not depend on the fiber domain
@@ -73,6 +80,14 @@ DIGESTS = {
         "run-ul-ru1-taps":
             "5723d42d548790189e7580577efecbc2fba91b2d1cd34bc49cca353a5226b7c3",
         "run-dl-ru2-los-channel": LOS_CHANNEL,
+        "run-dl-ru2-rayleigh":
+            "42209020fe65e86764687d37ab669b9c01526aecb8eaf35c0101f2a62d583f33",
+        "run-ul-ru1-rayleigh":
+            "aa5bd2561d953da4ca2019c3d3bbe645231aca59fa758ec1f28db635c7e2d2c2",
+        "run-dl-ru2-tdl-0.3-4":
+            "f56af5f64fe13f8140761d348533cb9520706a103922e7666f4dd9e008eb8520",
+        "run-ul-ru1-tdl-0.3-4":
+            "d0774b441d0713ab27710dd9a4887e03921f9db85f204376836ce5a8097ba13a",
     },
     "time": {
         "run-dl-ru2":
@@ -92,6 +107,14 @@ DIGESTS = {
         "run-ul-ru1-taps":
             "701988e31cdb1d194726a7408080042898930b80c77131cc32be90abc6b7489a",
         "run-dl-ru2-los-channel": LOS_CHANNEL,
+        "run-dl-ru2-rayleigh":
+            "74d87927747186261c0c0de32e1adfb0042b5a0dfab90d764f9aed802f053f5c",
+        "run-ul-ru1-rayleigh":
+            "efaf98ccd5078d82874f42847df41ed57168cd3b485bc099f85e747bb34d0e69",
+        "run-dl-ru2-tdl-0.3-4":
+            "d436567daf503d1d4f4c2326e2c0b9e59be19de2b7598661b732fdc0911dfbbb",
+        "run-ul-ru1-tdl-0.3-4":
+            "6503efa388f17d82d2bcbff59dd02d795f91335ae0017a312d6cb67f077f4f58",
     },
 }
 

@@ -147,7 +147,7 @@ def test_calibration_time_domain_fiber_matches_frequency_domain():
     gains = {}
     for domain in ("time", "frequency"):
         bank = _bank(fiber=LinearElementSpec(model="s2p_filter", network=network,
-                                             domain=domain, n_taps=8, length_m=1.0,
+                                             domain=domain, n_taps=8,
                                              group_velocity=2e8))
         top = build_stripe(env, bank, 0, grid, wf)
         gains[domain] = calibrate_gains(top, target_power_dbm=0.0, max_gain_db=30.0).gains_db
@@ -417,7 +417,7 @@ def test_time_domain_fiber_delay_tracked_and_transparent():
                          n_points=grid_probe.n_fft)
     bank = _bank(fiber=LinearElementSpec(
         model="s2p_filter", network=parse_touchstone(text), domain="time",
-        n_taps=8, length_m=2.0, group_velocity=2e8))
+        n_taps=8, group_velocity=2e8))
     res = run_link(env, wf, bank, "identity", 0, 0, 1, direction="dl", seed=13)
     # two segments of 2.0 m and 0.5 m at 2e8 m/s and 6 GS/s
     assert res.delay_samples == round(2.0 / 2e8 * 6e9) + round(0.5 / 2e8 * 6e9)
@@ -433,8 +433,7 @@ def _noisy_time_domain_bank(env, wf):
                          n_points=grid_probe.n_fft)
     return _bank(
         fiber=LinearElementSpec(model="s2p_filter", network=parse_touchstone(text),
-                                domain="time", n_taps=8, length_m=1.0,
-                                group_velocity=2e8),
+                                domain="time", n_taps=8, group_velocity=2e8),
         boost_amplifier=AmplifierParams(gain_db=3.0, mode="tanh", sat_amplitude=2.0,
                                         nf_db=8.0, bandwidth=3e9),
         antenna_amplifier=AmplifierParams(gain_db=2.0, nf_db=6.0, bandwidth=3e9))
@@ -743,7 +742,7 @@ def test_taps_change_no_output_bit(direction, domain):
     wf = _wf(n_ofdm_symbols=2, cp_length=8)
     bank = _workspace_bank(env, wf)
     bank = dataclasses.replace(bank, fiber=dataclasses.replace(
-        bank.fiber, domain=domain, n_taps=8, length_m=1.0))
+        bank.fiber, domain=domain, n_taps=8))
     plain, tapped = (run_link(env, wf, bank, "los", 0, 0, 3, direction=direction,
                               seed=8, calibrate=True, record_taps=record_taps)
                      for record_taps in (False, True))
