@@ -133,8 +133,6 @@ class LinearElementParams:
     domain: str = "frequency"
     response: FrequencyResponse | None = None
     impulse: ImpulseResponse | None = None
-    length_m: float = 0.0
-    group_velocity: float = 2e8  # m/s
     # ``response.h`` in FFT bin order for per-symbol filtering, always
     # derived from ``response`` (never set by the caller)
     fft_response: np.ndarray | None = field(init=False, default=None, repr=False,
@@ -157,12 +155,6 @@ class LinearElementParams:
     def amplitude(self) -> float:
         """Amplitude factor of a fixed-damping element."""
         return 10.0 ** (-self.loss_db / 20.0)
-
-    def delay_samples(self, sample_rate: float) -> int:
-        """Integer propagation delay from fiber length and sampling rate."""
-        if self.length_m <= 0:
-            return 0
-        return int(round(self.length_m / self.group_velocity * sample_rate))
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +380,14 @@ def iq_modem_process(x: TimeWaveform, params: IqParams,
 # Linear elements (fiber / coupler)
 # ---------------------------------------------------------------------------
 
-def linear_element_process(x, params: LinearElementParams, *, apply_delay: bool = True):
+def linear_element_process(x, params: LinearElementParams):
     """Apply a fiber/coupler to per-subcarrier data or a time waveform.
 
     Frequency domain expects an array whose first axis matches the
     element's prepared response (Hadamard product per OFDM symbol); time
-    domain expects a `TimeWaveform` (linear convolution, plus an integer
-    propagation delay inserted as a zero prefix when ``apply_delay``).
+    domain expects a `TimeWaveform` (linear convolution, truncated to the
+    input's length). A fiber segment's propagation delay is not applied
+    here: the stripe fixes it per segment and the walk prepends it.
     """
     if params.model == "ideal":
         return x
@@ -412,12 +405,7 @@ def linear_element_process(x, params: LinearElementParams, *, apply_delay: bool 
     if not isinstance(x, TimeWaveform):
         raise GridMismatch("time-domain application expects a TimeWaveform")
     taps = params.impulse.h
-    out = np.convolve(x.samples, taps)[:x.samples.size]
-    if apply_delay:
-        delay = params.delay_samples(x.sample_rate)
-        if delay:
-            out = np.concatenate([np.zeros(delay, dtype=np.complex128), out])
-    return x.with_samples(out)
+    return x.with_samples(np.convolve(x.samples, taps)[:x.samples.size])
 
 
 # ---------------------------------------------------------------------------

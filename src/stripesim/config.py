@@ -510,7 +510,8 @@ class LinearElementSpec:
 
     The network is interpolated onto the run's subcarrier grid when the
     stripe is built; parsing happens eagerly so file errors surface at
-    load time.
+    load time. Only the fiber block sets ``group_velocity``: a coupler
+    never delays.
     """
 
     model: str = "ideal"
@@ -550,44 +551,50 @@ class ComponentBank:
 
 
 _AMPLIFIER_MODE = _choice(*AMPLIFIER_MODES, error=UnsupportedModel)
+_AMPLIFIER_KEYS = {
+    "model": ("mode", _AMPLIFIER_MODE), "mode": ("mode", _AMPLIFIER_MODE),
+    "gain_db": ("gain_db", _DECIBELS),
+    "sat_amplitude": ("sat_amplitude", _AMPLITUDE),
+    "poly_coeffs": ("poly_coeffs", _as_complex_list),
+    # a noise figure below 0 dB or a temperature of 0 K or less makes
+    # the added noise power negative
+    "nf_db": ("nf_db", _within(0.0, MAX_DB)),
+    "bandwidth": ("bandwidth", _within(0.0, MAX_HZ)), "temperature": ("temperature", _KELVIN)}
+_LINEAR_KEYS = {
+    "model": ("model", _choice(*LINEAR_MODELS, error=UnsupportedModel)),
+    "loss_db": ("loss_db", _DECIBELS),
+    "file": ("file", _or_none(lambda value, _path: str(value))),
+    "domain": ("domain", _choice("frequency", "time", error=UnsupportedMode)),
+    "taps": ("n_taps", _as_count)}
 
-# one key table per record type of a ComponentBank block; mode is an
-# alias of model, and a snapshot writes model
+# one key table per ComponentBank block; mode is an alias of model, and a
+# snapshot writes model. A key a block's mode leaves unused (an ideal
+# amplifier's sat_amplitude, a frequency-domain fiber's taps and
+# group_velocity) is still accepted and checked.
 _COMPONENT_KEYS = {
-    AmplifierParams: {
-        "model": ("mode", _AMPLIFIER_MODE), "mode": ("mode", _AMPLIFIER_MODE),
-        "gain_db": ("gain_db", _DECIBELS),
-        "sat_amplitude": ("sat_amplitude", _AMPLITUDE),
-        "poly_coeffs": ("poly_coeffs", _as_complex_list),
-        # a noise figure below 0 dB or a temperature of 0 K or less makes
-        # the added noise power negative
-        "nf_db": ("nf_db", _within(0.0, MAX_DB)),
-        "bandwidth": ("bandwidth", _within(0.0, MAX_HZ)), "temperature": ("temperature", _KELVIN)},
-    LinearElementSpec: {
-        "model": ("model", _choice(*LINEAR_MODELS, error=UnsupportedModel)),
-        "loss_db": ("loss_db", _DECIBELS),
-        "file": ("file", _or_none(lambda value, _path: str(value))),
-        "domain": ("domain", _choice("frequency", "time", error=UnsupportedMode)),
-        "taps": ("n_taps", _as_count),
-        "group_velocity": ("group_velocity", _within(0.0, strict=True))},
-    DacParams: {
+    "boost_amplifier": _AMPLIFIER_KEYS,
+    "antenna_amplifier": _AMPLIFIER_KEYS,
+    # only a fiber segment delays, so only the fiber has a group velocity
+    "fiber": {**_LINEAR_KEYS, "group_velocity": ("group_velocity", _within(0.0, strict=True))},
+    "coupler": _LINEAR_KEYS,
+    "dac": {
         "model": ("mode", _as_name), "mode": ("mode", _as_name),
         "bits": ("bits", _within(1, MAX_DAC_BITS, parse=_as_int)),
         "clip_amplitude": ("clip_amplitude", _AMPLITUDE)},
-    OscillatorParams: {
+    "oscillator": {
         "model": ("mode", _as_name), "mode": ("mode", _as_name),
         "cfo_hz": ("cfo_hz", _as_float), "ar_rho": ("ar_rho", _within(0.0, 1.0, strict=True)),
         # a larger step per sample leaves the phase no less uniform
         "innovation_std": ("innovation_std", _within(0.0, 2.0 * np.pi)),
         "initial_phase": ("initial_phase", _as_float)},
-    IqParams: {
+    "iq_modem": {
         "gain_mismatch": ("gain_mismatch", _within(0.0, strict=True)),
         "phase_mismatch": ("phase_mismatch", _as_float),
         "dc_offset": ("dc_offset", _as_complex)},
-    CalibrationConfig: {"target_power": ("target_power_dbm", _DECIBELS),
-                        "max_gain": ("max_gain_db", _DECIBELS)},
-    ReceiverConfig: {"nf_db": ("nf_db", _or_none(_DECIBELS)),
-                     "temperature": ("temperature", _KELVIN)},
+    "calibration": {"target_power": ("target_power_dbm", _DECIBELS),
+                    "max_gain": ("max_gain_db", _DECIBELS)},
+    "receiver": {"nf_db": ("nf_db", _or_none(_DECIBELS)),
+                 "temperature": ("temperature", _KELVIN)},
 }
 
 
@@ -599,7 +606,7 @@ def load_components(path) -> ComponentBank:
     for part in fields(ComponentBank):
         record = part.default_factory  # the block's record type
         sec = _Section(top.get(part.name, {}), part.name)
-        kwargs = _read(sec, _COMPONENT_KEYS[record])
+        kwargs = _read(sec, _COMPONENT_KEYS[part.name])
         if record is DacParams and "bits" in kwargs:
             kwargs.setdefault("mode", "quantize")  # bits given means quantize
         if record is LinearElementSpec and kwargs.get("model") == "s2p_filter":
@@ -690,5 +697,5 @@ def waveform_to_dict(wf: WaveformConfig) -> dict:
 
 
 def components_to_dict(bank: ComponentBank) -> dict:
-    return {part.name: _snapshot(getattr(bank, part.name), _COMPONENT_KEYS[part.default_factory])
+    return {part.name: _snapshot(getattr(bank, part.name), _COMPONENT_KEYS[part.name])
             for part in fields(bank)}

@@ -33,6 +33,7 @@ class TouchstoneError(ConfigError):
     BAD_ROW_ARITY = "BadRowArity"
     NON_MONOTONIC_FREQUENCY = "NonMonotonicFrequency"
     UNKNOWN_FORMAT = "UnknownFormat"
+    NON_FINITE_VALUE = "NonFiniteValue"
     FILE_NOT_FOUND = "FileNotFound"
 
     def __init__(self, kind: str, message: str):

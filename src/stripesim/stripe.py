@@ -8,6 +8,9 @@ hop applies the per-subcarrier channel in the resource-grid domain and
 adds the receiver noise floor. Uplink mirrors the chain back to the CU.
 `_walk_stages`, the single description of a walk, lists its stages in
 order; `_run_stages` runs every such list, and calibration's trunk too.
+`build_stripe` turns each fiber segment's length into a delay in samples
+once, and every walk, linear walks and calibration included, prepends it
+in the same way and counts it in the chain's ``offset``.
 
 Exactly one RU is active per run. Every component draws from its own
 random stream keyed by (seed, stripe, node, tag), so results are
@@ -109,8 +112,7 @@ def _prepare_element(spec: LinearElementSpec, grid: SubcarrierGrid) -> comp.Line
     """Materialize a config-level element onto the run's oversampled band."""
     if spec.model != "s2p_filter":
         return comp.LinearElementParams(model=spec.model, loss_db=spec.loss_db,
-                                        domain=spec.domain,
-                                        group_velocity=spec.group_velocity)
+                                        domain=spec.domain)
     expanded = grid.expanded()
     fr = interpolate_s21(spec.network, expanded)
     response = impulse = None
@@ -125,22 +127,22 @@ def _prepare_element(spec: LinearElementSpec, grid: SubcarrierGrid) -> comp.Line
                 TruncationWarning, stacklevel=2)
     return comp.LinearElementParams(model="s2p_filter", loss_db=spec.loss_db,
                                     domain=spec.domain, response=response,
-                                    impulse=impulse, group_velocity=spec.group_velocity)
+                                    impulse=impulse)
 
 
 @dataclass(frozen=True)
 class StripeTopology:
     """One stripe with prepared component templates.
 
-    ``fiber_lengths[i]`` is the segment feeding RU i (segment 0 is the
-    CU fiber). ``booster_gains_db`` overrides the configured booster gain
-    when calibration ran.
+    ``fiber_delays[i]`` is the delay in samples of the segment feeding
+    RU i (segment 0 is the CU fiber): its length over the fiber's group
+    velocity at the grid's sample rate where the fiber convolves, else 0.
+    ``booster_gains_db`` overrides the configured booster gain when
+    calibration ran.
     """
 
     stripe_id: int
-    cu_position: tuple
-    ru_positions: tuple
-    fiber_lengths: tuple
+    fiber_delays: tuple
     grid: SubcarrierGrid
     wf: WaveformConfig
     bank: ComponentBank
@@ -151,7 +153,7 @@ class StripeTopology:
 
     @property
     def n_rus(self) -> int:
-        return len(self.ru_positions)
+        return len(self.fiber_delays)
 
     def booster_params(self, ru_index: int) -> comp.AmplifierParams:
         params = self.bank.boost_amplifier
@@ -165,26 +167,25 @@ class StripeTopology:
 
 def build_stripe(env: EnvironmentConfig, bank: ComponentBank, stripe_id: int,
                  grid: SubcarrierGrid, wf: WaveformConfig) -> StripeTopology:
-    """Assemble the stripe: geometry, fiber segments, component templates."""
-    cu, *rus = env.stripe_nodes(stripe_id)
+    """Assemble the stripe: fiber segment delays, component templates."""
+    _cu, *rus = env.stripe_nodes(stripe_id)
     lengths = [env.central_unit_fiber_length]
     for prev, nxt in zip(rus[:-1], rus[1:]):
         seg = float(np.linalg.norm(np.asarray(nxt.position) - np.asarray(prev.position)))
         if seg <= 0:
             raise ConfigError(f"stripe {stripe_id}: coincident RU positions")
         lengths.append(seg)
+    delays = [0.0] * len(lengths)
     if _convolves(bank.fiber):
-        # each fiber segment a walk crosses prepends its delay
-        size = wf.n_ofdm_symbols * (grid.n_fft + wf.cp_length * grid.oversampling) + sum(
-            length / bank.fiber.group_velocity * grid.sample_rate for length in lengths)
-        if size > MAX_LINK_SAMPLES:
-            raise ConfigError(f"with its fiber delays a link would hold {size:.4g} waveform "
-                              f"samples, more than the {MAX_LINK_SAMPLES} one array may hold")
+        delays = [length / bank.fiber.group_velocity * grid.sample_rate for length in lengths]
+    # each fiber segment a walk crosses prepends its delay
+    size = wf.n_ofdm_symbols * (grid.n_fft + wf.cp_length * grid.oversampling) + sum(delays)
+    if size > MAX_LINK_SAMPLES:
+        raise ConfigError(f"with its fiber delays a link would hold {size:.4g} waveform "
+                          f"samples, more than the {MAX_LINK_SAMPLES} one array may hold")
     return StripeTopology(
         stripe_id=stripe_id,
-        cu_position=cu.position,
-        ru_positions=tuple(r.position for r in rus),
-        fiber_lengths=tuple(lengths),
+        fiber_delays=tuple(map(round, delays)),
         grid=grid, wf=wf, bank=bank,
         fiber=_prepare_element(bank.fiber, grid),
         coupler=_prepare_element(bank.coupler, grid),
@@ -209,8 +210,8 @@ class _Chain:
     wf: TimeWaveform
     cp_samples: int
     n_fft: int
-    offset: int = 0
-    linear_only: bool = False  # calibration mode: gains only, no noise or delay
+    offset: int = 0  # samples the walk's elements prepended
+    linear_only: bool = False  # gains only: no noise, DAC or IQ mixer
     noise: _NoiseAhead | None = None
     ws: _Workspace = field(default_factory=_thread_workspace)
     buffer: str | None = "trunk"
@@ -224,14 +225,18 @@ class _Chain:
             return np.empty_like(x)
         return self.ws.get(self.buffer, x.shape)
 
-    def element(self, x: np.ndarray, params: comp.LinearElementParams) -> np.ndarray:
+    def element(self, x: np.ndarray, params: comp.LinearElementParams,
+                delay: int) -> np.ndarray:
+        """The element's output, behind ``delay`` prepended zero samples."""
         if params.model == "fixed_damping":
-            return np.multiply(x, params.amplitude, out=self.target(x))
-        if params.model == "s2p_filter" and params.domain == "frequency":
-            return self._fd_filter(x, params.fft_response, self.target(x))
-        out = comp.linear_element_process(self.wf.with_samples(x), params,
-                                          apply_delay=not self.linear_only).samples
-        self.offset += out.size - x.size  # the delay it prepended
+            out = np.multiply(x, params.amplitude, out=self.target(x))
+        elif params.model == "s2p_filter" and params.domain == "frequency":
+            out = self._fd_filter(x, params.fft_response, self.target(x))
+        else:
+            out = comp.linear_element_process(self.wf.with_samples(x), params).samples
+        if delay:
+            out = np.concatenate([np.zeros(delay, dtype=np.complex128), out])
+            self.offset += delay
         return out
 
     def _fd_filter(self, x: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -397,35 +402,32 @@ def _trunk(top: StripeTopology, n_boosted: int, stream) -> list:
     """The trunk in downlink order, up to the fiber that feeds RU
     ``n_boosted`` (if the stripe has that RU): each RU before it sits in
     line as input coupler, booster and output coupler. ``stream(node,
-    tag)`` gives each booster its random stream."""
+    tag)`` gives each booster its random stream; each fiber carries its
+    segment's delay, and a coupler none."""
     stages = []
     for i in range(min(n_boosted + 1, top.n_rus)):
-        fiber = top.fiber
-        if _convolves(fiber):
-            # the segment's delay, the one thing its length sets
-            fiber = replace(fiber, length_m=top.fiber_lengths[i])
-        stages.append((f"fiber{i}", fiber, None))
+        stages.append((f"fiber{i}", top.fiber, top.fiber_delays[i]))
         if i < n_boosted:
-            stages += [(f"ru{i}_coupler_in", top.coupler, None),
+            stages += [(f"ru{i}_coupler_in", top.coupler, 0),
                        (f"ru{i}_booster", top.booster_params(i), stream(i + 1, "booster")),
-                       (f"ru{i}_coupler_out", top.coupler, None)]
+                       (f"ru{i}_coupler_out", top.coupler, 0)]
     return stages
 
 
 def _walk_stages(top: StripeTopology, active_ru: int, stream, direction: str) -> list:
     """Every stage of one walk, in walk order: the one description of what
-    a walk runs. A stage is (label, params, arg); ``arg`` is an amplifier's
-    random stream, the IQ mixer's (oscillator, downmix) or None, and
-    ``stream(node, tag)`` gives each component its stream. The antenna
-    amplifiers run one per branch: last on downlink, after the split, and
-    first on uplink, before the sum."""
+    a walk runs. A stage is (label, params, arg); ``arg`` is an element's
+    delay in samples, an amplifier's random stream, the IQ mixer's
+    (oscillator, downmix) or None, and ``stream(node, tag)`` gives each
+    component its stream. The antenna amplifiers run one per branch: last
+    on downlink, after the split, and first on uplink, before the sum."""
     bank = top.bank
     dl = direction == "dl"
     osc = comp.Oscillator(bank.oscillator, top.grid.sample_rate,
                           stream(CU_NODE, "oscillator" if dl else "oscillator_rx"))
     # the active RU's coupler joins the trunk to its antennas
     trunk = _trunk(top, active_ru, stream) + [
-        (f"ru{active_ru}_coupler_{'in' if dl else 'out'}", top.coupler, None)]
+        (f"ru{active_ru}_coupler_{'in' if dl else 'out'}", top.coupler, 0)]
     antennas = [(f"ru{active_ru}_antenna_amp{b}", bank.antenna_amplifier,
                  stream(active_ru + 1, f"antenna_amp{b}")) for b in range(top.n_antennas)]
     if dl:
@@ -446,7 +448,7 @@ def _run_stages(chain: _Chain, stages, taps: list | None = None):
         if taps is not None and x_in is None:
             x_in = x.copy()
         if isinstance(params, comp.LinearElementParams):
-            out = chain.element(x, params)
+            out = chain.element(x, params, arg)
         elif isinstance(params, comp.AmplifierParams):
             out = chain.amplifier(x, params, arg)
         elif isinstance(params, comp.DacParams):
@@ -463,14 +465,13 @@ def _run_stages(chain: _Chain, stages, taps: list | None = None):
             x_in = taps[-1][2]
 
 
-def _noise_draws(sample_rate: float, stages, length: int) -> list:
+def _noise_draws(stages, length: int) -> list:
     """(rng, shape) of every noisy amplifier in ``stages``, in walk order,
     sized by the waveform length each one sees."""
     draws = []
     for _label, params, arg in stages:
         if isinstance(params, comp.LinearElementParams):
-            if _convolves(params):
-                length += params.delay_samples(sample_rate)
+            length += arg  # the delay the element prepends
         elif isinstance(params, comp.AmplifierParams) and comp.noise_power(
                 params.nf_db, params.bandwidth, params.temperature) > 0.0:
             draws.append((arg, (2, length)))
@@ -484,7 +485,7 @@ def _plan_noise(top: StripeTopology, active_ru: int, seed: int, direction: str,
     stream once, so it uses the generators ``draws`` names."""
     stream = functools.cache(functools.partial(streams.stream, seed, top.stripe_id))
     stages = _walk_stages(top, active_ru, stream, direction)
-    return stream, _noise_draws(top.grid.sample_rate, stages, length)
+    return stream, _noise_draws(stages, length)
 
 
 def _check_rate(top: StripeTopology, x: TimeWaveform):
@@ -617,7 +618,6 @@ def propagate_uplink(top: StripeTopology, branch_waveforms, active_ru: int,
 class CalibrationResult:
     gains_db: tuple
     clipped: tuple
-    input_powers_dbm: tuple
     output_powers_dbm: tuple
 
 
@@ -650,7 +650,7 @@ def calibrate_gains(top: StripeTopology, target_power_dbm: float,
     symbols = map_qam(ref_bits, 4).reshape(grid.num_subcarriers, 2)[:, 2 - n_sym:]
     target_w = 10.0 ** ((target_power_dbm - 30.0) / 10.0)
     max_gain = 10.0 ** (max_gain_db / 10.0)
-    gains, clipped, p_in, p_out = [], [], [], []
+    gains, clipped, p_out = [], [], []
 
     # a workspace of its own: the reference is shorter than a link's
     # waveform, and the thread's workspace keeps the link's shapes
@@ -658,12 +658,12 @@ def calibrate_gains(top: StripeTopology, target_power_dbm: float,
         chain = _Chain(wf=TimeWaveform(synthesize_symbols(symbols, grid, wf.cp_length),
                                        sample_rate=grid.sample_rate),
                        cp_samples=wf.cp_length * grid.oversampling,
-                       n_fft=grid.n_fft, linear_only=True, owned=True)
+                       n_fft=grid.n_fft, owned=True)
 
         def _passband_power() -> float:
-            # mean power over the last symbol's bins: past any filter
-            # transient and free of cyclic-prefix duplication bias
-            bins = extract_symbols(chain.wf.samples, grid, wf.cp_length, n_sym)
+            # mean power over the last symbol's bins: past the delays, any
+            # filter transient and free of cyclic-prefix duplication bias
+            bins = extract_symbols(chain.wf.samples[chain.offset:], grid, wf.cp_length, n_sym)
             return float(np.mean(np.abs(bins[:, -1]) ** 2))
 
         def scale(gain: float):
@@ -681,7 +681,6 @@ def calibrate_gains(top: StripeTopology, target_power_dbm: float,
             gain = min(gain, max_gain)
             scale(gain)
             gains.append(10.0 * np.log10(gain))
-            p_in.append(_dbm(power_in))
             p_out.append(_dbm(power_in * gain))
 
         _run_stages(chain, [(label, meter, None)
@@ -693,7 +692,6 @@ def calibrate_gains(top: StripeTopology, target_power_dbm: float,
                       f"target power unreachable", CalibrationInfeasible,
                       stacklevel=2)
     return CalibrationResult(gains_db=tuple(gains), clipped=tuple(clipped),
-                             input_powers_dbm=tuple(p_in),
                              output_powers_dbm=tuple(p_out))
 
 

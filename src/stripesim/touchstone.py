@@ -128,8 +128,9 @@ def parse_touchstone(text: str) -> TwoPortNetwork:
     Raises
     ------
     TouchstoneError
-        With kind MissingOptionLine, BadRowArity, NonMonotonicFrequency or
-        UnknownFormat.
+        With kind MissingOptionLine, BadRowArity, NonMonotonicFrequency,
+        UnknownFormat or NonFiniteValue (a frequency or S-parameter that is
+        not finite once scaled and converted, as a DB entry of 1e308 is).
     """
     option = None
     rows: list[list[float]] = []
@@ -166,11 +167,18 @@ def parse_touchstone(text: str) -> TwoPortNetwork:
         raise TouchstoneError(TouchstoneError.BAD_ROW_ARITY, "file contains no data rows")
     scale, fmt, r = option
     data = np.asarray(rows, dtype=np.float64)
-    freqs = data[:, 0] * scale
+    with np.errstate(all="ignore"):  # an overflow is caught just below
+        freqs = data[:, 0] * scale
+        params = [_convert_pair(data[:, 1 + 2 * i], data[:, 2 + 2 * i], fmt)
+                  for i in range(4)]
+    bad = ~np.isfinite(freqs) | ~np.all(np.isfinite(params), axis=0)
+    if np.any(bad):
+        raise TouchstoneError(TouchstoneError.NON_FINITE_VALUE,
+                              f"data row {int(np.argmax(bad)) + 1} holds a non-finite "
+                              f"frequency or S-parameter")
     if np.any(np.diff(freqs) <= 0):
         raise TouchstoneError(TouchstoneError.NON_MONOTONIC_FREQUENCY,
                               "frequencies must be strictly increasing")
-    params = [_convert_pair(data[:, 1 + 2 * i], data[:, 2 + 2 * i], fmt) for i in range(4)]
     return TwoPortNetwork(freqs=freqs, s11=params[0], s21=params[1],
                           s12=params[2], s22=params[3],
                           ref_impedance=r, source_format=fmt.upper())

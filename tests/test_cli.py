@@ -13,7 +13,6 @@ import pytest
 from stripesim import config
 from stripesim.channel import ChannelRealization
 from stripesim.cli import _export_channel, main
-from stripesim.components import DacParams
 from stripesim.waveform import SubcarrierGrid
 
 from stripesim.errors import AntennaCountMismatch, InterSymbolInterferenceRisk
@@ -90,9 +89,22 @@ def _gen_dataset(config_tree, out) -> str:
 _AMP = "boost_amplifier: {model: ideal, gain_db: 0.0}"
 _IQ = "dc_offset: [0.0, 0.0]"
 _CAL = "calibration: {target_power: 0.0, max_gain: 30.0}"
+# a flat S21 of 0.5 from 100 to 200 GHz, one row per 10 GHz: the run's band
+# (157.75 GHz, 6 GHz wide with oversampling) interpolates between the
+# 150, 160 and 170 GHz rows
+_S2P = flat_s2p(0.5)
+_BAD_S2P = {
+    "s2p-s21-nan-outside-the-band": _S2P.replace("140000000000.0 0 0 0.5",
+                                                 "140000000000.0 0 0 nan"),
+    "s2p-s21-nan-in-the-band": _S2P.replace("160000000000.0 0 0 0.5",
+                                            "160000000000.0 0 0 nan"),
+    "s2p-db-magnitude-overflows": _S2P.replace("RI", "DB").replace(
+        "140000000000.0 0 0 0.5", "140000000000.0 0 0 1e308"),
+    "s2p-frequency-not-finite": _S2P.replace("200000000000.0", "inf"),
+}
 
 
-@pytest.mark.parametrize("command, flags, config_edit, dataset_files, expected", [
+@pytest.mark.parametrize("command, flags, config_edit, files, expected", [
     pytest.param("run", ["--ru", "1"],
                  (_AMP, _AMP[:-1] + ", poly_coeffs: [abc]}"), None, 2,
                  id="poly-coeffs-not-numbers"),
@@ -207,19 +219,26 @@ _CAL = "calibration: {target_power: 0.0, max_gain: 30.0}"
     pytest.param("sweep-ru", ["--ue", "7", "--channel", "{ds}"],
                  None, None, 2, id="sweep-unknown-dataset-ue"),
     pytest.param("run", ["--ru", "1", "--channel", "{ds}"], None,
-                 {"manifest.json": "{not json"}, 3, id="corrupt-dataset-manifest"),
+                 {"cfr/manifest.json": "{not json"}, 3, id="corrupt-dataset-manifest"),
     pytest.param("run", ["--ru", "1", "--channel", "{ds}"], None,
-                 {"manifest.json": "[]"}, 3, id="dataset-manifest-not-an-object"),
+                 {"cfr/manifest.json": "[]"}, 3, id="dataset-manifest-not-an-object"),
     pytest.param("run", ["--ru", "1", "--channel", "{ds}"], None,
-                 {"manifest.json": '{"files": {"metadata.json": {}}}'}, 3,
+                 {"cfr/manifest.json": '{"files": {"metadata.json": {}}}'}, 3,
                  id="dataset-manifest-without-crc"),
     pytest.param("run", ["--ru", "1", "--channel", "{ds}"], None,
-                 {"manifest.json": '{"files": {}}', "metadata.json": '{"ues": []}'},
+                 {"cfr/manifest.json": '{"files": {}}', "cfr/metadata.json": '{"ues": []}'},
                  3, id="dataset-metadata-without-header"),
+    *[pytest.param(command, flags, ("fiber: {model: ideal}",
+                                    "fiber: {model: s2p_filter, file: bad.s2p}"),
+                   {"bad.s2p": text}, 2, id=f"{command}-{name}")
+      for command, flags in (("run", ["--ru", "1"]), ("calibrate", []), ("inspect-s2p", []))
+      for name, text in _BAD_S2P.items()],
 ])
 def test_bad_input_exits_typed(config_tree, tmp_path, capsys, command, flags,
-                               config_edit, dataset_files, expected):
-    """Malformed inputs end as typed errors, never as 'internal error'."""
+                               config_edit, files, expected):
+    """Malformed inputs end as typed errors, never as 'internal error'.
+    ``files`` are written relative to the config directory after the
+    dataset is made; inspect-s2p reads its ``bad.s2p``."""
     if config_edit is not None:
         edits = config_edit if isinstance(config_edit, list) else [config_edit]
         key, text = next((key, text) for key, text in (
@@ -232,10 +251,11 @@ def test_bad_input_exits_typed(config_tree, tmp_path, capsys, command, flags,
     if "{ds}" in flags:
         channel = _gen_dataset(config_tree, tmp_path / "cfr")
         flags = [channel if f == "{ds}" else f for f in flags]
-    for name, text in (dataset_files or {}).items():
-        (tmp_path / "cfr" / name).write_text(text)
-    configs = (["--env", config_tree["env"]] if command == "gen-channels"
-               else _base_flags(config_tree))
+    for name, text in (files or {}).items():
+        (tmp_path / name).write_text(text)
+    configs = {"gen-channels": ["--env", config_tree["env"]],
+               "inspect-s2p": ["--file", tmp_path / "bad.s2p"]}.get(
+                   command, _base_flags(config_tree))
     capsys.readouterr()
     code = _run(command, *configs, *flags, "--out", tmp_path / "o")
     assert code == expected
@@ -333,7 +353,7 @@ def test_non_finite_metric_exits_runtime_before_writing(config_tree, tmp_path, c
     """A link whose metrics are not finite is a runtime error (exit 3) and
     writes no row. The config bound that refuses the value is lifted here,
     so the link itself overflows: a 1e308 clip level of the CU DAC."""
-    monkeypatch.setitem(config._COMPONENT_KEYS[DacParams], "clip_amplitude",
+    monkeypatch.setitem(config._COMPONENT_KEYS["dac"], "clip_amplitude",
                         ("clip_amplitude", config._as_float))
     config_tree["components"].write_text(COMP_YAML.replace(
         "dac: {model: ideal}", "dac: {model: quantize, clip_amplitude: 1e308}"))

@@ -398,7 +398,7 @@ def test_fft_ordered_response_follows_the_response():
                             response=FrequencyResponse(grid=grid, h=np.arange(32.0)))
     np.testing.assert_array_equal(p.fft_response, np.fft.ifftshift(np.arange(32.0)))
     other = FrequencyResponse(grid=grid, h=np.arange(32.0) * 1j)
-    q = dataclasses.replace(p, response=other, length_m=5.0)
+    q = dataclasses.replace(p, response=other, loss_db=5.0)
     np.testing.assert_array_equal(q.fft_response, np.fft.ifftshift(other.h))
     with pytest.raises(TypeError):
         LinearElementParams(model="s2p_filter", response=other, fft_response=np.ones(32))
@@ -414,21 +414,17 @@ def test_frequency_response_grid_mismatch():
         linear_element_process(np.ones((16, 1), complex), p)
 
 
-def test_time_domain_convolution_and_delay():
+def test_time_domain_convolution():
+    """The element convolves and keeps the input's length; the segment
+    delay is the walk's (`tests/test_stripe.py`)."""
     taps = np.array([0.5, 0.25], complex)
     ir = to_impulse_response(
         FrequencyResponse(grid=SubcarrierGrid(1e9, 1e9, 4, 1), h=np.ones(4)), 1)
     ir = ir.__class__(h=taps, sample_rate=3e9)
-    p = LinearElementParams(model="s2p_filter", domain="time", impulse=ir,
-                            length_m=2.0, group_velocity=2e8)
+    p = LinearElementParams(model="s2p_filter", domain="time", impulse=ir)
     x = _wave(np.array([1.0, 0.0, 0.0, 0.0]), rate=3e9)
-    y = linear_element_process(x, p, apply_delay=False)
+    y = linear_element_process(x, p)
     np.testing.assert_allclose(y.samples, [0.5, 0.25, 0, 0])
-    assert p.delay_samples(3e9) == 30  # 2 m / 2e8 m/s * 3 GS/s
-    y_delayed = linear_element_process(x, p)
-    assert y_delayed.samples.size == 4 + 30
-    assert np.all(y_delayed.samples[:30] == 0)
-    np.testing.assert_allclose(y_delayed.samples[30:], [0.5, 0.25, 0, 0])
 
 
 def test_fd_td_equivalence_on_ofdm_signal():

@@ -11,8 +11,9 @@ from stripesim.components import (AmplifierParams, DacParams, IqParams,
                                   OscillatorParams)
 from stripesim.config import (_ANTENNA_KEYS, _COMPONENT_KEYS, _LAYOUT_KEYS,
                               _NODE_KEYS, _SUB_THZ_KEYS, _WAVEFORM_KEYS, AntennaConfig,
-                              CalibrationConfig, LinearElementSpec, ReceiverConfig,
-                              StripeLayout, StripeNode, SubThzConfig, WaveformConfig,
+                              CalibrationConfig, ComponentBank, LinearElementSpec,
+                              ReceiverConfig, StripeLayout, StripeNode, SubThzConfig,
+                              WaveformConfig,
                               _load_yaml, _read, _Section, _snapshot, components_to_dict,
                               environment_to_dict, load_components, load_environment,
                               load_waveform, validate_cross, waveform_to_dict)
@@ -151,6 +152,21 @@ def test_unknown_keys_warn_but_load(tmp_path):
     assert again == env
 
 
+def test_coupler_group_velocity_is_an_unknown_key(tmp_path):
+    """Only a fiber segment delays: a coupler's group_velocity loads with an
+    unknown-key warning and is neither read nor written to a snapshot."""
+    doc = COMP_YAML.replace("coupler: {model: ideal}",
+                            "coupler: {model: ideal, group_velocity: 1.5e8}")
+    with pytest.warns(UnknownKeyWarning,
+                      match=r"^coupler: ignoring unknown keys \['group_velocity'\]$"):
+        bank = load_components(_write(tmp_path, "comp.yaml", doc))
+    assert bank.coupler == LinearElementSpec()
+    assert "group_velocity" not in components_to_dict(bank)["coupler"]
+    assert _COMPONENT_KEYS["coupler"] == {key: entry for key, entry in
+                                          _COMPONENT_KEYS["fiber"].items()
+                                          if key != "group_velocity"}
+
+
 def test_sub10ghz_never_influences_simulation(tmp_path):
     """Two configs differing only in the sub-10 GHz block run identically."""
     import numpy as np
@@ -191,6 +207,17 @@ def test_c_and_python_yaml_loaders_agree(tmp_path, name):
     got = yaml.load(text, yaml.CSafeLoader)
     assert got == want and repr(got) == repr(want)  # repr also tells 1 from 1.0
     assert repr(_load_yaml(_write(tmp_path, "c.yaml", text))) == repr(want)
+
+
+def test_example_configs_load_without_a_warning():
+    """The shipped example gives no key its block leaves unread, and its
+    configs agree with each other."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        env = load_environment(EXAMPLES / "environment.yaml")
+        wf = load_waveform(EXAMPLES / "waveform.yaml")
+        bank = load_components(EXAMPLES / "components.yaml")
+        validate_cross(env, wf, bank)
 
 
 def test_non_power_of_two_subcarriers(tmp_path):
@@ -393,7 +420,10 @@ def test_components_round_trip(tmp_path):
 
 KEY_TABLES = {StripeNode: _NODE_KEYS, StripeLayout: _LAYOUT_KEYS,
               SubThzConfig: _SUB_THZ_KEYS, AntennaConfig: _ANTENNA_KEYS,
-              WaveformConfig: _WAVEFORM_KEYS, **_COMPONENT_KEYS}
+              WaveformConfig: _WAVEFORM_KEYS,
+              # a coupler's table is the fiber's without group_velocity
+              **{part.default_factory: _COMPONENT_KEYS[part.name]
+                 for part in fields(ComponentBank) if part.name != "coupler"}}
 
 # every field of each section record, set away from its default
 AWAY_FROM_DEFAULT = {

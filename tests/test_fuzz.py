@@ -12,14 +12,13 @@ import copy
 import csv
 import math
 import warnings
-from dataclasses import fields
 
 import pytest
 import yaml
 
 from stripesim.cli import main
 from stripesim.config import (_ANTENNA_KEYS, _COMPONENT_KEYS, _LAYOUT_KEYS,
-                              _SUB_THZ_KEYS, _WAVEFORM_KEYS, ComponentBank)
+                              _SUB_THZ_KEYS, _WAVEFORM_KEYS)
 
 from conftest import s2p_from_taps
 
@@ -54,7 +53,7 @@ COMPONENTS = {
     "fiber": {"model": "s2p_filter", "loss_db": 0.0, "file": "fiber.s2p",
               "domain": "frequency", "taps": 8, "group_velocity": 2.0e8},
     "coupler": {"model": "fixed_damping", "loss_db": 3.0, "file": None,
-                "domain": "frequency", "taps": 8, "group_velocity": 2.0e8},
+                "domain": "frequency", "taps": 8},
     "dac": {"model": "quantize", "bits": 10, "clip_amplitude": 2.0},
     "oscillator": {"model": "ar1", "cfo_hz": 1.0e6, "ar_rho": 0.99,
                    "innovation_std": 0.01, "initial_phase": 0.1},
@@ -75,9 +74,8 @@ def _keys():
                 for key in table)
     yield "environment", None, "central_unit_fiber_length", None
     yield from (("waveform", None, key, _WAVEFORM_KEYS) for key in _WAVEFORM_KEYS)
-    for part in fields(ComponentBank):
-        table = _COMPONENT_KEYS[part.default_factory]
-        yield from (("components", part.name, key, table) for key in table)
+    for block, table in _COMPONENT_KEYS.items():
+        yield from (("components", block, key, table) for key in table)
 
 
 KEYS = list(_keys())

@@ -69,12 +69,30 @@ def _damped_bank(loss_db=10.0, booster=None):
 # Topology
 # ---------------------------------------------------------------------------
 
+def _s2p_fiber(grid, domain: str, taps=(0.8, 0.15j, 0.05)) -> LinearElementSpec:
+    """An s2p fiber at 2e8 m/s with one S21 point on every bin of ``grid``."""
+    network = parse_touchstone(s2p_from_taps(list(taps), grid.fc, grid.sample_rate,
+                                             n_points=grid.n_fft + 1))
+    return LinearElementSpec(model="s2p_filter", network=network, domain=domain,
+                             n_taps=8, group_velocity=2e8)
+
+
 def test_build_stripe_segments():
+    """Each segment's delay is its length (the CU fiber's 2.0 m, then the
+    0.5 m RU spacing) at 2e8 m/s and the grid's 6 GS/s where the fiber
+    convolves, and 0 where it filters per subcarrier."""
     env = _env(n_rus=3, spacing=0.5)
     grid = make_grid(env, _wf())
-    top = build_stripe(env, ComponentBank(), 0, grid, _wf())
-    assert top.n_rus == 3
-    np.testing.assert_allclose(top.fiber_lengths, [2.0, 0.5, 0.5])
+    delays = {}
+    for domain in ("time", "frequency"):
+        bank = _bank(fiber=_s2p_fiber(grid, domain))
+        top = build_stripe(env, bank, 0, grid, _wf())
+        assert top.n_rus == 3
+        delays[domain] = top.fiber_delays
+    fs = grid.sample_rate
+    assert delays["time"] == (round(2.0 / 2e8 * fs), round(0.5 / 2e8 * fs),
+                              round(0.5 / 2e8 * fs)) == (60, 15, 15)
+    assert delays["frequency"] == (0, 0, 0)
 
 
 def test_build_stripe_bad_id():
@@ -136,19 +154,14 @@ def test_calibration_analytic_loss_budget():
 
 
 def test_calibration_time_domain_fiber_matches_frequency_domain():
-    """Calibration meters a delaying time-domain fiber without its delay,
-    so its gains equal those of the same fiber filtered per subcarrier."""
+    """Calibration meters a delaying time-domain fiber past its delays, so
+    its gains equal those of the same fiber filtered per subcarrier."""
     env = _env(n_rus=4)
     wf = _wf()
     grid = make_grid(env, wf)
-    # one S21 point on every bin of the simulated band
-    network = parse_touchstone(s2p_from_taps([0.8, 0.15j, 0.05], grid.fc,
-                                             grid.sample_rate, n_points=grid.n_fft + 1))
     gains = {}
     for domain in ("time", "frequency"):
-        bank = _bank(fiber=LinearElementSpec(model="s2p_filter", network=network,
-                                             domain=domain, n_taps=8,
-                                             group_velocity=2e8))
+        bank = _bank(fiber=_s2p_fiber(grid, domain))
         top = build_stripe(env, bank, 0, grid, wf)
         gains[domain] = calibrate_gains(top, target_power_dbm=0.0, max_gain_db=30.0).gains_db
     np.testing.assert_allclose(gains["time"], gains["frequency"], rtol=0, atol=1e-6)
@@ -164,15 +177,15 @@ def _two_symbol_calibration(top, target_power_dbm, max_gain_db, seed):
     symbols = map_qam(ref_bits, 4).reshape(grid.num_subcarriers, 2)
     target_w = 10.0 ** ((target_power_dbm - 30.0) / 10.0)
     max_gain = 10.0 ** (max_gain_db / 10.0)
-    gains, clipped, p_in, p_out = [], [], [], []
+    gains, clipped, p_out = [], [], []
     with _own_workspace():
         chain = stripe._Chain(wf=TimeWaveform(synthesize_symbols(symbols, grid, wf.cp_length),
                                               sample_rate=grid.sample_rate),
                               cp_samples=wf.cp_length * grid.oversampling,
-                              n_fft=grid.n_fft, linear_only=True, owned=True)
+                              n_fft=grid.n_fft, owned=True)
 
         def power() -> float:
-            bins = extract_symbols(chain.wf.samples, grid, wf.cp_length, 2)
+            bins = extract_symbols(chain.wf.samples[chain.offset:], grid, wf.cp_length, 2)
             return float(np.mean(np.abs(bins[:, 1]) ** 2))
 
         def scale(gain: float):
@@ -187,7 +200,6 @@ def _two_symbol_calibration(top, target_power_dbm, max_gain_db, seed):
             gain = min(gain, max_gain)
             scale(gain)
             gains.append(10.0 * np.log10(gain))
-            p_in.append(stripe._dbm(power_in))
             p_out.append(stripe._dbm(power_in * gain))
 
         trunk = stripe._trunk(top, top.n_rus, lambda node, tag: None)
@@ -195,7 +207,6 @@ def _two_symbol_calibration(top, target_power_dbm, max_gain_db, seed):
                                    if isinstance(params, AmplifierParams)
                                    else (label, params, arg) for label, params, arg in trunk])
     return stripe.CalibrationResult(gains_db=tuple(gains), clipped=tuple(clipped),
-                                    input_powers_dbm=tuple(p_in),
                                     output_powers_dbm=tuple(p_out))
 
 
@@ -425,6 +436,29 @@ def test_time_domain_fiber_delay_tracked_and_transparent():
     assert res.metrics.ber == 0.0
 
 
+@pytest.mark.parametrize("linear_only", [False, True])
+def test_walk_prepends_the_segment_delay(linear_only):
+    """On a time-domain fiber a walk to RU 0 gives the CU fiber's delay as
+    zero samples, then the fiber's convolution of its input, in linear
+    walks too; the walk reports that delay as its offset."""
+    env = _env(n_rus=2, q=128)
+    wf = _wf(n_ofdm_symbols=2, cp_length=8)
+    grid = make_grid(env, wf)
+    top = build_stripe(env, _bank(fiber=_s2p_fiber(grid, "time")), 0, grid, wf)
+    rng = np.random.default_rng(5)
+    n = 2 * (grid.n_fft + 8 * grid.oversampling)
+    x = TimeWaveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), grid.sample_rate)
+    (branch,), _taps, offset = propagate_downlink(top, x, 0, [0.0], seed=3,
+                                                  linear_only=linear_only)
+    delay = round(2.0 / 2e8 * grid.sample_rate)
+    assert offset == top.fiber_delays[0] == delay
+    assert branch.samples.size == delay + n
+    assert np.all(branch.samples[:delay] == 0)
+    np.testing.assert_allclose(branch.samples[delay:],
+                               np.convolve(x.samples, top.fiber.impulse.h)[:n],
+                               rtol=1e-12, atol=0)
+
+
 def _noisy_time_domain_bank(env, wf):
     """Noisy tanh boosters and antenna amps on a delaying time-domain fiber,
     so the waveform grows along the walk."""
@@ -459,6 +493,18 @@ def test_noisy_time_domain_walk_draws_ahead_exactly(direction, monkeypatch):
     assert inline.metrics == first.metrics
 
 
+def test_linear_walk_reports_the_noisy_walks_offset():
+    """A linear walk on a time-domain stripe delays as the noisy walk does:
+    the same offset, the sum of the crossed segments' delays."""
+    env = _env(n_rus=4, q=128)
+    wf = _wf(n_ofdm_symbols=2, cp_length=8)
+    top = build_stripe(env, _noisy_time_domain_bank(env, wf), 0, make_grid(env, wf), wf)
+    x = TimeWaveform(np.ones(2 * (top.grid.n_fft + 16), complex), top.grid.sample_rate)
+    offsets = [propagate_downlink(top, x, 3, [0.0], seed=4, linear_only=linear_only)[2]
+               for linear_only in (False, True)]
+    assert offsets[0] == offsets[1] == sum(top.fiber_delays) == 60 + 3 * 15
+
+
 def test_noise_drawn_for_the_wrong_length_raises(monkeypatch):
     """A planned length that the walk does not reach is an error, never a
     silent second draw."""
@@ -468,7 +514,7 @@ def test_noise_drawn_for_the_wrong_length_raises(monkeypatch):
     x = TimeWaveform(np.ones(512, complex), top.grid.sample_rate)
     plan = stripe._noise_draws
     monkeypatch.setattr(stripe, "_noise_draws",
-                        lambda chain, stages, length: plan(chain, stages, length - 1))
+                        lambda stages, length: plan(stages, length - 1))
     threads = threading.active_count()
     with pytest.raises(LengthError):
         propagate_downlink(top, x, 2, [0.0], seed=1)
@@ -766,7 +812,7 @@ def test_failed_link_leaves_no_thread_and_no_trace(direction, monkeypatch):
                                      direction=direction, seed=2, calibrate=True))
     plan = stripe._noise_draws
     monkeypatch.setattr(stripe, "_noise_draws",
-                        lambda chain, stages, length: plan(chain, stages, length - 1))
+                        lambda stages, length: plan(stages, length - 1))
     threads = threading.active_count()
     with pytest.raises(LengthError):
         run_link(env, wf, bank, "los", 0, 0, 3, direction=direction, seed=2,

@@ -45,6 +45,18 @@ def test_decreasing_frequency_rejected():
     assert err.value.kind == TouchstoneError.NON_MONOTONIC_FREQUENCY
 
 
+@pytest.mark.parametrize("text", [
+    "# GHz S RI R 50\n1.0 0 0 nan 0 0 0 0 0\n",
+    "# GHz S RI R 50\n1.0 0 0 1 0 0 0 0 inf\n",
+    "# GHz S DB R 50\n1.0 0 0 1e308 0 0 0 0 0\n",  # 10^(1e308/20) overflows
+    "# GHz S RI R 50\n1.0 0 0 1 0 0 0 0 0\n1e308 0 0 1 0 0 0 0 0\n",  # 1e317 Hz
+    "# GHz S RI R 50\nnan 0 0 1 0 0 0 0 0\n"])
+def test_non_finite_value_rejected(text):
+    with pytest.raises(TouchstoneError) as err:
+        parse_touchstone(text)
+    assert err.value.kind == TouchstoneError.NON_FINITE_VALUE
+
+
 def test_missing_option_line():
     with pytest.raises(TouchstoneError) as err:
         parse_touchstone("1.0 0 0 1 0 0 0 0 0\n")
