@@ -27,6 +27,7 @@ from .errors import ConfigError, DimensionError, DomainError
 from .waveform import SubcarrierGrid
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
+BULK_DELAY_STEPS = 64  # `bulk_delay` resolution: steps per 1/bw
 
 
 @dataclass(frozen=True)
@@ -228,14 +229,14 @@ def apply_channel(x: np.ndarray, realization: ChannelRealization) -> np.ndarray:
     return np.einsum("qkm,qms->qks", h, x)
 
 
-def bulk_delay(realization: ChannelRealization,
-               resolution_fraction: int = 64) -> float:
+def bulk_delay(realization: ChannelRealization) -> float:
     """Bulk group delay of a realization, for receiver timing sync.
 
     The average phase step between adjacent subcarriers (summed over all
     antenna pairs) gives the dominant propagation delay; the result is
-    quantized to ``1/(resolution_fraction * bw)`` so float32-stored and
-    freshly computed realizations of the same channel sync identically.
+    quantized to ``1/(BULK_DELAY_STEPS * bw)``, 1/64 of a sample at the
+    channel's bandwidth, so float32-stored and freshly computed
+    realizations of the same channel sync identically.
     """
     h = realization.h
     corr = np.sum(h[1:] * np.conj(h[:-1]))
@@ -243,7 +244,7 @@ def bulk_delay(realization: ChannelRealization,
         return 0.0
     df = realization.grid.delta_f
     tau = -float(np.angle(corr)) / (2.0 * np.pi * df)
-    step = 1.0 / (resolution_fraction * realization.grid.bw)
+    step = 1.0 / (BULK_DELAY_STEPS * realization.grid.bw)
     return round(tau / step) * step
 
 
@@ -284,12 +285,10 @@ def add_thermal_noise(y: np.ndarray, bandwidth: float, nf_db: float,
     return add_complex_noise(y, np.sqrt(var / 2.0), rng, out=out)
 
 
-def add_awgn(y: np.ndarray, snr_db: float, rng: np.random.Generator,
-             signal_power: float | None = None, *, out=None) -> np.ndarray:
+def add_awgn(y: np.ndarray, snr_db: float, rng: np.random.Generator, *,
+             out=None) -> np.ndarray:
     """Add complex Gaussian noise at a target SNR relative to ``y``'s mean
-    power (or an explicit reference power), into ``out`` as
-    `add_thermal_noise` does."""
+    power, into ``out`` as `add_thermal_noise` does."""
     y = np.asarray(y, dtype=np.complex128)
-    p = float(np.mean(np.abs(y) ** 2)) if signal_power is None else signal_power
-    var = p * 10.0 ** (-snr_db / 10.0)
+    var = float(np.mean(np.abs(y) ** 2)) * 10.0 ** (-snr_db / 10.0)
     return add_complex_noise(y, np.sqrt(var / 2.0), rng, out=out)

@@ -398,7 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_s2p.add_argument("--file", required=True)
     p_s2p.add_argument("--magnitude", choices=("power", "voltage"),
                        default="power",
-                       help="interpret magnitude as power (10 log10) or voltage (20 log10)")
+                       help="what magnitude_db holds: power writes 10 log10|S21|^2, "
+                            "the power gain in dB; voltage writes 10 log10|S21|, half "
+                            "of that")
     p_s2p.add_argument("--out", required=True)
     p_s2p.set_defaults(func=cmd_inspect_s2p)
 

@@ -323,7 +323,6 @@ class EnvironmentConfig:
     central_unit_fiber_length: float
     sub_thz: SubThzConfig | None = None
     antenna: AntennaConfig = field(default_factory=AntennaConfig)
-    sub10ghz: dict = field(default_factory=dict)  # parsed, never used
     extras: dict = field(default_factory=dict)  # unknown keys, retained
 
     @property
@@ -431,13 +430,12 @@ def load_environment(path) -> EnvironmentConfig:
     if cu_fiber <= 0:
         raise SchemaError("central_unit_fiber_length must be positive")
 
-    sub10 = top.get("sub10ghz", {}) or {}
     extras = top.warn_unknown()
     return EnvironmentConfig(room=room, stripe_config=layout,
                              radio_stripes=tuple(stripes),
                              ue_positions=tuple(ue_positions),
                              central_unit_fiber_length=cu_fiber,
-                             sub_thz=sub_thz, antenna=antenna, sub10ghz=sub10,
+                             sub_thz=sub_thz, antenna=antenna,
                              extras=extras)
 
 
@@ -687,7 +685,6 @@ def environment_to_dict(env: EnvironmentConfig) -> dict:
         **({"sub_thz": _snapshot(env.sub_thz, _SUB_THZ_KEYS)} if env.sub_thz else {}),
         "antenna": _snapshot(env.antenna, _ANTENNA_KEYS),
         "central_unit_fiber_length": env.central_unit_fiber_length,
-        **({"sub10ghz": env.sub10ghz} if env.sub10ghz else {}),
         **env.extras,
     }
 

@@ -29,9 +29,11 @@ def stream(master_seed: int, *key) -> np.random.Generator:
 
     Key parts may be ints (stripe/node/ue indices) or strings (component
     tags); strings are hashed with CRC32 so the key is reproducible across
-    runs and platforms.
+    runs and platforms. The bit generator is named, not left to
+    `default_rng`, so the streams stay PCG64 whatever numpy's default.
     """
-    return np.random.default_rng(np.random.SeedSequence(_key_words(master_seed, key)))
+    seeds = np.random.SeedSequence(_key_words(master_seed, key))
+    return np.random.Generator(np.random.PCG64(seeds))
 
 
 def derive_seed(master_seed: int, *key) -> int:

@@ -19,29 +19,22 @@ output bit. The same keying is why a link may make all its Gaussian
 draws ahead of the stages that add them, on one helper thread: a draw
 depends on its stream and its shape, never on the signal.
 
-Buffers. A walk never writes the arrays it is given (``wf_in``,
-``branch_waveforms``). Each stage writes its output over the walk's
-current waveform when the walk owns it, that is when the walk or a
-stage before it made that array. Otherwise it writes into the calling
-thread's workspace (`waveform._thread_workspace`), arrays kept for the
-last shape asked for that the next walk on the thread overwrites: the
-trunk, one antenna branch, the per-symbol FFT spectrum and the noise
-ring. The OFDM pair at the link ends transforms in that same spectrum,
-so a link makes no other spectrum; calibration, whose reference is
-shorter, runs on a workspace of its own. A link holds each large array
-only while a stage reads it. The downlink lets its input go once the CU
-chain has read it, makes its antenna branches one at a time in the
-workspace and hands each to a consumer as soon as its amplifier returns
-(`run_link` moves it into the channel's input grid); the uplink takes
-each branch only when its antenna amplifier needs it, and `run_link`
-synthesizes it then. The downlink's default consumer copies each branch
-out, and the uplink's last stage (the CU receive amplifier) writes a
-fresh array, so whatever leaves a walk or a link is an array no later
-walk touches: the downlink branch waveforms, the uplink output and every
-`LinkResult` array. Recording taps changes no buffer: `_run_stages`
-copies each stage's input and output as it goes. `run_link` drops each
-waveform- or grid-sized array once it is used, so later ones reuse its
-memory rather than fresh pages.
+Buffers. One rule: a walk copies each waveform it is given once, and
+every stage then writes its output over its input. The walk's input goes
+into the calling thread's workspace (`waveform._thread_workspace`) as the
+trunk, each later uplink branch as the branch; a workspace keeps one
+array per name, for the last shape asked for, and the next walk on the
+thread overwrites it. A delay or a time-domain convolution makes a fresh
+array, which is the walk's as well. Whatever leaves a walk is a copy:
+each downlink branch (by default) and the uplink output, so no later
+walk touches them or any `LinkResult` array, and the arrays a walk is
+given are never written. Recording taps changes no buffer: `_run_stages`
+copies each stage's input and output as it goes. The OFDM pair at the
+link ends transforms in the workspace's FFT spectrum too; calibration,
+whose reference is shorter, runs on a workspace of its own. A link holds
+each large array only while a stage reads it: the downlink lets its
+input go once it is copied, and the uplink takes each branch only when
+its antenna amplifier needs it, so `run_link` synthesizes it then.
 """
 
 from __future__ import annotations
@@ -108,8 +101,10 @@ def make_grid(env: EnvironmentConfig, wf: WaveformConfig,
                           oversampling=wf.oversampling_factor)
 
 
-def _prepare_element(spec: LinearElementSpec, grid: SubcarrierGrid) -> comp.LinearElementParams:
-    """Materialize a config-level element onto the run's oversampled band."""
+def _prepare_element(spec: LinearElementSpec, grid: SubcarrierGrid,
+                     name: str) -> comp.LinearElementParams:
+    """Materialize the config's element block ``name`` onto the run's
+    oversampled band."""
     if spec.model != "s2p_filter":
         return comp.LinearElementParams(model=spec.model, loss_db=spec.loss_db,
                                         domain=spec.domain)
@@ -121,10 +116,13 @@ def _prepare_element(spec: LinearElementSpec, grid: SubcarrierGrid) -> comp.Line
     else:
         impulse = to_impulse_response(fr, min(spec.n_taps, expanded.num_subcarriers))
         if impulse.captured_energy < 0.99:
+            full = to_impulse_response(fr, expanded.num_subcarriers).h
+            energy = np.cumsum(np.abs(full) ** 2)
+            need = int(np.searchsorted(energy, 0.99 * energy[-1])) + 1
             warnings.warn(
-                f"impulse truncation keeps only {impulse.captured_energy:.4f} "
-                f"of the response energy ({impulse.n_taps} taps)",
-                TruncationWarning, stacklevel=2)
+                f"{name}.taps: {impulse.n_taps} taps keep only "
+                f"{impulse.captured_energy:.4f} of the response energy; 0.99 "
+                f"needs {need} of {expanded.num_subcarriers}", TruncationWarning, stacklevel=2)
     return comp.LinearElementParams(model="s2p_filter", loss_db=spec.loss_db,
                                     domain=spec.domain, response=response,
                                     impulse=impulse)
@@ -187,8 +185,8 @@ def build_stripe(env: EnvironmentConfig, bank: ComponentBank, stripe_id: int,
         stripe_id=stripe_id,
         fiber_delays=tuple(map(round, delays)),
         grid=grid, wf=wf, bank=bank,
-        fiber=_prepare_element(bank.fiber, grid),
-        coupler=_prepare_element(bank.coupler, grid),
+        fiber=_prepare_element(bank.fiber, grid, "fiber"),
+        coupler=_prepare_element(bank.coupler, grid, "coupler"),
         n_antennas=env.antenna.n_antennas,
     )
 
@@ -201,10 +199,10 @@ def build_stripe(env: EnvironmentConfig, bank: ComponentBank, stripe_id: int,
 class _Chain:
     """Mutable propagation state: waveform, accumulated delay, noise.
 
-    A stage method maps its input array to its output: the input itself
-    when the walk owns it, else the workspace array named ``buffer``, or a
-    fresh array if ``buffer`` is None; the caller's input is never
-    written. `_run_stages` puts each output in the chain.
+    A stage method writes its output over its input array, which is the
+    walk's own (see Buffers above), and returns it; an element that delays
+    or convolves returns a fresh array. `_run_stages` puts each output in
+    the chain.
     """
 
     wf: TimeWaveform
@@ -214,24 +212,14 @@ class _Chain:
     linear_only: bool = False  # gains only: no noise, DAC or IQ mixer
     noise: _NoiseAhead | None = None
     ws: _Workspace = field(default_factory=_thread_workspace)
-    buffer: str | None = "trunk"
-    owned: bool = False  # wf.samples is the walk's own, free to overwrite
-
-    def target(self, x: np.ndarray) -> np.ndarray:
-        """The array a stage writes its output into."""
-        if self.owned:
-            return x
-        if self.buffer is None:
-            return np.empty_like(x)
-        return self.ws.get(self.buffer, x.shape)
 
     def element(self, x: np.ndarray, params: comp.LinearElementParams,
                 delay: int) -> np.ndarray:
         """The element's output, behind ``delay`` prepended zero samples."""
         if params.model == "fixed_damping":
-            out = np.multiply(x, params.amplitude, out=self.target(x))
+            out = np.multiply(x, params.amplitude, out=x)
         elif params.model == "s2p_filter" and params.domain == "frequency":
-            out = self._fd_filter(x, params.fft_response, self.target(x))
+            out = self._fd_filter(x, params.fft_response)
         else:
             out = comp.linear_element_process(self.wf.with_samples(x), params).samples
         if delay:
@@ -239,39 +227,36 @@ class _Chain:
             self.offset += delay
         return out
 
-    def _fd_filter(self, x: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Per-symbol circular filtering with the FFT-ordered response
-        ``h``; the CP is rebuilt from the filtered tail so the stream stays
-        a valid CP-OFDM signal."""
+    def _fd_filter(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """Per-symbol circular filtering of ``x`` in place with the
+        FFT-ordered response ``h``; the CP is rebuilt from the filtered
+        tail so the stream stays a valid CP-OFDM signal."""
         cp = self.cp_samples
         frame = self.n_fft + cp
         n_sym = (x.size - self.offset) // frame
-        if out is not x:
-            np.copyto(out, x)
         if n_sym == 0:
-            return out
-        seg = out[self.offset:self.offset + n_sym * frame].reshape(n_sym, frame)
+            return x
+        seg = x[self.offset:self.offset + n_sym * frame].reshape(n_sym, frame)
         body = self.ws.get("fft_body", (n_sym, self.n_fft))
         np.fft.fft(seg[:, cp:], axis=1, out=body)
         body *= h
         np.fft.ifft(body, axis=1, out=seg[:, cp:])
         if cp:
             seg[:, :cp] = seg[:, -cp:]
-        return out
+        return x
 
     def amplifier(self, x: np.ndarray, params: comp.AmplifierParams,
                   rng: np.random.Generator) -> np.ndarray:
-        out = self.target(x)
         if self.linear_only:
-            return np.multiply(x, params.gain_linear, out=out)
+            return np.multiply(x, params.gain_linear, out=x)
         if self.noise is not None:
             rng = self.noise.source(rng)
-        return comp.amplifier_process(self.wf.with_samples(x), params, rng, out=out).samples
+        return comp.amplifier_process(self.wf.with_samples(x), params, rng, out=x).samples
 
     def dac(self, x: np.ndarray, params: comp.DacParams) -> np.ndarray:
         if self.linear_only or params.mode == "ideal":
             return x
-        return comp.dac_process(self.wf.with_samples(x), params, out=self.target(x)).samples
+        return comp.dac_process(self.wf.with_samples(x), params, out=x).samples
 
     def iq_mix(self, x: np.ndarray, params: comp.IqParams, osc: comp.Oscillator,
                downmix: bool = False) -> np.ndarray:
@@ -280,8 +265,7 @@ class _Chain:
         phases = osc.phases(x.size)
         if downmix:
             phases = -phases
-        return comp.iq_modem_process(self.wf.with_samples(x), params, phases,
-                                     out=self.target(x)).samples
+        return comp.iq_modem_process(self.wf.with_samples(x), params, phases, out=x).samples
 
 
 class _Drawn:
@@ -458,7 +442,6 @@ def _run_stages(chain: _Chain, stages, taps: list | None = None):
         else:  # calibration's meter, standing in for a booster
             params()
             out = x
-        chain.owned = chain.owned or out is not x
         chain.wf = chain.wf.with_samples(out)
         if taps is not None:
             taps.append((label, x_in, out.copy()))
@@ -494,26 +477,33 @@ def _check_rate(top: StripeTopology, x: TimeWaveform):
                            f"grid at {top.grid.sample_rate} Hz")
 
 
+def _copy_into(ws: _Workspace, name: str, wf: TimeWaveform) -> TimeWaveform:
+    """``wf`` on a copy of its samples in the workspace array ``name``."""
+    x = ws.get(name, wf.samples.shape)
+    np.copyto(x, wf.samples)
+    return wf.with_samples(x)
+
+
 def _start_walk(top: StripeTopology, inputs, active_ru: int, beam_phases,
                 seed: int, direction: str, noise: _NoiseAhead | None,
                 linear_only: bool = False):
     """Check a walk's arguments; return its phases, chain and noise
     stream: ``noise`` itself, or one planned from the walk's own stages.
     ``inputs`` are the waveforms the walk has in hand; its chain starts
-    from the first."""
+    on a copy of the first in the workspace's trunk."""
     if not 0 <= active_ru < top.n_rus:
         raise ConfigError(f"active_ru {active_ru} out of range [0, {top.n_rus})")
     for x in inputs:
         _check_rate(top, x)
-    wf = inputs[0]
     beam_phases = np.asarray(beam_phases, dtype=np.float64)
     if beam_phases.size != top.n_antennas:
         raise LengthError("one beam phase per antenna branch required")
-    chain = _Chain(wf=wf, cp_samples=top.wf.cp_length * top.grid.oversampling,
+    chain = _Chain(wf=inputs[0], cp_samples=top.wf.cp_length * top.grid.oversampling,
                    n_fft=top.grid.n_fft, linear_only=linear_only)
+    chain.wf = _copy_into(chain.ws, "trunk", chain.wf)
     if noise is not None:
         return beam_phases, chain, nullcontext(noise)
-    stream, draws = _plan_noise(top, active_ru, seed, direction, wf.samples.size)
+    stream, draws = _plan_noise(top, active_ru, seed, direction, chain.wf.samples.size)
     return beam_phases, chain, _NoiseAhead([] if linear_only else draws, stream)
 
 
@@ -538,7 +528,7 @@ def propagate_downlink(top: StripeTopology, wf_in: TimeWaveform, active_ru: int,
     """
     beam_phases, chain, noise = _start_walk(top, [wf_in], active_ru, beam_phases, seed,
                                             "dl", noise, linear_only)
-    del wf_in  # the chain holds it until the first stage that writes
+    del wf_in  # the chain holds its copy
     taps = [] if record_taps else None
     with noise as chain.noise:
         stages = _walk_stages(top, active_ru, chain.noise.streams, "dl")
@@ -551,7 +541,7 @@ def propagate_downlink(top: StripeTopology, wf_in: TimeWaveform, active_ru: int,
             # split, rotate and amplify the branch in one workspace array
             x = np.multiply(trunk, scale, out=chain.ws.get("branch", trunk.shape))
             comp.rotate(x, theta, out=x)
-            sub = replace(chain, wf=chain.wf.with_samples(x), owned=True)
+            sub = replace(chain, wf=chain.wf.with_samples(x))
             _run_stages(sub, [stage], taps)
             out.append(consume(b, sub.wf, chain.offset))
     return out, tuple(taps or ()), chain.offset
@@ -576,13 +566,13 @@ def propagate_uplink(top: StripeTopology, branch_waveforms, active_ru: int,
         raise LengthError("one phase per branch required")
     beam_phases, chain, noise = _start_walk(
         top, in_hand or [first], active_ru, beam_phases, seed, "ul", noise)
-    del in_hand, first  # the chain holds the first branch until its stage
+    del in_hand, first  # the chain holds its copy of the first branch
     taps = [] if record_taps else None
     with noise as chain.noise:
         stages = _walk_stages(top, active_ru, chain.noise.streams, "ul")
         for b, (stage, theta) in enumerate(zip(stages, beam_phases)):
-            # amplify, rotate and sum the branches: the first in the chain's
-            # trunk buffer, where the sum builds up, each later one in another
+            # amplify, rotate and sum the branches: the first in the trunk,
+            # where the sum builds up, each later one copied into the branch
             if b == 0:
                 sub = chain
             else:
@@ -590,24 +580,16 @@ def propagate_uplink(top: StripeTopology, branch_waveforms, active_ru: int,
                 if branch is None:
                     raise LengthError("one phase per branch required")
                 _check_rate(top, branch)
-                sub = replace(chain, wf=branch, buffer="branch", owned=False)
-                del branch  # only ``sub`` holds it, until its stage returns
+                sub = replace(chain, wf=_copy_into(chain.ws, "branch", branch))
+                del branch  # the walk works on its copy
             _run_stages(sub, [stage], taps)
-            # the amplifier wrote an array of the walk's own
             y = comp.rotate(sub.wf.samples, theta, out=sub.wf.samples)
-            if b == 0:
-                total = y
-            else:
-                total += y
+            if b:
+                np.add(chain.wf.samples, y, out=chain.wf.samples)
         if next(branches, None) is not None:
             raise LengthError("one phase per branch required")
-        chain.wf = chain.wf.with_samples(total)
-        chain.owned = True
-        *shared, last = stages[top.n_antennas:]
-        _run_stages(chain, shared, taps)
-        chain.owned, chain.buffer = False, None  # the output leaves the walk
-        _run_stages(chain, [last], taps)
-    return chain.wf, tuple(taps or ()), chain.offset
+        _run_stages(chain, stages[top.n_antennas:], taps)
+    return chain.wf.with_samples(chain.wf.samples.copy()), tuple(taps or ()), chain.offset
 
 
 # ---------------------------------------------------------------------------
@@ -653,12 +635,13 @@ def calibrate_gains(top: StripeTopology, target_power_dbm: float,
     gains, clipped, p_out = [], [], []
 
     # a workspace of its own: the reference is shorter than a link's
-    # waveform, and the thread's workspace keeps the link's shapes
+    # waveform, and the thread's workspace keeps the link's shapes; the
+    # reference is the walk's own, so every stage writes over it
     with _own_workspace():
         chain = _Chain(wf=TimeWaveform(synthesize_symbols(symbols, grid, wf.cp_length),
                                        sample_rate=grid.sample_rate),
                        cp_samples=wf.cp_length * grid.oversampling,
-                       n_fft=grid.n_fft, owned=True)
+                       n_fft=grid.n_fft)
 
         def _passband_power() -> float:
             # mean power over the last symbol's bins: past the delays, any
@@ -867,7 +850,7 @@ def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank
                                 grid, wf_cfg.cp_length, s, out=branch_grids[:, b, :])
 
             # the walk alone holds the transmit waveform, and drops it once
-            # the CU DAC has read it
+            # it has copied it into the trunk
             _, taps, offset = propagate_downlink(
                 topology, _transmit_waveform(tx_grid, grid, wf_cfg), active_ru,
                 beam_phases, seed, record_taps, noise=noise, consume=to_grid)

@@ -89,9 +89,6 @@ ENV_YAML = textwrap.dedent("""\
     sub_thz: {fc: 157.75e9, bw: 3.0e9, num_subcarriers: 256}
     antenna: {N_antennas: 1, polarization: single, pattern: isotropic}
     central_unit_fiber_length: 2.0
-    sub10GHz:
-      fc: 3.5e9
-      ap_positions: [[1.0, 1.0, 2.9]]
 """)
 
 LAST_RU = "    - {kind: radio_unit, position: [1.6, 3.0, 2.8]}\n"

@@ -25,6 +25,11 @@ from stripesim.errors import (ConfigError, GeometryError, InterSymbolInterferenc
 from conftest import COMP_YAML, ENV_YAML, TWO_STRIPES, WF_YAML, flat_s2p
 
 
+# a sub-10 GHz access-point block, as shared configs give it: no block of
+# the simulator reads it, so it loads as an unknown key
+SUB10_YAML = "sub10GHz:\n  fc: 3.5e9\n  ap_positions: [[1.0, 1.0, 2.9]]\n"
+
+
 def _write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
@@ -36,7 +41,8 @@ def _write(tmp_path, name, text):
 # ---------------------------------------------------------------------------
 
 def test_load_environment_paper_grid(tmp_path):
-    env = load_environment(_write(tmp_path, "env.yaml", ENV_YAML))
+    with pytest.warns(UnknownKeyWarning, match=r"ignoring unknown keys \['sub10GHz'\]$"):
+        env = load_environment(_write(tmp_path, "env.yaml", ENV_YAML + SUB10_YAML))
     assert env.room == (10.0, 6.0, 3.0)
     assert env.n_stripes == 1
     assert len(env.radio_stripes[0]) == 4  # CU + 3 RUs
@@ -45,7 +51,8 @@ def test_load_environment_paper_grid(tmp_path):
     assert env.sub_thz.num_subcarriers == 256
     assert env.central_unit_fiber_length == 2.0
     assert env.stripe_config.n_rus == 3  # paper-style N_RUs key accepted
-    assert env.sub10ghz  # parsed, retained, never used
+    # retained as an unknown key, never used
+    assert env.extras == {"sub10GHz": {"fc": "3.5e9", "ap_positions": [[1.0, 1.0, 2.9]]}}
 
 
 def test_environment_paper_dimension_example(tmp_path):
@@ -168,15 +175,22 @@ def test_coupler_group_velocity_is_an_unknown_key(tmp_path):
 
 
 def test_sub10ghz_never_influences_simulation(tmp_path):
-    """Two configs differing only in the sub-10 GHz block run identically."""
+    """Two configs differing only in the sub-10 GHz block, an unknown key
+    each warns about and keeps in ``extras``, run identically."""
     import numpy as np
     from stripesim.stripe import run_link
     from stripesim.config import WaveformConfig, ComponentBank
 
-    env_a = load_environment(_write(tmp_path, "a.yaml", ENV_YAML))
-    doc_b = ENV_YAML.replace("fc: 3.5e9", "fc: 6.0e9")
-    env_b = load_environment(_write(tmp_path, "b.yaml", doc_b))
-    assert env_a.sub10ghz != env_b.sub10ghz
+    doc_a = ENV_YAML + SUB10_YAML
+    doc_b = doc_a.replace("fc: 3.5e9", "fc: 6.0e9")
+    envs = []
+    for name, doc in (("a.yaml", doc_a), ("b.yaml", doc_b)):
+        with pytest.warns(UnknownKeyWarning, match=r"\['sub10GHz'\]$"):
+            envs.append(load_environment(_write(tmp_path, name, doc)))
+    env_a, env_b = envs
+    assert env_a.extras["sub10GHz"]["fc"] == "3.5e9"  # YAML 1.1 reads a string
+    assert env_b.extras["sub10GHz"]["fc"] == "6.0e9"
+    assert replace(env_a, extras={}) == replace(env_b, extras={})
     wf = WaveformConfig(n_ofdm_symbols=2, qam_order=4, oversampling_factor=1,
                         cp_length=8, pilot_spacing=8, pilot_mode="scattered")
     ra = run_link(env_a, wf, ComponentBank(), "los", 0, 0, 1, seed=4)
@@ -390,7 +404,7 @@ def test_environment_round_trip(tmp_path):
     env = load_environment(_write(tmp_path, "env.yaml", ENV_YAML))
     dumped = yaml.safe_dump(environment_to_dict(env))
     env2 = load_environment(_write(tmp_path, "env2.yaml", dumped))
-    # sub10ghz is opaque; everything interpreted must round-trip exactly
+    # everything interpreted must round-trip exactly
     assert env2.room == env.room
     assert env2.radio_stripes == env.radio_stripes
     assert env2.ue_positions == env.ue_positions

@@ -19,7 +19,7 @@ from stripesim.config import (AntennaConfig, ComponentBank,
                               load_components, load_environment, load_waveform)
 from stripesim.dataset import generate_synthetic, read_dataset, write_dataset
 from stripesim.errors import (CalibrationInfeasible, ConfigError, GridMismatch,
-                              LengthError)
+                              LengthError, TruncationWarning)
 from stripesim.stripe import (build_stripe, calibrate_gains, make_grid,
                               propagate_downlink, propagate_uplink, run_link)
 from stripesim.touchstone import parse_touchstone
@@ -93,6 +93,23 @@ def test_build_stripe_segments():
     assert delays["time"] == (round(2.0 / 2e8 * fs), round(0.5 / 2e8 * fs),
                               round(0.5 / 2e8 * fs)) == (60, 15, 15)
     assert delays["frequency"] == (0, 0, 0)
+
+
+@pytest.mark.parametrize("block", ["fiber", "coupler"])
+def test_truncation_warning_names_the_key_and_the_taps_needed(block):
+    """The example's fiber response, convolved in the time domain on 256 of
+    its 8192 taps: the warning names the block's taps key and how many
+    taps keep 0.99 of the energy."""
+    env = load_environment(EXAMPLES / "environment.yaml")
+    wf = load_waveform(EXAMPLES / "waveform.yaml")
+    bank = load_components(EXAMPLES / "components.yaml")
+    element = dataclasses.replace(bank.fiber, domain="time")
+    bank = dataclasses.replace(bank, **{block: element})
+    with pytest.warns(TruncationWarning, match=f"{block}.taps") as record:
+        build_stripe(env, bank, 0, make_grid(env, wf), wf)
+    assert [str(w.message) for w in record] == [
+        f"{block}.taps: 256 taps keep only 0.9809 of the response energy; "
+        "0.99 needs 8190 of 8192"]
 
 
 def test_build_stripe_bad_id():
@@ -182,7 +199,7 @@ def _two_symbol_calibration(top, target_power_dbm, max_gain_db, seed):
         chain = stripe._Chain(wf=TimeWaveform(synthesize_symbols(symbols, grid, wf.cp_length),
                                               sample_rate=grid.sample_rate),
                               cp_samples=wf.cp_length * grid.oversampling,
-                              n_fft=grid.n_fft, owned=True)
+                              n_fft=grid.n_fft)
 
         def power() -> float:
             bins = extract_symbols(chain.wf.samples[chain.offset:], grid, wf.cp_length, 2)
@@ -717,12 +734,17 @@ def _link_bytes(res) -> list:
     return [np.asarray(a).tobytes() for a in arrays]
 
 
-@pytest.mark.parametrize("record_taps", [False, True])
-@pytest.mark.parametrize("direction", ["dl", "ul"])
-def test_walks_leave_their_inputs_unchanged(direction, record_taps):
+@pytest.mark.parametrize("direction, record_taps, make_bank", [
+    pytest.param(direction, record_taps, bank, id=f"{direction}-{record_taps}{suffix}")
+    for suffix, bank in (("", _workspace_bank), ("-time_domain", _noisy_time_domain_bank))
+    for direction in ("dl", "ul") for record_taps in (False, True)])
+def test_walks_leave_their_inputs_unchanged(direction, record_taps, make_bank):
+    """Neither the waveforms a walk is given nor the ones it returned
+    change, also where a delaying, convolving fiber makes fresh arrays
+    mid-walk."""
     env = _env(n_rus=4, n_antennas=2, q=128)
     wf = _wf(n_ofdm_symbols=2, cp_length=8)
-    top = build_stripe(env, _workspace_bank(env, wf), 0, make_grid(env, wf), wf)
+    top = build_stripe(env, make_bank(env, wf), 0, make_grid(env, wf), wf)
     rng = np.random.default_rng(5)
     n = 2 * (top.grid.n_fft + 8 * top.grid.oversampling)
     inputs = [TimeWaveform(0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)),
