@@ -6,10 +6,11 @@ noise ``w`` sized from the noise figure and bandwidth, and ``f_nl`` a
 memoryless nonlinearity chosen per mode. Linear elements (fiber, coupler)
 apply either per-subcarrier in the frequency domain or by convolution in
 the time domain. Stateful pieces (oscillator phase) live in small classes;
-everything else is a function of its inputs. The waveform stages write
-their result into a fresh array or into the ``out`` array they are given,
-which may be their own input: that is how a stripe walk reuses buffers.
-Without ``out`` no input is ever changed.
+everything else is a function of its inputs, complex sample arrays in
+and out. The waveform stages write their result into a fresh array or
+into the ``out`` array they are given, which may be their own input: that
+is how a stripe walk reuses buffers. Without ``out`` no input is ever
+changed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 
 from .errors import DomainError, GridMismatch, LengthError, UnsupportedMode
 from .touchstone import FrequencyResponse, ImpulseResponse
-from .waveform import TimeWaveform
 
 BOLTZMANN = 1.380649e-23  # J/K
 
@@ -240,33 +240,31 @@ def _tanh_in_place(x: np.ndarray, sat_amplitude: float, r: np.ndarray,
     x *= r
 
 
-def amplifier_process(x: TimeWaveform, params: AmplifierParams,
-                      rng: np.random.Generator, *, out=None) -> TimeWaveform:
+def amplifier_process(x: np.ndarray, params: AmplifierParams,
+                      rng: np.random.Generator, *, out=None) -> np.ndarray:
     """y = G * f_nl(x + w); w is circularly-symmetric Gaussian with total
     power from `noise_power`, injected before the nonlinearity.
 
     ``rng`` needs only a ``standard_normal(size)`` method, so the stripe
     walk can hand in noise drawn ahead of time. The result is written into
-    ``out`` (which may be ``x.samples`` itself) or, by default, into a
-    fresh array; ``x`` is never changed unless it is ``out``.
+    ``out`` (which may be ``x`` itself) or, by default, into a fresh
+    array; ``x`` is never changed unless it is ``out``.
     """
     if out is None:
-        out = np.empty(x.samples.shape, dtype=np.complex128)
+        out = np.empty(x.shape, dtype=np.complex128)
     pn = noise_power(params.nf_db, params.bandwidth, params.temperature)
     if pn == 0.0:
         # a noiseless input may hold negative zeros: keep the division
-        np.multiply(params.gain_linear,
-                    pa_nonlinearity(x.samples, params.mode, params), out=out)
-        return x.with_samples(out)
-    z = _noise_into(x.samples, np.sqrt(pn / 2.0), rng, out)
-    if params.mode in ("ideal", "tanh"):
-        if params.mode == "tanh":
-            _tanh_in_place(out, params.sat_amplitude, z[0], z[1])
-        out *= params.gain_linear
-    else:
-        np.multiply(params.gain_linear,
-                    pa_nonlinearity(out, params.mode, params), out=out)
-    return x.with_samples(out)
+        return np.multiply(params.gain_linear,
+                           pa_nonlinearity(x, params.mode, params), out=out)
+    z = _noise_into(x, np.sqrt(pn / 2.0), rng, out)
+    if params.mode not in ("ideal", "tanh"):
+        return np.multiply(params.gain_linear,
+                           pa_nonlinearity(out, params.mode, params), out=out)
+    if params.mode == "tanh":
+        _tanh_in_place(out, params.sat_amplitude, z[0], z[1])
+    out *= params.gain_linear
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -283,19 +281,19 @@ def _quantize_rail(v: np.ndarray, clip: float, bits: int, out: np.ndarray):
     out *= delta
 
 
-def dac_process(x: TimeWaveform, params: DacParams, *, out=None) -> TimeWaveform:
+def dac_process(x: np.ndarray, params: DacParams, *, out=None) -> np.ndarray:
     """Per-rail clip to [-clip, +clip] and mid-rise uniform quantization,
-    written into ``out`` (which may be ``x.samples`` itself) or, by
-    default, a fresh array. The ideal DAC returns ``x`` unchanged."""
+    written into ``out`` (which may be ``x`` itself) or, by default, a
+    fresh array. The ideal DAC returns ``x`` unchanged."""
     if params.mode == "ideal":
         return x
     if out is None:
-        out = np.empty(x.samples.shape, dtype=np.complex128)
+        out = np.empty(x.shape, dtype=np.complex128)
     # a quantized level is never zero, so on inputs free of NaNs writing
     # the rails equals the complex sum re + 1j*im bit for bit
-    _quantize_rail(x.samples.real, params.clip_amplitude, params.bits, out.real)
-    _quantize_rail(x.samples.imag, params.clip_amplitude, params.bits, out.imag)
-    return x.with_samples(out)
+    _quantize_rail(x.real, params.clip_amplitude, params.bits, out.real)
+    _quantize_rail(x.imag, params.clip_amplitude, params.bits, out.imag)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +306,16 @@ class Oscillator:
     Successive `phases` calls continue the trajectory (sample counter for
     CFO, previous phase for the AR/Wiener recursions), so phase is
     continuous between OFDM symbols. One instance per simulation run.
+    The random modes require ``rng``: the caller's stream sets the track.
     """
 
     def __init__(self, params: OscillatorParams, sample_rate: float,
                  rng: np.random.Generator | None = None):
+        if rng is None and params.mode in ("wiener", "ar1"):
+            raise DomainError(f"a {params.mode} oscillator needs a random generator")
         self.params = params
         self.sample_rate = sample_rate
-        self.rng = rng if rng is not None else np.random.default_rng()
+        self.rng = rng
         self._n0 = 0
         self._phi_prev = params.initial_phase
 
@@ -353,47 +354,45 @@ def oscillator_phasor(n: int, params: OscillatorParams, sample_rate: float,
 # IQ modem
 # ---------------------------------------------------------------------------
 
-def iq_modem_process(x: TimeWaveform, params: IqParams,
-                     phases: np.ndarray, *, out=None) -> TimeWaveform:
+def iq_modem_process(x: np.ndarray, params: IqParams,
+                     phases: np.ndarray, *, out=None) -> np.ndarray:
     """y = (alpha*x + beta*conj(x)) * e^{j*phi} + dc, written into ``out``
-    (which may be ``x.samples`` itself) or, by default, a fresh array.
+    (which may be ``x`` itself) or, by default, a fresh array.
 
     alpha = (1 + g e^{j phi_mis})/2 and beta = (1 - g e^{j phi_mis})/2, so
     ideal parameters are the exact identity.
     """
     phases = np.asarray(phases, dtype=np.float64)
-    if phases.size != x.samples.size:
+    if phases.size != x.size:
         raise LengthError("phasor length must equal the waveform length")
     a, b = params.alpha, params.beta
-    image = b * np.conj(x.samples) if b != 0 else None  # before out overwrites x
-    mixed = np.multiply(a, x.samples, out=out)
+    image = b * np.conj(x) if b != 0 else None  # before out overwrites x
+    mixed = np.multiply(a, x, out=out)
     if image is not None:
         mixed += image
     if np.any(phases):
         mixed *= np.exp(1j * phases)
     if params.dc_offset != 0:
         mixed += params.dc_offset
-    return x.with_samples(mixed)
+    return mixed
 
 
 # ---------------------------------------------------------------------------
 # Linear elements (fiber / coupler)
 # ---------------------------------------------------------------------------
 
-def linear_element_process(x, params: LinearElementParams):
-    """Apply a fiber/coupler to per-subcarrier data or a time waveform.
+def linear_element_process(x: np.ndarray, params: LinearElementParams) -> np.ndarray:
+    """Apply a fiber/coupler to per-subcarrier data or time samples.
 
     Frequency domain expects an array whose first axis matches the
     element's prepared response (Hadamard product per OFDM symbol); time
-    domain expects a `TimeWaveform` (linear convolution, truncated to the
-    input's length). A fiber segment's propagation delay is not applied
-    here: the stripe fixes it per segment and the walk prepends it.
+    domain, 1-D samples (linear convolution, cut to the input's length).
+    A fiber segment's propagation delay is not applied here: the stripe
+    fixes it per segment and the walk prepends it.
     """
     if params.model == "ideal":
         return x
     if params.model == "fixed_damping":
-        if isinstance(x, TimeWaveform):
-            return x.with_samples(x.samples * params.amplitude)
         return np.asarray(x) * params.amplitude
     # s2p_filter
     if params.domain == "frequency":
@@ -402,33 +401,28 @@ def linear_element_process(x, params: LinearElementParams):
         if data.shape[0] != h.size:
             raise GridMismatch(f"data has {data.shape[0]} subcarriers, response {h.size}")
         return data * h.reshape((-1,) + (1,) * (data.ndim - 1))
-    if not isinstance(x, TimeWaveform):
-        raise GridMismatch("time-domain application expects a TimeWaveform")
-    taps = params.impulse.h
-    return x.with_samples(np.convolve(x.samples, taps)[:x.samples.size])
+    return np.convolve(x, params.impulse.h)[:len(x)]
 
 
 # ---------------------------------------------------------------------------
 # Splitter / combiner / phase shifter
 # ---------------------------------------------------------------------------
 
-def split(x: TimeWaveform, n: int) -> list[TimeWaveform]:
+def split(x: np.ndarray, n: int) -> list[np.ndarray]:
     """n branches, each attenuated by 1/sqrt(n) (power conserving)."""
     if n < 1:
         raise DomainError("branch count must be >= 1")
     scale = 1.0 / np.sqrt(n)
-    return [x.with_samples(x.samples * scale) for _ in range(n)]
+    return [x * scale for _ in range(n)]
 
 
-def combine(branches: list[TimeWaveform]) -> TimeWaveform:
+def combine(branches: list[np.ndarray]) -> np.ndarray:
     """Coherent elementwise sum of equally long branches."""
     if not branches:
         raise LengthError("need at least one branch")
-    length = branches[0].samples.size
-    if any(b.samples.size != length for b in branches):
+    if any(b.size != branches[0].size for b in branches):
         raise LengthError("branches must share the same length")
-    total = np.sum([b.samples for b in branches], axis=0)
-    return branches[0].with_samples(total)
+    return np.sum(branches, axis=0)
 
 
 def rotate(samples: np.ndarray, theta: float, *, out=None) -> np.ndarray:

@@ -13,8 +13,7 @@ default lives only in its record, and the manifest snapshot writes the
 same keys back. Unknown keys at the environment's top level are warned
 about and retained (``extras``), so configs carrying ray-tracer-only
 metadata load cleanly; unknown keys anywhere else are warned about and
-dropped. The sub-10 GHz block is parsed but never influences the
-simulation.
+dropped.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from .components import (AMPLIFIER_MODES, LINEAR_MODELS, AmplifierParams,
 from .errors import (AntennaCountMismatch, ConfigError, GeometryError,
                      InterSymbolInterferenceRisk, ParseError, SchemaError,
                      UnknownKeyWarning, UnsupportedModel, UnsupportedMode)
-from .touchstone import TwoPortNetwork, read_touchstone
+from .touchstone import MAX_DB, TwoPortNetwork, read_touchstone
 from .waveform import _is_power_of_two
 
 QAM_ORDERS = (4, 16, 64, 256)
@@ -143,13 +142,11 @@ def _within(low: float, high: float = np.inf, *, strict: bool = False, parse=_as
     return check
 
 
-# A gain, loss, noise figure or power beyond this many dB (or dBm) is no
-# hardware value, and 10 ** (x / 10) of one far beyond it overflows.
-MAX_DB = 300.0
+# A dB value, and an amplitude's power, is held to `touchstone.MAX_DB`. No
+# frequency lies beyond a petahertz (ultraviolet light), nor a temperature
+# beyond 1e6 K: the noise powers and phases made from one far beyond them
+# overflow.
 _DECIBELS = _within(-MAX_DB, MAX_DB)
-# Nor is an amplitude whose power exceeds MAX_DB dB, a frequency beyond a
-# petahertz (ultraviolet light) or a temperature beyond 1e6 K; the noise
-# powers and phases made from one far beyond them overflow.
 MAX_HZ = 1e15
 _AMPLITUDE = _within(0.0, 10.0 ** (MAX_DB / 20.0), strict=True)
 _HERTZ = _within(0.0, MAX_HZ, strict=True)

@@ -28,14 +28,16 @@ import numpy as np
 
 from .channel import (ChannelRealization, SPEED_OF_LIGHT, TdlParams, model_channel,
                       ula_positions)
-from .config import EnvironmentConfig
-from .errors import ChecksumError, FormatError, IoError, UnsupportedModel
+from .config import _HERTZ, EnvironmentConfig, _as_count, _as_float, _as_int, _within
+from .errors import ChecksumError, FormatError, IoError, SchemaError, UnsupportedModel
 from .waveform import SubcarrierGrid
 
 MAGIC = b"CFR1"
 _HEADER = struct.Struct("<5I2d")  # n_stripes, n_rus, n_rx, n_tx, Q, fc, bw
 HEADER_BYTES = len(MAGIC) + _HEADER.size
 _MAX_ELEMENTS = 1 << 34  # refuse absurd dimension products early
+_COUNTS = ("n_stripes", "n_rus", "n_rx", "n_tx", "num_subcarriers")
+_UE_ID = _within(0, parse=_as_int)
 
 
 @dataclass(frozen=True)
@@ -114,12 +116,13 @@ def _ue_to_json(ue: UeMetadata) -> dict:
     return out
 
 
-def _ue_from_json(raw: dict) -> UeMetadata:
+def _ue_from_json(raw: dict, path: str) -> UeMetadata:
     grid_index = None
     if "grid_i" in raw and "grid_j" in raw:
         grid_index = (int(raw["grid_i"]), int(raw["grid_j"]))
-    return UeMetadata(ue_id=int(raw["id"]),
-                      position=(float(raw["x"]), float(raw["y"]), float(raw["z"])),
+    return UeMetadata(ue_id=_UE_ID(raw["id"], f"{path}.id"),
+                      position=tuple(_as_float(raw[axis], f"{path}.{axis}")
+                                     for axis in "xyz"),
                       grid_index=grid_index)
 
 
@@ -178,9 +181,10 @@ class CfrDatasetReader:
         manifest_path = self._dir / "manifest.json"
         if not manifest_path.is_file():
             raise IoError(f"no manifest.json in {self._dir}")
-        # malformed JSON, missing keys and wrong value types surface as
-        # these four; each means the dataset's files are damaged
-        malformed = (AttributeError, KeyError, TypeError, ValueError)
+        # malformed JSON, missing keys, wrong value types and values out of
+        # their domain surface as these five; each means the dataset's files
+        # are damaged
+        malformed = (AttributeError, KeyError, TypeError, ValueError, SchemaError)
         try:
             manifest = json.loads(manifest_path.read_text())
             self._crcs = {name: int(entry["crc32"])
@@ -192,15 +196,15 @@ class CfrDatasetReader:
             meta = json.loads(meta_blob.decode())
             raw_h = meta["header"]
             self.header = DatasetHeader(
-                n_stripes=int(raw_h["n_stripes"]), n_rus=int(raw_h["n_rus"]),
-                n_rx=int(raw_h["n_rx"]), n_tx=int(raw_h["n_tx"]),
-                num_subcarriers=int(raw_h["num_subcarriers"]),
-                fc=float(raw_h["fc"]), bw=float(raw_h["bw"]))
-            self.ues = tuple(_ue_from_json(u) for u in meta["ues"])
+                **{key: _as_count(raw_h[key], f"header.{key}") for key in _COUNTS},
+                fc=_HERTZ(raw_h["fc"], "header.fc"), bw=_HERTZ(raw_h["bw"], "header.bw"))
+            self.ues = tuple(_ue_from_json(u, f"ues[{i}]") for i, u in enumerate(meta["ues"]))
         except malformed as exc:
             raise FormatError(f"{self._dir / 'metadata.json'}: malformed metadata "
                               f"({exc!r})") from None
         self._by_id = {ue.ue_id: ue for ue in self.ues}
+        if len(self._by_id) != len(self.ues):
+            raise FormatError(f"{self._dir / 'metadata.json'}: ue_id values must be unique")
 
     def _read_checked(self, name: str) -> bytes:
         path = self._dir / name

@@ -34,6 +34,7 @@ class TouchstoneError(ConfigError):
     NON_MONOTONIC_FREQUENCY = "NonMonotonicFrequency"
     UNKNOWN_FORMAT = "UnknownFormat"
     NON_FINITE_VALUE = "NonFiniteValue"
+    MAGNITUDE_TOO_LARGE = "MagnitudeTooLarge"
     FILE_NOT_FOUND = "FileNotFound"
 
     def __init__(self, kind: str, message: str):

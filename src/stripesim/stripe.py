@@ -19,10 +19,12 @@ output bit. The same keying is why a link may make all its Gaussian
 draws ahead of the stages that add them, on one helper thread: a draw
 depends on its stream and its shape, never on the signal.
 
-Buffers. One rule: a walk copies each waveform it is given once, and
-every stage then writes its output over its input. The walk's input goes
-into the calling thread's workspace (`waveform._thread_workspace`) as the
-trunk, each later uplink branch as the branch; a workspace keeps one
+Buffers. One rule: a walk copies each waveform it is given once, into a
+bare sample array, and every stage then writes its output over its
+input. A `TimeWaveform` is met only at the walk's public edges, where
+`_check_rate` holds each input to the stripe grid. The walk's input goes
+into the calling thread's workspace (`waveform._thread_workspace`) as
+the trunk, each later uplink branch as the branch; a workspace keeps one
 array per name, for the last shape asked for, and the next walk on the
 thread overwrites it. A delay or a time-domain convolution makes a fresh
 array, which is the walk's as well. Whatever leaves a walk is a copy:
@@ -197,15 +199,15 @@ def build_stripe(env: EnvironmentConfig, bank: ComponentBank, stripe_id: int,
 
 @dataclass
 class _Chain:
-    """Mutable propagation state: waveform, accumulated delay, noise.
+    """Mutable propagation state: samples, accumulated delay, noise.
 
-    A stage method writes its output over its input array, which is the
-    walk's own (see Buffers above), and returns it; an element that delays
-    or convolves returns a fresh array. `_run_stages` puts each output in
-    the chain.
+    ``x`` is the walk's sample array at the current stage. A stage method
+    writes its output over its input array, which is the walk's own (see
+    Buffers above), and returns it; an element that delays or convolves
+    returns a fresh array. `_run_stages` stores each output as ``x``.
     """
 
-    wf: TimeWaveform
+    x: np.ndarray
     cp_samples: int
     n_fft: int
     offset: int = 0  # samples the walk's elements prepended
@@ -221,7 +223,7 @@ class _Chain:
         elif params.model == "s2p_filter" and params.domain == "frequency":
             out = self._fd_filter(x, params.fft_response)
         else:
-            out = comp.linear_element_process(self.wf.with_samples(x), params).samples
+            out = comp.linear_element_process(x, params)
         if delay:
             out = np.concatenate([np.zeros(delay, dtype=np.complex128), out])
             self.offset += delay
@@ -251,12 +253,12 @@ class _Chain:
             return np.multiply(x, params.gain_linear, out=x)
         if self.noise is not None:
             rng = self.noise.source(rng)
-        return comp.amplifier_process(self.wf.with_samples(x), params, rng, out=x).samples
+        return comp.amplifier_process(x, params, rng, out=x)
 
     def dac(self, x: np.ndarray, params: comp.DacParams) -> np.ndarray:
         if self.linear_only or params.mode == "ideal":
             return x
-        return comp.dac_process(self.wf.with_samples(x), params, out=x).samples
+        return comp.dac_process(x, params, out=x)
 
     def iq_mix(self, x: np.ndarray, params: comp.IqParams, osc: comp.Oscillator,
                downmix: bool = False) -> np.ndarray:
@@ -265,7 +267,7 @@ class _Chain:
         phases = osc.phases(x.size)
         if downmix:
             phases = -phases
-        return comp.iq_modem_process(self.wf.with_samples(x), params, phases, out=x).samples
+        return comp.iq_modem_process(x, params, phases, out=x)
 
 
 class _Drawn:
@@ -428,7 +430,7 @@ def _run_stages(chain: _Chain, stages, taps: list | None = None):
     input is the copy of the output before it."""
     x_in = None
     for label, params, arg in stages:
-        x = chain.wf.samples
+        x = chain.x
         if taps is not None and x_in is None:
             x_in = x.copy()
         if isinstance(params, comp.LinearElementParams):
@@ -442,7 +444,7 @@ def _run_stages(chain: _Chain, stages, taps: list | None = None):
         else:  # calibration's meter, standing in for a booster
             params()
             out = x
-        chain.wf = chain.wf.with_samples(out)
+        chain.x = out
         if taps is not None:
             taps.append((label, x_in, out.copy()))
             x_in = taps[-1][2]
@@ -477,11 +479,11 @@ def _check_rate(top: StripeTopology, x: TimeWaveform):
                            f"grid at {top.grid.sample_rate} Hz")
 
 
-def _copy_into(ws: _Workspace, name: str, wf: TimeWaveform) -> TimeWaveform:
-    """``wf`` on a copy of its samples in the workspace array ``name``."""
+def _copy_into(ws: _Workspace, name: str, wf: TimeWaveform) -> np.ndarray:
+    """A copy of ``wf``'s samples in the workspace array ``name``."""
     x = ws.get(name, wf.samples.shape)
     np.copyto(x, wf.samples)
-    return wf.with_samples(x)
+    return x
 
 
 def _start_walk(top: StripeTopology, inputs, active_ru: int, beam_phases,
@@ -498,52 +500,51 @@ def _start_walk(top: StripeTopology, inputs, active_ru: int, beam_phases,
     beam_phases = np.asarray(beam_phases, dtype=np.float64)
     if beam_phases.size != top.n_antennas:
         raise LengthError("one beam phase per antenna branch required")
-    chain = _Chain(wf=inputs[0], cp_samples=top.wf.cp_length * top.grid.oversampling,
+    chain = _Chain(x=_copy_into(_thread_workspace(), "trunk", inputs[0]),
+                   cp_samples=top.wf.cp_length * top.grid.oversampling,
                    n_fft=top.grid.n_fft, linear_only=linear_only)
-    chain.wf = _copy_into(chain.ws, "trunk", chain.wf)
     if noise is not None:
         return beam_phases, chain, nullcontext(noise)
-    stream, draws = _plan_noise(top, active_ru, seed, direction, chain.wf.samples.size)
+    stream, draws = _plan_noise(top, active_ru, seed, direction, chain.x.size)
     return beam_phases, chain, _NoiseAhead([] if linear_only else draws, stream)
-
-
-def _copy_branch(b: int, branch: TimeWaveform, offset: int) -> TimeWaveform:
-    return branch.with_samples(branch.samples.copy())
 
 
 def propagate_downlink(top: StripeTopology, wf_in: TimeWaveform, active_ru: int,
                        beam_phases, seed: int, record_taps: bool = False,
                        linear_only: bool = False, *, noise: _NoiseAhead | None = None,
-                       consume=_copy_branch):
+                       consume=None):
     """CU chain -> trunk -> active-RU front end; returns what ``consume``
     made of each antenna branch's air waveform, together with the tap
     list and the accumulated delay.
 
     The branches are made one at a time. ``consume(b, branch, offset)``
-    gets branch ``b`` as soon as its antenna amplifier returns, in an
-    array the next branch overwrites, and ``offset`` is the delay the walk
-    prepended; by default it returns a copy. ``noise`` is the running
+    gets the samples of branch ``b`` as soon as its antenna amplifier
+    returns, in an array the next branch overwrites, and ``offset`` is the
+    delay the walk prepended; by default it returns a copy as a
+    `TimeWaveform` at the grid rate. ``noise`` is the running
     noise stream of the link the walk belongs to (see `run_link`);
     without it the walk plans and draws its own.
     """
     beam_phases, chain, noise = _start_walk(top, [wf_in], active_ru, beam_phases, seed,
                                             "dl", noise, linear_only)
     del wf_in  # the chain holds its copy
+    if consume is None:  # a copy at the grid rate
+        consume = lambda b, branch, offset: TimeWaveform(branch.copy(), top.grid.sample_rate)
     taps = [] if record_taps else None
     with noise as chain.noise:
         stages = _walk_stages(top, active_ru, chain.noise.streams, "dl")
         n_shared = len(stages) - top.n_antennas
         _run_stages(chain, stages[:n_shared], taps)
-        trunk = chain.wf.samples
+        trunk = chain.x
         scale = 1.0 / np.sqrt(top.n_antennas)  # the factor of `comp.split`
         out = []
         for b, (stage, theta) in enumerate(zip(stages[n_shared:], beam_phases)):
             # split, rotate and amplify the branch in one workspace array
             x = np.multiply(trunk, scale, out=chain.ws.get("branch", trunk.shape))
             comp.rotate(x, theta, out=x)
-            sub = replace(chain, wf=chain.wf.with_samples(x))
+            sub = replace(chain, x=x)
             _run_stages(sub, [stage], taps)
-            out.append(consume(b, sub.wf, chain.offset))
+            out.append(consume(b, sub.x, chain.offset))
     return out, tuple(taps or ()), chain.offset
 
 
@@ -562,8 +563,10 @@ def propagate_uplink(top: StripeTopology, branch_waveforms, active_ru: int,
                else None)
     branches = iter(branch_waveforms)
     first = next(branches, None)
+    wrong_count = LengthError(f"the walk needs one waveform per antenna branch "
+                              f"(n_antennas = {top.n_antennas})")
     if first is None or (in_hand is not None and len(in_hand) != top.n_antennas):
-        raise LengthError("one phase per branch required")
+        raise wrong_count
     beam_phases, chain, noise = _start_walk(
         top, in_hand or [first], active_ru, beam_phases, seed, "ul", noise)
     del in_hand, first  # the chain holds its copy of the first branch
@@ -578,18 +581,18 @@ def propagate_uplink(top: StripeTopology, branch_waveforms, active_ru: int,
             else:
                 branch = next(branches, None)
                 if branch is None:
-                    raise LengthError("one phase per branch required")
+                    raise wrong_count
                 _check_rate(top, branch)
-                sub = replace(chain, wf=_copy_into(chain.ws, "branch", branch))
+                sub = replace(chain, x=_copy_into(chain.ws, "branch", branch))
                 del branch  # the walk works on its copy
             _run_stages(sub, [stage], taps)
-            y = comp.rotate(sub.wf.samples, theta, out=sub.wf.samples)
+            y = comp.rotate(sub.x, theta, out=sub.x)
             if b:
-                np.add(chain.wf.samples, y, out=chain.wf.samples)
+                np.add(chain.x, y, out=chain.x)
         if next(branches, None) is not None:
-            raise LengthError("one phase per branch required")
+            raise wrong_count
         _run_stages(chain, stages[top.n_antennas:], taps)
-    return chain.wf.with_samples(chain.wf.samples.copy()), tuple(taps or ()), chain.offset
+    return TimeWaveform(chain.x.copy(), top.grid.sample_rate), tuple(taps or ()), chain.offset
 
 
 # ---------------------------------------------------------------------------
@@ -638,19 +641,18 @@ def calibrate_gains(top: StripeTopology, target_power_dbm: float,
     # waveform, and the thread's workspace keeps the link's shapes; the
     # reference is the walk's own, so every stage writes over it
     with _own_workspace():
-        chain = _Chain(wf=TimeWaveform(synthesize_symbols(symbols, grid, wf.cp_length),
-                                       sample_rate=grid.sample_rate),
+        chain = _Chain(x=synthesize_symbols(symbols, grid, wf.cp_length),
                        cp_samples=wf.cp_length * grid.oversampling,
                        n_fft=grid.n_fft)
 
         def _passband_power() -> float:
             # mean power over the last symbol's bins: past the delays, any
             # filter transient and free of cyclic-prefix duplication bias
-            bins = extract_symbols(chain.wf.samples[chain.offset:], grid, wf.cp_length, n_sym)
+            bins = extract_symbols(chain.x[chain.offset:], grid, wf.cp_length, n_sym)
             return float(np.mean(np.abs(bins[:, -1]) ** 2))
 
         def scale(gain: float):
-            np.multiply(chain.wf.samples, np.sqrt(gain), out=chain.wf.samples)
+            np.multiply(chain.x, np.sqrt(gain), out=chain.x)
 
         # normalize so the measured passband power of the injected reference
         # is exactly the target (injection and measurement share one meter)
@@ -841,12 +843,12 @@ def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank
         if direction == "dl":
             branch_grids = None
 
-            def to_grid(b: int, branch: TimeWaveform, offset: int):
+            def to_grid(b: int, branch: np.ndarray, offset: int):
                 nonlocal branch_grids
                 if b == 0:  # the trunk has let the transmit waveform go
                     branch_grids = np.empty((grid.num_subcarriers, n_tx, s),
                                             dtype=np.complex128)
-                extract_symbols(branch.samples[offset:offset + n_samples],
+                extract_symbols(branch[offset:offset + n_samples],
                                 grid, wf_cfg.cp_length, s, out=branch_grids[:, b, :])
 
             # the walk alone holds the transmit waveform, and drops it once

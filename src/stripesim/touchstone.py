@@ -20,6 +20,10 @@ import numpy as np
 from .errors import EmptyNetwork, ExtrapolationWarning, TouchstoneError
 from .waveform import SubcarrierGrid
 
+# A gain, loss, noise figure, power (dBm) or S-parameter beyond this many dB
+# is no hardware value, and 10 ** (x / 10) of one far beyond it overflows.
+MAX_DB = 300.0
+
 _FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 _FORMATS = ("ri", "ma", "db")
 
@@ -129,8 +133,10 @@ def parse_touchstone(text: str) -> TwoPortNetwork:
     ------
     TouchstoneError
         With kind MissingOptionLine, BadRowArity, NonMonotonicFrequency,
-        UnknownFormat or NonFiniteValue (a frequency or S-parameter that is
-        not finite once scaled and converted, as a DB entry of 1e308 is).
+        UnknownFormat, NonFiniteValue (a frequency or S-parameter that is
+        not finite once scaled and converted, as a DB entry of 1e308 is) or
+        MagnitudeTooLarge (an S-parameter above `MAX_DB` dB, as an RI
+        entry of 1e308 is).
     """
     option = None
     rows: list[list[float]] = []
@@ -176,6 +182,12 @@ def parse_touchstone(text: str) -> TwoPortNetwork:
         raise TouchstoneError(TouchstoneError.NON_FINITE_VALUE,
                               f"data row {int(np.argmax(bad)) + 1} holds a non-finite "
                               f"frequency or S-parameter")
+    with np.errstate(over="ignore"):  # |1e308 + 1e308j| is inf, and too large
+        large = np.any(np.abs(params) > 10.0 ** (MAX_DB / 20.0), axis=0)
+    if np.any(large):
+        raise TouchstoneError(TouchstoneError.MAGNITUDE_TOO_LARGE,
+                              f"data row {int(np.argmax(large)) + 1} holds an S-parameter "
+                              f"above {MAX_DB:g} dB")
     if np.any(np.diff(freqs) <= 0):
         raise TouchstoneError(TouchstoneError.NON_MONOTONIC_FREQUENCY,
                               "frequencies must be strictly increasing")

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +102,34 @@ _BAD_S2P = {
     "s2p-db-magnitude-overflows": _S2P.replace("RI", "DB").replace(
         "140000000000.0 0 0 0.5", "140000000000.0 0 0 1e308"),
     "s2p-frequency-not-finite": _S2P.replace("200000000000.0", "inf"),
+    "s2p-s21-magnitude-beyond-max-db": _S2P.replace("100000000000.0 0 0 0.5",
+                                                    "100000000000.0 0 0 1e308"),
+}
+
+
+def _edit_metadata(directory: Path, edit):
+    """Apply ``edit`` to a dataset's parsed metadata.json, write it back
+    and record its new CRC in the manifest, so only the edit is wrong."""
+    meta = json.loads((directory / "metadata.json").read_text())
+    edit(meta)
+    blob = json.dumps(meta).encode()
+    (directory / "metadata.json").write_bytes(blob)
+    manifest = json.loads((directory / "manifest.json").read_text())
+    manifest["files"]["metadata.json"] = {"crc32": zlib.crc32(blob), "size": len(blob)}
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+
+
+# one metadata.json field each, set to a value outside its domain
+_BAD_METADATA = {
+    "n-rx-negative": lambda m: m["header"].update(n_rx=-1),
+    "n-stripes-a-bool": lambda m: m["header"].update(n_stripes=True),
+    "subcarriers-a-fraction": lambda m: m["header"].update(num_subcarriers=64.5),
+    "fc-zero": lambda m: m["header"].update(fc=0.0),
+    "bw-not-finite": lambda m: m["header"].update(bw=float("inf")),
+    "ue-x-not-finite": lambda m: m["ues"][0].update(x=float("nan")),
+    "ue-id-a-fraction": lambda m: m["ues"][0].update(id=0.5),
+    "ue-id-negative": lambda m: m["ues"][0].update(id=-1),
+    "ue-ids-duplicate": lambda m: m["ues"][1].update(id=m["ues"][0]["id"]),
 }
 
 
@@ -228,6 +257,8 @@ _BAD_S2P = {
     pytest.param("run", ["--ru", "1", "--channel", "{ds}"], None,
                  {"cfr/manifest.json": '{"files": {}}', "cfr/metadata.json": '{"ues": []}'},
                  3, id="dataset-metadata-without-header"),
+    *[pytest.param("run", ["--ru", "1", "--channel", "{ds}"], None, {"cfr": edit}, 3,
+                   id=f"dataset-metadata-{name}") for name, edit in _BAD_METADATA.items()],
     *[pytest.param(command, flags, ("fiber: {model: ideal}",
                                     "fiber: {model: s2p_filter, file: bad.s2p}"),
                    {"bad.s2p": text}, 2, id=f"{command}-{name}")
@@ -238,7 +269,8 @@ def test_bad_input_exits_typed(config_tree, tmp_path, capsys, command, flags,
                                config_edit, files, expected):
     """Malformed inputs end as typed errors, never as 'internal error'.
     ``files`` are written relative to the config directory after the
-    dataset is made; inspect-s2p reads its ``bad.s2p``."""
+    dataset is made, or edit the metadata of the dataset they name;
+    inspect-s2p reads its ``bad.s2p``."""
     if config_edit is not None:
         edits = config_edit if isinstance(config_edit, list) else [config_edit]
         key, text = next((key, text) for key, text in (
@@ -252,7 +284,10 @@ def test_bad_input_exits_typed(config_tree, tmp_path, capsys, command, flags,
         channel = _gen_dataset(config_tree, tmp_path / "cfr")
         flags = [channel if f == "{ds}" else f for f in flags]
     for name, text in (files or {}).items():
-        (tmp_path / name).write_text(text)
+        if callable(text):
+            _edit_metadata(tmp_path / name, text)
+        else:
+            (tmp_path / name).write_text(text)
     configs = {"gen-channels": ["--env", config_tree["env"]],
                "inspect-s2p": ["--file", tmp_path / "bad.s2p"]}.get(
                    command, _base_flags(config_tree))

@@ -196,17 +196,16 @@ def _two_symbol_calibration(top, target_power_dbm, max_gain_db, seed):
     max_gain = 10.0 ** (max_gain_db / 10.0)
     gains, clipped, p_out = [], [], []
     with _own_workspace():
-        chain = stripe._Chain(wf=TimeWaveform(synthesize_symbols(symbols, grid, wf.cp_length),
-                                              sample_rate=grid.sample_rate),
+        chain = stripe._Chain(x=synthesize_symbols(symbols, grid, wf.cp_length),
                               cp_samples=wf.cp_length * grid.oversampling,
                               n_fft=grid.n_fft)
 
         def power() -> float:
-            bins = extract_symbols(chain.wf.samples[chain.offset:], grid, wf.cp_length, 2)
+            bins = extract_symbols(chain.x[chain.offset:], grid, wf.cp_length, 2)
             return float(np.mean(np.abs(bins[:, 1]) ** 2))
 
         def scale(gain: float):
-            np.multiply(chain.wf.samples, np.sqrt(gain), out=chain.wf.samples)
+            np.multiply(chain.x, np.sqrt(gain), out=chain.x)
 
         scale(target_w / power())
 
@@ -975,8 +974,8 @@ def test_downlink_hands_each_branch_to_its_consumer():
     seen = []
 
     def consume(b, branch, offset):
-        seen.append((branch.samples.__array_interface__["data"][0],
-                     branch.samples.tobytes(), offset))
+        seen.append((branch.__array_interface__["data"][0],
+                     branch.tobytes(), offset))
         return b
 
     phases = [0.3, -0.2, 0.1]

@@ -57,6 +57,19 @@ def test_non_finite_value_rejected(text):
     assert err.value.kind == TouchstoneError.NON_FINITE_VALUE
 
 
+@pytest.mark.parametrize("text", [
+    "# GHz S RI R 50\n1.0 0 0 1e308 0 0 0 0 0\n",  # finite, yet |S21| is 6160 dB
+    "# GHz S MA R 50\n1.0 0 0 1e16 0 0 0 0 0\n",  # 320 dB
+    "# GHz S DB R 50\n1.0 0 0 0 0 0 0 301 0\n"])
+def test_magnitude_beyond_max_db_rejected(text):
+    """An S-parameter above MAX_DB is a typed error, as a config gain is."""
+    with pytest.raises(TouchstoneError) as err:
+        parse_touchstone(text)
+    assert err.value.kind == TouchstoneError.MAGNITUDE_TOO_LARGE
+    parse_touchstone(text.replace("1e308", "1e15").replace("1e16", "1e15")
+                     .replace("301", "300"))  # at the bound it parses
+
+
 def test_missing_option_line():
     with pytest.raises(TouchstoneError) as err:
         parse_touchstone("1.0 0 0 1 0 0 0 0 0\n")
