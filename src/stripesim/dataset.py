@@ -118,8 +118,8 @@ def _ue_to_json(ue: UeMetadata) -> dict:
 
 def _ue_from_json(raw: dict, path: str) -> UeMetadata:
     grid_index = None
-    if "grid_i" in raw and "grid_j" in raw:
-        grid_index = (int(raw["grid_i"]), int(raw["grid_j"]))
+    if "grid_i" in raw or "grid_j" in raw:  # a lone one is a missing key
+        grid_index = tuple(_UE_ID(raw[key], f"{path}.{key}") for key in ("grid_i", "grid_j"))
     return UeMetadata(ue_id=_UE_ID(raw["id"], f"{path}.id"),
                       position=tuple(_as_float(raw[axis], f"{path}.{axis}")
                                      for axis in "xyz"),

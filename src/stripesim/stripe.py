@@ -23,17 +23,18 @@ Buffers. One rule: a walk copies each waveform it is given once, into a
 bare sample array, and every stage then writes its output over its
 input. A `TimeWaveform` is met only at the walk's public edges, where
 `_check_rate` holds each input to the stripe grid. The walk's input goes
-into the calling thread's workspace (`waveform._thread_workspace`) as
-the trunk, each later uplink branch as the branch; a workspace keeps one
-array per name, for the last shape asked for, and the next walk on the
-thread overwrites it. A delay or a time-domain convolution makes a fresh
-array, which is the walk's as well. Whatever leaves a walk is a copy:
-each downlink branch (by default) and the uplink output, so no later
-walk touches them or any `LinkResult` array, and the arrays a walk is
-given are never written. Recording taps changes no buffer: `_run_stages`
-copies each stage's input and output as it goes. The OFDM pair at the
-link ends transforms in the workspace's FFT spectrum too; calibration,
-whose reference is shorter, runs on a workspace of its own. A link holds
+into the calling thread's workspace (`_thread_workspace`) as the trunk,
+each later uplink branch as the branch, and the noise ring is there too;
+a workspace keeps one array per name, for the last shape asked for, and
+the next walk on the thread overwrites it. A delay or a time-domain
+convolution makes a fresh array, which is the walk's as well; a
+frequency-domain filter transforms each symbol in place, so no stage
+keeps a scratch spectrum. Whatever leaves a walk is a copy: each
+downlink branch (by default) and the uplink output, so no later walk
+touches them or any `LinkResult` array, and the arrays a walk is given
+are never written. Recording taps changes no buffer: `_run_stages`
+copies each stage's input and output as it goes. Calibration walks its
+own fresh reference and touches no workspace array. A link holds
 each large array only while a stage reads it: the downlink lets its
 input go once it is copied, and the uplink takes each branch only when
 its antenna amplifier needs it, so `run_link` synthesizes it then.
@@ -44,11 +45,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,8 +66,7 @@ from .errors import (CalibrationInfeasible, ConfigError, GridMismatch, LengthErr
                      TruncationWarning)
 from .metrics import MetricReport, estimate_channel, report
 from .touchstone import interpolate_s21, to_impulse_response
-from .waveform import (ResourceGrid, SubcarrierGrid, TimeWaveform, _own_workspace,
-                       _power_scale, _thread_workspace, _Workspace,
+from .waveform import (ResourceGrid, SubcarrierGrid, TimeWaveform, _power_scale,
                        build_resource_grid, extract_symbols, map_qam,
                        ofdm_modulate, pilot_mask, pilot_sequence,
                        synthesize_symbols)
@@ -197,6 +198,32 @@ def build_stripe(env: EnvironmentConfig, bank: ComponentBank, stripe_id: int,
 # Chain propagation machinery
 # ---------------------------------------------------------------------------
 
+class _Workspace:
+    """Arrays that walks overwrite link after link; each name keeps only
+    the array of the last shape asked for."""
+
+    def __init__(self):
+        self._arrays = {}
+
+    def get(self, name: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
+        a = self._arrays.get(name)
+        if a is None or a.shape != shape or a.dtype != dtype:
+            a = self._arrays[name] = np.empty(shape, dtype)
+        return a
+
+
+_threads = threading.local()
+
+
+def _thread_workspace() -> _Workspace:
+    """The calling thread's workspace: links on one thread run one at a
+    time, so they can share it; links on other threads never see it."""
+    ws = getattr(_threads, "workspace", None)
+    if ws is None:
+        ws = _threads.workspace = _Workspace()
+    return ws
+
+
 @dataclass
 class _Chain:
     """Mutable propagation state: samples, accumulated delay, noise.
@@ -213,7 +240,6 @@ class _Chain:
     offset: int = 0  # samples the walk's elements prepended
     linear_only: bool = False  # gains only: no noise, DAC or IQ mixer
     noise: _NoiseAhead | None = None
-    ws: _Workspace = field(default_factory=_thread_workspace)
 
     def element(self, x: np.ndarray, params: comp.LinearElementParams,
                 delay: int) -> np.ndarray:
@@ -239,10 +265,10 @@ class _Chain:
         if n_sym == 0:
             return x
         seg = x[self.offset:self.offset + n_sym * frame].reshape(n_sym, frame)
-        body = self.ws.get("fft_body", (n_sym, self.n_fft))
-        np.fft.fft(seg[:, cp:], axis=1, out=body)
+        body = seg[:, cp:]
+        np.fft.fft(body, axis=1, out=body)
         body *= h
-        np.fft.ifft(body, axis=1, out=seg[:, cp:])
+        np.fft.ifft(body, axis=1, out=body)
         if cp:
             seg[:, :cp] = seg[:, -cp:]
         return x
@@ -479,9 +505,9 @@ def _check_rate(top: StripeTopology, x: TimeWaveform):
                            f"grid at {top.grid.sample_rate} Hz")
 
 
-def _copy_into(ws: _Workspace, name: str, wf: TimeWaveform) -> np.ndarray:
-    """A copy of ``wf``'s samples in the workspace array ``name``."""
-    x = ws.get(name, wf.samples.shape)
+def _copy_into(name: str, wf: TimeWaveform) -> np.ndarray:
+    """A copy of ``wf``'s samples in the thread's workspace array ``name``."""
+    x = _thread_workspace().get(name, wf.samples.shape)
     np.copyto(x, wf.samples)
     return x
 
@@ -500,7 +526,7 @@ def _start_walk(top: StripeTopology, inputs, active_ru: int, beam_phases,
     beam_phases = np.asarray(beam_phases, dtype=np.float64)
     if beam_phases.size != top.n_antennas:
         raise LengthError("one beam phase per antenna branch required")
-    chain = _Chain(x=_copy_into(_thread_workspace(), "trunk", inputs[0]),
+    chain = _Chain(x=_copy_into("trunk", inputs[0]),
                    cp_samples=top.wf.cp_length * top.grid.oversampling,
                    n_fft=top.grid.n_fft, linear_only=linear_only)
     if noise is not None:
@@ -540,7 +566,7 @@ def propagate_downlink(top: StripeTopology, wf_in: TimeWaveform, active_ru: int,
         out = []
         for b, (stage, theta) in enumerate(zip(stages[n_shared:], beam_phases)):
             # split, rotate and amplify the branch in one workspace array
-            x = np.multiply(trunk, scale, out=chain.ws.get("branch", trunk.shape))
+            x = np.multiply(trunk, scale, out=_thread_workspace().get("branch", trunk.shape))
             comp.rotate(x, theta, out=x)
             sub = replace(chain, x=x)
             _run_stages(sub, [stage], taps)
@@ -583,7 +609,7 @@ def propagate_uplink(top: StripeTopology, branch_waveforms, active_ru: int,
                 if branch is None:
                     raise wrong_count
                 _check_rate(top, branch)
-                sub = replace(chain, x=_copy_into(chain.ws, "branch", branch))
+                sub = replace(chain, x=_copy_into("branch", branch))
                 del branch  # the walk works on its copy
             _run_stages(sub, [stage], taps)
             y = comp.rotate(sub.x, theta, out=sub.x)
@@ -637,40 +663,37 @@ def calibrate_gains(top: StripeTopology, target_power_dbm: float,
     max_gain = 10.0 ** (max_gain_db / 10.0)
     gains, clipped, p_out = [], [], []
 
-    # a workspace of its own: the reference is shorter than a link's
-    # waveform, and the thread's workspace keeps the link's shapes; the
-    # reference is the walk's own, so every stage writes over it
-    with _own_workspace():
-        chain = _Chain(x=synthesize_symbols(symbols, grid, wf.cp_length),
-                       cp_samples=wf.cp_length * grid.oversampling,
-                       n_fft=grid.n_fft)
+    # the reference is the walk's own, so every stage writes over it
+    chain = _Chain(x=synthesize_symbols(symbols, grid, wf.cp_length),
+                   cp_samples=wf.cp_length * grid.oversampling,
+                   n_fft=grid.n_fft)
 
-        def _passband_power() -> float:
-            # mean power over the last symbol's bins: past the delays, any
-            # filter transient and free of cyclic-prefix duplication bias
-            bins = extract_symbols(chain.x[chain.offset:], grid, wf.cp_length, n_sym)
-            return float(np.mean(np.abs(bins[:, -1]) ** 2))
+    def _passband_power() -> float:
+        # mean power over the last symbol's bins: past the delays, any
+        # filter transient and free of cyclic-prefix duplication bias
+        bins = extract_symbols(chain.x[chain.offset:], grid, wf.cp_length, n_sym)
+        return float(np.mean(np.abs(bins[:, -1]) ** 2))
 
-        def scale(gain: float):
-            np.multiply(chain.x, np.sqrt(gain), out=chain.x)
+    def scale(gain: float):
+        np.multiply(chain.x, np.sqrt(gain), out=chain.x)
 
-        # normalize so the measured passband power of the injected reference
-        # is exactly the target (injection and measurement share one meter)
-        scale(target_w / _passband_power())
+    # normalize so the measured passband power of the injected reference
+    # is exactly the target (injection and measurement share one meter)
+    scale(target_w / _passband_power())
 
-        def meter():
-            # stands in for a booster: sets its gain from the power it meters
-            power_in = _passband_power()
-            gain = target_w / power_in
-            clipped.append(gain > max_gain)
-            gain = min(gain, max_gain)
-            scale(gain)
-            gains.append(10.0 * np.log10(gain))
-            p_out.append(_dbm(power_in * gain))
+    def meter():
+        # stands in for a booster: sets its gain from the power it meters
+        power_in = _passband_power()
+        gain = target_w / power_in
+        clipped.append(gain > max_gain)
+        gain = min(gain, max_gain)
+        scale(gain)
+        gains.append(10.0 * np.log10(gain))
+        p_out.append(_dbm(power_in * gain))
 
-        _run_stages(chain, [(label, meter, None)
-                            if isinstance(params, comp.AmplifierParams)
-                            else (label, params, arg) for label, params, arg in trunk])
+    _run_stages(chain, [(label, meter, None)
+                        if isinstance(params, comp.AmplifierParams)
+                        else (label, params, arg) for label, params, arg in trunk])
     if any(clipped):
         bad = [i for i, c in enumerate(clipped) if c]
         warnings.warn(f"boosters {bad} clipped at max_gain={max_gain_db} dB; "

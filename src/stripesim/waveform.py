@@ -17,10 +17,12 @@ Conventions
 
 Scratch and exactness
 ---------------------
-* The OFDM pair writes its per-symbol spectrum into the calling thread's
-  workspace (`_thread_workspace`, the one the stripe walk also uses) and
-  makes no other scratch: bins go straight into FFT order, and the
-  transforms run in place of the shift-and-copy steps they replace.
+* The OFDM pair keeps no scratch spectrum. Synthesis puts the bins
+  straight into FFT order in the frame bodies of its result and
+  transforms them there, in place; extraction transforms into the one
+  spectrum it makes per call and never writes its input. Both replace
+  shift-and-copy steps with the same bits: numpy >= 2 transforms with
+  ``out=`` aliasing its input and rounds as it does out of place.
 * The mapper looks each symbol up in a per-order table built by the
   mapping arithmetic; the demapper slices each axis on its own and
   returns exactly the bits of a full minimum-distance search, falling
@@ -30,8 +32,6 @@ Scratch and exactness
 from __future__ import annotations
 
 import functools
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,48 +42,6 @@ from . import streams
 
 def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
-
-
-# ---------------------------------------------------------------------------
-# Per-thread scratch
-# ---------------------------------------------------------------------------
-
-class _Workspace:
-    """Arrays that walks and the OFDM pair overwrite call after call; each
-    name keeps only the array of the last shape asked for."""
-
-    def __init__(self):
-        self._arrays = {}
-
-    def get(self, name: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
-        a = self._arrays.get(name)
-        if a is None or a.shape != shape or a.dtype != dtype:
-            a = self._arrays[name] = np.empty(shape, dtype)
-        return a
-
-
-_threads = threading.local()
-
-
-def _thread_workspace() -> _Workspace:
-    """The calling thread's workspace: links on one thread run one at a
-    time, so they can share it; links on other threads never see it."""
-    ws = getattr(_threads, "workspace", None)
-    if ws is None:
-        ws = _threads.workspace = _Workspace()
-    return ws
-
-
-@contextmanager
-def _own_workspace():
-    """Give the block a fresh workspace as the thread's, then restore the
-    thread's own: work on other shapes leaves the thread's arrays be."""
-    saved = _thread_workspace()
-    _threads.workspace = _Workspace()
-    try:
-        yield
-    finally:
-        _threads.workspace = saved
 
 
 @dataclass(frozen=True)
@@ -394,9 +352,9 @@ def build_resource_grid(bits, wf_cfg, grid: SubcarrierGrid, seed: int) -> Resour
 def synthesize_symbols(symbols: np.ndarray, grid: SubcarrierGrid, cp_length: int) -> np.ndarray:
     """Time samples for a Q x S symbol array (CP included), no power scaling.
 
-    The bins go straight into FFT order in the thread's scratch spectrum
-    (centered bin i at (i - Q/2) mod n_fft, guard bins zero) and are
-    inverse-transformed into the body of each frame of the fresh result.
+    The bins go straight into FFT order in the body of each frame of the
+    fresh result (centered bin i at (i - Q/2) mod n_fft, guard bins zero),
+    which is then inverse-transformed in place.
     """
     n = grid.n_fft
     cp = cp_length * grid.oversampling
@@ -406,12 +364,12 @@ def synthesize_symbols(symbols: np.ndarray, grid: SubcarrierGrid, cp_length: int
         raise ConfigError("cp_length must be >= 0")
     q, s = symbols.shape
     half = q // 2
-    spec = _thread_workspace().get("fft_body", (s, n))
-    spec[:, :q - half] = symbols[half:].T
-    spec[:, q - half:n - half] = 0.0
-    spec[:, n - half:] = symbols[:half].T
     out = np.empty((s, n + cp), dtype=np.complex128)
-    body = np.fft.ifft(spec, axis=1, out=out[:, cp:])
+    body = out[:, cp:]
+    body[:, :q - half] = symbols[half:].T
+    body[:, q - half:n - half] = 0.0
+    body[:, n - half:] = symbols[:half].T
+    np.fft.ifft(body, axis=1, out=body)
     body *= n / np.sqrt(grid.num_subcarriers)
     out[:, :cp] = body[:, n - cp:]
     return out.reshape(-1)
@@ -422,7 +380,8 @@ def extract_symbols(samples: np.ndarray, grid: SubcarrierGrid, cp_length: int,
     """Inverse of `synthesize_symbols`: Q x S symbol array from samples.
 
     The result is a fresh transposed C-order array, or ``out`` (Q x S)
-    when given; the transform runs in the thread's scratch spectrum.
+    when given. The spectrum is made per call, so ``samples`` is never
+    written.
     """
     n = grid.n_fft
     q = grid.num_subcarriers
@@ -432,8 +391,7 @@ def extract_symbols(samples: np.ndarray, grid: SubcarrierGrid, cp_length: int,
     if samples.size != expected:
         raise LengthError(f"waveform has {samples.size} samples, expected {expected}")
     body = samples.reshape(n_symbols, frame)[:, cp:]
-    spec = np.fft.fft(body, axis=1,
-                      out=_thread_workspace().get("fft_body", (n_symbols, n)))
+    spec = np.fft.fft(body, axis=1)
     if out is None:
         out = np.empty((n_symbols, q), dtype=np.complex128).T
     half = q // 2

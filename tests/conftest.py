@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import textwrap
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +41,18 @@ def flat_s2p(value: complex = 1.0, f_lo: float = 100e9, f_hi: float = 200e9,
     for f in np.linspace(f_lo, f_hi, n_points):
         lines.append(f"{float(f)!r} 0 0 {complex(value).real!r} {complex(value).imag!r} 0 0 0 0")
     return "\n".join(lines) + "\n"
+
+
+def edit_metadata(directory: Path, edit):
+    """Apply ``edit`` to a dataset's parsed metadata.json, write it back
+    and record its new CRC in the manifest, so only the edit is wrong."""
+    meta = json.loads((directory / "metadata.json").read_text())
+    edit(meta)
+    blob = json.dumps(meta).encode()
+    (directory / "metadata.json").write_bytes(blob)
+    manifest = json.loads((directory / "manifest.json").read_text())
+    manifest["files"]["metadata.json"] = {"crc32": zlib.crc32(blob), "size": len(blob)}
+    (directory / "manifest.json").write_text(json.dumps(manifest))
 
 
 @pytest.fixture

@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +17,8 @@ from stripesim.waveform import SubcarrierGrid
 
 from stripesim.errors import AntennaCountMismatch, InterSymbolInterferenceRisk
 
-from conftest import (COMP_YAML, ENV_YAML, LAST_RU, TWO_STRIPES, WF_YAML, flat_s2p,
-                      s2p_from_taps)
+from conftest import (COMP_YAML, ENV_YAML, LAST_RU, TWO_STRIPES, WF_YAML, edit_metadata,
+                      flat_s2p, s2p_from_taps)
 
 
 def _run(*argv) -> int:
@@ -107,18 +106,6 @@ _BAD_S2P = {
 }
 
 
-def _edit_metadata(directory: Path, edit):
-    """Apply ``edit`` to a dataset's parsed metadata.json, write it back
-    and record its new CRC in the manifest, so only the edit is wrong."""
-    meta = json.loads((directory / "metadata.json").read_text())
-    edit(meta)
-    blob = json.dumps(meta).encode()
-    (directory / "metadata.json").write_bytes(blob)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    manifest["files"]["metadata.json"] = {"crc32": zlib.crc32(blob), "size": len(blob)}
-    (directory / "manifest.json").write_text(json.dumps(manifest))
-
-
 # one metadata.json field each, set to a value outside its domain
 _BAD_METADATA = {
     "n-rx-negative": lambda m: m["header"].update(n_rx=-1),
@@ -130,6 +117,11 @@ _BAD_METADATA = {
     "ue-id-a-fraction": lambda m: m["ues"][0].update(id=0.5),
     "ue-id-negative": lambda m: m["ues"][0].update(id=-1),
     "ue-ids-duplicate": lambda m: m["ues"][1].update(id=m["ues"][0]["id"]),
+    "ue-grid-i-a-bool": lambda m: m["ues"][0].update(grid_i=True, grid_j=0),
+    "ue-grid-j-a-fraction": lambda m: m["ues"][0].update(grid_i=0, grid_j=0.5),
+    "ue-grid-i-negative": lambda m: m["ues"][0].update(grid_i=-1, grid_j=0),
+    "ue-grid-i-alone": lambda m: m["ues"][0].update(grid_i=0),
+    "ue-grid-j-alone": lambda m: m["ues"][0].update(grid_j=0),
 }
 
 
@@ -285,7 +277,7 @@ def test_bad_input_exits_typed(config_tree, tmp_path, capsys, command, flags,
         flags = [channel if f == "{ds}" else f for f in flags]
     for name, text in (files or {}).items():
         if callable(text):
-            _edit_metadata(tmp_path / name, text)
+            edit_metadata(tmp_path / name, text)
         else:
             (tmp_path / name).write_text(text)
     configs = {"gen-channels": ["--env", config_tree["env"]],

@@ -1,5 +1,6 @@
 """CFR1 dataset codec, lazy reader, synthetic generation."""
 
+import dataclasses
 import hashlib
 import json
 import zlib
@@ -49,6 +50,9 @@ def test_channel_file_size(tmp_path):
 def test_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(1)
     ds = _make_dataset(rng)
+    # a UE grid index is a pair of integers >= 0, kept as written
+    ds = dataclasses.replace(ds, ues=(dataclasses.replace(ds.ues[0], grid_index=(3, 0)),
+                                      *ds.ues[1:]))
     write_dataset(ds, tmp_path)
     back = read_dataset(tmp_path).to_memory()
     assert back.header == ds.header

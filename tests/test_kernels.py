@@ -1,14 +1,18 @@
-"""The link-end kernels against the implementations they replaced, bit for
-bit: the table QAM mapper, the per-axis slicer and the copy-free OFDM
-pair. The reference copies below are the straightforward versions (an
-arithmetic mapper, a full minimum-distance search, shift-and-copy
-transforms); a kernel that differs from them in one bit fails here.
+"""The kernels against the implementations they replaced, bit for bit:
+the table QAM mapper, the per-axis slicer, the copy-free OFDM pair and
+the in-place fiber filter. The reference copies below are the
+straightforward versions (an arithmetic mapper, a full minimum-distance
+search, shift-and-copy and out-of-place transforms); a kernel that
+differs from them in one bit fails here. The in-place transforms rely on
+numpy's ``out=`` aliasing its input, which `pyproject.toml`'s numpy floor
+names.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stripesim.stripe import _Chain
 from stripesim.waveform import (SubcarrierGrid, demap_qam, extract_symbols,
                                 map_qam, synthesize_symbols)
 
@@ -80,6 +84,21 @@ def _ref_extract(samples, grid, cp_length, n_symbols):
     spec = np.fft.fftshift(np.fft.fft(body, axis=1), axes=1)
     lo = n // 2 - grid.num_subcarriers // 2
     return (spec[:, lo:lo + grid.num_subcarriers] / (n / np.sqrt(grid.num_subcarriers))).T
+
+
+def _ref_fd_filter(x, h, n_fft, cp, offset):
+    """Each whole frame after ``offset`` filtered out of place, its CP
+    rebuilt from the filtered tail; the rest of ``x`` as it was."""
+    frame = n_fft + cp
+    n_sym = (x.size - offset) // frame
+    out = x.copy()
+    seg = out[offset:offset + n_sym * frame].reshape(n_sym, frame)
+    body = np.fft.ifft(np.fft.fft(x[offset:offset + n_sym * frame].reshape(
+        n_sym, frame)[:, cp:], axis=1) * h, axis=1)
+    seg[:, cp:] = body
+    if cp:
+        seg[:, :cp] = body[:, n_fft - cp:]
+    return out
 
 
 def _same_bits(a, b) -> bool:
@@ -199,6 +218,7 @@ def test_ofdm_pair_matches_the_shift_and_copy_transforms(q, os, with_cp):
     assert _same_bits(x, _ref_synthesize(at_ru[:, 2, :], grid, cp))
 
     noisy = x + 1e-3 * rng.standard_normal(x.size)
+    before = noisy.tobytes()
     ref = _ref_extract(noisy, grid, cp, s)
     got = extract_symbols(noisy, grid, cp, s)
     assert _same_bits(got, ref)
@@ -208,11 +228,15 @@ def test_ofdm_pair_matches_the_shift_and_copy_transforms(q, os, with_cp):
     assert extract_symbols(noisy, grid, cp, s, out=out[:, 1, :]) is not None
     assert _same_bits(out[:, 1, :].copy(), ref.copy())
     assert not out[:, [0, 2, 3], :].any()
+    # calibration meters the reference it walks on, and criterion 11 reads
+    # a waveform again after extracting from it
+    assert noisy.tobytes() == before
 
 
 def test_back_to_back_shapes_leak_no_stale_bins():
-    """The scratch spectrum is shared: a call after one that filled every
-    bin, of the same or another shape, must still zero its guard bins."""
+    """A fresh result may take the memory of an array just freed, every
+    bin of it filled: a call after one of the same or another shape must
+    still zero its guard bins."""
     rng = np.random.default_rng(5)
     calls = [(64, 1, 0, 3), (32, 2, 4, 3), (64, 1, 0, 3), (16, 4, 2, 3), (8, 2, 1, 5),
              (32, 2, 4, 3), (16, 2, 0, 2), (32, 1, 0, 2)]
@@ -225,3 +249,25 @@ def test_back_to_back_shapes_leak_no_stale_bins():
         x = synthesize_symbols(sym, grid, cp)
         assert _same_bits(x, _ref_synthesize(sym, grid, cp)), (q, os, cp, s)
         assert _same_bits(extract_symbols(x, grid, cp, s), _ref_extract(x, grid, cp, s))
+
+
+# ---------------------------------------------------------------------------
+# Fiber filter
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n_fft, cp, n_sym, offset, tail", [
+    (64, 0, 3, 0, 0), (64, 8, 3, 0, 0), (128, 16, 2, 5, 0), (64, 8, 2, 3, 7),
+    (32, 4, 1, 0, 35), (8, 7, 4, 1, 2), (64, 8, 0, 2, 40)])
+def test_fd_filter_in_place_matches_out_of_place(n_fft, cp, n_sym, offset, tail):
+    """The filter transforms each symbol body in the walk's array, with
+    the bits of transforming a copy: behind a delay, and before a
+    convolution's tail too, which it leaves as it was."""
+    rng = np.random.default_rng(n_fft + cp + n_sym + offset + tail)
+    size = offset + n_sym * (n_fft + cp) + tail
+    x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    h = rng.standard_normal(n_fft) + 1j * rng.standard_normal(n_fft)
+    want = _ref_fd_filter(x, h, n_fft, cp, offset)
+    chain = _Chain(x=x, cp_samples=cp, n_fft=n_fft, offset=offset)
+    got = chain._fd_filter(x, h)
+    assert got is x
+    assert _same_bits(got, want)

@@ -23,9 +23,8 @@ from stripesim.errors import (CalibrationInfeasible, ConfigError, GridMismatch,
 from stripesim.stripe import (build_stripe, calibrate_gains, make_grid,
                               propagate_downlink, propagate_uplink, run_link)
 from stripesim.touchstone import parse_touchstone
-from stripesim.waveform import (SubcarrierGrid, TimeWaveform, _own_workspace,
-                                _power_scale, extract_symbols, map_qam,
-                                synthesize_symbols)
+from stripesim.waveform import (SubcarrierGrid, TimeWaveform, _power_scale,
+                                extract_symbols, map_qam, synthesize_symbols)
 
 from conftest import s2p_from_taps
 
@@ -195,33 +194,32 @@ def _two_symbol_calibration(top, target_power_dbm, max_gain_db, seed):
     target_w = 10.0 ** ((target_power_dbm - 30.0) / 10.0)
     max_gain = 10.0 ** (max_gain_db / 10.0)
     gains, clipped, p_out = [], [], []
-    with _own_workspace():
-        chain = stripe._Chain(x=synthesize_symbols(symbols, grid, wf.cp_length),
-                              cp_samples=wf.cp_length * grid.oversampling,
-                              n_fft=grid.n_fft)
+    chain = stripe._Chain(x=synthesize_symbols(symbols, grid, wf.cp_length),
+                          cp_samples=wf.cp_length * grid.oversampling,
+                          n_fft=grid.n_fft)
 
-        def power() -> float:
-            bins = extract_symbols(chain.x[chain.offset:], grid, wf.cp_length, 2)
-            return float(np.mean(np.abs(bins[:, 1]) ** 2))
+    def power() -> float:
+        bins = extract_symbols(chain.x[chain.offset:], grid, wf.cp_length, 2)
+        return float(np.mean(np.abs(bins[:, 1]) ** 2))
 
-        def scale(gain: float):
-            np.multiply(chain.x, np.sqrt(gain), out=chain.x)
+    def scale(gain: float):
+        np.multiply(chain.x, np.sqrt(gain), out=chain.x)
 
-        scale(target_w / power())
+    scale(target_w / power())
 
-        def meter():
-            power_in = power()
-            gain = target_w / power_in
-            clipped.append(gain > max_gain)
-            gain = min(gain, max_gain)
-            scale(gain)
-            gains.append(10.0 * np.log10(gain))
-            p_out.append(stripe._dbm(power_in * gain))
+    def meter():
+        power_in = power()
+        gain = target_w / power_in
+        clipped.append(gain > max_gain)
+        gain = min(gain, max_gain)
+        scale(gain)
+        gains.append(10.0 * np.log10(gain))
+        p_out.append(stripe._dbm(power_in * gain))
 
-        trunk = stripe._trunk(top, top.n_rus, lambda node, tag: None)
-        stripe._run_stages(chain, [(label, meter, None)
-                                   if isinstance(params, AmplifierParams)
-                                   else (label, params, arg) for label, params, arg in trunk])
+    trunk = stripe._trunk(top, top.n_rus, lambda node, tag: None)
+    stripe._run_stages(chain, [(label, meter, None)
+                               if isinstance(params, AmplifierParams)
+                               else (label, params, arg) for label, params, arg in trunk])
     return stripe.CalibrationResult(gains_db=tuple(gains), clipped=tuple(clipped),
                                     output_powers_dbm=tuple(p_out))
 
@@ -892,7 +890,7 @@ def test_noise_ring_never_draws_over_a_draw_in_use():
     shapes = [(2, 300), grid, (2, 380), (2, 300), grid, grid, (2, 384), (2, 100),
               grid, (2, 350), (2, 384), (2, 384), grid]
     draws = [(np.random.default_rng(seed), shape) for seed, shape in enumerate(shapes)]
-    with _own_workspace(), stripe._NoiseAhead(draws) as noise:
+    with stripe._NoiseAhead(draws) as noise:
         for seed, (rng, shape) in enumerate(draws):
             z = noise.source(rng).standard_normal(shape)
             for _rng, drawn, _rows in noise._queued:
@@ -918,6 +916,29 @@ def test_over_the_air_draw_shares_the_noise_ring(direction):
     assert not [name for name, a in arrays.items() if a.size == grid_draw]
     old_ring = (stripe._NoiseAhead.AHEAD + 1) * 2 * n_samples
     assert arrays["noise_ring"].nbytes <= (old_ring + grid_draw) * 8
+
+
+@pytest.mark.parametrize("direction", ["dl", "ul"])
+def test_warm_link_keeps_only_walk_arrays_in_the_workspace(direction):
+    """Calibration and the OFDM pair keep no scratch: after warm links on
+    a fresh thread, with a frequency-domain s2p fiber, the thread's
+    workspace holds the walk's trunk, branch and noise ring only."""
+    env = _env(n_rus=4, n_antennas=2, q=128)
+    wf = _wf(n_ofdm_symbols=2, cp_length=8)
+    bank = _workspace_bank(env, wf)
+    names = []
+
+    def links():
+        for seed in (1, 2):
+            run_link(env, wf, bank, "los", 0, 0, 3, direction=direction, seed=seed,
+                     calibrate=True)
+        names.extend(stripe._thread_workspace()._arrays)
+
+    thread = threading.Thread(target=links)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert sorted(names) == ["branch", "noise_ring", "trunk"]
 
 
 def _fresh(x: TimeWaveform, refs: list) -> TimeWaveform:
