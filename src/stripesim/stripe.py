@@ -38,6 +38,17 @@ own fresh reference and touches no workspace array. A link holds
 each large array only while a stage reads it: the downlink lets its
 input go once it is copied, and the uplink takes each branch only when
 its antenna amplifier needs it, so `run_link` synthesizes it then.
+A downlink `run_link` also keeps a record of its walk beside the
+thread's workspace (`_TrunkRecord`): the trunk after the active RU's
+input coupler, which is the workspace's trunk unless a stage made a
+fresh array, and the link's calibration. The next downlink link on the
+thread without taps, with the same config objects, grid, stripe, seed
+and calibrate flag and an RU at or beyond the record's, resumes it: it
+reuses the calibration, makes no transmit waveform and runs the same
+stage list from the stage after that coupler, so its bits are those of
+a walk from the start. Every walk that copies an input into the
+workspace drops the record, and a resumed walk drops it before it
+writes.
 """
 
 from __future__ import annotations
@@ -222,6 +233,51 @@ def _thread_workspace() -> _Workspace:
     if ws is None:
         ws = _threads.workspace = _Workspace()
     return ws
+
+
+@dataclass
+class _TrunkRecord:
+    """A downlink link's walk as `run_link` keeps it, one per thread, for
+    the next link there to resume.
+
+    ``key`` is the link's (env, wf_cfg, bank, grid, stripe_id, seed,
+    calibrate) and ``calibration`` its result. Once the walk has run its
+    trunk, ``x`` holds the samples after stage ``ru{depth}_coupler_in``
+    and ``offset`` the delay they carry; in a walk that neither delays nor
+    convolves ``x`` is the workspace's own trunk, so keeping it costs no
+    memory.
+    """
+
+    key: tuple
+    calibration: CalibrationResult | None
+    depth: int = -1
+    x: np.ndarray | None = None
+    offset: int = 0
+
+
+def _resumable(key: tuple, active_ru: int) -> _TrunkRecord | None:
+    """The thread's record if a downlink link of ``key`` to RU ``active_ru``
+    may resume it: the same configs (the same objects), grid, stripe, seed
+    and calibrate flag, walked to this RU or short of it. Up to there that
+    walk ran the stages this one would, on the same input and streams."""
+    record = getattr(_threads, "trunk_record", None)
+    if (record is not None and record.depth <= active_ru
+            and all(a is b for a, b in zip(key[:3], record.key[:3]))
+            and key[3:] == record.key[3:]):
+        return record
+    return None
+
+
+def _keep_record(record: _TrunkRecord | None):
+    """Keep ``record`` as the thread's; None drops the thread's record, as
+    every walk does before it writes over the array the record holds."""
+    _threads.trunk_record = record
+
+
+def _resume_index(stages, depth: int) -> int:
+    """Index of the stage after ``ru{depth}_coupler_in`` in a downlink walk."""
+    label = f"ru{depth}_coupler_in"
+    return 1 + next(i for i, stage in enumerate(stages) if stage[0] == label)
 
 
 @dataclass
@@ -490,12 +546,16 @@ def _noise_draws(stages, length: int) -> list:
 
 
 def _plan_noise(top: StripeTopology, active_ru: int, seed: int, direction: str,
-                length: int) -> tuple:
-    """(stream, draws) of one walk on ``length`` input samples. The walk
-    builds its stages with ``stream(node, tag)``, which makes each random
-    stream once, so it uses the generators ``draws`` names."""
+                length: int, resume: _TrunkRecord | None = None) -> tuple:
+    """(stream, draws) of one walk on ``length`` input samples, or of a
+    downlink walk resumed from ``resume`` on its samples. The walk builds
+    its stages with ``stream(node, tag)``, which makes each random stream
+    once, so it uses the generators ``draws`` names."""
     stream = functools.cache(functools.partial(streams.stream, seed, top.stripe_id))
     stages = _walk_stages(top, active_ru, stream, direction)
+    if resume is not None:
+        stages = stages[_resume_index(stages, resume.depth):]
+        length = resume.x.size
     return stream, _noise_draws(stages, length)
 
 
@@ -506,7 +566,10 @@ def _check_rate(top: StripeTopology, x: TimeWaveform):
 
 
 def _copy_into(name: str, wf: TimeWaveform) -> np.ndarray:
-    """A copy of ``wf``'s samples in the thread's workspace array ``name``."""
+    """A copy of ``wf``'s samples in the thread's workspace array ``name``.
+    A walk that copies its input in then writes over the workspace's
+    trunk, so this drops the thread's trunk record first."""
+    _keep_record(None)
     x = _thread_workspace().get(name, wf.samples.shape)
     np.copyto(x, wf.samples)
     return x
@@ -514,11 +577,12 @@ def _copy_into(name: str, wf: TimeWaveform) -> np.ndarray:
 
 def _start_walk(top: StripeTopology, inputs, active_ru: int, beam_phases,
                 seed: int, direction: str, noise: _NoiseAhead | None,
-                linear_only: bool = False):
+                linear_only: bool = False, resume: _TrunkRecord | None = None):
     """Check a walk's arguments; return its phases, chain and noise
     stream: ``noise`` itself, or one planned from the walk's own stages.
     ``inputs`` are the waveforms the walk has in hand; its chain starts
-    on a copy of the first in the workspace's trunk."""
+    on a copy of the first in the workspace's trunk, or on the samples of
+    the trunk it resumes."""
     if not 0 <= active_ru < top.n_rus:
         raise ConfigError(f"active_ru {active_ru} out of range [0, {top.n_rus})")
     for x in inputs:
@@ -526,19 +590,20 @@ def _start_walk(top: StripeTopology, inputs, active_ru: int, beam_phases,
     beam_phases = np.asarray(beam_phases, dtype=np.float64)
     if beam_phases.size != top.n_antennas:
         raise LengthError("one beam phase per antenna branch required")
-    chain = _Chain(x=_copy_into("trunk", inputs[0]),
+    chain = _Chain(x=_copy_into("trunk", inputs[0]) if resume is None else resume.x,
                    cp_samples=top.wf.cp_length * top.grid.oversampling,
-                   n_fft=top.grid.n_fft, linear_only=linear_only)
+                   n_fft=top.grid.n_fft, linear_only=linear_only,
+                   offset=0 if resume is None else resume.offset)
     if noise is not None:
         return beam_phases, chain, nullcontext(noise)
-    stream, draws = _plan_noise(top, active_ru, seed, direction, chain.x.size)
+    stream, draws = _plan_noise(top, active_ru, seed, direction, chain.x.size, resume)
     return beam_phases, chain, _NoiseAhead([] if linear_only else draws, stream)
 
 
 def propagate_downlink(top: StripeTopology, wf_in: TimeWaveform, active_ru: int,
                        beam_phases, seed: int, record_taps: bool = False,
                        linear_only: bool = False, *, noise: _NoiseAhead | None = None,
-                       consume=None):
+                       consume=None, trunk_record: _TrunkRecord | None = None):
     """CU chain -> trunk -> active-RU front end; returns what ``consume``
     made of each antenna branch's air waveform, together with the tap
     list and the accumulated delay.
@@ -549,10 +614,16 @@ def propagate_downlink(top: StripeTopology, wf_in: TimeWaveform, active_ru: int,
     delay the walk prepended; by default it returns a copy as a
     `TimeWaveform` at the grid rate. ``noise`` is the running
     noise stream of the link the walk belongs to (see `run_link`);
-    without it the walk plans and draws its own.
+    without it the walk plans and draws its own. ``trunk_record`` is that
+    link's `_TrunkRecord`: the walk resumes one that holds a walk, after
+    its depth and in place of ``wf_in`` (then None), and keeps its own
+    walk in it as the thread's record.
     """
-    beam_phases, chain, noise = _start_walk(top, [wf_in], active_ru, beam_phases, seed,
-                                            "dl", noise, linear_only)
+    record = trunk_record
+    resume = record if record is not None and record.x is not None else None
+    beam_phases, chain, noise = _start_walk(top, [] if resume else [wf_in], active_ru,
+                                            beam_phases, seed, "dl", noise, linear_only,
+                                            resume)
     del wf_in  # the chain holds its copy
     if consume is None:  # a copy at the grid rate
         consume = lambda b, branch, offset: TimeWaveform(branch.copy(), top.grid.sample_rate)
@@ -560,13 +631,20 @@ def propagate_downlink(top: StripeTopology, wf_in: TimeWaveform, active_ru: int,
     with noise as chain.noise:
         stages = _walk_stages(top, active_ru, chain.noise.streams, "dl")
         n_shared = len(stages) - top.n_antennas
-        _run_stages(chain, stages[:n_shared], taps)
-        trunk = chain.x
+        start = 0
+        if resume is not None:
+            start = _resume_index(stages, resume.depth)
+            _keep_record(None)  # the walk goes on in the record's array
+        _run_stages(chain, stages[start:n_shared], taps)
+        if record is not None:
+            record.depth, record.x, record.offset = active_ru, chain.x, chain.offset
+            _keep_record(record)
+        shared = chain.x
         scale = 1.0 / np.sqrt(top.n_antennas)  # the factor of `comp.split`
         out = []
         for b, (stage, theta) in enumerate(zip(stages[n_shared:], beam_phases)):
             # split, rotate and amplify the branch in one workspace array
-            x = np.multiply(trunk, scale, out=_thread_workspace().get("branch", trunk.shape))
+            x = np.multiply(shared, scale, out=_thread_workspace().get("branch", shared.shape))
             comp.rotate(x, theta, out=x)
             sub = replace(chain, x=x)
             _run_stages(sub, [stage], taps)
@@ -694,13 +772,19 @@ def calibrate_gains(top: StripeTopology, target_power_dbm: float,
     _run_stages(chain, [(label, meter, None)
                         if isinstance(params, comp.AmplifierParams)
                         else (label, params, arg) for label, params, arg in trunk])
-    if any(clipped):
-        bad = [i for i, c in enumerate(clipped) if c]
+    result = CalibrationResult(gains_db=tuple(gains), clipped=tuple(clipped),
+                               output_powers_dbm=tuple(p_out))
+    _warn_clipped(result, max_gain_db, stacklevel=3)
+    return result
+
+
+def _warn_clipped(result: CalibrationResult, max_gain_db: float, stacklevel: int):
+    """The `CalibrationInfeasible` warning of a calibration that clipped."""
+    if any(result.clipped):
+        bad = [i for i, c in enumerate(result.clipped) if c]
         warnings.warn(f"boosters {bad} clipped at max_gain={max_gain_db} dB; "
                       f"target power unreachable", CalibrationInfeasible,
-                      stacklevel=2)
-    return CalibrationResult(gains_db=tuple(gains), clipped=tuple(clipped),
-                             output_powers_dbm=tuple(p_out))
+                      stacklevel=stacklevel)
 
 
 # ---------------------------------------------------------------------------
@@ -830,13 +914,17 @@ def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank
     if topology.n_antennas != n_tx:
         topology = replace(topology, n_antennas=n_tx)
 
+    # a downlink link without taps may resume the last walk on this thread
+    key = (env, wf_cfg, bank, grid, stripe_id, seed, calibrate)
+    resume = _resumable(key, active_ru) if direction == "dl" and not record_taps else None
+
     # One noise stream for the whole link: every Gaussian draw, in the order
     # the link consumes them, drawn ahead while the channel, calibration
     # and transmit waveform are prepared. Calibration changes booster gains
     # only, so the uncalibrated stripe sizes the same draws.
     s = wf_cfg.n_ofdm_symbols
     n_samples = s * (grid.n_fft + wf_cfg.cp_length * grid.oversampling)
-    stream, draws = _plan_noise(topology, active_ru, seed, direction, n_samples)
+    stream, draws = _plan_noise(topology, active_ru, seed, direction, n_samples, resume)
     ota_rng = streams.stream(seed, "ota-noise")
     if ota_snr_db is not None or bank.receiver.nf_db is not None:
         ota = (ota_rng, (2, grid.num_subcarriers, n_rx if direction == "dl" else n_tx, s))
@@ -847,8 +935,12 @@ def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank
                                       stripe_id, active_ru, seed, n_tx, n_rx)
         calibration = None
         if calibrate:
-            calibration = calibrate_gains(topology, bank.calibration.target_power_dbm,
-                                          bank.calibration.max_gain_db, seed=seed)
+            if resume is None:
+                calibration = calibrate_gains(topology, bank.calibration.target_power_dbm,
+                                              bank.calibration.max_gain_db, seed=seed)
+            else:  # the record's, with the warning calibrating gave
+                calibration = resume.calibration
+                _warn_clipped(calibration, bank.calibration.max_gain_db, stacklevel=2)
             topology = topology.with_gains(calibration.gains_db)
 
         if beam_phases is None:
@@ -875,10 +967,11 @@ def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank
                                 grid, wf_cfg.cp_length, s, out=branch_grids[:, b, :])
 
             # the walk alone holds the transmit waveform, and drops it once
-            # it has copied it into the trunk
+            # it has copied it into the trunk; a resumed walk needs none
             _, taps, offset = propagate_downlink(
-                topology, _transmit_waveform(tx_grid, grid, wf_cfg), active_ru,
-                beam_phases, seed, record_taps, noise=noise, consume=to_grid)
+                topology, None if resume else _transmit_waveform(tx_grid, grid, wf_cfg),
+                active_ru, beam_phases, seed, record_taps, noise=noise, consume=to_grid,
+                trunk_record=resume or _TrunkRecord(key, calibration))
             air = apply_channel(branch_grids, realization)  # (Q, n_rx, S)
             del branch_grids
             air = _ota_noise(air, bank, grid, noise.source(ota_rng), ota_snr_db)

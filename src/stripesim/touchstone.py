@@ -108,6 +108,11 @@ def _parse_option_line(line: str) -> tuple[float, str, float]:
             except ValueError:
                 raise TouchstoneError(TouchstoneError.UNKNOWN_FORMAT,
                                       f"bad reference impedance {tok!r}")
+            # a finite R > 0, at most MAX_DB dB above one ohm
+            if not 0.0 < r <= 10.0 ** (MAX_DB / 20.0):
+                raise TouchstoneError(TouchstoneError.UNKNOWN_FORMAT,
+                                      f"reference impedance {tok!r} is not a finite R > 0 "
+                                      f"of at most {10.0 ** (MAX_DB / 20.0):g} ohm")
             expect_r = False
         elif tok in _FREQ_UNITS:
             scale = _FREQ_UNITS[tok]

@@ -103,6 +103,9 @@ _BAD_S2P = {
     "s2p-frequency-not-finite": _S2P.replace("200000000000.0", "inf"),
     "s2p-s21-magnitude-beyond-max-db": _S2P.replace("100000000000.0 0 0 0.5",
                                                     "100000000000.0 0 0 1e308"),
+    **{f"s2p-reference-impedance-{name}": _S2P.replace("R 50", f"R {value}")
+       for name, value in (("nan", "nan"), ("negative", "-1"), ("zero", "0"),
+                           ("beyond-max-db", "1e308"), ("infinite", "inf"))},
 }
 
 

@@ -1,6 +1,7 @@
 """Stripe assembly, calibration, downlink/uplink propagation, run_link."""
 
 import dataclasses
+import random
 import sys
 import threading
 import tracemalloc
@@ -11,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stripesim import stripe
+from stripesim import components, stripe
 from stripesim.components import AmplifierParams, DacParams
-from stripesim.config import (AntennaConfig, ComponentBank,
+from stripesim.config import (AntennaConfig, CalibrationConfig, ComponentBank,
                               EnvironmentConfig, LinearElementSpec, ReceiverConfig,
                               StripeLayout, StripeNode, SubThzConfig, WaveformConfig,
                               load_components, load_environment, load_waveform)
@@ -858,16 +859,18 @@ def test_noise_drawn_ahead_matches_inline(direction, noise, drop, tmp_path,
     bank = _workspace_bank(env, wf)
     snr = 18.0 if noise == "awgn" else None
 
-    def link():
+    def link(bank):
         return run_link(env, wf, bank, read_dataset(tmp_path), 0, 0, 2,
                         direction=direction, seed=12, ota_snr_db=snr)
 
-    ahead = link()
+    ahead = link(bank)
     real = stripe._NoiseAhead
     keep = (lambda shape: len(shape) == 2) if drop == "ota" else (lambda shape: False)
     monkeypatch.setattr(stripe, "_NoiseAhead", lambda draws, streams=None: real(
         [d for d in draws if keep(d[1])], streams))
-    inline = link()
+    # an equal bank of another object: the downlink walks its whole trunk
+    # again rather than resume the one drawn ahead
+    inline = link(dataclasses.replace(bank))
     assert inline.rx_symbols.tobytes() == ahead.rx_symbols.tobytes()
     assert inline.metrics == ahead.metrics
 
@@ -1053,11 +1056,13 @@ def test_warm_link_allocates_few_waveform_buffers(direction):
     grid = make_grid(env, wf)
     buffer = wf.n_ofdm_symbols * (grid.n_fft + wf.cp_length * grid.oversampling) * 16
 
-    def link():
-        return run_link(env, wf, bank, "los", 0, 0, 9, direction=direction, seed=6)
+    def link(seed):
+        return run_link(env, wf, bank, "los", 0, 0, 9, direction=direction, seed=seed)
 
-    link()  # warm: the thread's workspace now holds this shape
-    res, peak = _traced_peak(link)
+    # warm: the thread's workspace now holds this shape; the measured link
+    # has another seed, so it walks from the start
+    link(5)
+    res, peak = _traced_peak(lambda: link(6))
     assert (peak - _held_bytes(res, set())) / buffer < _LINK_BUFFERS[direction]
 
     # the walk alone, on one antenna branch, allocates only what it returns
@@ -1085,3 +1090,187 @@ def test_dataset_link_holds_only_its_channel_slice(tmp_path):
                   tmp_path)
     res = run_link(env, _wf(), ComponentBank(), read_dataset(tmp_path), 0, 0, 1, seed=5)
     assert _held_bytes(res.channel, set()) == 2 * 2 * 128 * 16
+
+
+# ---------------------------------------------------------------------------
+# Resumed downlink walks: what a link reuses of the last one on its thread
+# ---------------------------------------------------------------------------
+
+def _resume_configs(domain: str = "frequency"):
+    """Four RUs, two antennas, two UEs; every stage kind that writes in
+    place (frequency), or a delaying, convolving fiber (time)."""
+    env = dataclasses.replace(_env(n_rus=4, n_antennas=2, q=128),
+                              ue_positions=((3.0, 2.0, 1.5), (5.0, 4.0, 1.5)))
+    wf = _wf(n_ofdm_symbols=2, cp_length=8)
+    make_bank = _workspace_bank if domain == "frequency" else _noisy_time_domain_bank
+    return env, wf, make_bank(env, wf)
+
+
+def _link(env, wf, bank, direction, ru, ue, seed, calibrate, record_taps=False):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CalibrationInfeasible)
+        return run_link(env, wf, bank, "los", ue, 0, ru, direction=direction, seed=seed,
+                        calibrate=calibrate, record_taps=record_taps)
+
+
+def _on_fresh_thread(fn):
+    """``fn()`` run alone on a thread of its own, with a fresh workspace."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive() and out
+    return out[0]
+
+
+def _raising_after_the_write(real):
+    """An `amplifier_process` that writes its output, then raises."""
+    def amplifier_process(x, params, rng, *, out=None):
+        real(x, params, rng, out=out)
+        raise RuntimeError("injected after the stage wrote")
+    return amplifier_process
+
+
+def _count_calls(monkeypatch, *names) -> dict:
+    """Calls from here on of the named functions `run_link` calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _real=getattr(stripe, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(stripe, name, counted)
+    return calls
+
+
+def _link_sequence(seed: int, n_steps: int) -> list:
+    """Steps of one thread: links ("dl" or "ul", RU, UE, seed, calibrate,
+    taps), direct walks ("walk_dl", "walk_ul", RU, seed) and downlink
+    links made to raise after a stage wrote ("fault", RU, UE, seed,
+    calibrate). The RU rises, falls or repeats; the link seed and the
+    calibrate flag change now and then, so most downlink links can resume."""
+    rng = random.Random(seed)
+    ru, link_seed, calibrate, steps = 0, 4, True, []
+    for _ in range(n_steps):
+        ru = min(3, max(0, ru + rng.choice((-3, -1, 0, 1, 1, 2))))
+        if rng.random() < 0.1:
+            link_seed = 9 - link_seed  # 4 <-> 5
+        if rng.random() < 0.1:
+            calibrate = not calibrate
+        kind = rng.choice(("dl",) * 8 + ("ul", "walk_dl", "walk_ul", "fault", "fault"))
+        ue = rng.randrange(2)
+        if kind in ("dl", "ul"):
+            steps.append((kind, ru, ue, link_seed, calibrate, rng.random() < 0.1))
+        elif kind == "fault":
+            steps.append((kind, ru, ue, link_seed, calibrate))
+        else:
+            steps.append((kind, ru, link_seed))
+    return steps
+
+
+@pytest.mark.parametrize("domain", ["frequency", "time"])
+def test_links_on_one_thread_match_links_run_alone(domain, monkeypatch):
+    """Every link of a mixed sequence on one thread returns the bits of the
+    same link run alone on a fresh thread: downlink links that resume the
+    walk before them, at the same RU or deeper, links that walk from the
+    start, uplink links, direct walks over the workspace's trunk, links
+    that record taps, and links that fail after a stage wrote."""
+    env, wf, bank = _resume_configs(domain)
+    top = build_stripe(env, bank, 0, make_grid(env, wf), wf)
+    n = 2 * (top.grid.n_fft + 8 * top.grid.oversampling)
+    x = TimeWaveform(0.1 * np.exp(2j * np.pi * np.arange(n) / 7.0), top.grid.sample_rate)
+    resumed = []
+    real_resumable = stripe._resumable
+
+    def resumable(key, active_ru):
+        record = real_resumable(key, active_ru)
+        resumed.append(None if record is None else (record.depth, active_ru))
+        return record
+
+    monkeypatch.setattr(stripe, "_resumable", resumable)
+    alone = {}
+    faults_resumed = 0
+    for step in _link_sequence(28, 56):
+        kind, ru, *rest = step
+        if kind == "walk_dl":
+            propagate_downlink(top, x, ru, [0.3, -0.2], seed=rest[-1])
+        elif kind == "walk_ul":
+            propagate_uplink(top, [x, x], ru, [0.3, -0.2], seed=rest[-1])
+        elif kind == "fault":
+            with monkeypatch.context() as m:
+                m.setattr(components, "amplifier_process",
+                          _raising_after_the_write(components.amplifier_process))
+                with pytest.raises(RuntimeError, match="injected"):
+                    _link(env, wf, bank, "dl", ru, *rest)
+            faults_resumed += resumed[-1] is not None and resumed[-1][0] < ru
+        else:
+            if step not in alone:
+                alone[step] = _on_fresh_thread(lambda: _link_bytes(_link(env, wf, bank, *step)))
+            assert _link_bytes(_link(env, wf, bank, *step)) == alone[step], step
+    # the sequence resumed at the same RU and deeper, and failed mid-trunk
+    # in resumed walks
+    assert sum(r is not None and r[0] == r[1] for r in resumed) >= 4
+    assert sum(r is not None and r[0] < r[1] for r in resumed) >= 4
+    assert faults_resumed >= 2
+
+
+def test_resumed_link_failing_mid_trunk_leaves_no_trace(monkeypatch):
+    """A resumed walk that raises after a trunk stage wrote over the kept
+    trunk leaves no record, so the next link walks from the start and
+    returns the bits of a fresh one."""
+    env, wf, bank = _resume_configs()
+    want = _on_fresh_thread(lambda: _link_bytes(_link(env, wf, bank, "dl", 3, 0, 4, True)))
+    _link(env, wf, bank, "dl", 1, 0, 4, True)
+    with monkeypatch.context() as m:
+        calls = _count_calls(m, "_transmit_waveform")
+        m.setattr(components, "amplifier_process",
+                  _raising_after_the_write(components.amplifier_process))
+        with pytest.raises(RuntimeError, match="injected"):
+            _link(env, wf, bank, "dl", 3, 0, 4, True)
+        assert calls["_transmit_waveform"] == 0  # the failed link resumed
+    assert getattr(stripe._threads, "trunk_record", None) is None
+    assert _link_bytes(_link(env, wf, bank, "dl", 3, 0, 4, True)) == want
+
+
+def test_links_with_taps_never_resume(monkeypatch):
+    """A link that records taps walks from the start, however well the
+    record matches it, and keeps a tap of every stage."""
+    env, wf, bank = _resume_configs()
+    want = _on_fresh_thread(lambda: _link_bytes(
+        _link(env, wf, bank, "dl", 2, 1, 4, True, record_taps=True)))
+    _link(env, wf, bank, "dl", 2, 0, 4, True)
+    calls = _count_calls(monkeypatch, "_transmit_waveform", "calibrate_gains")
+    tapped = _link(env, wf, bank, "dl", 2, 1, 4, True, record_taps=True)
+    assert calls == {"_transmit_waveform": 1, "calibrate_gains": 1}
+    assert tapped.stage_taps[0][0] == "cu_dac"
+    assert _link_bytes(tapped) == want
+
+
+def test_an_equal_bank_of_another_object_misses(monkeypatch):
+    """The record matches configs by identity: the same bank resumes, an
+    equal copy of it walks from the start, with the same bits."""
+    env, wf = _env(n_rus=3), _wf()
+    bank = _bank(boost_amplifier=AmplifierParams(gain_db=3.0, mode="tanh", sat_amplitude=2.0,
+                                                 nf_db=8.0, bandwidth=3e9))
+    twin = dataclasses.replace(bank)
+    assert twin == bank and twin is not bank
+    first = _link(env, wf, bank, "dl", 1, 0, 6, True)
+    calls = _count_calls(monkeypatch, "_transmit_waveform", "calibrate_gains")
+    same = _link(env, wf, bank, "dl", 1, 0, 6, True)
+    assert calls == {"_transmit_waveform": 0, "calibrate_gains": 0}
+    other = _link(env, wf, twin, "dl", 1, 0, 6, True)
+    assert calls == {"_transmit_waveform": 1, "calibrate_gains": 1}
+    assert _link_bytes(first) == _link_bytes(same) == _link_bytes(other)
+
+
+def test_a_reused_calibration_warns_again(monkeypatch):
+    """A link that reuses a clipped calibration warns as calibrating did."""
+    env, wf = _env(n_rus=3), _wf()
+    bank = dataclasses.replace(_damped_bank(loss_db=30.0),
+                               calibration=CalibrationConfig(max_gain_db=20.0))
+    calls = _count_calls(monkeypatch, "calibrate_gains")
+    results = []
+    for ru in (1, 2, 2):
+        with pytest.warns(CalibrationInfeasible, match=r"boosters \[0, 1, 2\] clipped"):
+            results.append(run_link(env, wf, bank, "los", 0, 0, ru, seed=3, calibrate=True))
+    assert calls["calibrate_gains"] == 1
+    assert len({r.calibration for r in results}) == 1
