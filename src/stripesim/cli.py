@@ -17,6 +17,7 @@ import csv
 import json
 import logging
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -32,7 +33,7 @@ from .dataset import generate_synthetic, read_dataset, write_dataset
 from .errors import ConfigError, DomainError, StripeSimError
 from .metrics import am_am_extract
 from .stripe import build_stripe, calibrate_gains, make_grid, run_link
-from .touchstone import read_touchstone
+from .touchstone import MAX_DB, read_touchstone
 from .waveform import SubcarrierGrid
 
 log = logging.getLogger("stripesim")
@@ -173,6 +174,10 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+# the label of every amplifier stage a walk runs, in either direction
+_AMPLIFIER_LABEL = re.compile(r"cu_pa|cu_rx_amp|ru\d+_booster|ru\d+_antenna_amp\d+")
+
+
 def _export_taps(out_dir: Path, stage_taps) -> list[str]:
     """Per-stage waveform dumps plus the stage-wise AM/AM table."""
     outputs = []
@@ -185,8 +190,7 @@ def _export_taps(out_dir: Path, stage_taps) -> list[str]:
         rows = ([i, z.real, z.imag] for i, z in enumerate(x_out))
         _write_csv(out_dir / name, ["index", "re", "im"], rows)
         outputs.append(name)
-    amp_stages = [t for t in stage_taps
-                  if "pa" in t[0] or "booster" in t[0] or "antenna_amp" in t[0]]
+    amp_stages = [t for t in stage_taps if _AMPLIFIER_LABEL.fullmatch(t[0])]
     if amp_stages:
         pairs = am_am_extract(amp_stages)
         n = min(len(x) for _, x, _ in pairs)
@@ -252,8 +256,9 @@ def cmd_sweep_ru(args) -> int:
         # imported here: it adds ~13 ms to every start of the CLI
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs, initializer=_set_sweep_inputs,
-                                 initargs=inputs) as pool:
+        # the pool starts all its workers at once: no more than there are cells
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(cells)),
+                                 initializer=_set_sweep_inputs, initargs=inputs) as pool:
             rows = list(pool.map(_sweep_cell, cells))
     else:
         _set_sweep_inputs(*inputs)
@@ -311,11 +316,12 @@ def cmd_inspect_s2p(args) -> int:
     net = read_touchstone(args.file)
     # downstream plots apply 10*log10 to a linear "magnitude" column; the
     # flag picks whether that column holds |S21|^2 (power, exact dB) or
-    # |S21| (voltage, as some measurement exports store it)
+    # |S21| (voltage, as some measurement exports store it); either is
+    # held to the floor of every dB value, -MAX_DB dB, so a zero has a log
     if args.magnitude == "power":
-        mag_db = 10.0 * np.log10(np.abs(net.s21) ** 2)
+        mag_db = 10.0 * np.log10(np.maximum(np.abs(net.s21) ** 2, 10.0 ** (-MAX_DB / 10.0)))
     else:
-        mag_db = 10.0 * np.log10(np.abs(net.s21))
+        mag_db = 10.0 * np.log10(np.maximum(np.abs(net.s21), 10.0 ** (-MAX_DB / 20.0)))
     phase = np.degrees(np.angle(net.s21))
     rows = [[f, m, p] for f, m, p in zip(net.freqs, mag_db, phase)]
     out = Path(args.out)

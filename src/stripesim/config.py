@@ -151,6 +151,10 @@ MAX_HZ = 1e15
 _AMPLITUDE = _within(0.0, 10.0 ** (MAX_DB / 20.0), strict=True)
 _HERTZ = _within(0.0, MAX_HZ, strict=True)
 _KELVIN = _within(0.0, 1e6, strict=True)
+# The most complex samples one array of a link, or one UE's channel tensor,
+# may hold (4 GiB at 16 bytes each). A link holds a few arrays the length
+# of its waveform and a few the size of its (Q, antennas, symbols) grid.
+MAX_LINK_SAMPLES = 1 << 28
 # Every level (index + 1/2) of a quantizer of up to 52 bits is exact in
 # a float64.
 MAX_DAC_BITS = 52

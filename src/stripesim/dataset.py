@@ -18,6 +18,7 @@ lookup re-checks its whole UE file's CRC and keeps only its (stripe, RU) slice.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -28,8 +29,10 @@ import numpy as np
 
 from .channel import (ChannelRealization, SPEED_OF_LIGHT, TdlParams, model_channel,
                       ula_positions)
-from .config import _HERTZ, EnvironmentConfig, _as_count, _as_float, _as_int, _within
-from .errors import ChecksumError, FormatError, IoError, SchemaError, UnsupportedModel
+from .config import (_HERTZ, MAX_LINK_SAMPLES, EnvironmentConfig, _as_count, _as_float,
+                     _as_int, _within)
+from .errors import (ChecksumError, ConfigError, FormatError, IoError, SchemaError,
+                     UnsupportedModel)
 from .waveform import SubcarrierGrid
 
 MAGIC = b"CFR1"
@@ -291,6 +294,8 @@ def generate_synthetic(env: EnvironmentConfig, grid: SubcarrierGrid,
     Evaluates the chosen model for every (UE, stripe, RU) triple with
     half-wavelength arrays at both ends (4 x 4 by default). Deterministic
     in ``seed``; the LoS model matches direct `los_channel` calls exactly.
+    Raises `ConfigError` before allocating when one UE's tensor would
+    hold more than `MAX_LINK_SAMPLES` entries.
     """
     if model not in ("los", "tdl"):
         raise UnsupportedModel(f"synthetic dataset model {model!r}")
@@ -301,6 +306,9 @@ def generate_synthetic(env: EnvironmentConfig, grid: SubcarrierGrid,
                 for i, pos in enumerate(env.ue_positions))
     header = DatasetHeader(n_stripes=n_stripes, n_rus=n_rus, n_rx=n_rx,
                            n_tx=n_tx, num_subcarriers=q, fc=grid.fc, bw=grid.bw)
+    if math.prod(header.tensor_shape) > MAX_LINK_SAMPLES:
+        raise ConfigError(f"a UE's channel tensor {header.tensor_shape} would hold more "
+                          f"than the {MAX_LINK_SAMPLES} entries one array may hold")
     channels = {}
     for ue in ues:
         tensor = np.empty(header.tensor_shape, dtype=np.complex128)

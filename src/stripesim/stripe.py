@@ -38,17 +38,16 @@ own fresh reference and touches no workspace array. A link holds
 each large array only while a stage reads it: the downlink lets its
 input go once it is copied, and the uplink takes each branch only when
 its antenna amplifier needs it, so `run_link` synthesizes it then.
-A downlink `run_link` also keeps a record of its walk beside the
-thread's workspace (`_TrunkRecord`): the trunk after the active RU's
-input coupler, which is the workspace's trunk unless a stage made a
-fresh array, and the link's calibration. The next downlink link on the
-thread without taps, with the same config objects, grid, stripe, seed
-and calibrate flag and an RU at or beyond the record's, resumes it: it
-reuses the calibration, makes no transmit waveform and runs the same
-stage list from the stage after that coupler, so its bits are those of
-a walk from the start. Every walk that copies an input into the
-workspace drops the record, and a resumed walk drops it before it
-writes.
+A workspace also keeps the record of the thread's last downlink
+`run_link` (`_TrunkRecord`): the trunk after the active RU's input
+coupler, which is the workspace's trunk unless a stage made a fresh
+array, and the link's calibration. The next downlink link without taps,
+with the same config objects, grid, stripe, seed and calibrate flag and
+an RU at or beyond the record's, resumes it: it reuses the calibration,
+makes no transmit waveform and runs only the stages after that coupler,
+as `_plan_walk` lists them once, so its bits are those of a walk from
+the start. `_start_walk` drops the record once, after its argument
+checks and before the walk writes anything.
 """
 
 from __future__ import annotations
@@ -70,8 +69,8 @@ from . import streams
 from .channel import (ChannelRealization, add_awgn, add_thermal_noise,
                       apply_channel, bulk_delay, identity_channel, model_channel,
                       timing_advance)
-from .config import (ComponentBank, EnvironmentConfig, LinearElementSpec,
-                     WaveformConfig, validate_cross)
+from .config import (MAX_LINK_SAMPLES, ComponentBank, EnvironmentConfig,
+                     LinearElementSpec, WaveformConfig, validate_cross)
 from .dataset import CfrDatasetReader, array_geometry
 from .errors import (CalibrationInfeasible, ConfigError, GridMismatch, LengthError,
                      TruncationWarning)
@@ -83,11 +82,6 @@ from .waveform import (ResourceGrid, SubcarrierGrid, TimeWaveform, _power_scale,
                        synthesize_symbols)
 
 CU_NODE = 0  # node ids within a stripe: CU = 0, RU i = i + 1
-
-# The most complex samples one array of a link may hold (4 GiB at 16 bytes
-# each). A link holds a few arrays the length of its waveform and a few
-# the size of its (Q, antennas, symbols) grid.
-MAX_LINK_SAMPLES = 1 << 28
 
 
 def make_grid(env: EnvironmentConfig, wf: WaveformConfig,
@@ -211,10 +205,12 @@ def build_stripe(env: EnvironmentConfig, bank: ComponentBank, stripe_id: int,
 
 class _Workspace:
     """Arrays that walks overwrite link after link; each name keeps only
-    the array of the last shape asked for."""
+    the array of the last shape asked for. ``record`` is the thread's
+    `_TrunkRecord`, or None once a walk has dropped it."""
 
     def __init__(self):
         self._arrays = {}
+        self.record = None
 
     def get(self, name: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
         a = self._arrays.get(name)
@@ -237,8 +233,8 @@ def _thread_workspace() -> _Workspace:
 
 @dataclass
 class _TrunkRecord:
-    """A downlink link's walk as `run_link` keeps it, one per thread, for
-    the next link there to resume.
+    """A downlink link's walk as `run_link` keeps it on the thread's
+    workspace, for the next link there to resume.
 
     ``key`` is the link's (env, wf_cfg, bank, grid, stripe_id, seed,
     calibrate) and ``calibration`` its result. Once the walk has run its
@@ -260,24 +256,12 @@ def _resumable(key: tuple, active_ru: int) -> _TrunkRecord | None:
     may resume it: the same configs (the same objects), grid, stripe, seed
     and calibrate flag, walked to this RU or short of it. Up to there that
     walk ran the stages this one would, on the same input and streams."""
-    record = getattr(_threads, "trunk_record", None)
+    record = _thread_workspace().record
     if (record is not None and record.depth <= active_ru
             and all(a is b for a, b in zip(key[:3], record.key[:3]))
             and key[3:] == record.key[3:]):
         return record
     return None
-
-
-def _keep_record(record: _TrunkRecord | None):
-    """Keep ``record`` as the thread's; None drops the thread's record, as
-    every walk does before it writes over the array the record holds."""
-    _threads.trunk_record = record
-
-
-def _resume_index(stages, depth: int) -> int:
-    """Index of the stage after ``ru{depth}_coupler_in`` in a downlink walk."""
-    label = f"ru{depth}_coupler_in"
-    return 1 + next(i for i, stage in enumerate(stages) if stage[0] == label)
 
 
 @dataclass
@@ -382,25 +366,25 @@ class _NoiseAhead:
     """Draws a link's Gaussian noise ahead of the stages that add it.
 
     ``draws`` lists (rng, shape) of every draw in the order the link
-    consumes them; ``streams`` is the plan's ``stream(node, tag)`` (see
-    `_plan_noise`), so the walk uses the generators the plan names. One
-    helper thread makes the draws in order into a ring of ``AHEAD + 1``
-    workspace rows. A waveform draw, shaped (2, length), fills one row;
-    the over-the-air draw, shaped (2,) + a resource grid, fills one row
-    with each half. The lookahead counts rows: the rows of the draw in
-    use and of the draws made ahead of it are at most ``AHEAD + 1``, so a
-    row is drawn into again only once the stage that used it has
-    returned. `Generator.standard_normal` releases the GIL, and the
-    helper runs nothing else. The thread lives only inside the ``with``
-    block, so none outlives a link (sweep workers are forked between
-    links), and leaving the block waits for a draw in progress, so no row
-    is written after.
+    consumes them, and ``stages`` the walk's stages that `_plan_walk`
+    sized them from; the walk runs those very stages, so each owns the
+    generator its draw names. One helper thread makes the draws in order
+    into a ring of ``AHEAD + 1`` workspace rows. A waveform draw, shaped
+    (2, length), fills one row; the over-the-air draw, shaped (2,) + a
+    resource grid, fills one row with each half. The lookahead counts
+    rows: the rows of the draw in use and of the draws made ahead of it
+    are at most ``AHEAD + 1``, so a row is drawn into again only once the
+    stage that used it has returned. `Generator.standard_normal` releases
+    the GIL, and the helper runs nothing else. The thread lives only
+    inside the ``with`` block, so none outlives a link (sweep workers are
+    forked between links), and leaving the block waits for a draw in
+    progress, so no row is written after.
     """
 
     AHEAD = 4
 
-    def __init__(self, draws: list, streams=None):
-        self.streams = streams
+    def __init__(self, draws: list, stages=None):
+        self.stages = stages
         self._draws = draws
         self._rows = []  # the ring rows each draw fills
         self._next = 0  # index of the next draw to submit
@@ -545,18 +529,20 @@ def _noise_draws(stages, length: int) -> list:
     return draws
 
 
-def _plan_noise(top: StripeTopology, active_ru: int, seed: int, direction: str,
-                length: int, resume: _TrunkRecord | None = None) -> tuple:
-    """(stream, draws) of one walk on ``length`` input samples, or of a
-    downlink walk resumed from ``resume`` on its samples. The walk builds
-    its stages with ``stream(node, tag)``, which makes each random stream
-    once, so it uses the generators ``draws`` names."""
-    stream = functools.cache(functools.partial(streams.stream, seed, top.stripe_id))
-    stages = _walk_stages(top, active_ru, stream, direction)
+def _plan_walk(top: StripeTopology, active_ru: int, seed: int, direction: str,
+               length: int, resume: _TrunkRecord | None = None) -> tuple:
+    """(stages, draws) of one walk on ``length`` input samples, or of a
+    downlink walk resumed from ``resume`` on its samples: the only list of
+    the walk's stages, cut after ``resume``'s ``ru{depth}_coupler_in``,
+    and the noise draws of those stages, from their own generators. On
+    a calibrated ``top`` the boosters carry the calibrated gains."""
+    stages = _walk_stages(top, active_ru,
+                          functools.partial(streams.stream, seed, top.stripe_id), direction)
     if resume is not None:
-        stages = stages[_resume_index(stages, resume.depth):]
+        label = f"ru{resume.depth}_coupler_in"
+        stages = stages[1 + next(i for i, stage in enumerate(stages) if stage[0] == label):]
         length = resume.x.size
-    return stream, _noise_draws(stages, length)
+    return stages, _noise_draws(stages, length)
 
 
 def _check_rate(top: StripeTopology, x: TimeWaveform):
@@ -566,10 +552,7 @@ def _check_rate(top: StripeTopology, x: TimeWaveform):
 
 
 def _copy_into(name: str, wf: TimeWaveform) -> np.ndarray:
-    """A copy of ``wf``'s samples in the thread's workspace array ``name``.
-    A walk that copies its input in then writes over the workspace's
-    trunk, so this drops the thread's trunk record first."""
-    _keep_record(None)
+    """A copy of ``wf``'s samples in the thread's workspace array ``name``."""
     x = _thread_workspace().get(name, wf.samples.shape)
     np.copyto(x, wf.samples)
     return x
@@ -578,8 +561,9 @@ def _copy_into(name: str, wf: TimeWaveform) -> np.ndarray:
 def _start_walk(top: StripeTopology, inputs, active_ru: int, beam_phases,
                 seed: int, direction: str, noise: _NoiseAhead | None,
                 linear_only: bool = False, resume: _TrunkRecord | None = None):
-    """Check a walk's arguments; return its phases, chain and noise
-    stream: ``noise`` itself, or one planned from the walk's own stages.
+    """Check a walk's arguments, then drop the thread's trunk record,
+    which the walk may write over; return its phases, chain and noise
+    stream: ``noise`` itself, or one planned for the walk (`_plan_walk`).
     ``inputs`` are the waveforms the walk has in hand; its chain starts
     on a copy of the first in the workspace's trunk, or on the samples of
     the trunk it resumes."""
@@ -590,14 +574,15 @@ def _start_walk(top: StripeTopology, inputs, active_ru: int, beam_phases,
     beam_phases = np.asarray(beam_phases, dtype=np.float64)
     if beam_phases.size != top.n_antennas:
         raise LengthError("one beam phase per antenna branch required")
+    _thread_workspace().record = None
     chain = _Chain(x=_copy_into("trunk", inputs[0]) if resume is None else resume.x,
                    cp_samples=top.wf.cp_length * top.grid.oversampling,
                    n_fft=top.grid.n_fft, linear_only=linear_only,
                    offset=0 if resume is None else resume.offset)
     if noise is not None:
         return beam_phases, chain, nullcontext(noise)
-    stream, draws = _plan_noise(top, active_ru, seed, direction, chain.x.size, resume)
-    return beam_phases, chain, _NoiseAhead([] if linear_only else draws, stream)
+    stages, draws = _plan_walk(top, active_ru, seed, direction, chain.x.size, resume)
+    return beam_phases, chain, _NoiseAhead([] if linear_only else draws, stages)
 
 
 def propagate_downlink(top: StripeTopology, wf_in: TimeWaveform, active_ru: int,
@@ -612,12 +597,12 @@ def propagate_downlink(top: StripeTopology, wf_in: TimeWaveform, active_ru: int,
     gets the samples of branch ``b`` as soon as its antenna amplifier
     returns, in an array the next branch overwrites, and ``offset`` is the
     delay the walk prepended; by default it returns a copy as a
-    `TimeWaveform` at the grid rate. ``noise`` is the running
-    noise stream of the link the walk belongs to (see `run_link`);
-    without it the walk plans and draws its own. ``trunk_record`` is that
-    link's `_TrunkRecord`: the walk resumes one that holds a walk, after
-    its depth and in place of ``wf_in`` (then None), and keeps its own
-    walk in it as the thread's record.
+    `TimeWaveform` at the grid rate. ``noise`` is the running noise
+    stream of the link the walk belongs to, with the stages planned for
+    it (see `run_link`); without it the walk plans its own.
+    ``trunk_record`` is that link's `_TrunkRecord`: the walk resumes one
+    that holds a walk, in place of ``wf_in`` (then None), and keeps its
+    own walk in it as the thread's record.
     """
     record = trunk_record
     resume = record if record is not None and record.x is not None else None
@@ -629,16 +614,12 @@ def propagate_downlink(top: StripeTopology, wf_in: TimeWaveform, active_ru: int,
         consume = lambda b, branch, offset: TimeWaveform(branch.copy(), top.grid.sample_rate)
     taps = [] if record_taps else None
     with noise as chain.noise:
-        stages = _walk_stages(top, active_ru, chain.noise.streams, "dl")
+        stages = chain.noise.stages
         n_shared = len(stages) - top.n_antennas
-        start = 0
-        if resume is not None:
-            start = _resume_index(stages, resume.depth)
-            _keep_record(None)  # the walk goes on in the record's array
-        _run_stages(chain, stages[start:n_shared], taps)
+        _run_stages(chain, stages[:n_shared], taps)
         if record is not None:
             record.depth, record.x, record.offset = active_ru, chain.x, chain.offset
-            _keep_record(record)
+            _thread_workspace().record = record
         shared = chain.x
         scale = 1.0 / np.sqrt(top.n_antennas)  # the factor of `comp.split`
         out = []
@@ -676,7 +657,7 @@ def propagate_uplink(top: StripeTopology, branch_waveforms, active_ru: int,
     del in_hand, first  # the chain holds its copy of the first branch
     taps = [] if record_taps else None
     with noise as chain.noise:
-        stages = _walk_stages(top, active_ru, chain.noise.streams, "ul")
+        stages = chain.noise.stages
         for b, (stage, theta) in enumerate(zip(stages, beam_phases)):
             # amplify, rotate and sum the branches: the first in the trunk,
             # where the sum builds up, each later one copied into the branch
@@ -917,32 +898,30 @@ def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank
     # a downlink link without taps may resume the last walk on this thread
     key = (env, wf_cfg, bank, grid, stripe_id, seed, calibrate)
     resume = _resumable(key, active_ru) if direction == "dl" and not record_taps else None
+    calibration = None
+    if calibrate:
+        if resume is None:
+            calibration = calibrate_gains(topology, bank.calibration.target_power_dbm,
+                                          bank.calibration.max_gain_db, seed=seed)
+        else:  # the record's, with the warning calibrating gave
+            calibration = resume.calibration
+            _warn_clipped(calibration, bank.calibration.max_gain_db, stacklevel=2)
+        topology = topology.with_gains(calibration.gains_db)
 
     # One noise stream for the whole link: every Gaussian draw, in the order
-    # the link consumes them, drawn ahead while the channel, calibration
-    # and transmit waveform are prepared. Calibration changes booster gains
-    # only, so the uncalibrated stripe sizes the same draws.
+    # the link consumes them, drawn ahead while the channel and transmit
+    # waveform are prepared, and the stages of the walk that consumes them.
     s = wf_cfg.n_ofdm_symbols
     n_samples = s * (grid.n_fft + wf_cfg.cp_length * grid.oversampling)
-    stream, draws = _plan_noise(topology, active_ru, seed, direction, n_samples, resume)
+    stages, draws = _plan_walk(topology, active_ru, seed, direction, n_samples, resume)
     ota_rng = streams.stream(seed, "ota-noise")
     if ota_snr_db is not None or bank.receiver.nf_db is not None:
         ota = (ota_rng, (2, grid.num_subcarriers, n_rx if direction == "dl" else n_tx, s))
         draws = draws + [ota] if direction == "dl" else [ota] + draws
 
-    with _NoiseAhead(draws, stream) as noise:
+    with _NoiseAhead(draws, stages) as noise:
         realization = resolve_channel(env, grid, channel_source, ue_index,
                                       stripe_id, active_ru, seed, n_tx, n_rx)
-        calibration = None
-        if calibrate:
-            if resume is None:
-                calibration = calibrate_gains(topology, bank.calibration.target_power_dbm,
-                                              bank.calibration.max_gain_db, seed=seed)
-            else:  # the record's, with the warning calibrating gave
-                calibration = resume.calibration
-                _warn_clipped(calibration, bank.calibration.max_gain_db, stacklevel=2)
-            topology = topology.with_gains(calibration.gains_db)
-
         if beam_phases is None:
             beam_phases = default_beam_phases(realization)
 

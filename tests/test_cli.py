@@ -1,24 +1,32 @@
 """CLI surface: exit codes, CSV outputs, determinism, manifests."""
 
+import concurrent.futures
 import csv
 import json
 import os
 import subprocess
 import sys
+import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from stripesim import config
 from stripesim.channel import ChannelRealization
 from stripesim.cli import _export_channel, main
+from stripesim.touchstone import MAX_DB
 from stripesim.waveform import SubcarrierGrid
 
 from stripesim.errors import AntennaCountMismatch, InterSymbolInterferenceRisk
 
 from conftest import (COMP_YAML, ENV_YAML, LAST_RU, TWO_STRIPES, WF_YAML, edit_metadata,
                       flat_s2p, s2p_from_taps)
+
+ROOT = Path(__file__).resolve().parents[1]
+EXAMPLES = ROOT / "docs" / "examples"
 
 
 def _run(*argv) -> int:
@@ -195,6 +203,8 @@ _BAD_METADATA = {
                    id=f"gen-channels{flags[0]}-{flags[1]}")
       for flags in (["--beta", "-1"], ["--beta", "nan"], ["--beta", "inf"],
                     ["--taps-l", "100000"])],
+    pytest.param("gen-channels", ["--n-tx", "100000", "--n-rx", "100000"], None, None, 2,
+                 id="gen-channels-tensor-too-large"),
     *[pytest.param("run", ["--ru", "1"], (old, new), None, 2, id=name)
       for name, old, new in (
           ("amplifier-sat-amplitude-zero", _AMP, "boost_amplifier: {model: tanh, "
@@ -424,17 +434,22 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_run_taps_export(config_tree, tmp_path):
-    out = tmp_path / "out"
-    code = _run("run", *_base_flags(config_tree), "--channel", "los",
-                "--ru", "1", "--taps", "--out", out)
-    assert code == 0
-    tap_files = sorted((out / "taps").glob("*.csv"))
-    assert tap_files
-    rows = _read_csv(tap_files[0])
-    assert rows[0] == ["index", "re", "im"]
-    am = _read_csv(out / "am_am.csv")
-    assert am[0][0] == "xstage0"
-    assert am[0][1] == "ystage0"
+    """Every stage's taps, and one am_am.csv column pair per amplifier
+    stage in walk order, in either direction."""
+    for direction, amplifiers in (("dl", ["cu_pa", "ru0_booster", "ru1_antenna_amp0"]),
+                                  ("ul", ["ru1_antenna_amp0", "ru0_booster", "cu_rx_amp"])):
+        out = tmp_path / direction
+        code = _run("run", *_base_flags(config_tree), "--channel", "los",
+                    "--ru", "1", "--direction", direction, "--taps", "--out", out)
+        assert code == 0
+        tap_files = sorted((out / "taps").glob("*.csv"))
+        assert tap_files
+        rows = _read_csv(tap_files[0])
+        assert rows[0] == ["index", "re", "im"]
+        labels = [f.stem.split("_", 1)[1] for f in tap_files]
+        assert [label for label in labels if label in amplifiers] == amplifiers
+        am = _read_csv(out / "am_am.csv")
+        assert am[0] == [f"{axis}stage{i}" for i in range(len(amplifiers)) for axis in "xy"]
 
 
 def test_channel_dump_matches_the_loop_reference(tmp_path):
@@ -490,6 +505,39 @@ def test_sweep_parallel_matches_serial(config_tree, tmp_path):
     assert _run(*args, "--jobs", "2", "--out", tmp_path / "par") == 0
     assert ((tmp_path / "serial" / "heatmap.csv").read_bytes()
             == (tmp_path / "par" / "heatmap.csv").read_bytes())
+
+
+def test_sweep_pool_has_no_more_workers_than_cells(tmp_path, monkeypatch):
+    """--jobs beyond the example's 10 cells sizes the pool at 10, and the
+    heatmap keeps the bytes of --jobs 1. The pool is a stand-in that maps
+    in this process: a real one would start every worker it was asked for."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    args = ["sweep-ru", "--env", EXAMPLES / "environment.yaml",
+            "--waveform", EXAMPLES / "waveform.yaml",
+            "--components", EXAMPLES / "components.yaml", "--seed", "3"]
+    assert _run(*args, "--jobs", "1", "--out", tmp_path / "serial") == 0
+    assert _run(*args, "--jobs", "1000", "--out", tmp_path / "pool") == 0
+    assert sizes == [10]
+    assert ((tmp_path / "serial" / "heatmap.csv").read_bytes()
+            == (tmp_path / "pool" / "heatmap.csv").read_bytes())
+    manifest = json.loads((tmp_path / "pool" / "manifest.json").read_text())
+    assert manifest["flags"]["jobs"] == 1000
 
 
 def test_sweep_dataset_parallel_matches_serial(config_tree, tmp_path):
@@ -580,6 +628,24 @@ def test_inspect_db_round_trip(tmp_path):
     assert abs(float(_read_csv(out2)[1][1]) - (-3.25)) < 1e-9
 
 
+@pytest.mark.parametrize("magnitude, exponent", [("power", 2), ("voltage", 1)])
+def test_inspect_zero_s21_reads_the_db_floor(tmp_path, magnitude, exponent):
+    """An S21 of exactly 0 reads -MAX_DB dB (half that as voltage), with no
+    numpy warning; a value above the floor keeps the bytes of its log."""
+    s2p = tmp_path / "zero.s2p"
+    s2p.write_text("# Hz S RI R 50\n"
+                   "1e9 0 0 0 0 0 0 0 0\n"
+                   "2e9 0 0 0.5 0.25 0 0 0 0\n")
+    out = tmp_path / "zero.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run("inspect-s2p", "--file", s2p, "--magnitude", magnitude,
+                    "--out", out) == 0
+    rows = _read_csv(out)
+    assert float(rows[1][1]) == -MAX_DB * exponent / 2
+    assert rows[2][1] == repr(float(10.0 * np.log10(np.abs(0.5 + 0.25j) ** exponent)))
+
+
 def test_inspect_malformed_exits_config(tmp_path):
     bad = tmp_path / "bad.s2p"
     bad.write_text("# GHz S RI R 50\n1.0 2.0\n")
@@ -617,3 +683,33 @@ def test_gen_channels_reproducible(config_tree, tmp_path):
 def test_gen_channels_bad_model(config_tree, tmp_path):
     assert _run("gen-channels", "--env", config_tree["env"],
                 "--model", "raytrace", "--out", tmp_path / "x") == 2
+
+
+# ---------------------------------------------------------------------------
+# README and CI
+# ---------------------------------------------------------------------------
+
+def _readme_block(readme: str, section: str) -> str:
+    """The first indented code block under the README's ``## section``."""
+    lines = readme.split(f"## {section}\n", 1)[1].split("\n## ", 1)[0].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("    "))
+    end = next((i for i in range(start, len(lines))
+                if lines[i] and not lines[i].startswith("    ")), len(lines))
+    return textwrap.dedent("\n".join(lines[start:end])).strip("\n") + "\n"
+
+
+def test_ci_runs_every_readme_command():
+    """The "README commands" step of the CI workflow runs each line of
+    README's Commands block, its comment stripped, and the In Python
+    snippet as README gives it."""
+    readme = (ROOT / "README.md").read_text()
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
+    step = next(step for job in workflow["jobs"].values() for step in job["steps"]
+                if step.get("name") == "README commands")
+    ci_lines = step["run"].splitlines()
+    commands = [line.split("#", 1)[0].rstrip()
+                for line in _readme_block(readme, "Commands").splitlines()]
+    assert len(commands) >= 8
+    assert [c for c in commands if c not in ci_lines] == []
+    snippet = _readme_block(readme, "In Python")
+    assert snippet.startswith("python - <<EOF\n") and snippet in step["run"]

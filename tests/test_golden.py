@@ -78,7 +78,7 @@ DIGESTS = {
         "run-dl-ru2-taps":
             "ab7cee86b2508474c65e1bc5fa38794d589e25c54e3d9d9e28052a658eda894a",
         "run-ul-ru1-taps":
-            "5723d42d548790189e7580577efecbc2fba91b2d1cd34bc49cca353a5226b7c3",
+            "358ea57115e1a4e58467b5c1d89c61cb2537e8eb2c4bac1ce46413bf4d6c8e6c",
         "run-dl-ru2-los-channel": LOS_CHANNEL,
         "run-dl-ru2-rayleigh":
             "42209020fe65e86764687d37ab669b9c01526aecb8eaf35c0101f2a62d583f33",
@@ -105,7 +105,7 @@ DIGESTS = {
         "run-dl-ru2-taps":
             "9b8b311b51ac1e3726a1a68916d9e1c59c27421892e8c8055245594ed0ed1029",
         "run-ul-ru1-taps":
-            "701988e31cdb1d194726a7408080042898930b80c77131cc32be90abc6b7489a",
+            "5ec4e85762fa6dfd267bd27e0a57b81af475e822eb12dbae90bea4c592e95cda",
         "run-dl-ru2-los-channel": LOS_CHANNEL,
         "run-dl-ru2-rayleigh":
             "74d87927747186261c0c0de32e1adfb0042b5a0dfab90d764f9aed802f053f5c",
@@ -167,15 +167,15 @@ OTHER_GRID_DIGESTS = {
     "dl-qam4":
         "c4e9c40a9ba42d6596edcf79b1fd86d6141d519e954a99eafd145c173d7076bb",
     "ul-qam4":
-        "639a6e3ae117fb2539d14681c28fb0ecc5c2eace460e53bc1747d9436d9fc5a6",
+        "390c0aa454058f60070b08e72c03423f6be646c938567d1a5a6714efc972422c",
     "dl-qam64":
         "03d48774b47e37775a9fb70bcb0bc6100fabd8237179d76789f428f3702be1b9",
     "ul-qam64":
-        "3b6d318fb9113209744c945fa5a8d56afc35d2027f367e35664744f580af6900",
+        "1b34223802deaa868654e484137239848f59f40d786be23b62defc77f359afff",
     "dl-qam256":
         "4eb267586d8616257f6815cb9eb92376538de081cbb3c37480015fdb8c8b00e7",
     "ul-qam256":
-        "15f0e5eb105aab0991b83e79a52ea436d6d15c602b53f519b48c74e4633a5cb9",
+        "01c7951dbd4c3d62710207231c5236b431bf07bcd33165acadf01b234f69de9f",
 }
 
 

@@ -1142,6 +1142,31 @@ def _count_calls(monkeypatch, *names) -> dict:
     return calls
 
 
+@pytest.mark.parametrize("calibrate", [False, True])
+def test_each_walk_lists_its_stages_once(calibrate, monkeypatch):
+    """A direct walk lists its stages once, and so does a link: one that
+    walks a downlink from the start, one that resumes it deeper, and an
+    uplink link."""
+    env, wf, bank = _resume_configs()
+    top = build_stripe(env, bank, 0, make_grid(env, wf), wf)
+    x = TimeWaveform(np.ones(2 * (top.grid.n_fft + 8 * top.grid.oversampling), complex),
+                     top.grid.sample_rate)
+    calls = _count_calls(monkeypatch, "_walk_stages", "_transmit_waveform")
+    steps = {"walk_dl": lambda: propagate_downlink(top, x, 2, [0.3, -0.2], seed=4),
+             "walk_ul": lambda: propagate_uplink(top, [x, x], 2, [0.3, -0.2], seed=4),
+             "dl_fresh": lambda: _link(env, wf, bank, "dl", 1, 0, 4, calibrate),
+             "dl_resumed": lambda: _link(env, wf, bank, "dl", 2, 1, 4, calibrate),
+             "ul": lambda: _link(env, wf, bank, "ul", 2, 0, 4, calibrate)}
+    seen = {}
+    for name, step in steps.items():  # the direct walks drop any record first
+        before = dict(calls)
+        step()
+        seen[name] = tuple(calls[key] - before[key] for key in calls)
+    # (stage lists, transmit waveforms); the resumed link makes no waveform
+    assert seen == {"walk_dl": (1, 0), "walk_ul": (1, 0), "dl_fresh": (1, 1),
+                    "dl_resumed": (1, 0), "ul": (1, 1)}
+
+
 def _link_sequence(seed: int, n_steps: int) -> list:
     """Steps of one thread: links ("dl" or "ul", RU, UE, seed, calibrate,
     taps), direct walks ("walk_dl", "walk_ul", RU, seed) and downlink
@@ -1227,7 +1252,7 @@ def test_resumed_link_failing_mid_trunk_leaves_no_trace(monkeypatch):
         with pytest.raises(RuntimeError, match="injected"):
             _link(env, wf, bank, "dl", 3, 0, 4, True)
         assert calls["_transmit_waveform"] == 0  # the failed link resumed
-    assert getattr(stripe._threads, "trunk_record", None) is None
+    assert stripe._thread_workspace().record is None
     assert _link_bytes(_link(env, wf, bank, "dl", 3, 0, 4, True)) == want
 
 
