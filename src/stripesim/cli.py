@@ -52,12 +52,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows):
+def _write_rows(path: Path, header: list[str], rows):
+    """A CSV of ``rows`` as they are: a Python int or float prints as
+    `_fmt` would print it."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
+
+
+def _write_csv(path: Path, header: list[str], rows):
+    _write_rows(path, header, ([_fmt(v) for v in row] for row in rows))
 
 
 def _write_manifest(out_dir: Path, payload: dict):
@@ -185,10 +190,8 @@ def _export_taps(out_dir: Path, stage_taps) -> list[str]:
     taps_dir.mkdir(exist_ok=True)
     for order, (label, _x_in, x_out) in enumerate(stage_taps):
         name = f"taps/{order:02d}_{label}.csv"
-        # each row is made as it is written: a list of them all would
-        # outweigh the taps themselves
-        rows = ([i, z.real, z.imag] for i, z in enumerate(x_out))
-        _write_csv(out_dir / name, ["index", "re", "im"], rows)
+        _write_rows(out_dir / name, ["index", "re", "im"],
+                    zip(range(x_out.size), x_out.real.tolist(), x_out.imag.tolist()))
         outputs.append(name)
     amp_stages = [t for t in stage_taps if _AMPLIFIER_LABEL.fullmatch(t[0])]
     if amp_stages:
@@ -206,9 +209,9 @@ def _export_taps(out_dir: Path, stage_taps) -> list[str]:
 
 def _export_channel(out_dir: Path, realization) -> str:
     h = realization.h
-    index = np.indices(h.shape).reshape(3, -1).T.tolist()  # (q, rx, tx), row-major
-    rows = [[*i, z.real, z.imag] for i, z in zip(index, h.ravel().tolist())]
-    _write_csv(out_dir / "channel.csv", ["q", "rx", "tx", "re", "im"], rows)
+    index = np.indices(h.shape).reshape(3, -1).tolist()  # (q, rx, tx), row-major
+    _write_rows(out_dir / "channel.csv", ["q", "rx", "tx", "re", "im"],
+                zip(*index, h.real.ravel().tolist(), h.imag.ravel().tolist()))
     return "channel.csv"
 
 
@@ -423,12 +426,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _log_level() -> int:
+    """The level STRIPESIM_LOG names (WARNING when unset)."""
+    name = os.environ.get("STRIPESIM_LOG", "WARNING")
+    level = logging.getLevelName(name.upper())
+    if not isinstance(level, int):
+        raise ConfigError(f"STRIPESIM_LOG={name!r} is not a log level; use one of "
+                          f"DEBUG, INFO, WARNING, ERROR or CRITICAL")
+    return level
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("STRIPESIM_LOG", "WARNING").upper(),
-                        format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        logging.basicConfig(level=_log_level(), format="%(levelname)s %(name)s: %(message)s")
         return args.func(args)
     except ConfigError as exc:
         print(f"stripesim: configuration error: {exc}", file=sys.stderr)

@@ -19,25 +19,32 @@ output bit. The same keying is why a link may make all its Gaussian
 draws ahead of the stages that add them, on one helper thread: a draw
 depends on its stream and its shape, never on the signal.
 
-Buffers. One rule: a walk copies each waveform it is given once, into a
-bare sample array, and every stage then writes its output over its
-input. A `TimeWaveform` is met only at the walk's public edges, where
-`_check_rate` holds each input to the stripe grid. The walk's input goes
-into the calling thread's workspace (`_thread_workspace`) as the trunk,
-each later uplink branch as the branch, and the noise ring is there too;
-a workspace keeps one array per name, for the last shape asked for, and
-the next walk on the thread overwrites it. A delay or a time-domain
-convolution makes a fresh array, which is the walk's as well; a
-frequency-domain filter transforms each symbol in place, so no stage
-keeps a scratch spectrum. Whatever leaves a walk is a copy: each
-downlink branch (by default) and the uplink output, so no later walk
-touches them or any `LinkResult` array, and the arrays a walk is given
-are never written. Recording taps changes no buffer: `_run_stages`
-copies each stage's input and output as it goes. Calibration walks its
-own fresh reference and touches no workspace array. A link holds
-each large array only while a stage reads it: the downlink lets its
-input go once it is copied, and the uplink takes each branch only when
-its antenna amplifier needs it, so `run_link` synthesizes it then.
+Buffers. One rule: a walk fills each input it is given once into a bare
+sample array, and every stage then writes its output over its input. A
+`TimeWaveform` is met only at the walk's public edges, where
+`_check_rate` holds each input to the stripe grid. The arrays live in
+the calling thread's workspace (`_thread_workspace`): the walk's input
+is the trunk, each later uplink branch the branch, and the noise ring
+of three rows is there too, so a warm link holds five waveform-sized
+workspace arrays. A workspace keeps one array per name, for the last
+shape asked for, and the next walk on the thread overwrites it. One
+fill step, `_fill`, writes each input into its array: it copies a
+caller's waveform in, or synthesizes a (Q, S) symbol grid there, which
+is how `run_link` makes each uplink branch without a waveform of its
+own. A delay or a time-domain convolution makes a fresh array, which
+is the walk's as well; a frequency-domain filter transforms each symbol
+in place, so no stage keeps a scratch spectrum. Whatever leaves a walk
+is a copy: each downlink branch (by default) and the uplink output, so
+no later walk touches them or any `LinkResult` array, and the arrays a
+walk is given are never written. Recording taps changes no buffer:
+`_run_stages` copies each stage's input and output as it goes.
+Calibration walks its own fresh reference and touches no workspace
+array. A link holds each large array only while a stage reads it: the
+downlink lets its input go once it is copied, and the uplink takes each
+branch only when its antenna amplifier needs it. A waveform the link
+drops right after demodulation (each downlink branch, the uplink's UE
+transmit waveform and its copy of the CU output) is demodulated in
+place (`extract_symbols(..., in_place=True)`), so it costs no spectrum.
 A workspace also keeps the record of the thread's last downlink
 `run_link` (`_TrunkRecord`): the trunk after the active RU's input
 coupler, which is the workspace's trunk unless a stage made a fresh
@@ -369,19 +376,22 @@ class _NoiseAhead:
     consumes them, and ``stages`` the walk's stages that `_plan_walk`
     sized them from; the walk runs those very stages, so each owns the
     generator its draw names. One helper thread makes the draws in order
-    into a ring of ``AHEAD + 1`` workspace rows. A waveform draw, shaped
-    (2, length), fills one row; the over-the-air draw, shaped (2,) + a
-    resource grid, fills one row with each half. The lookahead counts
-    rows: the rows of the draw in use and of the draws made ahead of it
-    are at most ``AHEAD + 1``, so a row is drawn into again only once the
-    stage that used it has returned. `Generator.standard_normal` releases
-    the GIL, and the helper runs nothing else. The thread lives only
-    inside the ``with`` block, so none outlives a link (sweep workers are
-    forked between links), and leaving the block waits for a draw in
-    progress, so no row is written after.
+    into a ring of ``AHEAD + 1`` = 3 workspace rows. A waveform draw,
+    shaped (2, length), fills one row; the over-the-air draw, shaped (2,)
+    + a resource grid, fills one row with each half, so the ring needs
+    at least two rows. The lookahead counts rows: the rows of the draw in
+    use and of the draws made ahead of it are at most ``AHEAD + 1``, so a
+    row is drawn into again only once the stage that used it has
+    returned. While a stage adds one waveform draw, the helper makes the
+    next two; each row more would cost a waveform buffer.
+    `Generator.standard_normal` releases the GIL, and the helper runs
+    nothing else. The thread lives only inside the ``with`` block, so
+    none outlives a link (sweep workers are forked between links), and
+    leaving the block waits for a draw in progress, so no row is written
+    after.
     """
 
-    AHEAD = 4
+    AHEAD = 2
 
     def __init__(self, draws: list, stages=None):
         self.stages = stages
@@ -545,17 +555,29 @@ def _plan_walk(top: StripeTopology, active_ru: int, seed: int, direction: str,
     return stages, _noise_draws(stages, length)
 
 
-def _check_rate(top: StripeTopology, x: TimeWaveform):
-    if x.sample_rate != top.grid.sample_rate:
+def _check_rate(top: StripeTopology, x):
+    """GridMismatch unless waveform ``x`` is sampled at the stripe grid's
+    rate; a symbol grid is synthesized at that rate."""
+    if isinstance(x, TimeWaveform) and x.sample_rate != top.grid.sample_rate:
         raise GridMismatch(f"input sampled at {x.sample_rate} Hz, the stripe "
                            f"grid at {top.grid.sample_rate} Hz")
 
 
-def _copy_into(name: str, wf: TimeWaveform) -> np.ndarray:
-    """A copy of ``wf``'s samples in the thread's workspace array ``name``."""
-    x = _thread_workspace().get(name, wf.samples.shape)
-    np.copyto(x, wf.samples)
-    return x
+def _fill(top: StripeTopology, name: str, x) -> np.ndarray:
+    """The thread's workspace array ``name``, filled with walk input ``x``:
+    a copy of a waveform's samples, or a (Q, S) symbol grid synthesized
+    straight into it."""
+    _check_rate(top, x)
+    if isinstance(x, TimeWaveform):
+        out = _thread_workspace().get(name, x.samples.shape)
+        np.copyto(out, x.samples)
+        return out
+    if x.ndim != 2 or x.shape[0] != top.grid.num_subcarriers:
+        raise LengthError(f"a symbol grid must be (Q, S) with Q = "
+                          f"{top.grid.num_subcarriers}, got shape {x.shape}")
+    cp = top.wf.cp_length
+    size = x.shape[1] * (top.grid.n_fft + cp * top.grid.oversampling)
+    return synthesize_symbols(x, top.grid, cp, out=_thread_workspace().get(name, (size,)))
 
 
 def _start_walk(top: StripeTopology, inputs, active_ru: int, beam_phases,
@@ -564,9 +586,9 @@ def _start_walk(top: StripeTopology, inputs, active_ru: int, beam_phases,
     """Check a walk's arguments, then drop the thread's trunk record,
     which the walk may write over; return its phases, chain and noise
     stream: ``noise`` itself, or one planned for the walk (`_plan_walk`).
-    ``inputs`` are the waveforms the walk has in hand; its chain starts
-    on a copy of the first in the workspace's trunk, or on the samples of
-    the trunk it resumes."""
+    ``inputs`` are the inputs the walk has in hand; its chain starts on
+    the first, filled into the workspace's trunk (`_fill`), or on the
+    samples of the trunk it resumes."""
     if not 0 <= active_ru < top.n_rus:
         raise ConfigError(f"active_ru {active_ru} out of range [0, {top.n_rus})")
     for x in inputs:
@@ -575,7 +597,7 @@ def _start_walk(top: StripeTopology, inputs, active_ru: int, beam_phases,
     if beam_phases.size != top.n_antennas:
         raise LengthError("one beam phase per antenna branch required")
     _thread_workspace().record = None
-    chain = _Chain(x=_copy_into("trunk", inputs[0]) if resume is None else resume.x,
+    chain = _Chain(x=_fill(top, "trunk", inputs[0]) if resume is None else resume.x,
                    cp_samples=top.wf.cp_length * top.grid.oversampling,
                    n_fft=top.grid.n_fft, linear_only=linear_only,
                    offset=0 if resume is None else resume.offset)
@@ -639,10 +661,13 @@ def propagate_uplink(top: StripeTopology, branch_waveforms, active_ru: int,
     """Active-RU receive front end -> trunk in reverse -> CU receive chain.
 
     ``branch_waveforms`` are the per-antenna signals right after the
-    wireless hop, in any iterable: the walk takes each one only when its
-    antenna amplifier needs it and holds none after, so a generator lets
-    the caller make each branch only then. Couplers swap roles relative
-    to downlink. ``noise`` is as in `propagate_downlink`.
+    wireless hop, in any iterable, each a `TimeWaveform` or a (Q, S) grid
+    of symbols: the walk takes each one only when its antenna amplifier
+    needs it, fills it straight into the array it walks (`_fill`: it
+    copies a waveform's samples in and synthesizes a grid there) and holds
+    none after, so a generator lets the caller make each branch only then.
+    Couplers swap roles relative to downlink. ``noise`` is as in
+    `propagate_downlink`.
     """
     in_hand = (branch_waveforms if isinstance(branch_waveforms, (list, tuple))
                else None)
@@ -660,16 +685,15 @@ def propagate_uplink(top: StripeTopology, branch_waveforms, active_ru: int,
         stages = chain.noise.stages
         for b, (stage, theta) in enumerate(zip(stages, beam_phases)):
             # amplify, rotate and sum the branches: the first in the trunk,
-            # where the sum builds up, each later one copied into the branch
+            # where the sum builds up, each later one filled into the branch
             if b == 0:
                 sub = chain
             else:
                 branch = next(branches, None)
                 if branch is None:
                     raise wrong_count
-                _check_rate(top, branch)
-                sub = replace(chain, x=_copy_into("branch", branch))
-                del branch  # the walk works on its copy
+                sub = replace(chain, x=_fill(top, "branch", branch))
+                del branch  # the walk works on its own array
             _run_stages(sub, [stage], taps)
             y = comp.rotate(sub.x, theta, out=sub.x)
             if b:
@@ -835,14 +859,13 @@ def _ota_noise(y: np.ndarray, bank: ComponentBank, grid: SubcarrierGrid,
     return y
 
 
-def _branch_waveforms(at_ru: np.ndarray, grid: SubcarrierGrid, cp_length: int):
-    """The time waveform of each RU branch ``at_ru[:, b, :]``, each made
-    only when asked for; ``at_ru`` is let go once the last one is made."""
+def _branch_grids(at_ru: np.ndarray):
+    """The symbol grid of each RU branch, ``at_ru[:, b, :]``, in turn;
+    ``at_ru`` is let go once the walk has made the last branch of it."""
     columns = [at_ru[:, b, :] for b in range(at_ru.shape[1])]
     del at_ru
     while columns:
-        yield TimeWaveform(synthesize_symbols(columns.pop(0), grid, cp_length),
-                           sample_rate=grid.sample_rate)
+        yield columns.pop(0)
 
 
 def _transmit_waveform(tx_grid: ResourceGrid, grid: SubcarrierGrid,
@@ -942,8 +965,8 @@ def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank
                 if b == 0:  # the trunk has let the transmit waveform go
                     branch_grids = np.empty((grid.num_subcarriers, n_tx, s),
                                             dtype=np.complex128)
-                extract_symbols(branch[offset:offset + n_samples],
-                                grid, wf_cfg.cp_length, s, out=branch_grids[:, b, :])
+                extract_symbols(branch[offset:offset + n_samples], grid, wf_cfg.cp_length,
+                                s, out=branch_grids[:, b, :], in_place=True)
 
             # the walk alone holds the transmit waveform, and drops it once
             # it has copied it into the trunk; a resumed walk needs none
@@ -960,20 +983,21 @@ def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank
             # the UE's grid on each of its elements, at 1/sqrt(n_rx) amplitude
             ue_elems = np.empty((grid.num_subcarriers, n_rx, s), dtype=np.complex128)
             ue_grid = extract_symbols(_transmit_waveform(tx_grid, grid, wf_cfg).samples,
-                                      grid, wf_cfg.cp_length, s, out=ue_elems[:, 0, :])
+                                      grid, wf_cfg.cp_length, s, out=ue_elems[:, 0, :],
+                                      in_place=True)
             ue_grid /= np.sqrt(n_rx)
             ue_elems[:, 1:, :] = ue_grid[:, None, :]
             up = realization.transposed()  # (Q, n_tx_ru, n_rx_ue)
             at_ru = apply_channel(ue_elems, up)  # (Q, n_tx_ru, S)
             del ue_elems, ue_grid
             at_ru = _ota_noise(at_ru, bank, grid, noise.source(ota_rng), ota_snr_db)
-            branches = _branch_waveforms(at_ru, grid, wf_cfg.cp_length)
+            branches = _branch_grids(at_ru)
             del at_ru
             cu_wf, taps, offset = propagate_uplink(
                 topology, branches, active_ru, beam_phases, seed, record_taps,
                 noise=noise)
             rx_symbols = extract_symbols(cu_wf.samples[offset:offset + n_samples],
-                                         grid, wf_cfg.cp_length, s)
+                                         grid, wf_cfg.cp_length, s, in_place=True)
             del cu_wf
 
     # receiver timing sync: rotate the channel's bulk delay off the grid

@@ -18,15 +18,22 @@ Conventions
 Scratch and exactness
 ---------------------
 * The OFDM pair keeps no scratch spectrum. Synthesis puts the bins
-  straight into FFT order in the frame bodies of its result and
-  transforms them there, in place; extraction transforms into the one
-  spectrum it makes per call and never writes its input. Both replace
-  shift-and-copy steps with the same bits: numpy >= 2 transforms with
-  ``out=`` aliasing its input and rounds as it does out of place.
+  straight into FFT order in the frame bodies of its result, a fresh
+  array or the caller's ``out``, and transforms them there, in place.
+  Extraction transforms into one spectrum it makes per call and never
+  writes its input, unless the caller gives up the samples with
+  ``in_place=True``: it then transforms each frame body where it lies,
+  so a waveform dropped right after demodulation costs no spectrum.
+  All of these replace shift-and-copy steps with the same bits: numpy
+  >= 2 transforms with ``out=`` aliasing its input and rounds as it
+  does out of place.
 * The mapper looks each symbol up in a per-order table built by the
   mapping arithmetic; the demapper slices each axis on its own and
   returns exactly the bits of a full minimum-distance search, falling
-  back to that search where rounding could make the two differ.
+  back to that search where rounding could make the two differ. It
+  works through the symbols in blocks of `_DEMAP_BLOCK`, so its float
+  temporaries stay block-sized; every step acts on each symbol alone,
+  so the blocks change no bit.
 """
 
 from __future__ import annotations
@@ -247,6 +254,10 @@ def _nearest_points(symbols: np.ndarray, order: int) -> np.ndarray:
 # search's own rounding is below 1e-14 of the same scale
 _SLICE_MARGIN = 1e-12
 
+# symbols demapped per block, which bounds each of the demapper's float
+# temporaries at 64 KiB however many symbols a link carries
+_DEMAP_BLOCK = 1 << 13
+
 
 def demap_qam(symbols, order: int) -> np.ndarray:
     """Hard-decision demapping (minimum Euclidean distance).
@@ -258,9 +269,21 @@ def demap_qam(symbols, order: int) -> np.ndarray:
     are the odd integers, level index k = clip(rint(((L-1) - t)/2)). A
     symbol within about 1e-12*(t_I^2 + t_Q^2 + L^2) of a threshold, or not
     finite, goes through the full search instead, so the bits equal the
-    full search's on every input.
+    full search's on every input. The symbols go through in blocks of
+    `_DEMAP_BLOCK`.
     """
     symbols = np.asarray(symbols, dtype=np.complex128).ravel()
+    bits = _slicer_tables(order)[1]
+    out = np.empty((symbols.size, bits.shape[1]), dtype=bits.dtype)
+    for start in range(0, symbols.size, _DEMAP_BLOCK):
+        block = symbols[start:start + _DEMAP_BLOCK]
+        out[start:start + block.size] = bits[_slice_block(block, order)]
+    return out.ravel()
+
+
+def _slice_block(symbols: np.ndarray, order: int) -> np.ndarray:
+    """The constellation index of each of ``symbols``, as `demap_qam`
+    describes."""
     gray, bits = _slicer_tables(order)
     n_levels = gray.size
     norm = np.sqrt(2.0 * (order - 1) / 3.0)
@@ -290,7 +313,7 @@ def demap_qam(symbols, order: int) -> np.ndarray:
     idx <<= bits.shape[1] // 2
     idx |= gray[k_q.astype(np.intp)]
     idx[unsafe] = _nearest_points(symbols[unsafe], order)
-    return bits[idx].ravel()
+    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +372,14 @@ def build_resource_grid(bits, wf_cfg, grid: SubcarrierGrid, seed: int) -> Resour
 # OFDM modulation
 # ---------------------------------------------------------------------------
 
-def synthesize_symbols(symbols: np.ndarray, grid: SubcarrierGrid, cp_length: int) -> np.ndarray:
+def synthesize_symbols(symbols: np.ndarray, grid: SubcarrierGrid, cp_length: int, *,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """Time samples for a Q x S symbol array (CP included), no power scaling.
 
     The bins go straight into FFT order in the body of each frame of the
-    fresh result (centered bin i at (i - Q/2) mod n_fft, guard bins zero),
-    which is then inverse-transformed in place.
+    result (centered bin i at (i - Q/2) mod n_fft, guard bins zero), which
+    is then inverse-transformed in place. The result is fresh, or ``out``
+    when given: a contiguous complex array of S frames' samples.
     """
     n = grid.n_fft
     cp = cp_length * grid.oversampling
@@ -364,24 +389,30 @@ def synthesize_symbols(symbols: np.ndarray, grid: SubcarrierGrid, cp_length: int
         raise ConfigError("cp_length must be >= 0")
     q, s = symbols.shape
     half = q // 2
-    out = np.empty((s, n + cp), dtype=np.complex128)
-    body = out[:, cp:]
+    if out is None:
+        out = np.empty(s * (n + cp), dtype=np.complex128)
+    elif out.size != s * (n + cp) or not out.flags.c_contiguous:
+        raise LengthError(f"out must be a contiguous array of {s * (n + cp)} samples")
+    frames = out.reshape(s, n + cp)
+    body = frames[:, cp:]
     body[:, :q - half] = symbols[half:].T
     body[:, q - half:n - half] = 0.0
     body[:, n - half:] = symbols[:half].T
     np.fft.ifft(body, axis=1, out=body)
     body *= n / np.sqrt(grid.num_subcarriers)
-    out[:, :cp] = body[:, n - cp:]
-    return out.reshape(-1)
+    frames[:, :cp] = body[:, n - cp:]
+    return out
 
 
 def extract_symbols(samples: np.ndarray, grid: SubcarrierGrid, cp_length: int,
-                    n_symbols: int, *, out: np.ndarray | None = None) -> np.ndarray:
+                    n_symbols: int, *, out: np.ndarray | None = None,
+                    in_place: bool = False) -> np.ndarray:
     """Inverse of `synthesize_symbols`: Q x S symbol array from samples.
 
     The result is a fresh transposed C-order array, or ``out`` (Q x S)
-    when given. The spectrum is made per call, so ``samples`` is never
-    written.
+    when given. By default the spectrum is made per call, so ``samples``
+    is never written; with ``in_place`` each frame body of ``samples`` is
+    transformed where it lies, for a caller that drops the samples after.
     """
     n = grid.n_fft
     q = grid.num_subcarriers
@@ -391,7 +422,7 @@ def extract_symbols(samples: np.ndarray, grid: SubcarrierGrid, cp_length: int,
     if samples.size != expected:
         raise LengthError(f"waveform has {samples.size} samples, expected {expected}")
     body = samples.reshape(n_symbols, frame)[:, cp:]
-    spec = np.fft.fft(body, axis=1)
+    spec = np.fft.fft(body, axis=1, out=body if in_place else None)
     if out is None:
         out = np.empty((n_symbols, q), dtype=np.complex128).T
     half = q // 2

@@ -16,7 +16,7 @@ import yaml
 
 from stripesim import config
 from stripesim.channel import ChannelRealization
-from stripesim.cli import _export_channel, main
+from stripesim.cli import _export_channel, _export_taps, _fmt, main
 from stripesim.touchstone import MAX_DB
 from stripesim.waveform import SubcarrierGrid
 
@@ -591,6 +591,33 @@ def test_calibrate_clipped_flag(config_tree, tmp_path):
     rows = _read_csv(out / "gains.csv")[1:]
     assert all(row[3] == "true" for row in rows)
     assert all(abs(float(row[2]) - 20.0) < 1e-9 for row in rows)
+
+
+def test_tap_dump_matches_the_cell_by_cell_reference(tmp_path):
+    """Each tap file lists index, re and im as the cell-by-cell `_fmt`
+    loop it replaced wrote them: -0.0, inf and NaN included."""
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+    x[:4] = [complex(-0.0, 0.0), complex(np.inf, -np.inf), complex(np.nan, 1e-300), 1e300]
+    assert _export_taps(tmp_path, [("cu_dac", x, x)]) == ["taps/00_cu_dac.csv"]
+    loop = [["index", "re", "im"]] + [[_fmt(i), _fmt(z.real), _fmt(z.imag)]
+                                      for i, z in enumerate(x)]
+    assert _read_csv(tmp_path / "taps" / "00_cu_dac.csv") == loop
+
+
+@pytest.mark.parametrize("level", ["verbose", "10"])
+def test_unknown_log_level_exits_config(tmp_path, capsys, monkeypatch, level):
+    """A STRIPESIM_LOG that names no log level is a configuration error
+    naming the variable, not a traceback; a known one in any case runs."""
+    s2p = tmp_path / "flat.s2p"
+    s2p.write_text(flat_s2p(1.0))
+    monkeypatch.setenv("STRIPESIM_LOG", level)
+    assert _run("inspect-s2p", "--file", s2p, "--out", tmp_path / "o.csv") == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and f"STRIPESIM_LOG={level!r}" in err
+    assert not (tmp_path / "o.csv").exists()
+    monkeypatch.setenv("STRIPESIM_LOG", "warning")
+    assert _run("inspect-s2p", "--file", s2p, "--out", tmp_path / "o.csv") == 0
 
 
 # ---------------------------------------------------------------------------

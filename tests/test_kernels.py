@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stripesim import waveform
 from stripesim.stripe import _Chain
-from stripesim.waveform import (SubcarrierGrid, demap_qam, extract_symbols,
-                                map_qam, synthesize_symbols)
+from stripesim.waveform import (SubcarrierGrid, _nearest_points, _word_bits, demap_qam,
+                                extract_symbols, map_qam, synthesize_symbols)
 
 ORDERS = (4, 16, 64, 256)
 
@@ -197,6 +198,30 @@ def test_demap_matches_the_full_search_on_any_input(order, pairs, near):
         assert _same_bits(demap_qam(x, order), _ref_demap_qam(x, order))
 
 
+@pytest.mark.parametrize("order", ORDERS)
+def test_blockwise_demap_matches_the_full_search_across_blocks(order):
+    """A vector of several demap blocks, with NaN, inf and on-threshold
+    symbols on either side of every block edge, gets the bits of one full
+    search (`_nearest_points`) over the whole vector."""
+    block = waveform._DEMAP_BLOCK
+    n = 3 * block + 5
+    rng = np.random.default_rng(order + 7)
+    m = int(np.log2(order))
+    x = map_qam(rng.integers(0, 2, n * m), order) + 0.2 * (
+        rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    t = _thresholds(order)
+    special = [complex(np.nan, 0.1), complex(t[1], t[2]), complex(np.inf, -0.3),
+               complex(0.2, t[-2]), complex(-np.inf, np.inf), complex(t[0], np.nan)]
+    for edge in (0, block, 2 * block, 3 * block, n):
+        for k, z in enumerate(special):
+            i = edge - 3 + k
+            if 0 <= i < n:
+                x[i] = z
+    with np.errstate(all="ignore"):
+        want = _word_bits(order)[_nearest_points(x, order)].ravel()
+    assert _same_bits(demap_qam(x, order), want)
+
+
 # ---------------------------------------------------------------------------
 # OFDM pair
 # ---------------------------------------------------------------------------
@@ -231,6 +256,38 @@ def test_ofdm_pair_matches_the_shift_and_copy_transforms(q, os, with_cp):
     # calibration meters the reference it walks on, and criterion 11 reads
     # a waveform again after extracting from it
     assert noisy.tobytes() == before
+
+
+@pytest.mark.parametrize("os", [1, 2, 3])
+@pytest.mark.parametrize("cp", [0, 5])
+def test_in_place_extraction_gives_the_default_calls_bits(os, cp):
+    """Extraction that transforms the frame bodies where they lie returns
+    the default call's bits, fresh or into ``out``, also from a slice of a
+    longer array, as a link demodulates past its walk's delay; the default
+    call never writes its input. Synthesis into a given array gives the
+    bits of a fresh one."""
+    rng = np.random.default_rng(40 + 10 * os + cp)
+    grid, s = _grid(64, os), 3
+    sym = rng.standard_normal((64, s)) + 1j * rng.standard_normal((64, s))
+    x = synthesize_symbols(sym, grid, cp)
+    into = np.full(x.size, np.nan, dtype=np.complex128)
+    assert synthesize_symbols(sym, grid, cp, out=into) is into
+    assert _same_bits(into, x)
+
+    noisy = x + 1e-3 * rng.standard_normal(x.size)
+    before = noisy.tobytes()
+    want = extract_symbols(noisy, grid, cp, s)
+    assert noisy.tobytes() == before
+    got = extract_symbols(noisy.copy(), grid, cp, s, in_place=True)
+    assert _same_bits(got, want) and got.strides == want.strides
+    out = np.zeros((64, 2, s), dtype=np.complex128)
+    extract_symbols(noisy.copy(), grid, cp, s, out=out[:, 1, :], in_place=True)
+    assert _same_bits(out[:, 1, :].copy(), want.copy())
+    padded = np.concatenate([np.zeros(7, dtype=np.complex128), noisy, np.ones(3) + 0j])
+    got = extract_symbols(padded[7:7 + noisy.size], grid, cp, s, in_place=True)
+    assert _same_bits(got, want)
+    assert padded[7:7 + noisy.size].tobytes() != before  # it did transform there
+    assert not padded[:7].any() and (padded[-3:] == 1).all()
 
 
 def test_back_to_back_shapes_leak_no_stale_bins():

@@ -984,6 +984,26 @@ def test_uplink_takes_each_branch_from_any_iterable():
     assert threading.active_count() == threads
 
 
+def test_uplink_fills_symbol_grids_as_their_waveforms():
+    """Branches given as (Q, S) symbol grids, synthesized straight into the
+    walk's arrays, give the bits of their synthesized waveforms; a grid
+    of another subcarrier count is a LengthError."""
+    env = _env(n_rus=3, n_antennas=2, q=128)
+    wf = _wf(n_ofdm_symbols=2, cp_length=8)
+    top = build_stripe(env, _workspace_bank(env, wf), 0, make_grid(env, wf), wf)
+    rng = np.random.default_rng(7)
+    grids = [rng.standard_normal((128, 2)) + 1j * rng.standard_normal((128, 2))
+             for _ in range(2)]
+    waveforms = [TimeWaveform(synthesize_symbols(g, top.grid, 8), top.grid.sample_rate)
+                 for g in grids]
+    want = propagate_uplink(top, waveforms, 2, [0.3, -0.2], seed=4)[0]
+    for given in (grids, iter(grids), [waveforms[0], grids[1]]):
+        got = propagate_uplink(top, given, 2, [0.3, -0.2], seed=4)[0]
+        assert got.samples.tobytes() == want.samples.tobytes()
+    with pytest.raises(LengthError):
+        propagate_uplink(top, [grids[0], grids[1][:64]], 2, [0.3, -0.2], seed=4)
+
+
 def test_downlink_hands_each_branch_to_its_consumer():
     """Each branch reaches the consumer when its amplifier returns, in the
     one array every branch is made in, with the walk's delay; the default
@@ -1038,14 +1058,18 @@ def _traced_peak(fn):
 
 
 # Bounds in waveform buffers, from the example scenario: a warm link peaks
-# 2.69 buffers above what its result holds in either direction, and a
+# 2.02 buffers above what its result holds in either direction, and a
 # one-antenna walk 0.01 (downlink) and 0.08 (uplink) above its output. A
 # stage that allocates its output afresh adds about one buffer to the
-# walk; OFDM synthesis that makes fresh spectra again, five times per
-# uplink link, breaks the uplink bound, and a downlink that holds its
-# transmit waveform past the CU DAC breaks the downlink bound.
-_LINK_BUFFERS = {"dl": 2.9, "ul": 3.2}
+# walk. An uplink that synthesizes each branch into a fresh waveform and
+# copies it in breaks the uplink bound (2.62), a downlink that
+# demodulates its branches through a fresh spectrum breaks the downlink
+# bound (2.62), and a demapper that works on all symbols at once breaks
+# both (2.79). Besides, the thread's workspace holds 5 buffers: trunk,
+# branch and the 3-row noise ring.
+_LINK_BUFFERS = {"dl": 2.2, "ul": 2.2}
 _WALK_BUFFERS = 0.25
+_WORKSPACE_BUFFERS = 5
 
 
 @pytest.mark.parametrize("direction", ["dl", "ul"])
@@ -1064,6 +1088,8 @@ def test_warm_link_allocates_few_waveform_buffers(direction):
     link(5)
     res, peak = _traced_peak(lambda: link(6))
     assert (peak - _held_bytes(res, set())) / buffer < _LINK_BUFFERS[direction]
+    workspace = stripe._thread_workspace()._arrays.values()
+    assert sum(a.nbytes for a in workspace) == _WORKSPACE_BUFFERS * buffer
 
     # the walk alone, on one antenna branch, allocates only what it returns
     top = dataclasses.replace(build_stripe(env, bank, 0, grid, wf), n_antennas=1)
