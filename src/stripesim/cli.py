@@ -2,9 +2,10 @@
 
 Subcommands: ``run`` (single link), ``sweep-ru`` (RU-activation heatmap),
 ``calibrate`` (booster gains), ``inspect-s2p`` (S-parameter CSV export)
-and ``gen-channels`` (synthetic CFR1 dataset). All outputs are CSV/JSON;
-a manifest.json written atomically at run end snapshots the resolved
-configs, seed and tool version so any run can be re-executed exactly.
+and ``gen-channels`` (synthetic CFR1 dataset). All outputs are CSV/JSON.
+``run``, ``sweep-ru`` and ``calibrate`` end by writing manifest.json
+atomically: the resolved configs, the tool version and, as its flags,
+the parsed arguments, so any run can be re-executed exactly.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error. The log
 level comes from the STRIPESIM_LOG environment variable.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import os
@@ -65,12 +67,6 @@ def _write_csv(path: Path, header: list[str], rows):
     _write_rows(path, header, ([_fmt(v) for v in row] for row in rows))
 
 
-def _write_manifest(out_dir: Path, payload: dict):
-    tmp = out_dir / "manifest.json.tmp"
-    tmp.write_text(json.dumps(payload, indent=1, sort_keys=True))
-    tmp.replace(out_dir / "manifest.json")
-
-
 def _load_configs(args):
     env = load_environment(args.env)
     wf = load_waveform(args.waveform)
@@ -79,11 +75,11 @@ def _load_configs(args):
 
 
 def _check_counts(args, *names):
-    """ConfigError unless each named count flag is at least 1."""
+    """ConfigError unless each named count flag that was given is at least 1."""
     for name in names:
-        if getattr(args, name) < 1:
-            raise ConfigError(f"--{name.replace('_', '-')} must be >= 1, "
-                              f"got {getattr(args, name)}")
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            raise ConfigError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
 
 
 def _tdl_params(num_subcarriers: int | None, **values) -> TdlParams:
@@ -120,19 +116,31 @@ def _resolve_channel_arg(spec: str, env):
     raise ConfigError(f"unknown channel source {spec!r}")
 
 
-def _manifest_base(args, configs, extra_flags: dict) -> dict:
+_CONFIG_FLAGS = ("env", "waveform", "components")
+
+
+def _finish_manifest(args, configs, outputs: list[str], started: float, **resolved):
+    """Write manifest.json into ``args.out``, atomically, as a command's last
+    step. Its flags are the parsed arguments but the config paths and
+    ``--out``; ``resolved`` replaces a flag by the value the command used."""
     env, wf, bank = configs
-    return {
+    flags = {name: value for name, value in vars(args).items()
+             if name not in (*_CONFIG_FLAGS, "out", "func")}
+    manifest = {
         "tool": "stripesim",
         "version": __version__,
-        "config_paths": {"env": str(Path(args.env).resolve()),
-                         "waveform": str(Path(args.waveform).resolve()),
-                         "components": str(Path(args.components).resolve())},
+        "config_paths": {name: str(Path(getattr(args, name)).resolve())
+                         for name in _CONFIG_FLAGS},
         "configs": {"environment": environment_to_dict(env),
                     "waveform": waveform_to_dict(wf),
                     "components": components_to_dict(bank)},
-        "flags": extra_flags,
+        "flags": {**flags, **resolved},
+        "outputs": outputs,
+        "duration_s": time.monotonic() - started,
     }
+    tmp = Path(args.out) / "manifest.json.tmp"
+    tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    tmp.replace(tmp.with_name("manifest.json"))
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +173,7 @@ def cmd_run(args) -> int:
         outputs += _export_taps(out_dir, result.stage_taps)
     if args.dump_channel:
         outputs.append(_export_channel(out_dir, result.channel))
-    manifest = _manifest_base(args, (env, wf, bank), {
-        "command": "run", "channel": args.channel, "ue": args.ue,
-        "stripe": args.stripe, "ru": args.ru, "direction": args.direction,
-        "seed": args.seed, "taps": args.taps, "calibrate": args.calibrate,
-        "dump_channel": args.dump_channel,
-    })
-    manifest["outputs"] = outputs
-    manifest["duration_s"] = time.monotonic() - started
-    _write_manifest(out_dir, manifest)
+    _finish_manifest(args, (env, wf, bank), outputs, started)
     log.info("run finished: nmse=%.2f dB ber=%.3g", result.metrics.nmse_db,
              result.metrics.ber)
     return EXIT_OK
@@ -222,21 +222,12 @@ def _export_channel(out_dir: Path, realization) -> str:
 _HEATMAP_HEADER = ["ru_id", "stripe_id", "nmse_cu", "sndr_cu", "ber"]
 
 
-# (env, waveform, components, channel source) of the running sweep, loaded
-# once per command and set in each process before its first cell.
-_sweep_inputs: tuple | None = None
-
-
-def _set_sweep_inputs(*inputs):
-    """Pool initializer; with --jobs 1 the command calls it directly."""
-    global _sweep_inputs
-    _sweep_inputs = inputs
-
-
-def _sweep_cell(payload) -> tuple:
-    """One (stripe, ru) cell; module-level so worker processes can import it."""
-    ue, stripe_id, ru_id, direction, master_seed = payload
-    env, wf, bank, channel = _sweep_inputs
+def _sweep_cell(inputs, cell) -> tuple:
+    """One (stripe, ru) cell of the sweep whose (env, waveform, components,
+    channel source) are ``inputs``; module-level so worker processes can
+    import it."""
+    env, wf, bank, channel = inputs
+    ue, stripe_id, ru_id, direction, master_seed = cell
     cell_seed = streams.derive_seed(master_seed, stripe_id, ru_id)
     result = run_link(env, wf, bank, channel, ue_index=ue, stripe_id=stripe_id,
                       active_ru=ru_id, direction=direction, seed=cell_seed)
@@ -254,27 +245,19 @@ def cmd_sweep_ru(args) -> int:
     cells = [(args.ue, stripe_id, ru_id, args.direction, args.seed)
              for stripe_id, stripe in enumerate(env.radio_stripes)
              for ru_id in range(len(stripe) - 1)]
-    inputs = (env, wf, bank, channel)
+    run_cell = functools.partial(_sweep_cell, (env, wf, bank, channel))
     if args.jobs > 1:
         # imported here: it adds ~13 ms to every start of the CLI
         from concurrent.futures import ProcessPoolExecutor
 
         # the pool starts all its workers at once: no more than there are cells
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(cells)),
-                                 initializer=_set_sweep_inputs, initargs=inputs) as pool:
-            rows = list(pool.map(_sweep_cell, cells))
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(cells))) as pool:
+            rows = list(pool.map(run_cell, cells))
     else:
-        _set_sweep_inputs(*inputs)
-        rows = [_sweep_cell(c) for c in cells]
+        rows = list(map(run_cell, cells))
     rows.sort(key=lambda r: (r[1], r[0]))  # (stripe_id, ru_id)
     _write_csv(out_dir / "heatmap.csv", _HEATMAP_HEADER, [list(r) for r in rows])
-    manifest = _manifest_base(args, (env, wf, bank), {
-        "command": "sweep-ru", "channel": args.channel, "ue": args.ue,
-        "direction": args.direction, "seed": args.seed, "jobs": args.jobs,
-    })
-    manifest["outputs"] = ["heatmap.csv"]
-    manifest["duration_s"] = time.monotonic() - started
-    _write_manifest(out_dir, manifest)
+    _finish_manifest(args, (env, wf, bank), ["heatmap.csv"], started)
     return EXIT_OK
 
 
@@ -301,13 +284,8 @@ def cmd_calibrate(args) -> int:
             rows.append([stripe_id, ru_id, gain, clipped])
     _write_csv(out_dir / "gains.csv",
                ["stripe_id", "ru_id", "gain_db", "clipped"], rows)
-    manifest = _manifest_base(args, (env, wf, bank), {
-        "command": "calibrate", "target_dbm": target, "max_gain": max_gain,
-        "seed": args.seed,
-    })
-    manifest["outputs"] = ["gains.csv"]
-    manifest["duration_s"] = time.monotonic() - started
-    _write_manifest(out_dir, manifest)
+    _finish_manifest(args, (env, wf, bank), ["gains.csv"], started,
+                     target_dbm=target, max_gain=max_gain)
     return EXIT_OK
 
 
@@ -339,12 +317,19 @@ def cmd_inspect_s2p(args) -> int:
 
 def cmd_gen_channels(args) -> int:
     _check_counts(args, "n_tx", "n_rx", "taps_l")
+    for flag, value in (("--beta", args.beta), ("--taps-l", args.taps_l)):
+        if value is not None and args.model != "tdl":
+            raise ConfigError(f"{flag} applies only to --model tdl, not {args.model}")
     env = load_environment(args.env)
     if env.sub_thz is None:
         raise ConfigError("environment carries no sub_thz grid block")
     grid = SubcarrierGrid(env.sub_thz.fc, env.sub_thz.bw,
                           env.sub_thz.num_subcarriers, 1)
-    params = _tdl_params(grid.num_subcarriers, n_taps=args.taps_l, beta=args.beta)
+    params = None
+    if args.model == "tdl":
+        tdl = {"beta": args.beta, "n_taps": args.taps_l}
+        params = _tdl_params(grid.num_subcarriers,
+                             **{name: value for name, value in tdl.items() if value is not None})
     dataset = generate_synthetic(env, grid, model=args.model, seed=args.seed,
                                  tdl_params=params, n_tx=args.n_tx,
                                  n_rx=args.n_rx)
@@ -416,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen-channels", help="synthesize a CFR1 dataset")
     p_gen.add_argument("--env", required=True)
     p_gen.add_argument("--model", default="los", help="los | tdl")
-    p_gen.add_argument("--beta", type=float, default=0.5)
-    p_gen.add_argument("--taps-l", type=int, default=8)
+    p_gen.add_argument("--beta", type=float, help="tdl only; default 0.5")
+    p_gen.add_argument("--taps-l", type=int, help="tdl only; default 8 taps")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--n-tx", type=int, default=4)
     p_gen.add_argument("--n-rx", type=int, default=4)

@@ -182,7 +182,9 @@ def _or_none(parse):
 def _as_xyz(value, path: str) -> tuple[float, float, float]:
     if isinstance(value, dict):
         sec = _Section(value, path)
-        return tuple(_as_float(sec.require(axis), f"{path}.{axis}") for axis in "xyz")
+        xyz = tuple(_as_float(sec.require(axis), f"{path}.{axis}") for axis in "xyz")
+        sec.warn_unknown()
+        return xyz
     if isinstance(value, (list, tuple)) and len(value) == 3:
         return tuple(_as_float(v, path) for v in value)
     raise SchemaError(f"{path}: expected [x, y, z] or {{x, y, z}}")

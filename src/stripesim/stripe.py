@@ -859,15 +859,6 @@ def _ota_noise(y: np.ndarray, bank: ComponentBank, grid: SubcarrierGrid,
     return y
 
 
-def _branch_grids(at_ru: np.ndarray):
-    """The symbol grid of each RU branch, ``at_ru[:, b, :]``, in turn;
-    ``at_ru`` is let go once the walk has made the last branch of it."""
-    columns = [at_ru[:, b, :] for b in range(at_ru.shape[1])]
-    del at_ru
-    while columns:
-        yield columns.pop(0)
-
-
 def _transmit_waveform(tx_grid: ResourceGrid, grid: SubcarrierGrid,
                        wf_cfg: WaveformConfig) -> TimeWaveform:
     """The modulated transmit grid, its fresh array scaled in place to the
@@ -991,7 +982,9 @@ def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank
             at_ru = apply_channel(ue_elems, up)  # (Q, n_tx_ru, S)
             del ue_elems, ue_grid
             at_ru = _ota_noise(at_ru, bank, grid, noise.source(ota_rng), ota_snr_db)
-            branches = _branch_grids(at_ru)
+            # each branch's grid, at_ru[:, b, :], in turn; the iterator lets
+            # at_ru go once the walk asks for the item after the last branch
+            branches = iter(at_ru.transpose(1, 0, 2))
             del at_ru
             cu_wf, taps, offset = propagate_uplink(
                 topology, branches, active_ru, beam_phases, seed, record_taps,

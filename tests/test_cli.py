@@ -1,5 +1,6 @@
 """CLI surface: exit codes, CSV outputs, determinism, manifests."""
 
+import argparse
 import concurrent.futures
 import csv
 import json
@@ -16,7 +17,7 @@ import yaml
 
 from stripesim import config
 from stripesim.channel import ChannelRealization
-from stripesim.cli import _export_channel, _export_taps, _fmt, main
+from stripesim.cli import _export_channel, _export_taps, _fmt, build_parser, main
 from stripesim.touchstone import MAX_DB
 from stripesim.waveform import SubcarrierGrid
 
@@ -205,6 +206,9 @@ _BAD_METADATA = {
                     ["--taps-l", "100000"])],
     pytest.param("gen-channels", ["--n-tx", "100000", "--n-rx", "100000"], None, None, 2,
                  id="gen-channels-tensor-too-large"),
+    *[pytest.param("gen-channels", ["--model", "los", *flags], None, None, 2,
+                   id=f"gen-channels-los-{flags[0][2:]}")
+      for flags in (["--beta", "7"], ["--taps-l", "3"])],
     *[pytest.param("run", ["--ru", "1"], (old, new), None, 2, id=name)
       for name, old, new in (
           ("amplifier-sat-amplitude-zero", _AMP, "boost_amplifier: {model: tanh, "
@@ -464,24 +468,47 @@ def test_channel_dump_matches_the_loop_reference(tmp_path):
     assert _read_csv(tmp_path / "channel.csv") == loop
 
 
-def test_run_replay_from_manifest(config_tree, tmp_path):
-    """The manifest snapshot suffices to reproduce a run exactly."""
+def _subparser_options(command) -> dict:
+    """The options of ``command``'s subparser, by destination."""
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {action.dest: action for action in sub.choices[command]._actions}
+
+
+def _csv_bytes(out: Path) -> dict:
+    return {p.relative_to(out): p.read_bytes() for p in out.rglob("*.csv")}
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("run", ["--ru", "1", "--channel", "rayleigh", "--seed", "17", "--taps",
+             "--calibrate", "--dump-channel"]),
+    ("sweep-ru", ["--direction", "dl", "--seed", "5"]),
+    ("calibrate", ["--seed", "2"]),
+    ("calibrate", ["--target-dbm", "0.5", "--seed", "2"]),
+], ids=["run", "sweep-ru", "calibrate", "calibrate-target-dbm"])
+def test_replay_from_manifest(config_tree, tmp_path, command, flags):
+    """A manifest's flags hold every option of its command but the config
+    paths and --out, and with its config paths they rebuild a command line
+    that writes every CSV again byte for byte."""
     out = tmp_path / "first"
-    assert _run("run", *_base_flags(config_tree), "--channel", "los",
-                "--ru", "1", "--seed", "17", "--out", out) == 0
+    assert _run(command, *_base_flags(config_tree), *flags, "--out", out) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    flags = manifest["flags"]
-    paths = manifest["config_paths"]
-    replay_out = tmp_path / "replay"
-    code = _run("run", "--env", paths["env"], "--waveform", paths["waveform"],
-                "--components", paths["components"],
-                "--channel", flags["channel"], "--ue", flags["ue"],
-                "--stripe", flags["stripe"], "--ru", flags["ru"],
-                "--direction", flags["direction"], "--seed", flags["seed"],
-                "--out", replay_out)
-    assert code == 0
-    assert ((out / "metrics.csv").read_bytes()
-            == (replay_out / "metrics.csv").read_bytes())
+    options = _subparser_options(command)
+    assert set(manifest["flags"]) == {"command", *options} - {
+        "help", "env", "waveform", "components", "out"}
+    assert manifest["flags"]["command"] == command
+    argv = [command]
+    for name, path in manifest["config_paths"].items():
+        argv += [options[name].option_strings[0], path]
+    for name, value in manifest["flags"].items():
+        option = options.get(name)
+        if option is None or value is None or value is False:
+            continue
+        argv += option.option_strings[:1] + ([] if option.nargs == 0 else [value])
+    replay = tmp_path / "replay"
+    assert _run(*argv, "--out", replay) == 0
+    first = _csv_bytes(out)
+    assert first and first == _csv_bytes(replay)
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +541,8 @@ def test_sweep_pool_has_no_more_workers_than_cells(tmp_path, monkeypatch):
     sizes = []
 
     class InProcessPool:
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers):
             sizes.append(max_workers)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -705,6 +731,15 @@ def test_gen_channels_reproducible(config_tree, tmp_path):
     for f in ("ue_0.cfr", "ue_1.cfr"):
         assert ((tmp_path / "a" / f).read_bytes()
                 == (tmp_path / "b" / f).read_bytes())
+
+
+def test_gen_channels_los_on_a_grid_narrower_than_the_tdl_taps(config_tree, tmp_path):
+    """The LoS model draws no taps, so a grid of fewer subcarriers than the
+    tdl default of 8 taps still makes a LoS dataset."""
+    config_tree["env"].write_text(ENV_YAML.replace("num_subcarriers: 256",
+                                                   "num_subcarriers: 4"))
+    assert _run("gen-channels", "--env", config_tree["env"], "--n-tx", "1",
+                "--n-rx", "1", "--out", tmp_path / "cfr") == 0
 
 
 def test_gen_channels_bad_model(config_tree, tmp_path):

@@ -1,5 +1,6 @@
 """YAML loading, schema/geometry validation, cross-checks, round trips."""
 
+import re
 import warnings
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
@@ -157,6 +158,25 @@ def test_unknown_keys_warn_but_load(tmp_path):
     with pytest.warns(UnknownKeyWarning):
         again = load_environment(_write(tmp_path, "env_rt.yaml", redumped))
     assert again == env
+
+
+@pytest.mark.parametrize("old, new, path", [
+    ("room: {x: 10.0, y: 6.0, z: 3.0}", "room: {x: 10.0, y: 6.0, z: 3.0, w: 99}", "room"),
+    ("position: [1.6, 3.0, 2.8]", "position: {x: 1.6, y: 3.0, z: 2.8, w: 99}",
+     "radio_stripes[0][3].position"),
+    ("orientation: x", "orientation: x\n  start_position: {x: 0.6, y: 3.0, z: 2.8, w: 99}",
+     "stripe_config.start_position"),
+    ("- [3.0, 2.0, 1.5]", "- {x: 3.0, y: 2.0, z: 1.5, w: 99}", "ue_positions[0]"),
+], ids=["room", "node-position", "start-position", "ue-position"])
+def test_xyz_mapping_warns_about_an_extra_key(tmp_path, old, new, path):
+    """An {x, y, z} mapping with a key besides its axes loads with the
+    unknown-key warning every other block gives, and the point it read."""
+    assert old in ENV_YAML
+    doc = ENV_YAML.replace(old, new)
+    with pytest.warns(UnknownKeyWarning,
+                      match=rf"^{re.escape(path)}: ignoring unknown keys \['w'\]$"):
+        env = load_environment(_write(tmp_path, "env.yaml", doc))
+    assert env == load_environment(_write(tmp_path, "xyz.yaml", doc.replace(", w: 99", "")))
 
 
 def test_coupler_group_velocity_is_an_unknown_key(tmp_path):

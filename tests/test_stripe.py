@@ -866,8 +866,8 @@ def test_noise_drawn_ahead_matches_inline(direction, noise, drop, tmp_path,
     ahead = link(bank)
     real = stripe._NoiseAhead
     keep = (lambda shape: len(shape) == 2) if drop == "ota" else (lambda shape: False)
-    monkeypatch.setattr(stripe, "_NoiseAhead", lambda draws, streams=None: real(
-        [d for d in draws if keep(d[1])], streams))
+    monkeypatch.setattr(stripe, "_NoiseAhead", lambda draws, stages=None: real(
+        [d for d in draws if keep(d[1])], stages))
     # an equal bank of another object: the downlink walks its whole trunk
     # again rather than resume the one drawn ahead
     inline = link(dataclasses.replace(bank))
