@@ -28,6 +28,7 @@ from .waveform import SubcarrierGrid
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 BULK_DELAY_STEPS = 64  # `bulk_delay` resolution: steps per 1/bw
+AIR_BLOCK = 512  # subcarriers per block of an `apply_channel` over its input
 
 
 @dataclass(frozen=True)
@@ -213,20 +214,39 @@ def model_channel(grid: SubcarrierGrid, model: str, tx_positions, rx_positions,
 # Application and receiver noise
 # ---------------------------------------------------------------------------
 
-def apply_channel(x: np.ndarray, realization: ChannelRealization) -> np.ndarray:
+def apply_channel(x: np.ndarray, realization: ChannelRealization, *,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """y[q] = H[q] x[q] independently per subcarrier.
 
     ``x`` is (Q, Ntx) or (Q, Ntx, S); the result replaces the antenna axis
-    with Nrx. No inter-carrier mixing.
+    with Nrx. No inter-carrier mixing. The result is written into ``out``,
+    which may be ``x`` itself, or, by default, a fresh array. An ``out``
+    that shares memory with ``x`` must be C-ordered from ``x``'s first
+    element, as ``x`` is, with Nrx <= Ntx (the leading part of ``x``'s
+    buffer, reshaped): each block of `AIR_BLOCK` subcarriers is then
+    contracted through a small temporary and overwrites only input rows
+    already read. Every path gives the same bits.
     """
     x = np.asarray(x, dtype=np.complex128)
     h = realization.h
     if x.ndim not in (2, 3) or x.shape[0] != h.shape[0] or x.shape[1] != h.shape[2]:
         raise DimensionError(
             f"input shape {x.shape} incompatible with channel {h.shape}")
-    if x.ndim == 2:
-        return np.einsum("qkm,qm->qk", h, x)
-    return np.einsum("qkm,qms->qks", h, x)
+    spec = "qkm,qm->qk" if x.ndim == 2 else "qkm,qms->qks"
+    shape = (h.shape[0], h.shape[1], *x.shape[2:])
+    if out is not None and out.shape != shape:
+        raise DimensionError(f"out has shape {out.shape}, the result {shape}")
+    if out is None or not np.shares_memory(out, x):
+        return np.einsum(spec, h, x, out=out)
+    if not (out.ctypes.data == x.ctypes.data and out.flags.c_contiguous
+            and x.flags.c_contiguous and h.shape[1] <= h.shape[2]):
+        raise DimensionError("an out that shares memory with x must be the "
+                             "leading part of x's C-ordered buffer, with Nrx <= Ntx")
+    tmp = np.empty((min(AIR_BLOCK, shape[0]), *shape[1:]), dtype=np.complex128)
+    for q0 in range(0, shape[0], AIR_BLOCK):
+        q1 = min(q0 + AIR_BLOCK, shape[0])
+        out[q0:q1] = np.einsum(spec, h[q0:q1], x[q0:q1], out=tmp[:q1 - q0])
+    return out
 
 
 def bulk_delay(realization: ChannelRealization) -> float:

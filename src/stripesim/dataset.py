@@ -13,6 +13,9 @@ then f64 fc, bw (40 header bytes total), then float32 interleaved
 Storage is float32 (matching typical ray-tracing export precision);
 in-memory tensors are complex128. Readers load metadata eagerly; each channel
 lookup re-checks its whole UE file's CRC and keeps only its (stripe, RU) slice.
+A synthetic dataset builds each UE's tensor when it is read, one UE at a
+time, and `write_dataset` holds one UE's tensor at a time, so writing one
+takes the memory of one UE whatever the UE count.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import json
 import math
 import struct
 import zlib
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -71,22 +75,22 @@ class UeMetadata:
 
 @dataclass(frozen=True)
 class CfrDataset:
-    """In-memory dataset: header, UE table, and one tensor per UE."""
+    """Dataset: header, UE table, and one tensor per UE.
+
+    ``channels`` maps each ue_id to its complex tensor of
+    ``header.tensor_shape``: a dict, or for a synthetic dataset a
+    read-only mapping that builds the tensor on each read and keeps none.
+    `write_dataset` checks each UE's tensor as it writes it.
+    """
 
     header: DatasetHeader
     ues: tuple
-    channels: dict  # ue_id -> complex ndarray of header.tensor_shape
+    channels: Mapping  # ue_id -> complex ndarray of header.tensor_shape
 
     def __post_init__(self):
         ids = [ue.ue_id for ue in self.ues]
         if len(ids) != len(set(ids)):
             raise FormatError("ue_id values must be unique")
-        for ue in self.ues:
-            tensor = self.channels[ue.ue_id]
-            if tensor.shape != self.header.tensor_shape:
-                raise FormatError(
-                    f"UE {ue.ue_id}: tensor shape {tensor.shape} does not match "
-                    f"header {self.header.tensor_shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +136,12 @@ def _ue_from_json(raw: dict, path: str) -> UeMetadata:
 def write_dataset(dataset: CfrDataset, directory) -> dict:
     """Write metadata, per-UE channel files and the checksum manifest.
 
-    Returns the manifest mapping (also written to ``manifest.json``).
+    Reads one UE's tensor at a time and drops it before the next. Raises
+    `FormatError` naming the UE, before its file is opened, when
+    ``dataset.channels`` has no tensor for it or one of another shape than
+    the header's; ``manifest.json`` is written last, so a dataset that
+    failed partway has none. Returns the manifest mapping (also written to
+    ``manifest.json``).
     """
     out = Path(directory)
     try:
@@ -163,10 +172,16 @@ def write_dataset(dataset: CfrDataset, directory) -> dict:
     head = MAGIC + _HEADER.pack(h.n_stripes, h.n_rus, h.n_rx, h.n_tx,
                                 h.num_subcarriers, h.fc, h.bw)
     for ue in dataset.ues:  # the header, then one complex64 block per (stripe, RU)
-        tensor = dataset.channels[ue.ue_id]
+        tensor = dataset.channels.get(ue.ue_id)
+        if tensor is None:
+            raise FormatError(f"UE {ue.ue_id}: no channel tensor")
+        if np.shape(tensor) != h.tensor_shape:
+            raise FormatError(f"UE {ue.ue_id}: tensor shape {np.shape(tensor)} does not "
+                              f"match header {h.tensor_shape}")
         _emit(f"ue_{ue.ue_id}.cfr", chain([head], (
             np.ascontiguousarray(tensor[i], dtype="<c8")
             for i in np.ndindex(h.n_stripes, h.n_rus))))
+        del tensor  # before the next UE's tensor is made
     manifest = {"format": "CFR1", "files": files}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
     return manifest
@@ -285,6 +300,26 @@ def array_geometry(env: EnvironmentConfig, grid: SubcarrierGrid, stripe_id: int,
     return tx, rx
 
 
+class _BuiltOnRead(Mapping):
+    """Read-only mapping of ``keys`` whose every read returns ``build(key)``
+    afresh: equal reads give equal values, and the mapping keeps none."""
+
+    def __init__(self, keys, build):
+        self._keys = keys
+        self._build = build
+
+    def __getitem__(self, key):
+        if key not in self._keys:
+            raise KeyError(key)
+        return self._build(key)
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
 def generate_synthetic(env: EnvironmentConfig, grid: SubcarrierGrid,
                        model: str = "los", seed: int = 0,
                        tdl_params: TdlParams | None = None,
@@ -292,10 +327,12 @@ def generate_synthetic(env: EnvironmentConfig, grid: SubcarrierGrid,
     """Synthesize a CFR1 dataset from the lightweight channel models.
 
     Evaluates the chosen model for every (UE, stripe, RU) triple with
-    half-wavelength arrays at both ends (4 x 4 by default). Deterministic
-    in ``seed``; the LoS model matches direct `los_channel` calls exactly.
-    Raises `ConfigError` before allocating when one UE's tensor would
-    hold more than `MAX_LINK_SAMPLES` entries.
+    half-wavelength arrays at both ends (4 x 4 by default). The tensors
+    are built on read, one UE at a time: ``channels[ue_id]`` evaluates
+    that UE's triples afresh, and the dataset holds no tensor.
+    Deterministic in ``seed``; the LoS model matches direct `los_channel`
+    calls exactly. Raises `ConfigError` before allocating when one UE's
+    tensor would hold more than `MAX_LINK_SAMPLES` entries.
     """
     if model not in ("los", "tdl"):
         raise UnsupportedModel(f"synthetic dataset model {model!r}")
@@ -309,14 +346,16 @@ def generate_synthetic(env: EnvironmentConfig, grid: SubcarrierGrid,
     if math.prod(header.tensor_shape) > MAX_LINK_SAMPLES:
         raise ConfigError(f"a UE's channel tensor {header.tensor_shape} would hold more "
                           f"than the {MAX_LINK_SAMPLES} entries one array may hold")
-    channels = {}
-    for ue in ues:
+    positions = {ue.ue_id: ue.position for ue in ues}
+
+    def build(ue_id: int) -> np.ndarray:
         tensor = np.empty(header.tensor_shape, dtype=np.complex128)
         for s in range(n_stripes):
             for r in range(n_rus):
-                tx, rx = array_geometry(env, grid, s, r, ue.position, n_tx, n_rx)
+                tx, rx = array_geometry(env, grid, s, r, positions[ue_id], n_tx, n_rx)
                 real = model_channel(grid, model, tx, rx,
-                                     (seed, "synthetic-tdl", ue.ue_id, s, r), tdl_params)
+                                     (seed, "synthetic-tdl", ue_id, s, r), tdl_params)
                 tensor[s, r] = np.transpose(real.h, (1, 2, 0))  # (n_rx, n_tx, Q)
-        channels[ue.ue_id] = tensor
-    return CfrDataset(header=header, ues=ues, channels=channels)
+        return tensor
+
+    return CfrDataset(header=header, ues=ues, channels=_BuiltOnRead(positions, build))

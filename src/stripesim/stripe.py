@@ -34,17 +34,23 @@ is how `run_link` makes each uplink branch without a waveform of its
 own. A delay or a time-domain convolution makes a fresh array, which
 is the walk's as well; a frequency-domain filter transforms each symbol
 in place, so no stage keeps a scratch spectrum. Whatever leaves a walk
-is a copy: each downlink branch (by default) and the uplink output, so
+is a copy by default: each downlink branch and the uplink output, so
 no later walk touches them or any `LinkResult` array, and the arrays a
-walk is given are never written. Recording taps changes no buffer:
-`_run_stages` copies each stage's input and output as it goes.
+walk is given are never written; `run_link` instead demodulates each
+straight from the walk's array (the walks' ``consume``). Recording
+taps changes no buffer: `_run_stages` copies each stage's input and
+output as it goes.
 Calibration walks its own fresh reference and touches no workspace
 array. A link holds each large array only while a stage reads it: the
 downlink lets its input go once it is copied, and the uplink takes each
 branch only when its antenna amplifier needs it. A waveform the link
 drops right after demodulation (each downlink branch, the uplink's UE
-transmit waveform and its copy of the CU output) is demodulated in
-place (`extract_symbols(..., in_place=True)`), so it costs no spectrum.
+transmit waveform and the walk's CU output) is demodulated in place
+(`extract_symbols(..., in_place=True)`), so it costs no spectrum. The
+downlink's air hop writes its (Q, n_rx, S) grid over the branch grids'
+own buffer when 1 < n_rx <= n_tx (`apply_channel(..., out=)`), so the
+link makes no second grid; with one receive antenna, or more receive
+than transmit antennas, it makes a fresh one.
 A workspace also keeps the record of the thread's last downlink
 `run_link` (`_TrunkRecord`): the trunk after the active RU's input
 coupler, which is the workspace's trunk unless a stage made a fresh
@@ -657,8 +663,10 @@ def propagate_downlink(top: StripeTopology, wf_in: TimeWaveform, active_ru: int,
 
 def propagate_uplink(top: StripeTopology, branch_waveforms, active_ru: int,
                      beam_phases, seed: int, record_taps: bool = False, *,
-                     noise: _NoiseAhead | None = None):
-    """Active-RU receive front end -> trunk in reverse -> CU receive chain.
+                     noise: _NoiseAhead | None = None, consume=None):
+    """Active-RU receive front end -> trunk in reverse -> CU receive chain;
+    returns what ``consume`` made of the CU output, together with the tap
+    list and the accumulated delay.
 
     ``branch_waveforms`` are the per-antenna signals right after the
     wireless hop, in any iterable, each a `TimeWaveform` or a (Q, S) grid
@@ -666,8 +674,11 @@ def propagate_uplink(top: StripeTopology, branch_waveforms, active_ru: int,
     needs it, fills it straight into the array it walks (`_fill`: it
     copies a waveform's samples in and synthesizes a grid there) and holds
     none after, so a generator lets the caller make each branch only then.
-    Couplers swap roles relative to downlink. ``noise`` is as in
-    `propagate_downlink`.
+    Couplers swap roles relative to downlink. ``consume(x, offset)`` gets
+    the CU output in the walk's own array, which the next walk on the
+    thread overwrites, and the delay the walk prepended; by default it
+    returns a copy as a `TimeWaveform` at the grid rate. ``noise`` is as
+    in `propagate_downlink`.
     """
     in_hand = (branch_waveforms if isinstance(branch_waveforms, (list, tuple))
                else None)
@@ -701,7 +712,9 @@ def propagate_uplink(top: StripeTopology, branch_waveforms, active_ru: int,
         if next(branches, None) is not None:
             raise wrong_count
         _run_stages(chain, stages[top.n_antennas:], taps)
-    return TimeWaveform(chain.x.copy(), top.grid.sample_rate), tuple(taps or ()), chain.offset
+    if consume is None:  # a copy at the grid rate
+        consume = lambda x, offset: TimeWaveform(x.copy(), top.grid.sample_rate)
+    return consume(chain.x, chain.offset), tuple(taps or ()), chain.offset
 
 
 # ---------------------------------------------------------------------------
@@ -965,7 +978,13 @@ def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank
                 topology, None if resume else _transmit_waveform(tx_grid, grid, wf_cfg),
                 active_ru, beam_phases, seed, record_taps, noise=noise, consume=to_grid,
                 trunk_record=resume or _TrunkRecord(key, calibration))
-            air = apply_channel(branch_grids, realization)  # (Q, n_rx, S)
+            # (Q, n_rx, S), written over the branch grids' buffer if it fits;
+            # a one-antenna air grid is fresh, since it is no larger than the
+            # combined grid and the buffer would live on through combining
+            q = grid.num_subcarriers
+            air = (branch_grids.reshape(-1)[:q * n_rx * s].reshape(q, n_rx, s)
+                   if 1 < n_rx <= n_tx else None)
+            air = apply_channel(branch_grids, realization, out=air)
             del branch_grids
             air = _ota_noise(air, bank, grid, noise.source(ota_rng), ota_snr_db)
             rx_symbols = air.sum(axis=1)  # coherent UE combining
@@ -986,12 +1005,13 @@ def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank
             # at_ru go once the walk asks for the item after the last branch
             branches = iter(at_ru.transpose(1, 0, 2))
             del at_ru
-            cu_wf, taps, offset = propagate_uplink(
+            # demodulated straight from the walk's array, which the next
+            # walk on the thread overwrites anyway
+            rx_symbols, taps, offset = propagate_uplink(
                 topology, branches, active_ru, beam_phases, seed, record_taps,
-                noise=noise)
-            rx_symbols = extract_symbols(cu_wf.samples[offset:offset + n_samples],
-                                         grid, wf_cfg.cp_length, s, in_place=True)
-            del cu_wf
+                noise=noise, consume=lambda x, offset: extract_symbols(
+                    x[offset:offset + n_samples], grid, wf_cfg.cp_length, s,
+                    in_place=True))
 
     # receiver timing sync: rotate the channel's bulk delay off the grid
     rx_symbols = timing_advance(rx_symbols, realization.grid,

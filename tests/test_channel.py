@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stripesim import channel
 from stripesim.channel import (ChannelRealization, SPEED_OF_LIGHT, TdlParams,
                                add_awgn, add_thermal_noise, apply_channel,
                                bulk_delay, free_space_gain, identity_channel,
@@ -243,6 +244,45 @@ def test_apply_channel_dimension_error():
         apply_channel(np.ones((16, 3), complex), identity_channel(grid, 2))
     with pytest.raises(DimensionError):
         apply_channel(np.ones((8, 2), complex), identity_channel(grid, 2))
+
+
+@pytest.mark.parametrize("block", [48, None])
+@pytest.mark.parametrize("n_rx, n_tx", [(2, 4), (4, 4), (4, 2)])
+@pytest.mark.parametrize("n_sym", [5, None])
+def test_apply_channel_into_out_keeps_every_bit(n_rx, n_tx, n_sym, block, monkeypatch):
+    """Into a separate ``out`` (x untouched) and, for n_rx <= n_tx, over
+    x's own buffer block by block, Q=128 not a multiple of a 48-bin block
+    and short of the default one: the bits of a fresh result."""
+    if block is not None:
+        monkeypatch.setattr(channel, "AIR_BLOCK", block)
+    rng = np.random.default_rng(21)
+    real = rayleigh_channel(_grid(q=128), n_tx, n_rx, rng)
+    shape = (128, n_tx) if n_sym is None else (128, n_tx, n_sym)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = apply_channel(x, real)
+    kept = x.copy()
+    out = np.empty_like(want)
+    assert apply_channel(x, real, out=out) is out
+    assert out.tobytes() == want.tobytes() and x.tobytes() == kept.tobytes()
+    if n_rx <= n_tx:
+        over = x.reshape(-1)[:want.size].reshape(want.shape)
+        assert apply_channel(x, real, out=over) is over
+        assert over.tobytes() == want.tobytes()
+
+
+def test_apply_channel_refuses_an_out_that_would_overwrite_unread_input():
+    rng = np.random.default_rng(22)
+    grid = _grid(q=16)
+    buf = np.zeros(16 * 4 * 3, complex)
+    with pytest.raises(DimensionError):  # n_rx > n_tx: a block outruns its input
+        apply_channel(buf[:16 * 2 * 3].reshape(16, 2, 3),
+                      rayleigh_channel(grid, 2, 4, rng), out=buf.reshape(16, 4, 3))
+    x = buf.reshape(16, 4, 3)
+    with pytest.raises(DimensionError):  # starts past x's first element
+        apply_channel(x, rayleigh_channel(grid, 4, 2, rng),
+                      out=buf[3:3 + 16 * 2 * 3].reshape(16, 2, 3))
+    with pytest.raises(DimensionError):  # not the result's shape
+        apply_channel(x, rayleigh_channel(grid, 4, 2, rng), out=np.empty((16, 4, 3), complex))
 
 
 def test_thermal_noise_nf_floor():

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -83,6 +84,22 @@ def test_empty_ue_list(tmp_path):
     assert "metadata.json" in manifest["files"]
     reader = read_dataset(tmp_path)
     assert reader.ues == ()
+
+
+@pytest.mark.parametrize("damage", ["missing", "shape"])
+def test_writer_refuses_a_bad_ue_tensor_before_its_file(damage, tmp_path):
+    """A UE without a tensor, or with one of another shape than the
+    header's, is a FormatError naming the UE; the UEs before it are
+    written, its file is not, and no manifest makes the dataset readable."""
+    ds = _make_dataset(np.random.default_rng(9), n_ue=3)
+    channels = dict(ds.channels)
+    if damage == "missing":
+        del channels[1]
+    else:
+        channels[1] = channels[1][:, :, :, :, :4]
+    with pytest.raises(FormatError, match="UE 1"):
+        write_dataset(dataclasses.replace(ds, channels=channels), tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metadata.json", "ue_0.cfr"]
 
 
 def test_corrupted_magic(tmp_path):
@@ -257,6 +274,43 @@ def test_synthetic_deterministic(small_env, tmp_path):
     np.testing.assert_array_equal(a.channels[0], b.channels[0])
     c = generate_synthetic(small_env, grid, model="tdl", seed=10, n_tx=2, n_rx=2)
     assert not np.array_equal(a.channels[0], c.channels[0])
+
+
+def test_synthetic_tensors_are_built_on_each_read(small_env):
+    grid = SubcarrierGrid(157.75e9, 3e9, 32, 1)
+    ds = generate_synthetic(small_env, grid, model="tdl", seed=9, n_tx=2, n_rx=2)
+    first, second = ds.channels[0], ds.channels[0]
+    assert first is not second
+    np.testing.assert_array_equal(first, second)
+    assert list(ds.channels) == [0] and len(ds.channels) == 1
+    with pytest.raises(KeyError):
+        ds.channels[1]
+    with pytest.raises(TypeError):
+        ds.channels[0] = first
+
+
+def test_writing_a_synthetic_dataset_holds_one_ue_tensor(small_env, tmp_path):
+    """Generating and writing 4 UEs peaks below 2.5 UE tensors: one tensor
+    and the temporaries of one (stripe, RU) evaluation (~0.8 of a tensor
+    with 5 RUs). Holding every UE's tensor at once reads 4.9."""
+    env = dataclasses.replace(small_env, ue_positions=tuple(
+        (1.0 + i, 2.0, 1.5) for i in range(4)))
+    grid = SubcarrierGrid(157.75e9, 3e9, 256, 1)
+
+    def write(out):
+        write_dataset(generate_synthetic(env, grid, model="los", n_tx=4, n_rx=4), out)
+
+    write(tmp_path / "warm")  # imports and first-call caches
+    tracemalloc.start()
+    try:
+        write(tmp_path / "ds")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tensor = 5 * 4 * 4 * 256 * 16  # one UE: 5 RUs of 4 x 4 x Q complex128
+    assert peak < 2.5 * tensor
+    assert (tmp_path / "ds" / "ue_3.cfr").read_bytes() == (
+        tmp_path / "warm" / "ue_3.cfr").read_bytes()
 
 
 def test_synthetic_round_trip_float32(small_env, tmp_path):

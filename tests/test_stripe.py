@@ -1031,6 +1031,29 @@ def test_downlink_hands_each_branch_to_its_consumer():
     assert {s[2] for s in seen} == {offset} == {want_offset} and offset > 0
 
 
+def test_uplink_hands_its_output_to_its_consumer():
+    """The CU output reaches the consumer once, in the walk's own array
+    (the thread's trunk, for a walk that does not delay), with the walk's
+    delay; the default consumer's copy holds the same bits."""
+    env = _env(n_rus=4, n_antennas=2, q=128)
+    wf = _wf(n_ofdm_symbols=2, cp_length=8)
+    top = build_stripe(env, _workspace_bank(env, wf), 0, make_grid(env, wf), wf)
+    rng = np.random.default_rng(7)
+    grids = [rng.standard_normal((128, 2)) + 1j * rng.standard_normal((128, 2))
+             for _ in range(2)]
+    seen = []
+
+    def consume(x, offset):
+        trunk = stripe._thread_workspace()._arrays["trunk"]
+        seen.append((np.shares_memory(x, trunk), x.tobytes(), offset))
+        return "consumed"
+
+    got, _, offset = propagate_uplink(top, grids, 2, [0.3, -0.2], seed=4, consume=consume)
+    want, _, want_offset = propagate_uplink(top, grids, 2, [0.3, -0.2], seed=4)
+    assert got == "consumed"
+    assert seen == [(True, want.samples.tobytes(), want_offset)] and offset == want_offset
+
+
 def _held_bytes(obj, seen) -> int:
     """Bytes of the arrays reachable from a LinkResult, each base once."""
     if isinstance(obj, np.ndarray):
@@ -1106,6 +1129,33 @@ def test_warm_link_allocates_few_waveform_buffers(direction):
     walk()
     out, peak = _traced_peak(walk)
     assert (peak - out.samples.nbytes) / buffer < _WALK_BUFFERS
+
+
+@pytest.mark.parametrize("n_rx", [4, 2])
+def test_warm_dataset_downlink_makes_no_second_air_grid(n_rx, tmp_path):
+    """The air hop of a 4 x n_rx dataset link writes over the branch grids'
+    buffer, so a warm downlink peaks below 4.8 (Q, S) symbol grids above
+    what its result holds, on the example scenario: 4.3 with n_rx 4 or 2,
+    set by that buffer (n_tx grids) and the combined grid. A fresh air
+    grid reads 7.3 and 5.3 instead, n_rx - 1 grids more."""
+    env = load_environment(EXAMPLES / "environment.yaml")
+    wf = load_waveform(EXAMPLES / "waveform.yaml")
+    bank = load_components(EXAMPLES / "components.yaml")
+    sub = env.sub_thz
+    grid = SubcarrierGrid(sub.fc, sub.bw, sub.num_subcarriers, 1)
+    write_dataset(generate_synthetic(env, grid, model="tdl", seed=3, n_tx=4, n_rx=n_rx),
+                  tmp_path)
+    reader = read_dataset(tmp_path)
+    symbol_grid = sub.num_subcarriers * wf.n_ofdm_symbols * 16
+
+    def link(seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CalibrationInfeasible)
+            return run_link(env, wf, bank, reader, 0, 0, 9, seed=seed, calibrate=True)
+
+    link(5)  # warm; the measured link has another seed, so it walks from the start
+    res, peak = _traced_peak(lambda: link(6))
+    assert (peak - _held_bytes(res, set())) / symbol_grid < 4.8
 
 
 def test_dataset_link_holds_only_its_channel_slice(tmp_path):
