@@ -33,11 +33,11 @@ AIR_BLOCK = 512  # subcarriers per block of an `apply_channel` over its input
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One frozen channel draw: Q x Nrx x Ntx complex tensor."""
+    """One frozen channel draw: the Q x Nrx x Ntx complex tensor ``h`` on
+    ``grid``, whatever model or dataset made it."""
 
     h: np.ndarray
     grid: SubcarrierGrid
-    provenance: str = "model"
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=np.complex128)
@@ -49,18 +49,9 @@ class ChannelRealization:
             raise DomainError("channel tensor contains non-finite entries")
         object.__setattr__(self, "h", h)
 
-    @property
-    def n_rx(self) -> int:
-        return self.h.shape[1]
-
-    @property
-    def n_tx(self) -> int:
-        return self.h.shape[2]
-
     def transposed(self) -> "ChannelRealization":
         """Reverse-link view (reciprocity): swaps the antenna axes."""
-        return ChannelRealization(h=np.transpose(self.h, (0, 2, 1)),
-                                  grid=self.grid, provenance=self.provenance)
+        return ChannelRealization(h=np.transpose(self.h, (0, 2, 1)), grid=self.grid)
 
 
 @dataclass(frozen=True)
@@ -129,8 +120,7 @@ def los_channel(grid: SubcarrierGrid, tx_positions, rx_positions) -> ChannelReal
     amp = np.sqrt(free_space_gain(d[None, :, :], f))
     phase = np.exp(-2j * np.pi * f * d[None, :, :] / SPEED_OF_LIGHT)
     h_qmk = amp * phase  # (Q, n_tx, n_rx)
-    return ChannelRealization(h=np.transpose(h_qmk, (0, 2, 1)), grid=grid,
-                              provenance="los")
+    return ChannelRealization(h=np.transpose(h_qmk, (0, 2, 1)), grid=grid)
 
 
 def _large_scale(grid: SubcarrierGrid, distance) -> np.ndarray:
@@ -149,7 +139,7 @@ def rayleigh_channel(grid: SubcarrierGrid, n_tx: int, n_rx: int,
     g = (rng.standard_normal((q, n_rx, n_tx))
          + 1j * rng.standard_normal((q, n_rx, n_tx))) / np.sqrt(2.0)
     h = g * _large_scale(grid, distance)[:, None, None]
-    return ChannelRealization(h=h, grid=grid, provenance="rayleigh")
+    return ChannelRealization(h=h, grid=grid)
 
 
 def tap_powers(n_taps: int, beta: float) -> np.ndarray:
@@ -181,14 +171,14 @@ def tdl_channel(grid: SubcarrierGrid, params: TdlParams, n_tx: int, n_rx: int,
     taps = taps * np.sqrt(lam)[None, None, :]
     g_f = np.fft.fft(taps, n=q, axis=-1)  # zero-pads to Q
     h = np.transpose(g_f, (2, 0, 1)) * _large_scale(grid, distance)[:, None, None]
-    return ChannelRealization(h=h, grid=grid, provenance="tdl")
+    return ChannelRealization(h=h, grid=grid)
 
 
 def identity_channel(grid: SubcarrierGrid, n: int = 1) -> ChannelRealization:
     """Unit diagonal channel on every subcarrier (loopback fixture)."""
     h = np.broadcast_to(np.eye(n, dtype=np.complex128),
                         (grid.num_subcarriers, n, n)).copy()
-    return ChannelRealization(h=h, grid=grid, provenance="identity")
+    return ChannelRealization(h=h, grid=grid)
 
 
 def model_channel(grid: SubcarrierGrid, model: str, tx_positions, rx_positions,

@@ -255,7 +255,7 @@ def cmd_sweep_ru(args) -> int:
             rows = list(pool.map(run_cell, cells))
     else:
         rows = list(map(run_cell, cells))
-    rows.sort(key=lambda r: (r[1], r[0]))  # (stripe_id, ru_id)
+    # both maps keep the cells' (stripe_id, ru_id) order
     _write_csv(out_dir / "heatmap.csv", _HEATMAP_HEADER, [list(r) for r in rows])
     _finish_manifest(args, (env, wf, bank), ["heatmap.csv"], started)
     return EXIT_OK

@@ -253,7 +253,7 @@ class CfrDatasetReader:
             raise IndexError(f"ru_id {ru_id} out of range")
         block = self._payload(ue_id)[stripe_id, ru_id].astype(np.complex128)
         return ChannelRealization(h=np.transpose(block, (2, 0, 1)),  # (Q, n_rx, n_tx)
-                                  grid=self.header.grid(), provenance="dataset")
+                                  grid=self.header.grid())
 
     def to_memory(self) -> CfrDataset:
         channels = {ue.ue_id: self._payload(ue.ue_id).astype(np.complex128)

@@ -335,7 +335,7 @@ class _Chain:
         return comp.amplifier_process(x, params, rng, out=x)
 
     def dac(self, x: np.ndarray, params: comp.DacParams) -> np.ndarray:
-        if self.linear_only or params.mode == "ideal":
+        if self.linear_only:
             return x
         return comp.dac_process(x, params, out=x)
 
@@ -353,18 +353,21 @@ class _Drawn:
     """The noise one stage draws, made ahead on the helper thread; stands
     in for the stage's generator in `comp.amplifier_process` and
     `comp.add_complex_noise`. ``z`` is the drawn array, or the pair of
-    its two halves when they sit in two ring rows."""
+    its two halves when they sit in two ring rows. `_NoiseAhead.source`
+    waits for the draw before it hands it out."""
 
     def __init__(self, size: tuple, future, z):
         self._size = size
         self._future = future
         self._z = z
 
+    def wait(self):
+        self._future.result()
+
     def standard_normal(self, size):
         if size != self._size:
             raise LengthError(f"noise was drawn ahead for shape {self._size}, "
                               f"the stage asks for {size}")
-        self._future.result()
         return self._z
 
 
@@ -446,16 +449,18 @@ class _NoiseAhead:
             self._next += 1
 
     def source(self, rng: np.random.Generator):
-        """The draw made ahead for the stage that owns ``rng``, or ``rng``
-        itself when no draw was planned for it (a noiseless amplifier)."""
+        """The draw made ahead for the stage that owns ``rng``, once it is
+        made, or ``rng`` itself when no draw was planned for it (a
+        noiseless amplifier)."""
         if not self._queued or self._queued[0][0] is not rng:
             return rng
         _rng, drawn, n_rows = self._queued.popleft()
         # the stage that used the previous draw has returned, so its rows
-        # are free for the draws that follow
+        # are free for the draws that follow, submitted before this wait
         self._held -= self._in_use
         self._in_use = n_rows
         self._fill()
+        drawn.wait()
         return drawn
 
 
@@ -738,23 +743,17 @@ def calibrate_gains(top: StripeTopology, target_power_dbm: float,
 
     A flat QPSK reference at the target power is injected into the first
     fiber segment; at every booster input the passband mean power is
-    measured on the reference's last OFDM symbol and the gain is set to
+    measured on the second of the reference's two OFDM symbols, past any
+    time-domain filter's transient, and the gain is set to
     min(target/P, max_gain). Gains clipped at max_gain raise a
     `CalibrationInfeasible` warning but calibration completes.
-
-    The reference is two symbols when the trunk holds a time-domain
-    element, so that the metered second symbol is past the filter's
-    transient. Every other element acts on each symbol alone, and the
-    reference is then only that second symbol: the same meter readings.
     """
     grid, wf = top.grid, top.wf
     # the whole trunk, each booster's stream unused and its stage metered
     trunk = _trunk(top, top.n_rus, lambda node, tag: None)
-    n_sym = 2 if any(isinstance(params, comp.LinearElementParams) and _convolves(params)
-                     for _label, params, _arg in trunk) else 1
     ref_bits = streams.stream(seed, "calibration-reference").integers(
         0, 2, 2 * grid.num_subcarriers * 2)
-    symbols = map_qam(ref_bits, 4).reshape(grid.num_subcarriers, 2)[:, 2 - n_sym:]
+    symbols = map_qam(ref_bits, 4).reshape(grid.num_subcarriers, 2)
     target_w = 10.0 ** ((target_power_dbm - 30.0) / 10.0)
     max_gain = 10.0 ** (max_gain_db / 10.0)
     gains, clipped, p_out = [], [], []
@@ -767,7 +766,7 @@ def calibrate_gains(top: StripeTopology, target_power_dbm: float,
     def _passband_power() -> float:
         # mean power over the last symbol's bins: past the delays, any
         # filter transient and free of cyclic-prefix duplication bias
-        bins = extract_symbols(chain.x[chain.offset:], grid, wf.cp_length, n_sym)
+        bins = extract_symbols(chain.x[chain.offset:], grid, wf.cp_length, 2)
         return float(np.mean(np.abs(bins[:, -1]) ** 2))
 
     def scale(gain: float):

@@ -129,32 +129,27 @@ class TimeWaveform:
 
 @dataclass(frozen=True)
 class ResourceGrid:
-    """Q x S symbol array plus pilot bookkeeping.
-
-    Received grids carry only ``symbols``; transmit grids also hold the
-    pilot mask/values and the originating data bits.
-    """
+    """A transmit grid: the Q x S symbol array, its pilot mask and pilot
+    values, and the data bits mapped at ``qam_order`` into the other
+    positions. `build_resource_grid` makes one."""
 
     symbols: np.ndarray
-    pilot_mask: np.ndarray | None = None
-    pilot_values: np.ndarray | None = None
-    data_bits: np.ndarray | None = None
-    qam_order: int | None = None
+    pilot_mask: np.ndarray
+    pilot_values: np.ndarray
+    data_bits: np.ndarray
+    qam_order: int
 
     def __post_init__(self):
         object.__setattr__(self, "symbols", np.asarray(self.symbols, dtype=np.complex128))
         if self.symbols.ndim != 2:
             raise LengthError("resource grid symbols must be a Q x S array")
-        if self.pilot_mask is not None:
-            mask = np.asarray(self.pilot_mask, dtype=bool)
-            if mask.shape != self.symbols.shape:
-                raise LengthError("pilot mask shape must match symbols")
-            object.__setattr__(self, "pilot_mask", mask)
+        mask = np.asarray(self.pilot_mask, dtype=bool)
+        if mask.shape != self.symbols.shape:
+            raise LengthError("pilot mask shape must match symbols")
+        object.__setattr__(self, "pilot_mask", mask)
 
     @property
     def data_mask(self) -> np.ndarray:
-        if self.pilot_mask is None:
-            raise ConfigError("grid carries no pilot layout")
         return ~self.pilot_mask
 
 

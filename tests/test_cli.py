@@ -525,13 +525,26 @@ def test_sweep_rows_and_columns(config_tree, tmp_path):
     assert len(rows) == 1 + 3  # one stripe x three RUs
 
 
-def test_sweep_parallel_matches_serial(config_tree, tmp_path):
+@pytest.mark.parametrize("direction, edits", [
+    ("ul", []), ("dl", []), ("ul", TWO_STRIPES), ("dl", TWO_STRIPES)],
+    ids=["ul", "dl", "ul-two-stripes", "dl-two-stripes"])
+def test_sweep_parallel_matches_serial(direction, edits, config_tree, tmp_path):
+    """Serial and pooled sweeps write the same bytes, one row per cell in
+    (stripe, RU) order."""
+    text = ENV_YAML
+    for old, new in edits:
+        text = text.replace(old, new)
+    config_tree["env"].write_text(text)
     args = ["sweep-ru", *_base_flags(config_tree), "--channel", "los",
-            "--seed", "5"]
+            "--seed", "5", "--direction", direction]
     assert _run(*args, "--out", tmp_path / "serial") == 0
     assert _run(*args, "--jobs", "2", "--out", tmp_path / "par") == 0
     assert ((tmp_path / "serial" / "heatmap.csv").read_bytes()
             == (tmp_path / "par" / "heatmap.csv").read_bytes())
+    cells = [(int(row[1]), int(row[0]))
+             for row in _read_csv(tmp_path / "par" / "heatmap.csv")[1:]]
+    n_stripes = 2 if edits else 1
+    assert cells == [(s, r) for s in range(n_stripes) for r in range(3)]
 
 
 def test_sweep_pool_has_no_more_workers_than_cells(tmp_path, monkeypatch):

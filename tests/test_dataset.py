@@ -164,7 +164,6 @@ def test_repeatable_reads(tmp_path):
     a = reader.get_channel(0, 0, 1)
     b = reader.get_channel(0, 0, 1)
     np.testing.assert_array_equal(a.h, b.h)
-    assert a.provenance == "dataset"
 
 
 def test_get_channel_index_errors(tmp_path):

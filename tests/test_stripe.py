@@ -185,9 +185,8 @@ def test_calibration_time_domain_fiber_matches_frequency_domain():
 
 
 def _two_symbol_calibration(top, target_power_dbm, max_gain_db, seed):
-    """`calibrate_gains` as it was before it metered a one-symbol reference:
-    a two-symbol reference on every trunk, metered on its second symbol.
-    The oracle of the one-symbol reference."""
+    """`calibrate_gains` written out apart from it: a two-symbol reference
+    on every trunk, metered on its second symbol. Its oracle."""
     grid, wf = top.grid, top.wf
     ref_bits = stripe.streams.stream(seed, "calibration-reference").integers(
         0, 2, 2 * grid.num_subcarriers * 2)
@@ -226,8 +225,9 @@ def _two_symbol_calibration(top, target_power_dbm, max_gain_db, seed):
 
 
 def _calibration_cases():
-    """(stripe, target dBm, max gain dB) of each trunk kind the one-symbol
-    reference must meter as the two-symbol one did."""
+    """(stripe, target dBm, max gain dB) of each trunk kind that filters
+    each symbol alone, where a one-symbol reference once stood in for the
+    two-symbol one."""
     env, wf = _env(n_rus=4), _wf()
     grid = make_grid(env, wf)
     network = parse_touchstone(s2p_from_taps([0.8, 0.15j, 0.05], grid.fc,
@@ -250,15 +250,11 @@ def _calibration_cases():
 
 @pytest.mark.parametrize("case", ["example", "fixed-damping-fiber", "s2p-coupler",
                                   "clipping"])
-def test_one_symbol_calibration_equals_two_symbols(case, monkeypatch):
-    """On a trunk that filters each symbol alone, the one-symbol reference
-    gives the gains, clip flags and powers of the two-symbol one, bit for
-    bit, and synthesizes one symbol."""
+def test_one_symbol_calibration_equals_two_symbols(case):
+    """On a trunk that filters each symbol alone, calibration gives the
+    gains, clip flags and powers of the two-symbol oracle, bit for bit: the
+    readings the one-symbol reference it once used gave there."""
     top, target, max_gain = _calibration_cases()[case]
-    widths = []
-    synthesize = stripe.synthesize_symbols
-    monkeypatch.setattr(stripe, "synthesize_symbols", lambda symbols, *args: (
-        widths.append(symbols.shape[1]), synthesize(symbols, *args))[1])
     clipped = False
     for seed in range(20):
         with warnings.catch_warnings():
@@ -268,7 +264,6 @@ def test_one_symbol_calibration_equals_two_symbols(case, monkeypatch):
         assert got == want
         clipped = clipped or any(got.clipped)
     assert clipped == (case == "clipping")
-    assert widths == [1] * 20
 
 
 def test_time_domain_trunk_calibrates_on_two_symbols(monkeypatch):
@@ -897,9 +892,33 @@ def test_noise_ring_never_draws_over_a_draw_in_use():
         for seed, (rng, shape) in enumerate(draws):
             z = noise.source(rng).standard_normal(shape)
             for _rng, drawn, _rows in noise._queued:
-                drawn.standard_normal(drawn._size)  # wait for every draw made ahead
+                drawn.wait()  # wait for every draw made ahead
             assert np.stack(z).tobytes() == np.random.default_rng(seed).standard_normal(
                 shape).tobytes()
+
+
+@pytest.mark.parametrize("direction", ["dl", "ul"])
+def test_each_draw_is_made_before_its_stage_reads_it(direction, monkeypatch):
+    """`_NoiseAhead.source` hands a stage its draw only once the helper has
+    made it, so no stage waits inside `standard_normal`: the wait falls in
+    the walk's own time, not in an amplifier's or in the receiver noise's."""
+    env = _env(n_rus=4, n_antennas=2, q=128)
+    wf = _wf(n_ofdm_symbols=2, cp_length=8)
+    planned, done = [], []
+    real = stripe._NoiseAhead
+    monkeypatch.setattr(stripe, "_NoiseAhead", lambda draws, stages=None: (
+        planned.append(len(draws)), real(draws, stages))[1])
+    read = stripe._Drawn.standard_normal
+
+    def standard_normal(self, size):
+        done.append(self._future.done())
+        return read(self, size)
+
+    monkeypatch.setattr(stripe._Drawn, "standard_normal", standard_normal)
+    run_link(env, wf, _workspace_bank(env, wf), "los", 0, 0, 3, direction=direction,
+             seed=4)
+    assert len(done) == sum(planned) > 0
+    assert all(done)
 
 
 @pytest.mark.parametrize("direction", ["dl", "ul"])
