@@ -372,11 +372,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep-ru", help="activate every RU in turn")
     add_configs(p_sweep)
-    p_sweep.add_argument("--channel", default="los")
-    p_sweep.add_argument("--ue", type=int, default=0)
-    p_sweep.add_argument("--direction", choices=("dl", "ul"), default="ul")
-    p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--channel", default="los",
+                         help="los | rayleigh | tdl[:beta[:taps]] | dataset:DIR")
+    p_sweep.add_argument("--ue", type=int, default=0, help="UE index of every cell")
+    p_sweep.add_argument("--direction", choices=("dl", "ul"), default="ul",
+                         help="link direction of every cell")
+    p_sweep.add_argument("--seed", type=int, default=0,
+                         help="master seed; each (stripe, RU) cell derives its own")
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="worker processes; the heatmap is the same for any count")
     p_sweep.add_argument("--out", required=True)
     p_sweep.set_defaults(func=cmd_sweep_ru)
 

@@ -11,8 +11,15 @@ then f64 fc, bw (40 header bytes total), then float32 interleaved
 (re, im) pairs in row-major order stripe -> ru -> rx -> tx -> q.
 
 Storage is float32 (matching typical ray-tracing export precision);
-in-memory tensors are complex128. Readers load metadata eagerly; each channel
-lookup re-checks its whole UE file's CRC and keeps only its (stripe, RU) slice.
+in-memory tensors are complex128. Readers load metadata eagerly. A channel
+lookup reads its UE file once, front to back, through one 64 KiB buffer:
+every byte goes into the file's CRC32, and only the bytes of the requested
+(stripe, RU) block are copied out, so a lookup's memory does not grow with
+the file. A missing file fails first; the other checks run once the
+whole file has been read, in a fixed order: CRC, magic, header length,
+dimensions, file size, then the header against the metadata. The block
+is made only once the first read's header passes them at the file's size
+on disk, so no lookup allocates more than its file holds.
 A synthetic dataset builds each UE's tensor when it is read, one UE at a
 time, and `write_dataset` holds one UE's tensor at a time, so writing one
 takes the memory of one UE whatever the UE count.
@@ -43,6 +50,7 @@ MAGIC = b"CFR1"
 _HEADER = struct.Struct("<5I2d")  # n_stripes, n_rus, n_rx, n_tx, Q, fc, bw
 HEADER_BYTES = len(MAGIC) + _HEADER.size
 _MAX_ELEMENTS = 1 << 34  # refuse absurd dimension products early
+_CHUNK_BYTES = 1 << 16  # one read of a dataset file
 _COUNTS = ("n_stripes", "n_rus", "n_rx", "n_tx", "num_subcarriers")
 _UE_ID = _within(0, parse=_as_int)
 
@@ -97,22 +105,26 @@ class CfrDataset:
 # Binary codec
 # ---------------------------------------------------------------------------
 
-def _decode_channel_file(blob: bytes, path: str) -> tuple[DatasetHeader, np.ndarray]:
-    """Checked header and a read-only complex64 view of the payload in ``blob``."""
-    if blob[:4] != MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}")
-    if len(blob) < HEADER_BYTES:
+def _check_channel_file(head: bytes, size: int, path: str) -> DatasetHeader:
+    """Checked header of a channel file of ``size`` bytes that begins with
+    ``head`` (its first `HEADER_BYTES` bytes, or all of a shorter file)."""
+    if head[:4] != MAGIC:
+        raise FormatError(f"{path}: bad magic {bytes(head[:4])!r}")
+    if size < HEADER_BYTES or len(head) < HEADER_BYTES:
         raise FormatError(f"{path}: truncated header")
-    fields = _HEADER.unpack(blob[4:HEADER_BYTES])
-    header = DatasetHeader(*fields[:5], fc=fields[5], bw=fields[6])
-    n_elements = int(np.prod(header.tensor_shape, dtype=np.int64))
+    header = _unpack_header(head)
+    n_elements = math.prod(header.tensor_shape)
     if n_elements <= 0 or n_elements > _MAX_ELEMENTS:
         raise FormatError(f"{path}: dimension overflow {header.tensor_shape}")
     expected = HEADER_BYTES + 8 * n_elements
-    if len(blob) != expected:
-        raise FormatError(f"{path}: file is {len(blob)} bytes, expected {expected}")
-    flat = np.frombuffer(blob, dtype="<c8", offset=HEADER_BYTES)
-    return header, flat.reshape(header.tensor_shape)
+    if size != expected:
+        raise FormatError(f"{path}: file is {size} bytes, expected {expected}")
+    return header
+
+
+def _unpack_header(head: bytes) -> DatasetHeader:
+    fields = _HEADER.unpack_from(head, len(MAGIC))
+    return DatasetHeader(*fields[:5], fc=fields[5], bw=fields[6])
 
 
 def _ue_to_json(ue: UeMetadata) -> dict:
@@ -190,8 +202,9 @@ def write_dataset(dataset: CfrDataset, directory) -> dict:
 class CfrDatasetReader:
     """Lazy dataset handle: metadata eager, channel tensors on demand.
 
-    Read-only after open and caches no channel; safe for concurrent lookups.
-    Each lookup re-checks its whole UE file and keeps only its slice.
+    Read-only after open and caches no channel; each read makes its own
+    buffer, so concurrent lookups are safe. A lookup streams its whole UE
+    file through the CRC and keeps only its (stripe, RU) block.
     """
 
     def __init__(self, directory):
@@ -209,7 +222,9 @@ class CfrDatasetReader:
                           for name, entry in manifest.get("files", {}).items()}
         except malformed as exc:
             raise FormatError(f"{manifest_path}: malformed manifest ({exc!r})") from None
-        meta_blob = self._read_checked("metadata.json")
+        meta_blob = bytearray()
+        for chunk in self._chunks("metadata.json"):
+            meta_blob += chunk
         try:
             meta = json.loads(meta_blob.decode())
             raw_h = meta["header"]
@@ -224,41 +239,90 @@ class CfrDatasetReader:
         if len(self._by_id) != len(self.ues):
             raise FormatError(f"{self._dir / 'metadata.json'}: ue_id values must be unique")
 
-    def _read_checked(self, name: str) -> bytes:
+    def _read_checked(self, f, buf: bytearray) -> memoryview:
+        """The next chunk of the open file ``f``, read into ``buf``: the
+        filled part of it, empty at the end of the file. Every read of a
+        dataset file goes through here, and `_chunks` folds every chunk
+        into the file's CRC."""
+        return memoryview(buf)[:f.readinto(buf)]
+
+    def _chunks(self, name: str):
+        """Yield the file ``name`` front to back, each chunk a view of one
+        buffer that the next chunk overwrites; raises `ChecksumError` after
+        the last chunk when the file's CRC32 disagrees with the manifest."""
         path = self._dir / name
         if not path.is_file():
             raise IoError(f"dataset file missing: {path}")
-        blob = path.read_bytes()
-        crc = self._crcs.get(name)
-        if crc is not None and zlib.crc32(blob) != crc:
+        buf = bytearray(_CHUNK_BYTES)
+        crc = 0
+        with open(path, "rb", buffering=0) as f:
+            while chunk := self._read_checked(f, buf):
+                crc = zlib.crc32(chunk, crc)
+                yield chunk
+        expected = self._crcs.get(name)
+        if expected is not None and crc != expected:
             raise ChecksumError(f"{path}: CRC32 mismatch")
-        return blob
 
-    def _payload(self, ue_id: int) -> np.ndarray:
-        """Checked complex64 view of a UE file; it holds the file's bytes."""
+    def _read_blocks(self, ue_id: int, first: int, count: int) -> np.ndarray:
+        """(stripe, RU) blocks ``first`` to ``first + count`` (row-major
+        block order) of a UE file, checked, as a fresh complex64
+        ``(count, n_rx, n_tx, Q)`` array.
+
+        The array is made only once the file's own header, its dimensions
+        and its size on disk all pass `_check_channel_file` and the header
+        equals the metadata's, so it is never larger than the file and a
+        damaged file sizes nothing. The checks then run again on the bytes
+        read, after the CRC, to raise in their fixed order.
+        """
         if ue_id not in self._by_id:
             raise IndexError(f"unknown ue_id {ue_id}")
-        blob = self._read_checked(f"ue_{ue_id}.cfr")
-        header, payload = _decode_channel_file(blob, f"ue_{ue_id}.cfr")
-        if header != self.header:
-            raise FormatError(f"ue_{ue_id}.cfr header disagrees with metadata")
-        return payload
+        name = f"ue_{ue_id}.cfr"
+        h = self.header
+        shape = (count, h.n_rx, h.n_tx, h.num_subcarriers)
+        start = HEADER_BYTES + 8 * math.prod(shape[1:]) * first
+        stop = start + 8 * math.prod(shape)
+        head, kept, size = b"", None, 0
+        for chunk in self._chunks(name):
+            if not size:  # the first read holds the whole header
+                head = bytes(chunk[:HEADER_BYTES])
+                if self._fits(head, name, h):
+                    kept = np.empty(shape, dtype="<c8")
+                    dest = memoryview(kept).cast("B")
+            lo, hi = max(start, size), min(stop, size + len(chunk))
+            if kept is not None and lo < hi:
+                dest[lo - start:hi - start] = chunk[lo - size:hi - size]
+            size += len(chunk)
+        if _check_channel_file(head, size, name) != h:
+            raise FormatError(f"{name} header disagrees with metadata")
+        return kept
+
+    def _fits(self, head: bytes, name: str, header: DatasetHeader) -> bool:
+        """Whether a file ``name`` that begins with ``head`` passes
+        `_check_channel_file` at its size on disk and carries ``header``."""
+        try:
+            size = (self._dir / name).stat().st_size
+            return _check_channel_file(head, size, name) == header
+        except (FormatError, OSError):
+            return False
 
     def get_channel(self, ue_id: int, stripe_id: int, ru_id: int) -> ChannelRealization:
         """H tensor (Q x n_rx x n_tx) for one stripe/RU pair: a view of a
-        fresh (n_rx, n_tx, Q) block; the file's bytes are not kept."""
+        fresh complex128 (n_rx, n_tx, Q) block. The UE file is read once
+        through a 64 KiB buffer and every byte of it CRC-checked; only the
+        block's bytes are kept."""
         if not 0 <= stripe_id < self.header.n_stripes:
             raise IndexError(f"stripe_id {stripe_id} out of range")
         if not 0 <= ru_id < self.header.n_rus:
             raise IndexError(f"ru_id {ru_id} out of range")
-        block = self._payload(ue_id)[stripe_id, ru_id].astype(np.complex128)
-        return ChannelRealization(h=np.transpose(block, (2, 0, 1)),  # (Q, n_rx, n_tx)
+        block = self._read_blocks(ue_id, stripe_id * self.header.n_rus + ru_id, 1)[0]
+        return ChannelRealization(h=np.transpose(block.astype(np.complex128), (2, 0, 1)),
                                   grid=self.header.grid())
 
     def to_memory(self) -> CfrDataset:
-        channels = {ue.ue_id: self._payload(ue.ue_id).astype(np.complex128)
-                    for ue in self.ues}
-        return CfrDataset(header=self.header, ues=self.ues, channels=channels)
+        h = self.header
+        channels = {ue.ue_id: self._read_blocks(ue.ue_id, 0, h.n_stripes * h.n_rus)
+                    .reshape(h.tensor_shape).astype(np.complex128) for ue in self.ues}
+        return CfrDataset(header=h, ues=self.ues, channels=channels)
 
 
 def read_dataset(directory) -> CfrDatasetReader:

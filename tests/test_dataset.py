@@ -3,8 +3,11 @@
 import dataclasses
 import hashlib
 import json
+import sys
 import tracemalloc
 import zlib
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +148,55 @@ def test_dimension_overflow(tmp_path):
         reader.get_channel(0, 0, 0)
 
 
+def _write_lone_ue_file(tmp_path, dims, payload_bytes):
+    """A one-UE dataset whose metadata and file header both carry ``dims``
+    (n_stripes, n_rus, n_rx, n_tx, Q), with ``payload_bytes`` zero bytes
+    after the header and a manifest holding the file's true CRC."""
+    import struct
+    blob = b"CFR1" + struct.pack("<5I2d", *dims, 157.75e9, 3e9) + b"\x00" * payload_bytes
+    (tmp_path / "ue_0.cfr").write_bytes(blob)
+    meta = {"header": dict(zip(("n_stripes", "n_rus", "n_rx", "n_tx", "num_subcarriers"),
+                               dims), fc=157.75e9, bw=3e9),
+            "ues": [{"id": 0, "x": 0.0, "y": 0.0, "z": 0.0}]}
+    (tmp_path / "metadata.json").write_text(json.dumps(meta))
+    files = {"ue_0.cfr": {"crc32": zlib.crc32(blob)}}
+    (tmp_path / "manifest.json").write_text(json.dumps({"format": "CFR1", "files": files}))
+    return blob
+
+
+def _read(reader, read):
+    return reader.get_channel(0, 0, 0) if read == "get_channel" else reader.to_memory()
+
+
+@pytest.mark.parametrize("read", ["get_channel", "to_memory"])
+@pytest.mark.parametrize("dims", [(1, 1, 2 ** 20, 2 ** 20, 4096),
+                                  (2 ** 31, 2 ** 31, 1, 1, 1)])
+def test_overflowing_dimensions_in_metadata_and_header_fail_the_check(dims, read,
+                                                                      tmp_path):
+    """Metadata and header agree, so only the dimension bound stops a
+    lookup from asking for petabytes."""
+    _write_lone_ue_file(tmp_path, dims, 16)
+    with pytest.raises(FormatError, match="dimension overflow"):
+        _read(read_dataset(tmp_path), read)
+
+
+@pytest.mark.parametrize("read", ["get_channel", "to_memory"])
+def test_a_truncated_file_sizes_nothing(read, tmp_path):
+    """A header that matches metadata sizing 8 MiB per block, on a file of
+    56 bytes: the size check fails before any block is made."""
+    dims = (1, 4, 16, 16, 4096)
+    blob = _write_lone_ue_file(tmp_path, dims, 16)
+    reader = read_dataset(tmp_path)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=f"file is {len(blob)} bytes"):
+            _read(reader, read)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_lazy_reads_touch_only_requested_files(tmp_path):
     rng = np.random.default_rng(4)
     write_dataset(_make_dataset(rng, n_ue=3), tmp_path)
@@ -214,6 +266,80 @@ def test_damage_outside_the_slice_still_fails_the_checksum(tmp_path):
     reader = read_dataset(tmp_path)
     with pytest.raises(ChecksumError):
         reader.get_channel(0, 0, 0)
+
+
+def test_damage_in_the_header_fails_the_checksum(tmp_path):
+    rng = np.random.default_rng(11)
+    write_dataset(_make_dataset(rng, n_ue=1), tmp_path)
+    path = tmp_path / "ue_0.cfr"
+    blob = bytearray(path.read_bytes())
+    blob[HEADER_BYTES - 1] ^= 0x01  # the last byte of bw
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ChecksumError):
+        read_dataset(tmp_path).get_channel(0, 0, 0)
+
+
+@pytest.mark.parametrize("read", ["get_channel", "to_memory"])
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_a_file_one_byte_off_fails_the_size_check(extra, read, tmp_path):
+    rng = np.random.default_rng(9)
+    write_dataset(_make_dataset(rng, n_ue=1, n_stripes=2, n_rus=3), tmp_path)
+    path = tmp_path / "ue_0.cfr"
+    blob = path.read_bytes()
+    blob = blob[:-1] if extra < 0 else blob + b"\x00"
+    path.write_bytes(blob)
+    # recompute the checksum, so the size check is reached
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["files"]["ue_0.cfr"]["crc32"] = zlib.crc32(blob)
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    reader = read_dataset(tmp_path)
+    expected = len(blob) - extra
+    with pytest.raises(FormatError, match=f"file is {len(blob)} bytes, expected {expected}"):
+        reader.get_channel(0, 1, 2) if read == "get_channel" else reader.to_memory()
+
+
+def test_concurrent_lookups_equal_serial_ones(tmp_path):
+    """Four threads share one reader; each UE file spans several reads."""
+    rng = np.random.default_rng(10)
+    write_dataset(_make_dataset(rng, n_ue=2, n_stripes=2, n_rus=3, n_rx=4, n_tx=4,
+                                q=256), tmp_path)
+    assert (tmp_path / "ue_0.cfr").stat().st_size > 3 * 65536
+    reader = read_dataset(tmp_path)
+    keys = [(ue, s, r) for ue in (0, 1) for s in range(2) for r in range(3)]
+    serial = [reader.get_channel(*key).h for key in keys]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between reads of one lookup
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(lambda key: reader.get_channel(*key).h, keys * 4))
+    finally:
+        sys.setswitchinterval(interval)
+    for i, h in enumerate(threaded):
+        want = serial[i % len(keys)]
+        assert h.strides == want.strides and h.tobytes() == want.tobytes()
+
+
+def test_a_lookup_in_the_example_dataset_keeps_one_block(tmp_path):
+    """A lookup in a 4 x 4 dataset of the example (10 RUs, Q=4096, 5.24 MB
+    per UE file) peaks at 1.56 MiB: the 0.5 MiB complex64 block, its
+    1 MiB complex128 copy and one 64 KiB read buffer. Reading the whole
+    file peaks at 6.0 MiB."""
+    examples = Path(__file__).resolve().parents[1] / "docs" / "examples"
+    env = load_environment(examples / "environment.yaml")
+    sub = env.sub_thz
+    grid = SubcarrierGrid(sub.fc, sub.bw, sub.num_subcarriers, 1)
+    write_dataset(generate_synthetic(env, grid, model="tdl", seed=3, n_tx=4, n_rx=4),
+                  tmp_path)
+    reader = read_dataset(tmp_path)
+    reader.get_channel(0, 0, 5)  # first-call caches
+    tracemalloc.start()
+    try:
+        channel = reader.get_channel(0, 0, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert channel.h.shape == (sub.num_subcarriers, 4, 4)
+    assert peak < 1.6 * 2 ** 20
 
 
 # SHA-256 of every file write_dataset writes for _golden_dataset(),

@@ -1187,6 +1187,28 @@ def test_dataset_link_holds_only_its_channel_slice(tmp_path):
     assert _held_bytes(res.channel, set()) == 2 * 2 * 128 * 16
 
 
+def test_dataset_link_memory_does_not_grow_with_the_stripe(tmp_path):
+    """A warm 4 x 4 dataset link (Q=64) peaks the same on a 64-RU stripe as
+    on a 4-RU one: the reader streams the UE file and keeps one (stripe,
+    RU) block. Reading the whole UE file peaks 5.9 times higher on 64 RUs."""
+    def peak(n_rus):
+        env = _env(n_rus=n_rus, spacing=0.1, n_antennas=4, q=64)
+        grid = SubcarrierGrid(env.sub_thz.fc, env.sub_thz.bw, 64, 1)
+        out = tmp_path / f"rus{n_rus}"
+        write_dataset(generate_synthetic(env, grid, model="tdl", seed=3, n_tx=4, n_rx=4),
+                      out)
+        reader = read_dataset(out)
+
+        def link(seed):
+            return run_link(env, _wf(), ComponentBank(), reader, 0, 0, 1, seed=seed)
+
+        link(5)  # warm
+        return _traced_peak(lambda: link(6))[1]
+
+    short, long = peak(4), peak(64)
+    assert abs(long - short) < 0.05 * short
+
+
 # ---------------------------------------------------------------------------
 # Resumed downlink walks: what a link reuses of the last one on its thread
 # ---------------------------------------------------------------------------
