@@ -277,6 +277,8 @@ def thermal_noise_power(bandwidth: float, nf_db: float,
     """Receiver noise floor kT*B*F in watts."""
     if bandwidth <= 0:
         raise DomainError("bandwidth must be positive")
+    if temperature <= 0:
+        raise DomainError("temperature must be positive")
     return BOLTZMANN * temperature * bandwidth * 10.0 ** (nf_db / 10.0)
 
 

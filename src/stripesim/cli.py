@@ -19,7 +19,6 @@ import functools
 import json
 import logging
 import os
-import re
 import sys
 import time
 from pathlib import Path
@@ -34,7 +33,7 @@ from .config import (_DECIBELS, components_to_dict, environment_to_dict,
 from .dataset import generate_synthetic, read_dataset, write_dataset
 from .errors import ConfigError, DomainError, StripeSimError
 from .metrics import am_am_extract
-from .stripe import build_stripe, calibrate_gains, make_grid, run_link
+from .stripe import _AMPLIFIER_LABEL, build_stripe, calibrate_gains, make_grid, run_link
 from .touchstone import MAX_DB, read_touchstone
 from .waveform import SubcarrierGrid
 
@@ -96,8 +95,12 @@ def _tdl_params(num_subcarriers: int | None, **values) -> TdlParams:
     return params
 
 
+# every channel source `--channel` accepts
+_CHANNEL_HELP = "los | rayleigh | identity | tdl[:beta[:taps]] | dataset:DIR"
+
+
 def _resolve_channel_arg(spec: str, env):
-    """'los' | 'rayleigh' | 'tdl[:beta[:taps]]' | 'dataset:PATH'."""
+    """The channel source ``spec`` names, one of `_CHANNEL_HELP`."""
     if spec.startswith("dataset:"):
         return read_dataset(spec.split(":", 1)[1])
     if spec == "tdl" or spec.startswith("tdl:"):
@@ -177,10 +180,6 @@ def cmd_run(args) -> int:
     log.info("run finished: nmse=%.2f dB ber=%.3g", result.metrics.nmse_db,
              result.metrics.ber)
     return EXIT_OK
-
-
-# the label of every amplifier stage a walk runs, in either direction
-_AMPLIFIER_LABEL = re.compile(r"cu_pa|cu_rx_amp|ru\d+_booster|ru\d+_antenna_amp\d+")
 
 
 def _export_taps(out_dir: Path, stage_taps) -> list[str]:
@@ -356,8 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="single end-to-end link")
     add_configs(p_run)
-    p_run.add_argument("--channel", default="los",
-                       help="los | rayleigh | tdl[:beta[:taps]] | dataset:DIR")
+    p_run.add_argument("--channel", default="los", help=_CHANNEL_HELP)
     p_run.add_argument("--ue", type=int, default=0)
     p_run.add_argument("--stripe", type=int, default=0)
     p_run.add_argument("--ru", type=int, required=True)
@@ -372,8 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep-ru", help="activate every RU in turn")
     add_configs(p_sweep)
-    p_sweep.add_argument("--channel", default="los",
-                         help="los | rayleigh | tdl[:beta[:taps]] | dataset:DIR")
+    p_sweep.add_argument("--channel", default="los", help=_CHANNEL_HELP)
     p_sweep.add_argument("--ue", type=int, default=0, help="UE index of every cell")
     p_sweep.add_argument("--direction", choices=("dl", "ul"), default="ul",
                          help="link direction of every cell")

@@ -165,6 +165,10 @@ def noise_power(nf_db: float, bandwidth: float, temperature: float = 290.0) -> f
     """Input-referred added noise power kT*B*(F - 1) in watts."""
     if bandwidth < 0:
         raise DomainError("bandwidth must be >= 0")
+    if nf_db < 0:  # F < 1 would take noise away: a negative power
+        raise DomainError("nf_db must be >= 0")
+    if temperature <= 0:
+        raise DomainError("temperature must be positive")
     return BOLTZMANN * temperature * bandwidth * (10.0 ** (nf_db / 10.0) - 1.0)
 
 

@@ -122,13 +122,6 @@ def _as_int(value, path: str) -> int:
     return int(out)
 
 
-def _as_count(value, path: str) -> int:
-    out = _as_int(value, path)
-    if out < 1:
-        raise SchemaError(f"{path} must be >= 1")
-    return out
-
-
 def _within(low: float, high: float = np.inf, *, strict: bool = False, parse=_as_float):
     """Parser of a number that ``parse`` reads and that lies in [low, high]
     ((low, high] when strict)."""
@@ -140,6 +133,9 @@ def _within(low: float, high: float = np.inf, *, strict: bool = False, parse=_as
             raise SchemaError(f"{path} must be <= {high:g}")
         return out
     return check
+
+
+_as_count = _within(1, parse=_as_int)
 
 
 # A dB value, and an amplitude's power, is held to `touchstone.MAX_DB`. No

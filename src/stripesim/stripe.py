@@ -23,7 +23,7 @@ Buffers. One rule: a walk fills each input it is given once into a bare
 sample array, and every stage then writes its output over its input. A
 `TimeWaveform` is met only at the walk's public edges, where
 `_check_rate` holds each input to the stripe grid. The arrays live in
-the calling thread's workspace (`_thread_workspace`): the walk's input
+the calling thread's workspace (`_workspace`): the walk's input
 is the trunk, each later uplink branch the branch, and the noise ring
 of three rows is there too, so a warm link holds five waveform-sized
 workspace arrays. A workspace keeps one array per name, for the last
@@ -68,6 +68,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 import threading
 import warnings
 from collections import deque
@@ -113,6 +114,7 @@ def make_grid(env: EnvironmentConfig, wf: WaveformConfig,
     n_elements = (env.antenna.n_antennas if dataset_header is None
                   else max(dataset_header.n_tx, dataset_header.n_rx))
     s = wf.n_ofdm_symbols
+    # not `build_stripe`'s bound twice: a waveform this long overflows its float delay sums
     for what, size in (("subcarriers x antennas x symbols", q * n_elements * s),
                        ("waveform samples", s * (q + wf.cp_length) * wf.oversampling_factor)):
         if size > MAX_LINK_SAMPLES:
@@ -216,10 +218,12 @@ def build_stripe(env: EnvironmentConfig, bank: ComponentBank, stripe_id: int,
 # Chain propagation machinery
 # ---------------------------------------------------------------------------
 
-class _Workspace:
+class _Workspace(threading.local):
     """Arrays that walks overwrite link after link; each name keeps only
     the array of the last shape asked for. ``record`` is the thread's
-    `_TrunkRecord`, or None once a walk has dropped it."""
+    `_TrunkRecord`, or None once a walk has dropped it. Each thread sees
+    its own workspace, made on its first use: links on one thread run one
+    at a time, so they can share it; links on other threads never see it."""
 
     def __init__(self):
         self._arrays = {}
@@ -232,16 +236,7 @@ class _Workspace:
         return a
 
 
-_threads = threading.local()
-
-
-def _thread_workspace() -> _Workspace:
-    """The calling thread's workspace: links on one thread run one at a
-    time, so they can share it; links on other threads never see it."""
-    ws = getattr(_threads, "workspace", None)
-    if ws is None:
-        ws = _threads.workspace = _Workspace()
-    return ws
+_workspace = _Workspace()
 
 
 @dataclass
@@ -269,7 +264,7 @@ def _resumable(key: tuple, active_ru: int) -> _TrunkRecord | None:
     may resume it: the same configs (the same objects), grid, stripe, seed
     and calibrate flag, walked to this RU or short of it. Up to there that
     walk ran the stages this one would, on the same input and streams."""
-    record = _thread_workspace().record
+    record = _workspace.record
     if (record is not None and record.depth <= active_ru
             and all(a is b for a, b in zip(key[:3], record.key[:3]))
             and key[3:] == record.key[3:]):
@@ -292,7 +287,7 @@ class _Chain:
     n_fft: int
     offset: int = 0  # samples the walk's elements prepended
     linear_only: bool = False  # gains only: no noise, DAC or IQ mixer
-    noise: _NoiseAhead | None = None
+    noise: _NoiseAhead | None = None  # set for every walk; calibration meters its boosters
 
     def element(self, x: np.ndarray, params: comp.LinearElementParams,
                 delay: int) -> np.ndarray:
@@ -330,9 +325,7 @@ class _Chain:
                   rng: np.random.Generator) -> np.ndarray:
         if self.linear_only:
             return np.multiply(x, params.gain_linear, out=x)
-        if self.noise is not None:
-            rng = self.noise.source(rng)
-        return comp.amplifier_process(x, params, rng, out=x)
+        return comp.amplifier_process(x, params, self.noise.source(rng), out=x)
 
     def dac(self, x: np.ndarray, params: comp.DacParams) -> np.ndarray:
         if self.linear_only:
@@ -414,7 +407,7 @@ class _NoiseAhead:
 
     def __enter__(self) -> "_NoiseAhead":
         if self._draws:
-            self._rows = self._assign_rows(_thread_workspace())
+            self._rows = self._assign_rows(_workspace)
             self._pool = ThreadPoolExecutor(max_workers=1)
             self._fill()
         return self
@@ -485,6 +478,10 @@ def _trunk(top: StripeTopology, n_boosted: int, stream) -> list:
                        (f"ru{i}_booster", top.booster_params(i), stream(i + 1, "booster")),
                        (f"ru{i}_coupler_out", top.coupler, 0)]
     return stages
+
+
+# the label of every amplifier stage a walk runs, in either direction
+_AMPLIFIER_LABEL = re.compile(r"cu_pa|cu_rx_amp|ru\d+_booster|ru\d+_antenna_amp\d+")
 
 
 def _walk_stages(top: StripeTopology, active_ru: int, stream, direction: str) -> list:
@@ -580,7 +577,7 @@ def _fill(top: StripeTopology, name: str, x) -> np.ndarray:
     straight into it."""
     _check_rate(top, x)
     if isinstance(x, TimeWaveform):
-        out = _thread_workspace().get(name, x.samples.shape)
+        out = _workspace.get(name, x.samples.shape)
         np.copyto(out, x.samples)
         return out
     if x.ndim != 2 or x.shape[0] != top.grid.num_subcarriers:
@@ -588,7 +585,7 @@ def _fill(top: StripeTopology, name: str, x) -> np.ndarray:
                           f"{top.grid.num_subcarriers}, got shape {x.shape}")
     cp = top.wf.cp_length
     size = x.shape[1] * (top.grid.n_fft + cp * top.grid.oversampling)
-    return synthesize_symbols(x, top.grid, cp, out=_thread_workspace().get(name, (size,)))
+    return synthesize_symbols(x, top.grid, cp, out=_workspace.get(name, (size,)))
 
 
 def _start_walk(top: StripeTopology, inputs, active_ru: int, beam_phases,
@@ -607,7 +604,7 @@ def _start_walk(top: StripeTopology, inputs, active_ru: int, beam_phases,
     beam_phases = np.asarray(beam_phases, dtype=np.float64)
     if beam_phases.size != top.n_antennas:
         raise LengthError("one beam phase per antenna branch required")
-    _thread_workspace().record = None
+    _workspace.record = None
     chain = _Chain(x=_fill(top, "trunk", inputs[0]) if resume is None else resume.x,
                    cp_samples=top.wf.cp_length * top.grid.oversampling,
                    n_fft=top.grid.n_fft, linear_only=linear_only,
@@ -652,13 +649,13 @@ def propagate_downlink(top: StripeTopology, wf_in: TimeWaveform, active_ru: int,
         _run_stages(chain, stages[:n_shared], taps)
         if record is not None:
             record.depth, record.x, record.offset = active_ru, chain.x, chain.offset
-            _thread_workspace().record = record
+            _workspace.record = record
         shared = chain.x
         scale = 1.0 / np.sqrt(top.n_antennas)  # the factor of `comp.split`
         out = []
         for b, (stage, theta) in enumerate(zip(stages[n_shared:], beam_phases)):
             # split, rotate and amplify the branch in one workspace array
-            x = np.multiply(shared, scale, out=_thread_workspace().get("branch", shared.shape))
+            x = np.multiply(shared, scale, out=_workspace.get("branch", shared.shape))
             comp.rotate(x, theta, out=x)
             sub = replace(chain, x=x)
             _run_stages(sub, [stage], taps)

@@ -164,23 +164,6 @@ def _bits_per_symbol(order: int) -> int:
     return m
 
 
-def _gray_decode(g: np.ndarray) -> np.ndarray:
-    b = g.copy()
-    shift = 1
-    while shift < 64:
-        b ^= b >> shift
-        shift *= 2
-    return b
-
-
-def _axis_levels(bits: np.ndarray, bits_per_axis: int) -> np.ndarray:
-    """Map per-axis bit words to PAM levels; all-zero bits -> most positive."""
-    weights = 1 << np.arange(bits_per_axis - 1, -1, -1)
-    words = bits.astype(np.int64) @ weights
-    n_levels = 1 << bits_per_axis
-    return (n_levels - 1) - 2 * _gray_decode(words)
-
-
 def _word_bits(order: int) -> np.ndarray:
     """(M, m) int8 bits of every word, most significant bit first."""
     m = _bits_per_symbol(order)
@@ -191,13 +174,15 @@ def _word_bits(order: int) -> np.ndarray:
 @functools.cache
 def _qam_table(order: int) -> np.ndarray:
     """All M constellation points indexed by the integer bit word, from
-    the mapping arithmetic; read-only, shared by every call."""
-    bits = _word_bits(order)
-    half = bits.shape[1] // 2
-    i_lv = _axis_levels(bits[:, :half], half)
-    q_lv = _axis_levels(bits[:, half:], half)
+    the slicer's Gray table; read-only, shared by every call."""
+    gray = _slicer_tables(order)[0]
+    n_levels = gray.size
+    level = np.empty_like(gray)
+    level[gray] = (n_levels - 1) - 2 * np.arange(n_levels)  # each Gray word's PAM level
+    # a word's first half selects the I level, its second half the Q level
+    words = np.arange(order)
     norm = np.sqrt(2.0 * (order - 1) / 3.0)
-    table = (i_lv + 1j * q_lv) / norm
+    table = (level[words // n_levels] + 1j * level[words % n_levels]) / norm
     table.flags.writeable = False
     return table
 

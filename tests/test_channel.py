@@ -292,6 +292,17 @@ def test_thermal_noise_nf_floor():
     assert thermal_noise_power(3e9, 0.0) == pytest.approx(1.380649e-23 * 290 * 3e9)
 
 
+@pytest.mark.parametrize("temperature", [0.0, -1.0])
+def test_thermal_noise_rejects_a_temperature_of_zero_or_less(temperature):
+    """Below 0 K the floor kT*B*F is a negative variance, which gives NaN
+    samples; 0 K is refused as the config loader refuses it."""
+    with pytest.raises(DomainError):
+        thermal_noise_power(3e9, 7.0, temperature)
+    with pytest.raises(DomainError):
+        add_thermal_noise(np.ones((64, 1), complex), 3e9, 7.0,
+                          np.random.default_rng(1), temperature=temperature)
+
+
 def test_awgn_measured_snr():
     rng = np.random.default_rng(15)
     y = np.exp(2j * np.pi * rng.random((4096, 8)))

@@ -49,6 +49,18 @@ def test_noise_power_linear_in_bandwidth():
     assert noise_power(10.0, 2e9) == 2 * noise_power(10.0, 1e9)
 
 
+@pytest.mark.parametrize("nf_db, temperature", [(-3.0, 290.0), (10.0, 0.0), (10.0, -1.0)])
+def test_noise_power_rejects_a_negative_power(nf_db, temperature):
+    """A noise figure under 0 dB or a temperature under 0 K makes the added
+    noise power negative, and the amplifier's samples NaN; 0 K is refused
+    as the config loader refuses it."""
+    with pytest.raises(DomainError):
+        noise_power(nf_db, 3e9, temperature)
+    params = AmplifierParams(nf_db=nf_db, bandwidth=3e9, temperature=temperature)
+    with pytest.raises(DomainError):
+        amplifier_process(np.ones(4, complex), params, np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # Nonlinearities
 # ---------------------------------------------------------------------------

@@ -19,13 +19,13 @@ from stripesim.config import (AntennaConfig, CalibrationConfig, ComponentBank,
                               StripeLayout, StripeNode, SubThzConfig, WaveformConfig,
                               load_components, load_environment, load_waveform)
 from stripesim.dataset import generate_synthetic, read_dataset, write_dataset
-from stripesim.errors import (CalibrationInfeasible, ConfigError, GridMismatch,
-                              LengthError, TruncationWarning)
+from stripesim.errors import (CalibrationInfeasible, ConfigError, DomainError,
+                              GridMismatch, LengthError, TruncationWarning)
 from stripesim.stripe import (build_stripe, calibrate_gains, make_grid,
                               propagate_downlink, propagate_uplink, run_link)
 from stripesim.touchstone import parse_touchstone
 from stripesim.waveform import (SubcarrierGrid, TimeWaveform, _power_scale,
-                                extract_symbols, map_qam, synthesize_symbols)
+                                synthesize_symbols)
 
 from conftest import s2p_from_taps
 
@@ -184,50 +184,55 @@ def test_calibration_time_domain_fiber_matches_frequency_domain():
     np.testing.assert_allclose(gains["time"], gains["frequency"], rtol=0, atol=1e-6)
 
 
-def _two_symbol_calibration(top, target_power_dbm, max_gain_db, seed):
-    """`calibrate_gains` written out apart from it: a two-symbol reference
-    on every trunk, metered on its second symbol. Its oracle."""
-    grid, wf = top.grid, top.wf
-    ref_bits = stripe.streams.stream(seed, "calibration-reference").integers(
-        0, 2, 2 * grid.num_subcarriers * 2)
-    symbols = map_qam(ref_bits, 4).reshape(grid.num_subcarriers, 2)
-    target_w = 10.0 ** ((target_power_dbm - 30.0) / 10.0)
+def _s21_cascade(top, target_power_dbm, max_gain_db):
+    """The calibration the trunk's S21 cascade implies, in closed form.
+
+    Every QPSK bin of the reference carries the target power, and an
+    element scales the power on occupied bin q by its |S21(q)|^2. So booster
+    i meets the mean P of the bins' powers a, sets g = min(target/P,
+    max_gain), puts out P*g, and the next booster meets a*g*|C|^2|F|^2|C|^2
+    (output coupler, fiber, input coupler)."""
+    grid = top.grid
+    q = grid.num_subcarriers
+    bins = (np.arange(q) - q // 2) % grid.n_fft
+
+    def power_response(element):
+        if element.model == "ideal":
+            return 1.0
+        if element.model == "fixed_damping":
+            return element.amplitude ** 2
+        h = (element.fft_response if element.domain == "frequency"
+             else np.fft.fft(element.impulse.h, grid.n_fft))
+        return np.abs(h[bins]) ** 2
+
+    fiber, coupler = power_response(top.fiber), power_response(top.coupler)
+    target = 10.0 ** ((target_power_dbm - 30.0) / 10.0)
     max_gain = 10.0 ** (max_gain_db / 10.0)
+    a = target * fiber * coupler
     gains, clipped, p_out = [], [], []
-    chain = stripe._Chain(x=synthesize_symbols(symbols, grid, wf.cp_length),
-                          cp_samples=wf.cp_length * grid.oversampling,
-                          n_fft=grid.n_fft)
-
-    def power() -> float:
-        bins = extract_symbols(chain.x[chain.offset:], grid, wf.cp_length, 2)
-        return float(np.mean(np.abs(bins[:, 1]) ** 2))
-
-    def scale(gain: float):
-        np.multiply(chain.x, np.sqrt(gain), out=chain.x)
-
-    scale(target_w / power())
-
-    def meter():
-        power_in = power()
-        gain = target_w / power_in
-        clipped.append(gain > max_gain)
-        gain = min(gain, max_gain)
-        scale(gain)
+    for _ in range(top.n_rus):
+        power = float(np.mean(a))
+        gain = min(target / power, max_gain)
         gains.append(10.0 * np.log10(gain))
-        p_out.append(stripe._dbm(power_in * gain))
+        clipped.append(target / power > max_gain)
+        p_out.append(10.0 * np.log10(power * gain / 1e-3))
+        a = a * gain * coupler * fiber * coupler
+    return gains, clipped, p_out
 
-    trunk = stripe._trunk(top, top.n_rus, lambda node, tag: None)
-    stripe._run_stages(chain, [(label, meter, None)
-                               if isinstance(params, AmplifierParams)
-                               else (label, params, arg) for label, params, arg in trunk])
-    return stripe.CalibrationResult(gains_db=tuple(gains), clipped=tuple(clipped),
-                                    output_powers_dbm=tuple(p_out))
+
+def _assert_cascade(got, want):
+    """``got``, a `CalibrationResult`, has the gains and output powers of
+    `_s21_cascade`'s ``want`` to 1e-9 dB, and its clip flags exactly."""
+    gains, clipped, p_out = want
+    np.testing.assert_allclose(got.gains_db, gains, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(got.output_powers_dbm, p_out, rtol=0, atol=1e-9)
+    assert list(got.clipped) == clipped
 
 
 def _calibration_cases():
     """(stripe, target dBm, max gain dB) of each trunk kind that filters
-    each symbol alone, where a one-symbol reference once stood in for the
-    two-symbol one."""
+    each symbol alone: ideal, fixed-damping and s2p elements, and a
+    stripe whose boosters clip."""
     env, wf = _env(n_rus=4), _wf()
     grid = make_grid(env, wf)
     network = parse_touchstone(s2p_from_taps([0.8, 0.15j, 0.05], grid.fc,
@@ -250,25 +255,25 @@ def _calibration_cases():
 
 @pytest.mark.parametrize("case", ["example", "fixed-damping-fiber", "s2p-coupler",
                                   "clipping"])
-def test_one_symbol_calibration_equals_two_symbols(case):
-    """On a trunk that filters each symbol alone, calibration gives the
-    gains, clip flags and powers of the two-symbol oracle, bit for bit: the
-    readings the one-symbol reference it once used gave there."""
+def test_calibration_matches_the_s21_cascade(case):
+    """On every seed, calibration gives the gains, clip flags and powers of
+    the closed-form S21 cascade of its trunk."""
     top, target, max_gain = _calibration_cases()[case]
-    clipped = False
+    want = _s21_cascade(top, target, max_gain)
     for seed in range(20):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CalibrationInfeasible)
             got = calibrate_gains(top, target, max_gain, seed=seed)
-            want = _two_symbol_calibration(top, target, max_gain, seed)
-        assert got == want
-        clipped = clipped or any(got.clipped)
-    assert clipped == (case == "clipping")
+        _assert_cascade(got, want)
+    assert any(want[1]) == (case == "clipping")
+    if case == "example":  # each RU's loss budget: fiber, then two couplers
+        np.testing.assert_allclose(got.gains_db[:3], [10.874, 17.867, 17.860], atol=5e-4)
 
 
-def test_time_domain_trunk_calibrates_on_two_symbols(monkeypatch):
+def test_time_domain_trunk_calibration_matches_the_s21_cascade(monkeypatch):
     """A time-domain element spills each symbol into the next, so such a
-    trunk keeps the two-symbol reference and meters its second symbol."""
+    trunk is metered on the second symbol of a two-symbol reference, past
+    the spill, where the filter acts on each bin as the S21 of its taps."""
     env, wf = _env(n_rus=4), _wf()
     grid = make_grid(env, wf)
     network = parse_touchstone(s2p_from_taps([0.8, 0.15j, 0.05], grid.fc,
@@ -277,14 +282,14 @@ def test_time_domain_trunk_calibrates_on_two_symbols(monkeypatch):
         bank = _bank(**{part: LinearElementSpec(model="s2p_filter", network=network,
                                                 domain="time", n_taps=8)})
         top = build_stripe(env, bank, 0, grid, wf)
+        want = _s21_cascade(top, 0.0, 30.0)
         widths = []
         synthesize = stripe.synthesize_symbols
         monkeypatch.setattr(stripe, "synthesize_symbols", lambda symbols, *args: (
             widths.append(symbols.shape[1]), synthesize(symbols, *args))[1])
-        for seed in range(3):
-            got = calibrate_gains(top, 0.0, 30.0, seed=seed)
-            assert got == _two_symbol_calibration(top, 0.0, 30.0, seed)
-        assert widths == [2] * 3
+        for seed in range(20):
+            _assert_cascade(calibrate_gains(top, 0.0, 30.0, seed=seed), want)
+        assert widths == [2] * 20
         monkeypatch.undo()
 
 
@@ -326,19 +331,6 @@ def test_downlink_deeper_ru_lower_power():
     assert abs(10 * np.log10(powers[0] / powers[1]) - 18.0) < 0.5
 
 
-def test_downlink_tap_labels():
-    env = _env(n_rus=3)
-    wf = _wf(n_ofdm_symbols=2)
-    grid = make_grid(env, wf)
-    top = build_stripe(env, ComponentBank(), 0, grid, wf)
-    x = TimeWaveform(np.ones(2 * (grid.n_fft + 32), complex), grid.sample_rate)
-    _, taps, _ = propagate_downlink(top, x, 1, [0.0], seed=1, record_taps=True)
-    labels = [t[0] for t in taps]
-    assert labels[:3] == ["cu_dac", "cu_iq", "cu_pa"]
-    assert "ru0_booster" in labels
-    assert labels[-1] == "ru1_antenna_amp0"
-
-
 @pytest.mark.parametrize("direction, labels", [
     ("dl", ["cu_dac", "cu_iq", "cu_pa",
             "fiber0", "ru0_coupler_in", "ru0_booster", "ru0_coupler_out",
@@ -348,20 +340,42 @@ def test_downlink_tap_labels():
             "ru1_coupler_out", "ru1_booster", "ru1_coupler_in", "fiber1",
             "ru0_coupler_out", "ru0_booster", "ru0_coupler_in", "fiber0",
             "cu_rx_iq", "cu_rx_amp"]),
+    ("dl", ["cu_dac", "cu_iq", "cu_pa",
+            "fiber0", "ru0_coupler_in", "ru0_booster", "ru0_coupler_out",
+            "fiber1", "ru1_coupler_in", "ru1_antenna_amp0"]),
 ])
 def test_walk_tap_labels(direction, labels):
-    """Every stage of a walk at RU 2 of 4, with two antennas, in order."""
-    env = _env(n_rus=4, n_antennas=2)
+    """Every stage of a walk, in order, at the RU its antenna amplifiers
+    name, of a stripe two RUs longer, with one antenna per amplifier."""
+    antennas = [label for label in labels if "_antenna_amp" in label]
+    ru = int(antennas[0].split("_")[0][2:])
+    env = _env(n_rus=ru + 2, n_antennas=len(antennas))
     wf = _wf(n_ofdm_symbols=2)
     grid = make_grid(env, wf)
     top = build_stripe(env, ComponentBank(), 0, grid, wf)
     x = TimeWaveform(np.ones(2 * (grid.n_fft + 32), complex), grid.sample_rate)
+    phases = [0.0] * len(antennas)
     if direction == "dl":
-        _, taps, _ = propagate_downlink(top, x, 2, [0.0, 0.0], seed=1, record_taps=True)
+        _, taps, _ = propagate_downlink(top, x, ru, phases, seed=1, record_taps=True)
     else:
-        _, taps, _ = propagate_uplink(top, [x, x], 2, [0.0, 0.0], seed=1,
+        _, taps, _ = propagate_uplink(top, [x] * len(antennas), ru, phases, seed=1,
                                       record_taps=True)
     assert [t[0] for t in taps] == labels
+
+
+@pytest.mark.parametrize("direction", ["dl", "ul"])
+def test_amplifier_label_names_exactly_the_amplifier_stages(direction):
+    """`_AMPLIFIER_LABEL`, which picks the AM/AM stages of a tap export,
+    matches the label of every stage whose params are an amplifier's, and
+    no other."""
+    env = _env(n_rus=4, n_antennas=2)
+    wf = _wf(n_ofdm_symbols=2)
+    grid = make_grid(env, wf)
+    top = build_stripe(env, ComponentBank(), 0, grid, wf)
+    stages = stripe._walk_stages(top, 2, lambda node, tag: None, direction)
+    assert ([bool(stripe._AMPLIFIER_LABEL.fullmatch(label)) for label, _, _ in stages]
+            == [isinstance(params, AmplifierParams) for _, params, _ in stages])
+    assert sum(isinstance(params, AmplifierParams) for _, params, _ in stages) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +584,20 @@ def test_noiseless_walks_start_no_thread(monkeypatch):
         with pytest.raises(AssertionError, match="helper thread"):
             run_link(env, _wf(), bank, "identity", 0, 0, 2, direction=direction,
                      seed=3, ota_snr_db=20.0)
+
+
+@pytest.mark.parametrize("direction", ["dl", "ul"])
+def test_negative_booster_noise_power_raises_before_any_thread(direction, monkeypatch):
+    """A booster built in Python with a noise figure under 0 dB fails the
+    link's plan with `DomainError`, before a helper thread starts and
+    before any sample turns NaN."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a helper thread was started")
+
+    monkeypatch.setattr(stripe, "ThreadPoolExecutor", no_pool)
+    bank = _bank(boost_amplifier=AmplifierParams(nf_db=-3.0, bandwidth=3e9))
+    with pytest.raises(DomainError):
+        run_link(_env(n_rus=3), _wf(), bank, "los", 0, 0, 2, direction=direction, seed=3)
 
 
 def test_concurrent_links_match_serial():
@@ -931,7 +959,7 @@ def test_over_the_air_draw_shares_the_noise_ring(direction):
     bank = load_components(EXAMPLES / "components.yaml")
     grid = make_grid(env, wf)
     run_link(env, wf, bank, "los", 0, 0, 9, direction=direction, seed=6, ue_antennas=4)
-    arrays = stripe._thread_workspace()._arrays
+    arrays = stripe._workspace._arrays
     n_samples = wf.n_ofdm_symbols * (grid.n_fft + wf.cp_length * grid.oversampling)
     grid_draw = 2 * grid.num_subcarriers * 4 * wf.n_ofdm_symbols
     assert "noise_grid" not in arrays
@@ -954,7 +982,7 @@ def test_warm_link_keeps_only_walk_arrays_in_the_workspace(direction):
         for seed in (1, 2):
             run_link(env, wf, bank, "los", 0, 0, 3, direction=direction, seed=seed,
                      calibrate=True)
-        names.extend(stripe._thread_workspace()._arrays)
+        names.extend(stripe._workspace._arrays)
 
     thread = threading.Thread(target=links)
     thread.start()
@@ -1063,7 +1091,7 @@ def test_uplink_hands_its_output_to_its_consumer():
     seen = []
 
     def consume(x, offset):
-        trunk = stripe._thread_workspace()._arrays["trunk"]
+        trunk = stripe._workspace._arrays["trunk"]
         seen.append((np.shares_memory(x, trunk), x.tobytes(), offset))
         return "consumed"
 
@@ -1130,7 +1158,7 @@ def test_warm_link_allocates_few_waveform_buffers(direction):
     link(5)
     res, peak = _traced_peak(lambda: link(6))
     assert (peak - _held_bytes(res, set())) / buffer < _LINK_BUFFERS[direction]
-    workspace = stripe._thread_workspace()._arrays.values()
+    workspace = stripe._workspace._arrays.values()
     assert sum(a.nbytes for a in workspace) == _WORKSPACE_BUFFERS * buffer
 
     # the walk alone, on one antenna branch, allocates only what it returns
@@ -1369,7 +1397,7 @@ def test_resumed_link_failing_mid_trunk_leaves_no_trace(monkeypatch):
         with pytest.raises(RuntimeError, match="injected"):
             _link(env, wf, bank, "dl", 3, 0, 4, True)
         assert calls["_transmit_waveform"] == 0  # the failed link resumed
-    assert stripe._thread_workspace().record is None
+    assert stripe._workspace.record is None
     assert _link_bytes(_link(env, wf, bank, "dl", 3, 0, 4, True)) == want
 
 
