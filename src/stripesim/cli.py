@@ -7,7 +7,8 @@ and ``gen-channels`` (synthetic CFR1 dataset). All outputs are CSV/JSON.
 atomically: the resolved configs, the tool version and, as its flags,
 the parsed arguments, so any run can be re-executed exactly.
 
-Exit codes: 0 success, 2 configuration error, 3 runtime error. The log
+Exit codes: 0 success, 2 configuration error, 3 runtime error; an output
+that cannot be made or written is a runtime error (`IoError`). The log
 level comes from the STRIPESIM_LOG environment variable.
 """
 
@@ -21,6 +22,7 @@ import logging
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,7 @@ from .config import (_DECIBELS, components_to_dict, environment_to_dict,
                      load_components, load_environment, load_waveform,
                      validate_cross, waveform_to_dict)
 from .dataset import generate_synthetic, read_dataset, write_dataset
-from .errors import ConfigError, DomainError, StripeSimError
+from .errors import ConfigError, DomainError, IoError, StripeSimError
 from .metrics import am_am_extract
 from .stripe import _AMPLIFIER_LABEL, build_stripe, calibrate_gains, make_grid, run_link
 from .touchstone import MAX_DB, read_touchstone
@@ -53,10 +55,29 @@ def _fmt(value) -> str:
     return str(value)
 
 
+@contextmanager
+def _writing(path: Path):
+    """Any `OSError` raised in the block, which writes ``path``, as an
+    `IoError` naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def _make_dir(path: Path) -> Path:
+    """``path``, made a directory with any missing parents."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create directory {path}: {exc}") from exc
+    return path
+
+
 def _write_rows(path: Path, header: list[str], rows):
     """A CSV of ``rows`` as they are: a Python int or float prints as
     `_fmt` would print it."""
-    with open(path, "w", newline="") as fh:
+    with _writing(path), open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -141,9 +162,11 @@ def _finish_manifest(args, configs, outputs: list[str], started: float, **resolv
         "outputs": outputs,
         "duration_s": time.monotonic() - started,
     }
-    tmp = Path(args.out) / "manifest.json.tmp"
-    tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True))
-    tmp.replace(tmp.with_name("manifest.json"))
+    path = Path(args.out) / "manifest.json"
+    tmp = path.with_name("manifest.json.tmp")
+    with _writing(path):
+        tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True))
+        tmp.replace(path)
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +187,7 @@ def cmd_run(args) -> int:
     started = time.monotonic()
     env, wf, bank = _load_configs(args)
     channel = _resolve_channel_arg(args.channel, env)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_dir(Path(args.out))
     result = run_link(env, wf, bank, channel, ue_index=args.ue,
                       stripe_id=args.stripe, active_ru=args.ru,
                       direction=args.direction, seed=args.seed,
@@ -185,8 +207,7 @@ def cmd_run(args) -> int:
 def _export_taps(out_dir: Path, stage_taps) -> list[str]:
     """Per-stage waveform dumps plus the stage-wise AM/AM table."""
     outputs = []
-    taps_dir = out_dir / "taps"
-    taps_dir.mkdir(exist_ok=True)
+    _make_dir(out_dir / "taps")
     for order, (label, _x_in, x_out) in enumerate(stage_taps):
         name = f"taps/{order:02d}_{label}.csv"
         _write_rows(out_dir / name, ["index", "re", "im"],
@@ -239,8 +260,7 @@ def cmd_sweep_ru(args) -> int:
     _check_counts(args, "jobs")
     env, wf, bank = _load_configs(args)
     channel = _resolve_channel_arg(args.channel, env)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_dir(Path(args.out))
     cells = [(args.ue, stripe_id, ru_id, args.direction, args.seed)
              for stripe_id, stripe in enumerate(env.radio_stripes)
              for ru_id in range(len(stripe) - 1)]
@@ -273,8 +293,7 @@ def cmd_calibrate(args) -> int:
         else _DECIBELS(args.target_dbm, "--target-dbm")
     max_gain = bank.calibration.max_gain_db if args.max_gain is None \
         else _DECIBELS(args.max_gain, "--max-gain")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_dir(Path(args.out))
     rows = []
     for stripe_id in range(env.n_stripes):
         topology = build_stripe(env, bank, stripe_id, grid, wf)
@@ -305,7 +324,7 @@ def cmd_inspect_s2p(args) -> int:
     phase = np.degrees(np.angle(net.s21))
     rows = [[f, m, p] for f, m, p in zip(net.freqs, mag_db, phase)]
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    _make_dir(out.parent)
     _write_csv(out, ["frequency_hz", "magnitude_db", "phase_deg"], rows)
     return EXIT_OK
 

@@ -197,8 +197,8 @@ def _load_yaml(path) -> dict:
     p = Path(path)
     if not p.is_file():
         raise ParseError(f"config file not found: {p}")
-    try:
-        raw = yaml.load(p.read_text(), getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    try:  # given bytes, PyYAML reports undecodable text as a YAMLError too
+        raw = yaml.load(p.read_bytes(), getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ParseError(f"{p}: {exc}") from exc
     if raw is None:

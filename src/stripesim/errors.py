@@ -36,6 +36,7 @@ class TouchstoneError(ConfigError):
     NON_FINITE_VALUE = "NonFiniteValue"
     MAGNITUDE_TOO_LARGE = "MagnitudeTooLarge"
     FILE_NOT_FOUND = "FileNotFound"
+    UNDECODABLE_TEXT = "UndecodableText"
 
     def __init__(self, kind: str, message: str):
         super().__init__(f"{kind}: {message}")

@@ -7,10 +7,15 @@ branches, phase shifts, amplifies per branch and radiates. The wireless
 hop applies the per-subcarrier channel in the resource-grid domain and
 adds the receiver noise floor. Uplink mirrors the chain back to the CU.
 `_walk_stages`, the single description of a walk, lists its stages in
-order; `_run_stages` runs every such list, and calibration's trunk too.
-`build_stripe` turns each fiber segment's length into a delay in samples
-once, and every walk, linear walks and calibration included, prepends it
-in the same way and counts it in the chain's ``offset``.
+order; `_run_stages` runs every such list, and each element of
+calibration's trunk, whose boosters calibration meters itself. A linear
+walk (``propagate_downlink(..., linear_only=True)``) is that same walk on
+the stripe's ideal-hardware twin (`_ideal_twin`): its bank swapped for an
+ideal DAC, IQ mixer and oscillator and noiseless ideal amplifiers at the
+same gains, so no stage has a second mode. `build_stripe` turns each
+fiber segment's length into a delay in samples once, and every walk,
+linear walks and calibration included, prepends it in the same way and
+counts it in the chain's ``offset``.
 
 Exactly one RU is active per run. Every component draws from its own
 random stream keyed by (seed, stripe, node, tag), so results are
@@ -286,8 +291,7 @@ class _Chain:
     cp_samples: int
     n_fft: int
     offset: int = 0  # samples the walk's elements prepended
-    linear_only: bool = False  # gains only: no noise, DAC or IQ mixer
-    noise: _NoiseAhead | None = None  # set for every walk; calibration meters its boosters
+    noise: _NoiseAhead | None = None  # set for every walk; calibration runs no amplifier
 
     def element(self, x: np.ndarray, params: comp.LinearElementParams,
                 delay: int) -> np.ndarray:
@@ -323,19 +327,13 @@ class _Chain:
 
     def amplifier(self, x: np.ndarray, params: comp.AmplifierParams,
                   rng: np.random.Generator) -> np.ndarray:
-        if self.linear_only:
-            return np.multiply(x, params.gain_linear, out=x)
         return comp.amplifier_process(x, params, self.noise.source(rng), out=x)
 
     def dac(self, x: np.ndarray, params: comp.DacParams) -> np.ndarray:
-        if self.linear_only:
-            return x
         return comp.dac_process(x, params, out=x)
 
     def iq_mix(self, x: np.ndarray, params: comp.IqParams, osc: comp.Oscillator,
                downmix: bool = False) -> np.ndarray:
-        if self.linear_only:
-            return x
         phases = osc.phases(x.size)
         if downmix:
             phases = -phases
@@ -523,11 +521,8 @@ def _run_stages(chain: _Chain, stages, taps: list | None = None):
             out = chain.amplifier(x, params, arg)
         elif isinstance(params, comp.DacParams):
             out = chain.dac(x, params)
-        elif isinstance(params, comp.IqParams):
+        else:  # the IQ mixer
             out = chain.iq_mix(x, params, *arg)
-        else:  # calibration's meter, standing in for a booster
-            params()
-            out = x
         chain.x = out
         if taps is not None:
             taps.append((label, x_in, out.copy()))
@@ -590,7 +585,7 @@ def _fill(top: StripeTopology, name: str, x) -> np.ndarray:
 
 def _start_walk(top: StripeTopology, inputs, active_ru: int, beam_phases,
                 seed: int, direction: str, noise: _NoiseAhead | None,
-                linear_only: bool = False, resume: _TrunkRecord | None = None):
+                resume: _TrunkRecord | None = None):
     """Check a walk's arguments, then drop the thread's trunk record,
     which the walk may write over; return its phases, chain and noise
     stream: ``noise`` itself, or one planned for the walk (`_plan_walk`).
@@ -607,12 +602,23 @@ def _start_walk(top: StripeTopology, inputs, active_ru: int, beam_phases,
     _workspace.record = None
     chain = _Chain(x=_fill(top, "trunk", inputs[0]) if resume is None else resume.x,
                    cp_samples=top.wf.cp_length * top.grid.oversampling,
-                   n_fft=top.grid.n_fft, linear_only=linear_only,
+                   n_fft=top.grid.n_fft,
                    offset=0 if resume is None else resume.offset)
     if noise is not None:
         return beam_phases, chain, nullcontext(noise)
     stages, draws = _plan_walk(top, active_ru, seed, direction, chain.x.size, resume)
-    return beam_phases, chain, _NoiseAhead([] if linear_only else draws, stages)
+    return beam_phases, chain, _NoiseAhead(draws, stages)
+
+
+def _ideal_twin(top: StripeTopology) -> StripeTopology:
+    """The same stripe with a noiseless, ideal-hardware bank: an ideal DAC,
+    IQ mixer and oscillator, and each amplifier ideal at its gain, so a
+    calibrated stripe's booster gains carry over (`booster_params`)."""
+    bank = top.bank
+    return replace(top, bank=replace(
+        bank, dac=comp.DacParams(), iq_modem=comp.IqParams(), oscillator=comp.OscillatorParams(),
+        boost_amplifier=comp.AmplifierParams(gain_db=bank.boost_amplifier.gain_db),
+        antenna_amplifier=comp.AmplifierParams(gain_db=bank.antenna_amplifier.gain_db)))
 
 
 def propagate_downlink(top: StripeTopology, wf_in: TimeWaveform, active_ru: int,
@@ -630,15 +636,20 @@ def propagate_downlink(top: StripeTopology, wf_in: TimeWaveform, active_ru: int,
     `TimeWaveform` at the grid rate. ``noise`` is the running noise
     stream of the link the walk belongs to, with the stages planned for
     it (see `run_link`); without it the walk plans its own.
-    ``trunk_record`` is that link's `_TrunkRecord`: the walk resumes one
-    that holds a walk, in place of ``wf_in`` (then None), and keeps its
-    own walk in it as the thread's record.
+    ``linear_only`` walks the stripe's ideal-hardware twin (`_ideal_twin`):
+    the same stages and delays, with every gain and no noise, DAC
+    quantization, IQ imbalance or phase noise; it plans its own stages, so
+    it takes no ``noise``. ``trunk_record`` is that link's `_TrunkRecord`:
+    the walk resumes one that holds a walk, in place of ``wf_in`` (then
+    None), and keeps its own walk in it as the thread's record.
     """
+    if linear_only and noise is not None:
+        raise ConfigError("a linear walk plans its own stages; it takes no noise stream")
+    top = _ideal_twin(top) if linear_only else top
     record = trunk_record
     resume = record if record is not None and record.x is not None else None
     beam_phases, chain, noise = _start_walk(top, [] if resume else [wf_in], active_ru,
-                                            beam_phases, seed, "dl", noise, linear_only,
-                                            resume)
+                                            beam_phases, seed, "dl", noise, resume)
     del wf_in  # the chain holds its copy
     if consume is None:  # a copy at the grid rate
         consume = lambda b, branch, offset: TimeWaveform(branch.copy(), top.grid.sample_rate)
@@ -742,11 +753,13 @@ def calibrate_gains(top: StripeTopology, target_power_dbm: float,
     fiber segment; at every booster input the passband mean power is
     measured on the second of the reference's two OFDM symbols, past any
     time-domain filter's transient, and the gain is set to
-    min(target/P, max_gain). Gains clipped at max_gain raise a
-    `CalibrationInfeasible` warning but calibration completes.
+    min(target/P, max_gain). Each fiber and coupler runs through
+    `_run_stages`; calibration itself stands in for each booster. Gains
+    clipped at max_gain raise a `CalibrationInfeasible` warning but
+    calibration completes.
     """
     grid, wf = top.grid, top.wf
-    # the whole trunk, each booster's stream unused and its stage metered
+    # the whole trunk, each booster's stream unused: calibration meters it
     trunk = _trunk(top, top.n_rus, lambda node, tag: None)
     ref_bits = streams.stream(seed, "calibration-reference").integers(
         0, 2, 2 * grid.num_subcarriers * 2)
@@ -773,8 +786,11 @@ def calibrate_gains(top: StripeTopology, target_power_dbm: float,
     # is exactly the target (injection and measurement share one meter)
     scale(target_w / _passband_power())
 
-    def meter():
-        # stands in for a booster: sets its gain from the power it meters
+    for stage in trunk:
+        if not isinstance(stage[1], comp.AmplifierParams):
+            _run_stages(chain, [stage])
+            continue
+        # a booster: its gain set from the power metered at its input
         power_in = _passband_power()
         gain = target_w / power_in
         clipped.append(gain > max_gain)
@@ -782,10 +798,6 @@ def calibrate_gains(top: StripeTopology, target_power_dbm: float,
         scale(gain)
         gains.append(10.0 * np.log10(gain))
         p_out.append(_dbm(power_in * gain))
-
-    _run_stages(chain, [(label, meter, None)
-                        if isinstance(params, comp.AmplifierParams)
-                        else (label, params, arg) for label, params, arg in trunk])
     result = CalibrationResult(gains_db=tuple(gains), clipped=tuple(clipped),
                                output_powers_dbm=tuple(p_out))
     _warn_clipped(result, max_gain_db, stacklevel=3)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyNetwork, ExtrapolationWarning, TouchstoneError
+from .errors import EmptyNetwork, ExtrapolationWarning, LengthError, TouchstoneError
 from .waveform import SubcarrierGrid
 
 # A gain, loss, noise figure, power (dBm) or S-parameter beyond this many dB
@@ -202,11 +202,16 @@ def parse_touchstone(text: str) -> TwoPortNetwork:
 
 
 def read_touchstone(path) -> TwoPortNetwork:
-    """Parse an .s2p file from disk."""
+    """Parse an .s2p file from disk; a missing or undecodable file is a
+    `TouchstoneError` naming it."""
     p = Path(path)
     if not p.is_file():
         raise TouchstoneError(TouchstoneError.FILE_NOT_FOUND, str(p))
-    return parse_touchstone(p.read_text())
+    try:
+        text = p.read_text()
+    except UnicodeDecodeError as exc:
+        raise TouchstoneError(TouchstoneError.UNDECODABLE_TEXT, f"{p}: {exc}") from None
+    return parse_touchstone(text)
 
 
 def interpolate_s21(net: TwoPortNetwork, grid: SubcarrierGrid) -> FrequencyResponse:
@@ -238,7 +243,7 @@ def to_impulse_response(fr: FrequencyResponse, n_taps: int = 256) -> ImpulseResp
     """
     q = fr.grid.num_subcarriers
     if not 1 <= n_taps <= q:
-        raise ValueError(f"tap count must lie in [1, {q}], got {n_taps}")
+        raise LengthError(f"tap count must lie in [1, {q}], got {n_taps}")
     full = np.fft.ifft(np.fft.ifftshift(fr.h))
     taps = full[:n_taps]
     total = float(np.sum(np.abs(full) ** 2))
@@ -251,7 +256,7 @@ def to_impulse_response(fr: FrequencyResponse, n_taps: int = 256) -> ImpulseResp
 def response_to_spectrum(ir: ImpulseResponse, num_subcarriers: int) -> np.ndarray:
     """Grid-ordered spectrum of zero-padded taps (inverse of the IDFT above)."""
     if ir.n_taps > num_subcarriers:
-        raise ValueError("tap count exceeds the requested DFT size")
+        raise LengthError(f"{ir.n_taps} taps exceed the requested {num_subcarriers}-point DFT")
     padded = np.zeros(num_subcarriers, dtype=np.complex128)
     padded[:ir.n_taps] = ir.h
     return np.fft.fftshift(np.fft.fft(padded))

@@ -110,6 +110,7 @@ _BAD_S2P = {
     "s2p-db-magnitude-overflows": _S2P.replace("RI", "DB").replace(
         "140000000000.0 0 0 0.5", "140000000000.0 0 0 1e308"),
     "s2p-frequency-not-finite": _S2P.replace("200000000000.0", "inf"),
+    "s2p-not-utf8": _S2P.encode().replace(b" 0.5 ", b" 0.\xff ", 1),
     "s2p-s21-magnitude-beyond-max-db": _S2P.replace("100000000000.0 0 0 0.5",
                                                     "100000000000.0 0 0 1e308"),
     **{f"s2p-reference-impedance-{name}": _S2P.replace("R 50", f"R {value}")
@@ -268,6 +269,9 @@ _BAD_METADATA = {
                  3, id="dataset-metadata-without-header"),
     *[pytest.param("run", ["--ru", "1", "--channel", "{ds}"], None, {"cfr": edit}, 3,
                    id=f"dataset-metadata-{name}") for name, edit in _BAD_METADATA.items()],
+    pytest.param("run", ["--ru", "1"], None,
+                 {"environment.yaml": ENV_YAML.encode() + b"# \xff\n"}, 2,
+                 id="env-yaml-not-utf8"),
     *[pytest.param(command, flags, ("fiber: {model: ideal}",
                                     "fiber: {model: s2p_filter, file: bad.s2p}"),
                    {"bad.s2p": text}, 2, id=f"{command}-{name}")
@@ -296,7 +300,7 @@ def test_bad_input_exits_typed(config_tree, tmp_path, capsys, command, flags,
         if callable(text):
             edit_metadata(tmp_path / name, text)
         else:
-            (tmp_path / name).write_text(text)
+            (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     configs = {"gen-channels": ["--env", config_tree["env"]],
                "inspect-s2p": ["--file", tmp_path / "bad.s2p"]}.get(
                    command, _base_flags(config_tree))
@@ -657,6 +661,36 @@ def test_unknown_log_level_exits_config(tmp_path, capsys, monkeypatch, level):
     assert not (tmp_path / "o.csv").exists()
     monkeypatch.setenv("STRIPESIM_LOG", "warning")
     assert _run("inspect-s2p", "--file", s2p, "--out", tmp_path / "o.csv") == 0
+
+
+@pytest.mark.parametrize("command, flags, made, out, named", [
+    pytest.param("run", ["--ru", "1"], None, "file/x", "file/x", id="run-under-a-file"),
+    pytest.param("sweep-ru", [], None, "file/x", "file/x", id="sweep-ru-under-a-file"),
+    pytest.param("calibrate", [], None, "file/x", "file/x", id="calibrate-under-a-file"),
+    pytest.param("gen-channels", [], None, "file/x", "file/x", id="gen-channels-under-a-file"),
+    pytest.param("inspect-s2p", [], None, "file/x.csv", "file", id="inspect-s2p-under-a-file"),
+    pytest.param("inspect-s2p", [], "o.csv", "o.csv", "o.csv", id="inspect-s2p-onto-a-directory"),
+    pytest.param("run", ["--ru", "1"], "o/metrics.csv", "o", "o/metrics.csv",
+                 id="run-metrics-csv-is-a-directory"),
+    pytest.param("run", ["--ru", "1"], "o/manifest.json.tmp", "o", "o/manifest.json",
+                 id="run-manifest-tmp-is-a-directory"),
+])
+def test_unusable_out_exits_runtime(config_tree, tmp_path, capsys, command, flags, made,
+                                    out, named):
+    """An --out that cannot be made or written is an IoError naming the
+    path it could not make or write (exit 3), never an internal error."""
+    (tmp_path / "file").write_text("")
+    if made is not None:
+        (tmp_path / made).mkdir(parents=True)
+    s2p = tmp_path / "flat.s2p"
+    s2p.write_text(flat_s2p(1.0))
+    configs = {"gen-channels": ["--env", config_tree["env"]],
+               "inspect-s2p": ["--file", s2p]}.get(command, _base_flags(config_tree))
+    capsys.readouterr()
+    assert _run(command, *configs, *flags, "--out", tmp_path / out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("stripesim: error: cannot ") and f"{tmp_path / named}:" in err
+    assert "internal error" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,17 @@ def test_malformed_yaml(tmp_path):
         load_environment(tmp_path / "missing.yaml")
 
 
+def test_undecodable_yaml_is_a_parse_error(tmp_path):
+    """A byte that is not UTF-8, here in a comment, is a ParseError naming
+    the file, not a bare UnicodeDecodeError."""
+    path = tmp_path / "env.yaml"
+    path.write_bytes(ENV_YAML.encode() + b"# \xff\n")
+    with pytest.raises(ParseError, match=re.escape(str(path))):
+        _load_yaml(path)
+    with pytest.raises(ParseError):
+        load_environment(path)
+
+
 EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
 YAML_TEXTS = {**{p.name: p.read_text() for p in sorted(EXAMPLES.glob("*.yaml"))},
               "conftest-env": ENV_YAML, "conftest-waveform": WF_YAML,

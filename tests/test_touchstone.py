@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stripesim.errors import EmptyNetwork, ExtrapolationWarning, TouchstoneError
+from stripesim.errors import EmptyNetwork, ExtrapolationWarning, LengthError, TouchstoneError
 from stripesim.touchstone import (FrequencyResponse, interpolate_s21,
                                   parse_touchstone, read_touchstone,
                                   response_to_spectrum, to_impulse_response)
@@ -126,6 +126,17 @@ def test_file_not_found(tmp_path):
     with pytest.raises(TouchstoneError) as err:
         read_touchstone(tmp_path / "missing.s2p")
     assert err.value.kind == TouchstoneError.FILE_NOT_FOUND
+
+
+def test_undecodable_file_names_itself(tmp_path):
+    """A byte that is not UTF-8 in a data row is a TouchstoneError naming
+    the file, not a bare UnicodeDecodeError."""
+    path = tmp_path / "bad.s2p"
+    path.write_bytes(flat_s2p(0.5).encode().replace(b" 0.5 ", b" 0.\xff ", 1))
+    with pytest.raises(TouchstoneError) as err:
+        read_touchstone(path)
+    assert err.value.kind == TouchstoneError.UNDECODABLE_TEXT
+    assert str(path) in str(err.value)
 
 
 @settings(max_examples=30, deadline=None)
@@ -261,7 +272,9 @@ def test_truncation_energy_fraction():
 
 def test_tap_count_bounds():
     fr = FrequencyResponse(grid=_grid(q=16), h=np.ones(16))
-    with pytest.raises(ValueError):
+    with pytest.raises(LengthError):
         to_impulse_response(fr, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(LengthError):
         to_impulse_response(fr, 17)
+    with pytest.raises(LengthError, match="16 taps exceed the requested 8-point DFT"):
+        response_to_spectrum(to_impulse_response(fr, 16), 8)
