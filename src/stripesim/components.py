@@ -199,21 +199,36 @@ def pa_nonlinearity(x, mode: str, params: AmplifierParams) -> np.ndarray:
     raise UnsupportedMode(f"amplifier mode {mode!r}")
 
 
+class _DrawnNoise:
+    """Gaussian numbers drawn before the stage that adds them, standing in
+    for the stage's generator in `amplifier_process` and
+    `add_complex_noise`: ``standard_normal(size)`` returns them, and
+    `_noise_into` calls `spent` once it has added them. No stage reads
+    them after that, so their arrays are free for the next draw."""
+
+    def standard_normal(self, size):
+        raise NotImplementedError
+
+    def spent(self):
+        raise NotImplementedError
+
+
 def _noise_into(samples: np.ndarray, sigma: float, rng: np.random.Generator,
-                out: np.ndarray) -> np.ndarray:
-    """Write ``samples + sigma * (a + 1j*b)`` into ``out`` and return the
-    spent ``(2,) + shape`` draw, free for use as two real scratch arrays.
+                out: np.ndarray):
+    """Write ``samples + sigma * (a + 1j*b)`` into ``out``.
 
     One ``(2,) + shape`` draw yields the same numbers, in the same order,
-    as drawing ``a`` and then ``b``; ``rng`` may return the two halves as
-    a pair of arrays.
+    as drawing ``a`` and then ``b``; a `_DrawnNoise` ``rng`` may return
+    the two halves as a pair of arrays, and gets them back, spent, as
+    soon as they are added.
     """
     z = rng.standard_normal((2,) + samples.shape)
     for half in z:
         half *= sigma
     np.add(samples.real, z[0], out=out.real)
     np.add(samples.imag, z[1], out=out.imag)
-    return z
+    if isinstance(rng, _DrawnNoise):
+        rng.spent()
 
 
 def add_complex_noise(samples: np.ndarray, sigma: float,
@@ -227,21 +242,31 @@ def add_complex_noise(samples: np.ndarray, sigma: float,
     return out
 
 
-def _tanh_in_place(x: np.ndarray, sat_amplitude: float, r: np.ndarray,
-                   inv: np.ndarray):
-    """``a * tanh(|x| / a) * x / |x|`` written over ``x``, with ``r`` and
-    ``inv`` as real scratch shaped like ``x``, rounding as
-    `pa_nonlinearity` does: numpy divides a complex by a real ``|x|`` by
-    multiplying with ``1 / |x|``. The two agree bit for bit on inputs free
-    of negative zeros, which every noisy input is."""
-    np.abs(x, out=r)
-    inv.fill(0.0)
-    np.divide(1.0, r, out=inv, where=r > 0)
-    x *= inv
-    r /= sat_amplitude
-    np.tanh(r, out=r)
-    r *= sat_amplitude
-    x *= r
+TANH_BLOCK = 16384  # samples per block of `_tanh_in_place`
+
+
+def _tanh_in_place(x: np.ndarray, sat_amplitude: float):
+    """``a * tanh(|x| / a) * x / |x|`` written over ``x``, block by block
+    on two block-sized real scratch arrays, rounding as `pa_nonlinearity`
+    does: numpy divides a complex by a real ``|x|`` by multiplying with
+    ``1 / |x|``. The two agree bit for bit on inputs free of negative
+    zeros, which every noisy input is."""
+    flat = x.reshape(-1)  # a copy only when x is not contiguous
+    r_block = np.empty(min(flat.size, TANH_BLOCK))
+    inv_block = np.empty_like(r_block)
+    for start in range(0, flat.size, TANH_BLOCK):
+        v = flat[start:start + TANH_BLOCK]
+        r, inv = r_block[:v.size], inv_block[:v.size]
+        np.abs(v, out=r)
+        inv.fill(0.0)
+        np.divide(1.0, r, out=inv, where=r > 0)
+        v *= inv
+        r /= sat_amplitude
+        np.tanh(r, out=r)
+        r *= sat_amplitude
+        v *= r
+    if not np.may_share_memory(flat, x):
+        x[...] = flat.reshape(x.shape)
 
 
 def amplifier_process(x: np.ndarray, params: AmplifierParams,
@@ -249,10 +274,10 @@ def amplifier_process(x: np.ndarray, params: AmplifierParams,
     """y = G * f_nl(x + w); w is circularly-symmetric Gaussian with total
     power from `noise_power`, injected before the nonlinearity.
 
-    ``rng`` needs only a ``standard_normal(size)`` method, so the stripe
-    walk can hand in noise drawn ahead of time. The result is written into
-    ``out`` (which may be ``x`` itself) or, by default, into a fresh
-    array; ``x`` is never changed unless it is ``out``.
+    ``rng`` may be a `_DrawnNoise`, so the stripe walk can hand in noise
+    drawn ahead of time; the nonlinearity reads no draw. The result is
+    written into ``out`` (which may be ``x`` itself) or, by default, into
+    a fresh array; ``x`` is never changed unless it is ``out``.
     """
     if out is None:
         out = np.empty(x.shape, dtype=np.complex128)
@@ -261,12 +286,12 @@ def amplifier_process(x: np.ndarray, params: AmplifierParams,
         # a noiseless input may hold negative zeros: keep the division
         return np.multiply(params.gain_linear,
                            pa_nonlinearity(x, params.mode, params), out=out)
-    z = _noise_into(x, np.sqrt(pn / 2.0), rng, out)
+    _noise_into(x, np.sqrt(pn / 2.0), rng, out)
     if params.mode not in ("ideal", "tanh"):
         return np.multiply(params.gain_linear,
                            pa_nonlinearity(out, params.mode, params), out=out)
     if params.mode == "tanh":
-        _tanh_in_place(out, params.sat_amplitude, z[0], z[1])
+        _tanh_in_place(out, params.sat_amplitude)
     out *= params.gain_linear
     return out
 
@@ -363,15 +388,26 @@ def iq_modem_process(x: np.ndarray, params: IqParams,
     """y = (alpha*x + beta*conj(x)) * e^{j*phi} + dc, written into ``out``
     (which may be ``x`` itself) or, by default, a fresh array.
 
-    alpha = (1 + g e^{j phi_mis})/2 and beta = (1 - g e^{j phi_mis})/2, so
-    ideal parameters are the exact identity.
+    ``phases`` is the oscillator's phase per sample, or one phase for
+    every sample. alpha = (1 + g e^{j phi_mis})/2 and beta = (1 - g
+    e^{j phi_mis})/2, so ideal parameters are the exact identity, and
+    with one zero phase they make no pass over an ``x`` that is ``out``.
     """
     phases = np.asarray(phases, dtype=np.float64)
-    if phases.size != x.size:
+    if phases.ndim and phases.size != x.size:
         raise LengthError("phasor length must equal the waveform length")
     a, b = params.alpha, params.beta
     image = b * np.conj(x) if b != 0 else None  # before out overwrites x
-    mixed = np.multiply(a, x, out=out)
+    # alpha = 1 + 0j is the identity, which a multiply would break: it
+    # turns a -0 real part under a negative imaginary part into +0
+    if a != 1:
+        mixed = np.multiply(a, x, out=out)
+    elif out is None:
+        mixed = x.astype(np.complex128)
+    else:
+        mixed = out
+        if out is not x:
+            np.copyto(out, x)
     if image is not None:
         mixed += image
     if np.any(phases):

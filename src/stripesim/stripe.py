@@ -30,7 +30,8 @@ sample array, and every stage then writes its output over its input. A
 `_check_rate` holds each input to the stripe grid. The arrays live in
 the calling thread's workspace (`_workspace`): the walk's input
 is the trunk, each later uplink branch the branch, and the noise ring
-of three rows is there too, so a warm link holds five waveform-sized
+of two rows is there too (`_NoiseAhead`: a draw's rows come back as
+soon as its noise is added), so a warm link holds four waveform-sized
 workspace arrays. A workspace keeps one array per name, for the last
 shape asked for, and the next walk on the thread overwrites it. One
 fill step, `_fill`, writes each input into its array: it copies a
@@ -334,23 +335,32 @@ class _Chain:
 
     def iq_mix(self, x: np.ndarray, params: comp.IqParams, osc: comp.Oscillator,
                downmix: bool = False) -> np.ndarray:
-        phases = osc.phases(x.size)
+        # an ideal oscillator's track is all zeros: one phase stands for it
+        phases = 0.0 if osc.params.mode == "ideal" else osc.phases(x.size)
         if downmix:
             phases = -phases
         return comp.iq_modem_process(x, params, phases, out=x)
 
 
-class _Drawn:
+class _Drawn(comp._DrawnNoise):
     """The noise one stage draws, made ahead on the helper thread; stands
     in for the stage's generator in `comp.amplifier_process` and
     `comp.add_complex_noise`. ``z`` is the drawn array, or the pair of
     its two halves when they sit in two ring rows. `_NoiseAhead.source`
-    waits for the draw before it hands it out."""
+    waits for the draw before it hands it out. The stage calls `spent`
+    once it has added the noise, and `spent` calls ``release`` once: from
+    then on the ring may draw over the draw's rows."""
 
-    def __init__(self, size: tuple, future, z):
+    def __init__(self, size: tuple, future, z, release):
         self._size = size
         self._future = future
         self._z = z
+        self._release = release
+
+    def spent(self):
+        release, self._release = self._release, None
+        if release is not None:
+            release()
 
     def wait(self):
         self._future.result()
@@ -376,14 +386,18 @@ class _NoiseAhead:
     consumes them, and ``stages`` the walk's stages that `_plan_walk`
     sized them from; the walk runs those very stages, so each owns the
     generator its draw names. One helper thread makes the draws in order
-    into a ring of ``AHEAD + 1`` = 3 workspace rows. A waveform draw,
+    into a ring of ``AHEAD + 1`` = 2 workspace rows. A waveform draw,
     shaped (2, length), fills one row; the over-the-air draw, shaped (2,)
     + a resource grid, fills one row with each half, so the ring needs
     at least two rows. The lookahead counts rows: the rows of the draw in
-    use and of the draws made ahead of it are at most ``AHEAD + 1``, so a
-    row is drawn into again only once the stage that used it has
-    returned. While a stage adds one waveform draw, the helper makes the
-    next two; each row more would cost a waveform buffer.
+    use and of the draws made ahead of it are at most ``AHEAD + 1``. A
+    draw is in use from `source` until its stage has added its noise
+    (`_Drawn.spent`), so a row is drawn into again only once its numbers
+    are dead, and no stage reads a draw as scratch. Each stage adds its
+    draw before the next one asks for its own, so the rows come back in
+    the order they were drawn into. While a stage adds one waveform draw,
+    the helper makes the next, and it starts on the one after as soon as
+    the add is done; each row more would cost a waveform buffer.
     `Generator.standard_normal` releases the GIL, and the helper runs
     nothing else. The thread lives only inside the ``with`` block, so
     none outlives a link (sweep workers are forked between links), and
@@ -391,7 +405,7 @@ class _NoiseAhead:
     after.
     """
 
-    AHEAD = 2
+    AHEAD = 1
 
     def __init__(self, draws: list, stages=None):
         self.stages = stages
@@ -400,7 +414,6 @@ class _NoiseAhead:
         self._next = 0  # index of the next draw to submit
         self._queued = deque()
         self._held = 0  # ring rows of the draw in use and the queued ones
-        self._in_use = 0  # ring rows of the draw in use
         self._pool = None
 
     def __enter__(self) -> "_NoiseAhead":
@@ -435,9 +448,16 @@ class _NoiseAhead:
             rng, shape = self._draws[self._next]
             future = self._pool.submit(_draw_into, rng, rows)
             z = rows[0] if len(rows) == 1 else tuple(rows)
-            self._queued.append((rng, _Drawn(shape, future, z), len(rows)))
+            release = functools.partial(self._hand_back, len(rows))
+            self._queued.append((rng, _Drawn(shape, future, z, release)))
             self._held += len(rows)
             self._next += 1
+
+    def _hand_back(self, n_rows: int):
+        """Free the ``n_rows`` rows of a draw whose noise is added, and
+        submit the draws that now fit in the ring."""
+        self._held -= n_rows
+        self._fill()
 
     def source(self, rng: np.random.Generator):
         """The draw made ahead for the stage that owns ``rng``, once it is
@@ -445,12 +465,7 @@ class _NoiseAhead:
         noiseless amplifier)."""
         if not self._queued or self._queued[0][0] is not rng:
             return rng
-        _rng, drawn, n_rows = self._queued.popleft()
-        # the stage that used the previous draw has returned, so its rows
-        # are free for the draws that follow, submitted before this wait
-        self._held -= self._in_use
-        self._in_use = n_rows
-        self._fill()
+        _rng, drawn = self._queued.popleft()
         drawn.wait()
         return drawn
 

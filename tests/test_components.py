@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from stripesim.channel import ChannelRealization
-from stripesim.components import (AmplifierParams, DacParams, IqParams,
-                                  LinearElementParams, Oscillator,
+from stripesim.components import (TANH_BLOCK, AmplifierParams, DacParams,
+                                  IqParams, LinearElementParams, Oscillator,
                                   OscillatorParams, amplifier_process,
                                   combine, dac_process, iq_modem_process,
                                   linear_element_process, noise_power,
@@ -176,18 +176,26 @@ def _amplifier_reference(x, params, rng):
 @pytest.mark.parametrize("nf_db", [0.0, 10.0])
 def test_amplifier_bits_match_reference(mode, nf_db):
     """The fused noise pass and in-place nonlinearity change no output bit,
-    at any drive level and on exact-zero samples (the r == 0 branch)."""
+    at any drive level and on exact-zero samples (the r == 0 branch), on
+    less than one tanh block and on several blocks with a partial one."""
     p = _amp(gain_db=15.0, mode=mode, sat_amplitude=0.5, nf_db=nf_db,
              bandwidth=3e9, poly_coeffs=(1.0, -0.1 + 0.02j))
-    for seed in range(5):
+    block = TANH_BLOCK
+    cases = [(seed, 4096) for seed in range(5)]
+    cases += [(5, n) for n in (1, block - 1, block + 1, 3 * block + 5)]
+    for seed, n in cases:
         for amplitude in (0.01, 0.5, 100.0):
             gen = np.random.default_rng(seed)
-            x = amplitude * (gen.standard_normal(4096)
-                             + 1j * gen.standard_normal(4096))
+            x = amplitude * (gen.standard_normal(n) + 1j * gen.standard_normal(n))
             x[::7] = 0.0
             want = _amplifier_reference(x, p, np.random.default_rng(seed + 50))
             got = amplifier_process(_wave(x), p, np.random.default_rng(seed + 50))
             assert got.tobytes() == want.tobytes()
+    # written over a strided view of its input, which no block can span
+    x = _wave(np.random.default_rng(6).standard_normal(2 * block + 6))
+    want = _amplifier_reference(x[::2], p, np.random.default_rng(56))
+    got = amplifier_process(x[::2], p, np.random.default_rng(56), out=x[::2])
+    assert got.tobytes() == x[::2].tobytes() == want.tobytes()
 
 
 def test_one_stacked_draw_equals_two_draws():
@@ -360,6 +368,9 @@ def test_iq_ideal_identity():
     x = _wave(rng.standard_normal(128) + 1j * rng.standard_normal(128))
     y = iq_modem_process(x, IqParams(), np.zeros(128))
     np.testing.assert_array_equal(y, x)
+    assert y is not x
+    y = iq_modem_process(x.real, IqParams(), 0.0)  # a real input mixes to complex
+    assert y.dtype == np.complex128 and y.tobytes() == x.real.astype(complex).tobytes()
 
 
 def test_iq_image_rejection_ratio():

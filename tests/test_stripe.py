@@ -601,6 +601,24 @@ def test_linear_walk_takes_no_noise_stream():
                            noise=stripe._NoiseAhead([]))
 
 
+@pytest.mark.parametrize("downmix", [False, True])
+def test_ideal_mixer_keeps_every_byte_and_allocates_nothing(downmix):
+    """An ideal IQ mixer on an ideal oscillator hands the walk back its own
+    array with the input's bytes, negative zeros included, and makes no
+    waveform-sized array: no zero phase track and no multiply by 1 + 0j."""
+    n = 1 << 16
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x[::5] = complex(-0.0, -1.0)  # 1 + 0j times this has a +0 real part
+    x.imag[1::7] = -0.0
+    want = x.tobytes()
+    chain = stripe._Chain(x=x, cp_samples=0, n_fft=64)
+    osc = components.Oscillator(components.OscillatorParams(), 1e9)
+    out, peak = _traced_peak(lambda: chain.iq_mix(x, components.IqParams(), osc, downmix))
+    assert out is x and out.tobytes() == want
+    assert peak < x.nbytes // 100
+
+
 def test_noise_drawn_for_the_wrong_length_raises(monkeypatch):
     """A planned length that the walk does not reach is an error, never a
     silent second draw."""
@@ -970,6 +988,28 @@ def test_noise_drawn_ahead_matches_inline(direction, noise, drop, tmp_path,
     assert inline.metrics == ahead.metrics
 
 
+@pytest.mark.parametrize("direction", ["dl", "ul"])
+def test_noise_drawn_ahead_matches_inline_at_example_scale(direction, monkeypatch):
+    """On the example scenario at RU 9, where each waveform draw takes
+    milliseconds, the link drawn ahead through the two-row ring gives the
+    bytes of the link drawn inline: the helper draws over no row before
+    the stage that owns it has added its noise."""
+    env = load_environment(EXAMPLES / "environment.yaml")
+    wf = load_waveform(EXAMPLES / "waveform.yaml")
+    bank = load_components(EXAMPLES / "components.yaml")
+
+    def link(bank):
+        return run_link(env, wf, bank, "los", 0, 0, 9, direction=direction, seed=8)
+
+    ahead = link(bank)
+    real = stripe._NoiseAhead
+    monkeypatch.setattr(stripe, "_NoiseAhead", lambda draws, stages=None: real([], stages))
+    # an equal bank of another object, so the downlink does not resume
+    inline = link(dataclasses.replace(bank))
+    assert _link_bytes(inline) == _link_bytes(ahead)
+    assert inline.metrics == ahead.metrics
+
+
 def test_half_row_draws_equal_one_stacked_draw():
     """The over-the-air draw's two halves, drawn in turn into two ring rows,
     hold the numbers of one (2, ...) draw from the same generator."""
@@ -982,19 +1022,25 @@ def test_half_row_draws_equal_one_stacked_draw():
 
 
 def test_noise_ring_never_draws_over_a_draw_in_use():
-    """Waveform draws and two-row grid draws through the ring: each draw
-    keeps its numbers while in use, however far the helper has drawn."""
+    """Waveform draws and two-row grid draws through the two-row ring: each
+    draw is made ahead and keeps its numbers from `source` until it is
+    spent, however far the helper has drawn, and spending it lets the
+    helper draw the next ones."""
     grid = (2, 64, 4, 3)  # two rows of 768
     shapes = [(2, 300), grid, (2, 380), (2, 300), grid, grid, (2, 384), (2, 100),
               grid, (2, 350), (2, 384), (2, 384), grid]
     draws = [(np.random.default_rng(seed), shape) for seed, shape in enumerate(shapes)]
     with stripe._NoiseAhead(draws) as noise:
+        assert stripe._workspace._arrays["noise_ring"].shape == (2, 768)
         for seed, (rng, shape) in enumerate(draws):
-            z = noise.source(rng).standard_normal(shape)
-            for _rng, drawn, _rows in noise._queued:
-                drawn.wait()  # wait for every draw made ahead
+            drawn = noise.source(rng)
+            assert isinstance(drawn, stripe._Drawn)  # made ahead, not inline
+            z = drawn.standard_normal(shape)
+            for _rng, ahead in noise._queued:
+                ahead.wait()  # wait for every draw made ahead
             assert np.stack(z).tobytes() == np.random.default_rng(seed).standard_normal(
                 shape).tobytes()
+            drawn.spent()
 
 
 @pytest.mark.parametrize("direction", ["dl", "ul"])
@@ -1207,11 +1253,11 @@ def _traced_peak(fn):
 # copies it in breaks the uplink bound (2.62), a downlink that
 # demodulates its branches through a fresh spectrum breaks the downlink
 # bound (2.62), and a demapper that works on all symbols at once breaks
-# both (2.79). Besides, the thread's workspace holds 5 buffers: trunk,
-# branch and the 3-row noise ring.
+# both (2.79). Besides, the thread's workspace holds 4 buffers: trunk,
+# branch and the 2-row noise ring.
 _LINK_BUFFERS = {"dl": 2.2, "ul": 2.2}
 _WALK_BUFFERS = 0.25
-_WORKSPACE_BUFFERS = 5
+_WORKSPACE_BUFFERS = 4
 
 
 @pytest.mark.parametrize("direction", ["dl", "ul"])
