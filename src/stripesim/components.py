@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -269,8 +270,34 @@ def _tanh_in_place(x: np.ndarray, sat_amplitude: float):
         x[...] = flat.reshape(x.shape)
 
 
-def amplifier_process(x: np.ndarray, params: AmplifierParams,
-                      rng: np.random.Generator, *, out=None) -> np.ndarray:
+class Blocks(NamedTuple):
+    """A waveform of ``size`` samples that exists one block at a time:
+    iterating ``blocks`` yields (part, block), the slice of the waveform
+    a block holds and an array of its samples. A stage writes its output
+    over each block before it asks for the next, so the iterator can pass
+    that output on."""
+
+    size: int
+    blocks: Iterator
+
+
+class _DrawnPart(_DrawnNoise):
+    """The halves of one block's slice of a stage's noise draw, standing
+    in for the stage's generator on that block; the stage hands the whole
+    draw back itself, after its last block."""
+
+    def __init__(self, halves: tuple):
+        self._halves = halves
+
+    def standard_normal(self, size):
+        return self._halves
+
+    def spent(self):
+        pass
+
+
+def amplifier_process(x: np.ndarray | Blocks, params: AmplifierParams,
+                      rng: np.random.Generator, *, out=None) -> np.ndarray | None:
     """y = G * f_nl(x + w); w is circularly-symmetric Gaussian with total
     power from `noise_power`, injected before the nonlinearity.
 
@@ -278,9 +305,29 @@ def amplifier_process(x: np.ndarray, params: AmplifierParams,
     drawn ahead of time; the nonlinearity reads no draw. The result is
     written into ``out`` (which may be ``x`` itself) or, by default, into
     a fresh array; ``x`` is never changed unless it is ``out``.
+
+    ``x`` may also be `Blocks`: the stage then draws the noise of the whole
+    waveform at once, as for an array, writes each block's output over the
+    block with that block's slice of the draw, and returns None. Every
+    step works sample by sample, so the bits are those of the whole
+    waveform at once.
     """
-    if out is None:
-        out = np.empty(x.shape, dtype=np.complex128)
+    if not isinstance(x, Blocks):
+        return _amplify(x, params, rng,
+                        np.empty(x.shape, dtype=np.complex128) if out is None else out)
+    z = None
+    if noise_power(params.nf_db, params.bandwidth, params.temperature) > 0.0:
+        z = rng.standard_normal((2, x.size))
+    for part, block in x.blocks:
+        _amplify(block, params,
+                 rng if z is None else _DrawnPart(tuple(half[part] for half in z)), block)
+    if isinstance(rng, _DrawnNoise):
+        rng.spent()
+    return None
+
+
+def _amplify(x: np.ndarray, params: AmplifierParams, rng, out: np.ndarray) -> np.ndarray:
+    """`amplifier_process` of array ``x``, written into ``out``."""
     pn = noise_power(params.nf_db, params.bandwidth, params.temperature)
     if pn == 0.0:
         # a noiseless input may hold negative zeros: keep the division

@@ -47,14 +47,15 @@ def estimate_channel(rx_symbols: np.ndarray, pilot_mask: np.ndarray,
         raise DimensionError("pilot mask shape must match the received grid")
     if not mask.any():
         raise NoPilots("pilot mask selects no resource elements")
-    values = np.zeros_like(rx)
-    values[mask] = np.asarray(pilot_values, dtype=np.complex128).ravel()
     q = rx.shape[0]
     counts = mask.sum(axis=1)
     pilot_rows = np.nonzero(counts)[0]
     ratios = np.zeros(q, dtype=np.complex128)
+    # the ratios Y/X at the pilots, zero elsewhere, in a C-ordered grid: its
+    # row sums must not follow the order of a transposed ``rx``
+    per_re = np.zeros(rx.shape, dtype=np.complex128)
     with np.errstate(invalid="ignore", divide="ignore"):
-        per_re = np.where(mask, rx / np.where(mask, values, 1.0), 0.0)
+        per_re[mask] = rx[mask] / np.asarray(pilot_values, dtype=np.complex128).ravel()
     ratios[pilot_rows] = per_re.sum(axis=1)[pilot_rows] / counts[pilot_rows]
     if pilot_rows.size == q:
         return ratios
@@ -78,8 +79,9 @@ def equalize(rx_symbols: np.ndarray, h_hat: np.ndarray,
         raise DimensionError("estimate length must equal the subcarrier count")
     erased = np.abs(h) < ERASURE_THRESHOLD
     safe = np.where(erased, 1.0, h)
-    eq = np.where(erased, 0.0, rx / safe)
-    return eq[np.asarray(data_mask, dtype=bool)]
+    # only the data positions, in the row-major order of a boolean index
+    q, s = np.nonzero(np.asarray(data_mask, dtype=bool))
+    return np.where(erased[q, 0], 0.0, rx[q, s] / safe[q, 0])
 
 
 def nmse(reference: np.ndarray, estimate: np.ndarray) -> float:

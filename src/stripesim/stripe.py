@@ -28,24 +28,30 @@ Buffers. One rule: a walk fills each input it is given once into a bare
 sample array, and every stage then writes its output over its input. A
 `TimeWaveform` is met only at the walk's public edges, where
 `_check_rate` holds each input to the stripe grid. The arrays live in
-the calling thread's workspace (`_workspace`): the walk's input
-is the trunk, each later uplink branch the branch, and the noise ring
+the calling thread's workspace (`_workspace`): the walk's input is the
+trunk, each downlink branch is made in the branch, each later uplink
+branch is amplified, rotated and added into the trunk `CHUNK_FRAMES`
+OFDM frames at a time in the chunk (`_add_branch`), and the noise ring
 of two rows is there too (`_NoiseAhead`: a draw's rows come back as
-soon as its noise is added), so a warm link holds four waveform-sized
-workspace arrays. A workspace keeps one array per name, for the last
-shape asked for, and the next walk on the thread overwrites it. One
-fill step, `_fill`, writes each input into its array: it copies a
-caller's waveform in, or synthesizes a (Q, S) symbol grid there, which
-is how `run_link` makes each uplink branch without a waveform of its
-own. A delay or a time-domain convolution makes a fresh array, which
-is the walk's as well; a frequency-domain filter transforms each symbol
-in place, so no stage keeps a scratch spectrum. Whatever leaves a walk
-is a copy by default: each downlink branch and the uplink output, so
-no later walk touches them or any `LinkResult` array, and the arrays a
-walk is given are never written; `run_link` instead demodulates each
-straight from the walk's array (the walks' ``consume``). Recording
-taps changes no buffer: `_run_stages` copies each stage's input and
-output as it goes.
+soon as its noise is added). So a warm downlink link holds four
+waveform-sized workspace arrays (trunk, branch and two ring rows), and
+a warm uplink link three and the chunk. A workspace keeps one array per
+name, for the last shape asked for, and the next walk on the thread
+overwrites it. One fill step, `_fill`, writes the walk's input into
+the trunk: it copies a caller's waveform in, or synthesizes a (Q, S)
+symbol grid there; `_add_branch` fills each chunk of a later uplink
+branch the same way, which is how `run_link` makes each uplink branch
+without a waveform of its own. A delay or a time-domain convolution
+makes a fresh array, which is the walk's as well; a frequency-domain
+filter transforms each symbol in place, so no stage keeps a scratch
+spectrum. Whatever leaves a walk is a copy by default: each downlink
+branch and the uplink output, so no later walk touches them or any
+`LinkResult` array, and the arrays a walk is given are never written;
+`run_link` instead demodulates each straight from the walk's array
+(the walks' ``consume``). Recording taps changes no buffer:
+`_run_stages` copies each stage's input and output as it goes, and
+`_add_branch` records an uplink antenna stage's whole input and output
+in fresh arrays.
 Calibration walks its own fresh reference and touches no workspace
 array. A link holds each large array only while a stage reads it: the
 downlink lets its input go once it is copied, and the uplink takes each
@@ -53,10 +59,12 @@ branch only when its antenna amplifier needs it. A waveform the link
 drops right after demodulation (each downlink branch, the uplink's UE
 transmit waveform and the walk's CU output) is demodulated in place
 (`extract_symbols(..., in_place=True)`), so it costs no spectrum. The
-downlink's air hop writes its (Q, n_rx, S) grid over the branch grids'
-own buffer when 1 < n_rx <= n_tx (`apply_channel(..., out=)`), so the
-link makes no second grid; with one receive antenna, or more receive
-than transmit antennas, it makes a fresh one.
+uplink extracts the UE's transmit grid into the trunk, idle until the
+walk fills it, whenever the grid fits there. The downlink's air hop
+writes its (Q, n_rx, S) grid over the branch grids' own buffer when
+1 < n_rx <= n_tx (`apply_channel(..., out=)`), so the link makes no
+second grid; with one receive antenna, or more receive than transmit
+antennas, it makes a fresh one.
 A workspace also keeps the record of the thread's last downlink
 `run_link` (`_TrunkRecord`): the trunk after the active RU's input
 coupler, which is the workspace's trunk unless a stage made a fresh
@@ -326,8 +334,8 @@ class _Chain:
             seg[:, :cp] = seg[:, -cp:]
         return x
 
-    def amplifier(self, x: np.ndarray, params: comp.AmplifierParams,
-                  rng: np.random.Generator) -> np.ndarray:
+    def amplifier(self, x: np.ndarray | comp.Blocks, params: comp.AmplifierParams,
+                  rng: np.random.Generator) -> np.ndarray | None:
         return comp.amplifier_process(x, params, self.noise.source(rng), out=x)
 
     def dac(self, x: np.ndarray, params: comp.DacParams) -> np.ndarray:
@@ -581,13 +589,13 @@ def _check_rate(top: StripeTopology, x):
                            f"grid at {top.grid.sample_rate} Hz")
 
 
-def _fill(top: StripeTopology, name: str, x) -> np.ndarray:
-    """The thread's workspace array ``name``, filled with walk input ``x``:
-    a copy of a waveform's samples, or a (Q, S) symbol grid synthesized
-    straight into it."""
+def _fill(top: StripeTopology, x) -> np.ndarray:
+    """The thread's workspace trunk, filled with walk input ``x``: a copy
+    of a waveform's samples, or a (Q, S) symbol grid synthesized straight
+    into it."""
     _check_rate(top, x)
     if isinstance(x, TimeWaveform):
-        out = _workspace.get(name, x.samples.shape)
+        out = _workspace.get("trunk", x.samples.shape)
         np.copyto(out, x.samples)
         return out
     if x.ndim != 2 or x.shape[0] != top.grid.num_subcarriers:
@@ -595,7 +603,7 @@ def _fill(top: StripeTopology, name: str, x) -> np.ndarray:
                           f"{top.grid.num_subcarriers}, got shape {x.shape}")
     cp = top.wf.cp_length
     size = x.shape[1] * (top.grid.n_fft + cp * top.grid.oversampling)
-    return synthesize_symbols(x, top.grid, cp, out=_workspace.get(name, (size,)))
+    return synthesize_symbols(x, top.grid, cp, out=_workspace.get("trunk", (size,)))
 
 
 def _start_walk(top: StripeTopology, inputs, active_ru: int, beam_phases,
@@ -615,7 +623,7 @@ def _start_walk(top: StripeTopology, inputs, active_ru: int, beam_phases,
     if beam_phases.size != top.n_antennas:
         raise LengthError("one beam phase per antenna branch required")
     _workspace.record = None
-    chain = _Chain(x=_fill(top, "trunk", inputs[0]) if resume is None else resume.x,
+    chain = _Chain(x=_fill(top, inputs[0]) if resume is None else resume.x,
                    cp_samples=top.wf.cp_length * top.grid.oversampling,
                    n_fft=top.grid.n_fft,
                    offset=0 if resume is None else resume.offset)
@@ -689,6 +697,60 @@ def propagate_downlink(top: StripeTopology, wf_in: TimeWaveform, active_ru: int,
     return out, tuple(taps or ()), chain.offset
 
 
+CHUNK_FRAMES = 2  # OFDM frames per chunk of a later uplink branch (`_add_branch`)
+
+
+def _add_branch(top: StripeTopology, chain: _Chain, stage, theta: float, x,
+                taps: list | None):
+    """Run a later uplink branch ``x`` through its antenna amplifier
+    ``stage``, rotate it by ``theta`` and add it into ``chain.x``,
+    `CHUNK_FRAMES` OFDM frames at a time in the workspace's ``chunk``
+    array: each chunk is synthesized from its frames of a (Q, S) grid or
+    copied from a waveform, and the amplifier, run once on the chunks as
+    `comp.Blocks`, adds the matching slice of the stage's one noise draw.
+    Each frame is transformed on its own, so the bits are those of the
+    whole branch at once. With ``taps`` the stage records its whole input
+    and output as fresh arrays."""
+    _check_rate(top, x)
+    n = chain.x.size
+    frame = chain.n_fft + chain.cp_samples
+    q = top.grid.num_subcarriers
+    if isinstance(x, TimeWaveform):
+        if x.samples.shape != chain.x.shape:
+            raise LengthError(f"an antenna branch has {x.samples.size} samples, "
+                              f"the first {n}")
+    elif x.ndim != 2 or x.shape[0] != q or x.shape[1] * frame != n:
+        raise LengthError(f"a symbol grid must be (Q, S) = ({q}, {n // frame}), "
+                          f"got shape {x.shape}")
+    label, params, rng = stage
+    step = CHUNK_FRAMES * frame
+    chunk = _workspace.get("chunk", (min(step, n),))
+    tap_in = tap_out = None
+    if taps is not None:
+        tap_in, tap_out = np.empty(n, np.complex128), np.empty(n, np.complex128)
+
+    def chunks():
+        for start in range(0, n, step):
+            part = slice(start, min(start + step, n))
+            c = chunk[:part.stop - start]
+            if isinstance(x, TimeWaveform):
+                np.copyto(c, x.samples[part])
+            else:
+                synthesize_symbols(x[:, start // frame:part.stop // frame], top.grid,
+                                   top.wf.cp_length, out=c)
+            if tap_in is not None:
+                tap_in[part] = c
+            yield part, c  # the amplifier writes its output over c
+            if tap_out is not None:
+                tap_out[part] = c
+            comp.rotate(c, theta, out=c)
+            np.add(chain.x[part], c, out=chain.x[part])
+
+    chain.amplifier(comp.Blocks(n, chunks()), params, rng)
+    if taps is not None:
+        taps.append((label, tap_in, tap_out))
+
+
 def propagate_uplink(top: StripeTopology, branch_waveforms, active_ru: int,
                      beam_phases, seed: int, record_taps: bool = False, *,
                      noise: _NoiseAhead | None = None, consume=None):
@@ -699,9 +761,11 @@ def propagate_uplink(top: StripeTopology, branch_waveforms, active_ru: int,
     ``branch_waveforms`` are the per-antenna signals right after the
     wireless hop, in any iterable, each a `TimeWaveform` or a (Q, S) grid
     of symbols: the walk takes each one only when its antenna amplifier
-    needs it, fills it straight into the array it walks (`_fill`: it
-    copies a waveform's samples in and synthesizes a grid there) and holds
-    none after, so a generator lets the caller make each branch only then.
+    needs it, fills the first straight into the array it walks (`_fill`:
+    it copies a waveform's samples in and synthesizes a grid there) and
+    each later one, a few frames at a time, into the chunk it adds into
+    that array (`_add_branch`), and holds none after, so a generator lets
+    the caller make each branch only then.
     Couplers swap roles relative to downlink. ``consume(x, offset)`` gets
     the CU output in the walk's own array, which the next walk on the
     thread overwrites, and the delay the walk prepended; by default it
@@ -722,21 +786,16 @@ def propagate_uplink(top: StripeTopology, branch_waveforms, active_ru: int,
     taps = [] if record_taps else None
     with noise as chain.noise:
         stages = chain.noise.stages
-        for b, (stage, theta) in enumerate(zip(stages, beam_phases)):
-            # amplify, rotate and sum the branches: the first in the trunk,
-            # where the sum builds up, each later one filled into the branch
-            if b == 0:
-                sub = chain
-            else:
-                branch = next(branches, None)
-                if branch is None:
-                    raise wrong_count
-                sub = replace(chain, x=_fill(top, "branch", branch))
-                del branch  # the walk works on its own array
-            _run_stages(sub, [stage], taps)
-            y = comp.rotate(sub.x, theta, out=sub.x)
-            if b:
-                np.add(chain.x, y, out=chain.x)
+        # amplify, rotate and sum the branches: the first in the trunk,
+        # where the sum builds up, each later one chunk by chunk into it
+        _run_stages(chain, stages[:1], taps)
+        comp.rotate(chain.x, beam_phases[0], out=chain.x)
+        for stage, theta in zip(stages[1:top.n_antennas], beam_phases[1:]):
+            branch = next(branches, None)
+            if branch is None:
+                raise wrong_count
+            _add_branch(top, chain, stage, theta, branch, taps)
+            del branch  # the walk holds nothing of it
         if next(branches, None) is not None:
             raise wrong_count
         _run_stages(chain, stages[top.n_antennas:], taps)
@@ -1013,8 +1072,14 @@ def run_link(env: EnvironmentConfig, wf_cfg: WaveformConfig, bank: ComponentBank
             rx_symbols = air.sum(axis=1)  # coherent UE combining
             del air
         else:
-            # the UE's grid on each of its elements, at 1/sqrt(n_rx) amplitude
-            ue_elems = np.empty((grid.num_subcarriers, n_rx, s), dtype=np.complex128)
+            # the UE's grid on each of its elements, at 1/sqrt(n_rx) amplitude,
+            # in the trunk the walk fills only later when the grid fits there;
+            # a downlink record may hold that trunk, so it goes first
+            _workspace.record = None
+            q = grid.num_subcarriers
+            ue_elems = (_workspace.get("trunk", (n_samples,))[:q * n_rx * s].reshape(q, n_rx, s)
+                        if q * n_rx * s <= n_samples
+                        else np.empty((q, n_rx, s), dtype=np.complex128))
             ue_grid = extract_symbols(_transmit_waveform(tx_grid, grid, wf_cfg).samples,
                                       grid, wf_cfg.cp_length, s, out=ue_elems[:, 0, :],
                                       in_place=True)

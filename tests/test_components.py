@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stripesim.channel import ChannelRealization
-from stripesim.components import (TANH_BLOCK, AmplifierParams, DacParams,
+from stripesim.components import (TANH_BLOCK, AmplifierParams, Blocks, DacParams,
                                   IqParams, LinearElementParams, Oscillator,
                                   OscillatorParams, amplifier_process,
                                   combine, dac_process, iq_modem_process,
@@ -171,13 +171,30 @@ def _amplifier_reference(x, params, rng):
     return params.gain_linear * pa_nonlinearity(samples, params.mode, params)
 
 
+def _in_blocks(x, params, rng, size):
+    """`amplifier_process` of ``x`` given as `Blocks` of ``size`` samples,
+    each a fresh copy, with the outputs joined."""
+    out = np.empty_like(x)
+
+    def blocks():
+        for start in range(0, x.size, size):
+            part = slice(start, start + size)
+            block = x[part].copy()
+            yield part, block
+            out[part] = block
+
+    assert amplifier_process(Blocks(x.size, blocks()), params, rng) is None
+    return out
+
+
 @pytest.mark.parametrize("mode", ["ideal", "tanh", "atan", "polynomial",
                                   "soft_limiter"])
 @pytest.mark.parametrize("nf_db", [0.0, 10.0])
 def test_amplifier_bits_match_reference(mode, nf_db):
     """The fused noise pass and in-place nonlinearity change no output bit,
     at any drive level and on exact-zero samples (the r == 0 branch), on
-    less than one tanh block and on several blocks with a partial one."""
+    less than one tanh block and on several blocks with a partial one;
+    neither does amplifying the waveform as `Blocks`, one draw sliced."""
     p = _amp(gain_db=15.0, mode=mode, sat_amplitude=0.5, nf_db=nf_db,
              bandwidth=3e9, poly_coeffs=(1.0, -0.1 + 0.02j))
     block = TANH_BLOCK
@@ -191,6 +208,9 @@ def test_amplifier_bits_match_reference(mode, nf_db):
             want = _amplifier_reference(x, p, np.random.default_rng(seed + 50))
             got = amplifier_process(_wave(x), p, np.random.default_rng(seed + 50))
             assert got.tobytes() == want.tobytes()
+            for size in (1000, n):
+                got = _in_blocks(x, p, np.random.default_rng(seed + 50), size)
+                assert got.tobytes() == want.tobytes()
     # written over a strided view of its input, which no block can span
     x = _wave(np.random.default_rng(6).standard_normal(2 * block + 6))
     want = _amplifier_reference(x[::2], p, np.random.default_rng(56))

@@ -122,6 +122,35 @@ def test_equalize_erasure_deterministic():
     assert got[0] == 1.0 and got[3] == 0.5
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_estimate_and_equalize_keep_the_bits_of_whole_grid_division(order):
+    """Dividing only at the pilots and only at the data positions gives the
+    bits of dividing the whole grid and picking those positions after, on a
+    C- or F-ordered received grid with erased rows and a zero pilot."""
+    rng = np.random.default_rng(8)
+    q, s = 48, 20
+    rx = np.asarray(rng.standard_normal((q, s)) + 1j * rng.standard_normal((q, s)),
+                    order=order)
+    mask = rng.random((q, s)) < 0.3
+    values = rng.standard_normal(int(mask.sum())) + 1j * rng.standard_normal(int(mask.sum()))
+    values[3] = 0.0
+    full = np.ones((q, s), complex)
+    full[mask] = values
+    counts = mask.sum(axis=1)
+    rows = np.nonzero(counts)[0]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        per_re = np.ascontiguousarray(np.where(mask, rx / full, 0.0))
+        want = per_re.sum(axis=1)[rows] / counts[rows]
+        got = estimate_channel(rx, mask, values)
+    assert got[rows].tobytes() == want.tobytes()
+
+    h = rng.standard_normal(q) + 1j * rng.standard_normal(q)
+    h[::4] = 1e-13  # erased rows
+    safe = np.where(np.abs(h) < 1e-12, 1.0, h)[:, None]
+    want = np.where(np.abs(h)[:, None] < 1e-12, 0.0, rx / safe)[~mask]
+    assert equalize(rx, h, ~mask).tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Scalar metrics
 # ---------------------------------------------------------------------------

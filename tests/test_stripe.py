@@ -1090,7 +1090,8 @@ def test_over_the_air_draw_shares_the_noise_ring(direction):
 def test_warm_link_keeps_only_walk_arrays_in_the_workspace(direction):
     """Calibration and the OFDM pair keep no scratch: after warm links on
     a fresh thread, with a frequency-domain s2p fiber, the thread's
-    workspace holds the walk's trunk, branch and noise ring only."""
+    workspace holds the walk's trunk, noise ring and either the downlink's
+    branch or the uplink's chunk only."""
     env = _env(n_rus=4, n_antennas=2, q=128)
     wf = _wf(n_ofdm_symbols=2, cp_length=8)
     bank = _workspace_bank(env, wf)
@@ -1106,7 +1107,8 @@ def test_warm_link_keeps_only_walk_arrays_in_the_workspace(direction):
     thread.start()
     thread.join(timeout=120)
     assert not thread.is_alive()
-    assert sorted(names) == ["branch", "noise_ring", "trunk"]
+    assert sorted(names) == sorted(["trunk", "noise_ring",
+                                    "branch" if direction == "dl" else "chunk"])
 
 
 def _fresh(x: TimeWaveform, refs: list) -> TimeWaveform:
@@ -1167,6 +1169,117 @@ def test_uplink_fills_symbol_grids_as_their_waveforms():
         assert got.samples.tobytes() == want.samples.tobytes()
     with pytest.raises(LengthError):
         propagate_uplink(top, [grids[0], grids[1][:64]], 2, [0.3, -0.2], seed=4)
+
+
+def _whole_branch_uplink(top, branches, active_ru, phases, seed, taps):
+    """The uplink walk with each antenna branch amplified whole, drawing
+    its noise inline, and summed in fresh arrays: the reference for the
+    chunked sum. Appends every stage's (label, input, output) to ``taps``."""
+    xs = [x.samples.copy() if isinstance(x, TimeWaveform)
+          else synthesize_symbols(x, top.grid, top.wf.cp_length) for x in branches]
+    stages, _draws = stripe._plan_walk(top, active_ru, seed, "ul", xs[0].size)
+    total = 0.0
+    for (label, params, rng), x, theta in zip(stages, xs, phases):
+        y = components.amplifier_process(x, params, rng)
+        taps.append((label, x, y.copy()))
+        total = total + components.rotate(y, theta)
+    chain = stripe._Chain(x=total, cp_samples=top.wf.cp_length * top.grid.oversampling,
+                          n_fft=top.grid.n_fft)
+    with stripe._NoiseAhead([], stages) as chain.noise:
+        stripe._run_stages(chain, stages[top.n_antennas:], taps)
+    return chain.x
+
+
+@pytest.mark.parametrize("record_taps", [False, True])
+@pytest.mark.parametrize("kind", ["grid", "waveform", "mixed"])
+@pytest.mark.parametrize("antenna_amp", [
+    AmplifierParams(gain_db=2.0, nf_db=6.0, bandwidth=3e9),
+    AmplifierParams(gain_db=2.0, mode="tanh", sat_amplitude=0.5, nf_db=6.0, bandwidth=3e9),
+    AmplifierParams(gain_db=2.0, mode="tanh", sat_amplitude=0.5)],
+    ids=["ideal", "tanh", "tanh-noiseless"])
+def test_chunked_uplink_sum_gives_the_whole_branch_bytes(antenna_amp, kind, record_taps,
+                                                         monkeypatch):
+    """Each later branch, amplified, rotated and added a few frames at a
+    time, gives the bytes of whole branches summed, for chunks of 1, 2,
+    S - 1, S and S + 1 frames, and with taps each antenna stage records
+    its whole input and output."""
+    env = _env(n_rus=3, n_antennas=3, q=128)
+    s = 4
+    wf = _wf(n_ofdm_symbols=s, cp_length=8)
+    bank = dataclasses.replace(_workspace_bank(env, wf), antenna_amplifier=antenna_amp)
+    top = build_stripe(env, bank, 0, make_grid(env, wf), wf)
+    rng = np.random.default_rng(11)
+    grids = [0.8 * (rng.standard_normal((128, s)) + 1j * rng.standard_normal((128, s)))
+             for _ in range(3)]
+    waveforms = [TimeWaveform(synthesize_symbols(g, top.grid, 8), top.grid.sample_rate)
+                 for g in grids]
+    given = {"grid": grids, "waveform": waveforms,
+             "mixed": [grids[0], waveforms[1], grids[2]]}[kind]
+    phases = [0.3, -0.2, 1.1]
+    want_taps = []
+    want = _whole_branch_uplink(top, given, 2, phases, 5, want_taps)
+    for frames in (1, 2, s - 1, s, s + 1):
+        monkeypatch.setattr(stripe, "CHUNK_FRAMES", frames)
+        got, taps, _ = propagate_uplink(top, given, 2, phases, seed=5,
+                                        record_taps=record_taps)
+        assert got.samples.tobytes() == want.tobytes()
+        if record_taps:
+            assert [(label, x.tobytes(), y.tobytes()) for label, x, y in taps] == [
+                (label, x.tobytes(), y.tobytes()) for label, x, y in want_taps]
+
+
+def test_uplink_branches_are_checked_before_the_walk_adds_them(monkeypatch):
+    """A later branch of the wrong length or grid shape is a LengthError
+    raised before the walk makes its chunk array, takes its noise draw or
+    amplifies it."""
+    env = _env(n_rus=3, n_antennas=2, q=128)
+    wf = _wf(n_ofdm_symbols=2, cp_length=8)
+    top = build_stripe(env, _workspace_bank(env, wf), 0, make_grid(env, wf), wf)
+    rng = np.random.default_rng(7)
+    grids = [rng.standard_normal((128, 2)) + 1j * rng.standard_normal((128, 2))
+             for _ in range(2)]
+    first = TimeWaveform(synthesize_symbols(grids[0], top.grid, 8), top.grid.sample_rate)
+    short = TimeWaveform(first.samples[:-1], first.sample_rate)
+    amplified = []
+    real = components.amplifier_process
+    monkeypatch.setattr(components, "amplifier_process", lambda x, params, rng, **kw: (
+        amplified.append(x.size), real(x, params, rng, **kw))[1])
+    for bad in ([grids[0], grids[1][:, :1]], [grids[0], grids[1].T], [first, short]):
+        monkeypatch.setattr(stripe._workspace, "_arrays", {})
+        amplified.clear()
+        with pytest.raises(LengthError):
+            propagate_uplink(top, bad, 2, [0.3, -0.2], seed=4)
+        assert "chunk" not in stripe._workspace._arrays
+        assert amplified == [first.samples.size]  # the first branch's stage alone
+
+
+def test_uplink_link_hands_each_draw_back_once(monkeypatch):
+    """On a warm uplink link, every draw the link made ahead, each antenna
+    amplifier's included, goes back to the ring exactly once, however many
+    chunks its stage added it in."""
+    env = _env(n_rus=3, n_antennas=3, q=128)
+    wf = _wf(n_ofdm_symbols=5, cp_length=8)
+    bank = _workspace_bank(env, wf)
+    monkeypatch.setattr(stripe._workspace, "_arrays", {})
+    run_link(env, wf, bank, "los", 0, 0, 2, direction="ul", seed=3)
+    made, spent = [], []
+    real_init, real_spent = stripe._Drawn.__init__, stripe._Drawn.spent
+
+    def init(self, *args):
+        made.append(self)
+        real_init(self, *args)
+
+    def count_spent(self):
+        spent.append(self)
+        real_spent(self)
+
+    monkeypatch.setattr(stripe._Drawn, "__init__", init)
+    monkeypatch.setattr(stripe._Drawn, "spent", count_spent)
+    run_link(env, wf, bank, "los", 0, 0, 2, direction="ul", seed=4)
+    n_amps = 3 + 2 + 1  # antenna amplifiers, boosters of RUs 0-1, CU receive amplifier
+    assert len(made) == n_amps + 1  # and the over-the-air draw
+    assert sorted(map(id, spent)) == sorted(map(id, made))
+    assert "branch" not in stripe._workspace._arrays
 
 
 def test_downlink_hands_each_branch_to_its_consumer():
@@ -1246,27 +1359,32 @@ def _traced_peak(fn):
 
 
 # Bounds in waveform buffers, from the example scenario: a warm link peaks
-# 2.02 buffers above what its result holds in either direction, and a
-# one-antenna walk 0.01 (downlink) and 0.08 (uplink) above its output. A
-# stage that allocates its output afresh adds about one buffer to the
-# walk. An uplink that synthesizes each branch into a fresh waveform and
-# copies it in breaks the uplink bound (2.62), a downlink that
-# demodulates its branches through a fresh spectrum breaks the downlink
-# bound (2.62), and a demapper that works on all symbols at once breaks
-# both (2.79). Besides, the thread's workspace holds 4 buffers: trunk,
-# branch and the 2-row noise ring.
-_LINK_BUFFERS = {"dl": 2.2, "ul": 2.2}
+# 2.02 (downlink) and 1.64 (uplink) buffers above what its result holds,
+# and a one-antenna walk 0.01 (downlink) and 0.08 (uplink) above its
+# output. A stage that allocates its output afresh adds about one buffer
+# to the walk. An uplink that extracts the UE's grid into a fresh array
+# breaks the uplink bound (2.02), and so does one that synthesizes each
+# branch into a fresh waveform; a downlink that demodulates its branches
+# through a fresh spectrum breaks the downlink bound (2.62), and a
+# demapper that works on all symbols at once breaks both (2.79).
+# Besides, the thread's workspace holds the trunk and the 2-row noise
+# ring, with the downlink's branch or the uplink's chunk of
+# `CHUNK_FRAMES` frames; an uplink that sums whole branches in a
+# branch-sized array breaks that count.
+_LINK_BUFFERS = {"dl": 2.2, "ul": 1.7}
 _WALK_BUFFERS = 0.25
-_WORKSPACE_BUFFERS = 4
 
 
 @pytest.mark.parametrize("direction", ["dl", "ul"])
-def test_warm_link_allocates_few_waveform_buffers(direction):
+def test_warm_link_allocates_few_waveform_buffers(direction, monkeypatch):
     env = load_environment(EXAMPLES / "environment.yaml")
     wf = load_waveform(EXAMPLES / "waveform.yaml")
     bank = load_components(EXAMPLES / "components.yaml")
     grid = make_grid(env, wf)
     buffer = wf.n_ofdm_symbols * (grid.n_fft + wf.cp_length * grid.oversampling) * 16
+    # a fresh workspace, free of arrays a walk in the other direction left
+    monkeypatch.setattr(stripe._workspace, "_arrays", {})
+    monkeypatch.setattr(stripe._workspace, "record", None)
 
     def link(seed):
         return run_link(env, wf, bank, "los", 0, 0, 9, direction=direction, seed=seed)
@@ -1276,8 +1394,9 @@ def test_warm_link_allocates_few_waveform_buffers(direction):
     link(5)
     res, peak = _traced_peak(lambda: link(6))
     assert (peak - _held_bytes(res, set())) / buffer < _LINK_BUFFERS[direction]
+    last = buffer if direction == "dl" else stripe.CHUNK_FRAMES * buffer // wf.n_ofdm_symbols
     workspace = stripe._workspace._arrays.values()
-    assert sum(a.nbytes for a in workspace) == _WORKSPACE_BUFFERS * buffer
+    assert sum(a.nbytes for a in workspace) == 3 * buffer + last
 
     # the walk alone, on one antenna branch, allocates only what it returns
     top = dataclasses.replace(build_stripe(env, bank, 0, grid, wf), n_antennas=1)
